@@ -180,17 +180,34 @@ class SweepResult:
 def criterion_sweep(wc: WeightedComposition, T: SupportsMeasureAt,
                     grid: GridCircle, tol: float = 1e-9) -> SweepResult:
     """Run criterion_sup over the dyadic ladder ||T|| * 2^-k, k = 0..20,
-    plus the always-active level ||T|| + 1.
+    plus the always-active level ||T|| + 1, plus one level read off the
+    data when the ladder is too coarse for the grid.
 
-    All levels holding is equivalent, on a finite grid resolved by the
-    ladder, to equation_holds: as epsilon shrinks the active set narrows to
-    the points attaining ||T||, where additivity lives or dies.
+    As epsilon shrinks the active set narrows to the points attaining
+    ||T||, where additivity lives or dies, so all levels holding matches
+    equation_holds.  The dyadic ladder resolves a grid only if its finest
+    level admits no point more than tol below ||T||; the README window case
+    breaks that from n = 3217 on.  Then a last level is appended halfway
+    between tol and the smallest gap ||T|| - tv(s) above tol, whose active
+    set is exactly the points within tol of ||T||.  Every point that lets
+    the equation hold within tol stays active there, so the extra level
+    never turns an agreement into a disagreement.
     """
     prof = perturbation_profile(wc, T, grid)
     weight_sup = float(np.abs(prof.weight).max())
-    t_norm = float((np.abs(prof.aligned_mass) + prof.off_mass).max())
+    tv = np.abs(prof.aligned_mass) + prof.off_mass
+    t_norm = float(tv.max())
     epsilons = [t_norm * 2.0 ** -k for k in range(21) if t_norm > 0.0]
     epsilons.append(t_norm + 1.0)
+    floor = max(tol, 0.0)
+    gaps = t_norm - tv
+    gaps = gaps[gaps > floor]
+    if gaps.size and float(gaps.min()) < t_norm * 2.0 ** -20:
+        gap = float(gaps.min())
+        eps = 0.5 * (floor + gap)
+        if t_norm - eps == t_norm:
+            eps = gap  # one rounding step: the half would round back to ||T||
+        epsilons.append(eps)
     results = tuple(
         _criterion_from_profile(prof, weight_sup, t_norm, eps, tol)
         for eps in epsilons

@@ -245,6 +245,12 @@ class SearchLadder:
     (with repetition, up to max_depth factors) from {0} and +/- radii, plus
     pure monomials up to degree max_monomial.
 
+    test_functions() is the one definition of the family, its order and its
+    size.  disk_norm_lower_bound evaluates it depth first over shared zero
+    prefixes, one factor per function, and still reports the first
+    maximiser in test_functions() order; blaschke_eval on each member is
+    the reference route the walk is tested against.
+
     phase_grid is recorded for completeness: the searched operators are
     linear, so a unimodular prefactor e^{i gamma} never changes the sampled
     modulus and the search evaluates the gamma = 0 representative of each
@@ -267,7 +273,8 @@ class SearchLadder:
         return sorted(pool)
 
     def test_functions(self):
-        """Yield (description, BlaschkeProduct) in a fixed lexicographic order."""
+        """Yield (description, BlaschkeProduct) in a fixed lexicographic
+        order; every product has leading constant 1."""
         pool = self.zero_pool()
         for depth in range(self.max_depth + 1):
             for zeros in itertools.combinations_with_replacement(pool, depth):
@@ -276,6 +283,66 @@ class SearchLadder:
         for degree in range(self.max_depth + 1, self.max_monomial + 1):
             yield ({"kind": "monomial", "degree": degree, "phase": 0.0},
                    BlaschkeProduct(zeros=(0j,) * degree))
+
+
+def _ladder_tree(ladder: SearchLadder) -> tuple[list, int, list[complex]]:
+    """Prefix tree of the zero tuples of ladder.test_functions().
+
+    A node is [ladder index, description, {zero: child}].  A prefix that is
+    not itself a family member has index None, and a repeated tuple keeps
+    its first index.  Also returns the family size and the distinct zeros
+    in order of first use.
+    """
+    root: list = [None, None, {}]
+    zeros: dict[complex, None] = {}
+    size = 0
+    for size, (desc, f) in enumerate(ladder.test_functions(), start=1):
+        node = root
+        for a in f.zeros:
+            children = node[2]
+            if a not in children:
+                children[a] = [None, None, {}]
+                zeros.setdefault(a)
+            node = children[a]
+        if node[0] is None:
+            node[0], node[1] = size - 1, desc
+    return root, size, list(zeros)
+
+
+def _ladder_walk(root: list, zeros: list[complex], points: list):
+    """Yield (ladder index, description, values) for every member of a
+    _ladder_tree, depth first; values holds the product at each entry of
+    points (an array or a scalar, kept 0-d as blaschke_eval keeps it).
+
+    A child is its parent times one factor, formed as blaschke_eval forms
+    it (out * (arr - a) / den, factors in tuple order), so every value is
+    bit-identical to the per-function route.  The closed-disk and pole
+    checks run once per point array and pool zero, with blaschke_eval's
+    messages.  Only the prefixes on the current path and the parents of
+    pending siblings stay alive.
+    """
+    arrs = [np.asarray(p, dtype=complex) for p in points]
+    for arr in arrs:
+        if arr.size and float(np.max(np.abs(arr))) > 1.0 + BOUNDARY_SLACK:
+            raise ValueError("evaluation point outside the closed unit disk")
+    factors = {}
+    for a in zeros:
+        factors[a] = []
+        for arr in arrs:
+            den = 1.0 - np.conj(a) * arr
+            if arr.size and float(np.min(np.abs(den))) < 1e-300:
+                raise ValueError(f"evaluation too close to the pole of the {a!r} factor")
+            factors[a].append((arr - a, den))
+    stack = [(root, tuple(np.full(arr.shape, 1 + 0j) for arr in arrs), None)]
+    while stack:
+        node, values, a = stack.pop()
+        if a is not None:
+            values = tuple(out * num / den
+                           for out, (num, den) in zip(values, factors[a]))
+        index, desc, children = node
+        if index is not None:
+            yield index, desc, values
+        stack.extend((child, values, b) for b, child in reversed(children.items()))
 
 
 @dataclass(frozen=True)
@@ -295,6 +362,13 @@ def disk_norm_lower_bound(u: DiskFunction, phi: DiskFunction,
     on the boundary, so each evaluated |u(z) f(phi(z)) + (Tf)(z)| is a true
     lower bound; the result is their maximum, with the first witness in
     ladder order.  Requires phi to map into the closed disk.
+
+    The ladder is evaluated depth first over shared zero prefixes, so each
+    test function costs one complex multiply and divide per sample on top
+    of its parent, and f(tau) is carried alongside as a 0-d chain.  Values
+    are bit-identical to blaschke_eval per function (the reference route),
+    and ties go to the smallest test_functions() index, so bound and
+    witness do not depend on the walk order.
     """
     m = ladder.samples
     z = np.exp(2j * np.pi * np.arange(m) / m)
@@ -309,18 +383,20 @@ def disk_norm_lower_bound(u: DiskFunction, phi: DiskFunction,
     if T is not None:
         gz = np.asarray(T.g(z))
 
+    points = [phiz] if T is None else [phiz, complex(T.tau)]
     best = -1.0
+    best_index = -1
     witness: dict = {}
-    count = 0
-    for desc, f in ladder.test_functions():
-        count += 1
-        values = uz * blaschke_eval(f, phiz)
+    root, count, zeros = _ladder_tree(ladder)
+    for index, desc, f in _ladder_walk(root, zeros, points):
+        values = uz * f[0]
         if T is not None:
-            values = values + T.c * blaschke_eval(f, complex(T.tau)) * gz
+            values = values + T.c * complex(f[1]) * gz
         values = np.abs(values)
         k = int(np.argmax(values))
-        if float(values[k]) > best:
-            best = float(values[k])
+        value = float(values[k])
+        if value > best or (value == best and index < best_index):
+            best, best_index = value, index
             witness = dict(desc)
             witness.update({"sample_index": k, "z": complex(z[k])})
 

@@ -16,6 +16,7 @@ embedded (timing collection is opt-in and off by default).
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -69,6 +70,11 @@ DISK_CHECKS = ("disk-c-conditions", "disk-lower-bound", "disk-certified",
 SWEEP_CHECKS = ("refinement",)
 ALL_CHECKS = CIRCLE_CHECKS + COUNTEREXAMPLE_CHECKS + DISK_CHECKS
 
+#: Bounds on disk sample counts and on the closed-form size of a ladder
+#: family, checked before anything is allocated or enumerated.
+MAX_DISK_SAMPLES = 2 ** 20
+MAX_LADDER_FAMILY = 20_000
+
 
 class ScenarioError(ValueError):
     """Scenario file rejected; the message carries the offending path."""
@@ -96,9 +102,12 @@ def _real(value: Any, path: str) -> float:
     return float(value)
 
 
-def _integer(value: Any, path: str) -> int:
+def _integer(value: Any, path: str, lo: float = -math.inf,
+             hi: float = math.inf) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(path, f"expected an integer, got {value!r}")
+    if not lo <= value <= hi:
+        raise ScenarioError(path, f"{value} is outside [{lo}, {hi}]")
     return value
 
 
@@ -624,19 +633,37 @@ def _ladder_from(p: dict) -> dsk.SearchLadder:
         if not isinstance(radii, list) or not radii:
             raise ScenarioError("check.radii", "expected a non-empty list of radii")
         kwargs["radii"] = tuple(_real(r, "check.radii") for r in radii)
-    for key in ("phase_grid", "max_depth", "max_monomial", "samples"):
+    bounds = {"phase_grid": (-math.inf, math.inf), "max_depth": (0, math.inf),
+              "max_monomial": (0, math.inf), "samples": (1, MAX_DISK_SAMPLES)}
+    for key, (lo, hi) in bounds.items():
         if key in p:
-            kwargs[key] = _integer(p[key], f"check.{key}")
+            kwargs[key] = _integer(p[key], f"check.{key}", lo, hi)
     try:
         ladder = dsk.SearchLadder(**kwargs)
-        ladder.zero_pool()  # validates radii
+        pool = len(ladder.zero_pool())  # validates radii
     except ValueError as exc:
         raise ScenarioError("check.radii", str(exc)) from None
+    # C(pool + d - 1, d) zero multisets at each depth d, summed until past
+    # the cap, plus the monomials beyond max_depth
+    blaschke = term = 1
+    for d in range(1, ladder.max_depth + 1):
+        term = term * (pool + d - 1) // d
+        blaschke += term
+        if blaschke > MAX_LADDER_FAMILY:
+            raise ScenarioError("check.max_depth",
+                                f"ladder family exceeds {MAX_LADDER_FAMILY} functions")
+    if blaschke + max(0, ladder.max_monomial - ladder.max_depth) > MAX_LADDER_FAMILY:
+        raise ScenarioError("check.max_monomial",
+                            f"ladder family exceeds {MAX_LADDER_FAMILY} functions")
     return ladder
 
 
+def _disk_samples(p: dict) -> int:
+    return _integer(p.get("samples", 4096), "check.samples", 1, MAX_DISK_SAMPLES)
+
+
 def _run_disk_c_conditions(sc: Scenario, p: dict, tol: float) -> dict:
-    samples = p.get("samples", 4096)
+    samples = _disk_samples(p)
     tol = p.get("tol", tol)
     res = dsk.check_c_conditions(_need(sc, "disk_weight", "disk.weight"),
                                  _need(sc, "disk_symbol", "disk.symbol"),
@@ -667,7 +694,7 @@ def _run_disk_certified(sc: Scenario, p: dict, tol: float) -> dict:
     omega = _complex_value(p["omega"], "check.omega")
     epsilon = _real(p["epsilon"], "check.epsilon")
     half_angle = _real(p["half_angle"], "check.half_angle")
-    samples = p.get("samples", 4096)
+    samples = _disk_samples(p)
     try:
         arc = dsk.ArcNeighborhood(omega, half_angle)
     except ValueError as exc:

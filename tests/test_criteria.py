@@ -111,6 +111,19 @@ class TestCriterion:
         assert all(a > b for a, b in zip(eps[:-1], eps[1:-1]))  # dyadic descent
         assert sw.results[-1].active_set_size == g.n
 
+    def test_sweep_agrees_with_equation_where_the_dyadic_ladder_is_too_coarse(self):
+        # from n = 3217 on the window's grid gap is below ||T|| * 2^-20, so
+        # only the data level isolates s = 0, where the deficiency is -2
+        wc, T, g = canonical_window_instance(4096)
+        sw = criterion_sweep(wc, T, g)
+        eq = equation_holds(wc, T, g)
+        assert not eq.holds and eq.gap > 1e-9
+        assert sw.holds == eq.holds
+        finest = sw.results[-1]
+        assert len(sw.results) == 23
+        assert finest.epsilon < operator_norm(T, g) * 2.0 ** -20
+        assert finest.active_set_size == 1 and not finest.holds
+
     def test_zero_operator_sweep_is_single_level(self):
         g = GridCircle(16)
         wc = WeightedComposition(ScalarField.constant(1.0), SymbolMap.identity())

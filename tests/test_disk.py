@@ -158,6 +158,115 @@ class TestLowerBound:
                                   DiskFunction.polynomial([0.0, 2.0]))
 
 
+def reference_lower_bound(u, phi, T, ladder):
+    """The per-function route: blaschke_eval on every test_functions() entry,
+    first maximiser in ladder order."""
+    m = ladder.samples
+    z = np.exp(2j * np.pi * np.arange(m) / m)
+    uz = np.asarray(u(z))
+    phiz = np.asarray(phi(z))
+    phiz = np.where(np.abs(phiz) > 1.0, phiz / np.abs(phiz), phiz)
+    best, witness, count = -1.0, {}, 0
+    for desc, f in ladder.test_functions():
+        count += 1
+        values = uz * blaschke_eval(f, phiz)
+        if T is not None:
+            values = values + T.c * blaschke_eval(f, complex(T.tau)) * np.asarray(T.g(z))
+        values = np.abs(values)
+        k = int(np.argmax(values))
+        if float(values[k]) > best:
+            best = float(values[k])
+            witness = dict(desc)
+            witness.update({"sample_index": k, "z": complex(z[k])})
+    return best, witness, count
+
+
+def random_disk_point(rng, radius):
+    return radius * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+
+
+class TestLadderWalk:
+    """The prefix walk against blaschke_eval per function, compared with ==."""
+
+    def random_case(self, rng):
+        u = [DiskFunction.polynomial(rng.standard_normal(3) + 1j * rng.standard_normal(3)),
+             DiskFunction.blaschke_multiple(BlaschkeProduct(zeros=(random_disk_point(rng, 0.9),)),
+                                            scale=complex(rng.standard_normal(), 1.0)),
+             DiskFunction.constant(complex(rng.standard_normal(), rng.standard_normal()))
+             ][int(rng.integers(0, 3))]
+        phi = [DiskFunction.blaschke_multiple(BlaschkeProduct(
+                   zeros=tuple(random_disk_point(rng, 0.95) for _ in range(int(rng.integers(1, 3)))))),
+               DiskFunction.polynomial([random_disk_point(rng, 0.3), 0.4, 0.3j]),
+               DiskFunction.scaled_identity(random_disk_point(rng, 1.0))
+               ][int(rng.integers(0, 3))]
+        T = RankOneDiskOperator(
+            tau=random_disk_point(rng, 1.0),
+            g=[DiskFunction.half_plus(cmath.exp(2j * math.pi * rng.random())),
+               DiskFunction.polynomial([0.2, random_disk_point(rng, 0.5), 0.1j])
+               ][int(rng.integers(0, 2))],
+            c=complex(rng.standard_normal(), rng.standard_normal()))
+        radii = tuple(float(r) for r in 0.05 + 0.949 * rng.random(int(rng.integers(1, 3))))
+        return u, phi, T, radii
+
+    def test_matches_per_function_route(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(40):
+            u, phi, T, radii = self.random_case(rng)
+            ladder = SearchLadder(radii=radii, max_depth=trial % 5,
+                                  max_monomial=int(rng.integers(0, 8)),
+                                  samples=int(rng.integers(1, 200)))
+            for op in (None, T):
+                res = disk_norm_lower_bound(u, phi, op, ladder)
+                bound, witness, count = reference_lower_bound(u, phi, op, ladder)
+                assert res.bound == bound
+                assert res.witness == witness
+                assert res.family_size == count
+
+    @pytest.mark.parametrize("u, phi, samples", [
+        (1j, DiskFunction.scaled_identity(1.0), 1),
+        (cmath.exp(0.3j), DiskFunction.constant(1.0), 64),
+    ])
+    def test_full_tie_keeps_the_first_function(self, u, phi, samples):
+        # phi(z) = 1 at every sample, where each factor is (1 - a) / (1 - a):
+        # the maximum is a tie between many ladder functions
+        ladder = SearchLadder(max_depth=3, max_monomial=6, samples=samples)
+        res = disk_norm_lower_bound(DiskFunction.constant(u), phi, None, ladder)
+        phiz = np.asarray(phi(np.exp(2j * np.pi * np.arange(samples) / samples)))
+        maxima = [float(np.max(np.abs(u * blaschke_eval(f, phiz))))
+                  for _, f in ladder.test_functions()]
+        assert max(maxima) == res.bound and maxima.count(res.bound) > 1
+        assert res.witness == {"kind": "blaschke", "zeros": [], "phase": 0.0,
+                               "sample_index": 0, "z": 1 + 0j}
+        assert (res.bound, res.witness, res.family_size) == reference_lower_bound(
+            DiskFunction.constant(u), phi, None, ladder)
+
+    def test_pole_still_raises(self):
+        class PoleLadder(SearchLadder):
+            def test_functions(self):
+                yield from super().test_functions()
+                f = BlaschkeProduct(zeros=(0.5 + 0j,))
+                object.__setattr__(f, "zeros", (1 + 0j,))  # bypass the |a| < 1 check
+                yield {"kind": "blaschke", "zeros": [1.0], "phase": 0.0}, f
+
+        ladder = PoleLadder(max_depth=1, max_monomial=0, samples=8)
+        one = DiskFunction.constant(1.0)
+        identity = DiskFunction.scaled_identity(1.0)
+        with pytest.raises(ValueError, match="pole of the"):
+            disk_norm_lower_bound(one, identity, None, ladder)
+        with pytest.raises(ValueError, match="pole of the"):
+            reference_lower_bound(one, identity, None, ladder)
+
+    def test_evaluation_outside_the_disk_still_raises(self):
+        T = RankOneDiskOperator(tau=0.5, g=DiskFunction.constant(1.0), c=1.0)
+        object.__setattr__(T, "tau", 1.5 + 0j)  # bypass the closed-disk check
+        ladder = SearchLadder(max_depth=1, samples=8)
+        one = DiskFunction.constant(1.0)
+        with pytest.raises(ValueError, match="outside the closed unit disk"):
+            disk_norm_lower_bound(one, DiskFunction.scaled_identity(0.5), T, ladder)
+        with pytest.raises(ValueError, match="leaves the closed disk"):
+            disk_norm_lower_bound(one, DiskFunction.scaled_identity(1.5), None, ladder)
+
+
 class TestCertifiedBound:
     def canonical(self, half_angle=0.1):
         one = DiskFunction.constant(1.0)

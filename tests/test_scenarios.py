@@ -140,6 +140,65 @@ class TestRunning:
         assert '"fraction": "63/64"' in text
 
 
+DISK = {
+    "disk": {"weight": {"kind": "constant", "re": 1.0},
+             "symbol": {"kind": "scaled_identity", "re": 1.0}},
+    "checks": [{"name": "disk-c-conditions"}],
+}
+
+
+def disk_record(**params):
+    name = params.pop("name", "disk-c-conditions")
+    obj = dict(DISK, checks=[{"name": name, **params}])
+    return run_scenario(parse_scenario(obj))["checks"][0]
+
+
+class TestDiskParameters:
+    def test_fractional_samples_rejected(self):
+        rec = disk_record(samples=2.5)
+        assert rec["verdict"] == "error" and rec["error"].startswith("check.samples:")
+
+    def test_boolean_samples_rejected(self):
+        rec = disk_record(samples=True)
+        assert rec["verdict"] == "error" and rec["error"].startswith("check.samples:")
+
+    def test_string_samples_recorded_not_raised(self, tmp_path, capsys):
+        rec = disk_record(samples="abc")
+        assert rec["verdict"] == "error" and rec["error"].startswith("check.samples:")
+        p = tmp_path / "scenario.json"
+        p.write_text(json.dumps(dict(DISK, checks=[{"name": "disk-c-conditions",
+                                                     "samples": "abc"}])))
+        assert main(["verify", "--scenario", str(p)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_negative_depth_rejected(self):
+        rec = disk_record(name="disk-lower-bound", max_depth=-1)
+        assert rec["verdict"] == "error" and rec["error"].startswith("check.max_depth:")
+
+    def test_zero_samples_rejected(self):
+        for name in ("disk-c-conditions", "disk-lower-bound"):
+            rec = disk_record(name=name, samples=0)
+            assert rec["verdict"] == "error" and rec["error"].startswith("check.samples:")
+        rec = disk_record(name="disk-certified", omega={"re": 1.0}, epsilon=0.05,
+                          half_angle=0.1, samples=0)
+        assert rec["verdict"] == "error" and rec["error"].startswith("check.samples:")
+
+    def test_sizes_are_capped_before_allocation(self):
+        rec = disk_record(samples=2 ** 20 + 1)
+        assert rec["error"].startswith("check.samples:")
+        rec = disk_record(name="disk-lower-bound", max_depth=10 ** 12)
+        assert rec["error"].startswith("check.max_depth:")
+        rec = disk_record(name="disk-lower-bound", max_monomial=10 ** 12)
+        assert rec["error"].startswith("check.max_monomial:")
+        rec = disk_record(name="disk-lower-bound", max_monomial=-1)
+        assert rec["error"].startswith("check.max_monomial:")
+
+    def test_benchmark_sized_ladder_still_runs(self):
+        rec = disk_record(name="disk-lower-bound", max_depth=5, samples=16)
+        assert rec["verdict"] == "computed"
+        assert rec["values"]["family_size"] == 803
+
+
 class TestCli:
     def run_cli(self, tmp_path, args, scenario_obj=None):
         argv = list(args)
