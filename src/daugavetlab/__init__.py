@@ -13,7 +13,6 @@ from .circle import (
     SymbolMap,
     circle_distance,
     frac_mod1,
-    make_circle_grid,
     modulus_constancy,
     preimage_nowhere_dense_at_resolution,
     sup_norm,
@@ -84,7 +83,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # circle model
-    "GridCircle", "make_circle_grid", "Arc", "ScalarField", "SymbolMap",
+    "GridCircle", "Arc", "ScalarField", "SymbolMap",
     "circle_distance", "frac_mod1", "sup_norm", "modulus_constancy",
     "preimage_nowhere_dense_at_resolution",
     # measures

@@ -83,11 +83,6 @@ class GridCircle:
         return True
 
 
-def make_circle_grid(n: int) -> GridCircle:
-    """Build the n-point grid (n >= 2)."""
-    return GridCircle(n)
-
-
 @dataclass(frozen=True)
 class Arc:
     """Closed arc {s : d(s, center) <= half_width}, half_width in (0, 1/2]."""
@@ -292,10 +287,6 @@ class SymbolMap:
         if not (0 <= r < 1):  # NaN or a reduction bug both land here
             raise ValueError(f"symbol produced {r!r}, outside [0, 1)")
         return r
-
-
-def eval_symbol(phi: SymbolMap, s: Coordinate) -> Coordinate:
-    return phi(s)
 
 
 def symbol_max_jump(phi: SymbolMap, grid: GridCircle) -> float:

@@ -7,8 +7,9 @@
     daugavetlab selftest [--seed 0]
 
 Exit codes: 0 when the run completed (individual checks may still report
-"fails" or "error" inside the report), 1 for a rejected scenario file,
-2 for an internal cross-check failure.
+"fails" or "error" inside the report), 1 for a rejected scenario file or
+flag, or a report that would hold a NaN or an infinity, 2 for an internal
+cross-check failure.
 """
 
 from __future__ import annotations
@@ -18,10 +19,7 @@ import sys
 
 from .errors import InvariantViolation
 from .scenarios import (
-    CIRCLE_CHECKS,
-    COUNTEREXAMPLE_CHECKS,
-    DISK_CHECKS,
-    SWEEP_CHECKS,
+    CHECKS,
     ScenarioError,
     parse_scenario_file,
     render_report_csv,
@@ -41,8 +39,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="default tolerance for checks that accept one")
     sub.add_argument("--seed", type=int, default=None,
                      help="override the scenario seed recorded in the report")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="run independent checks concurrently")
     sub.add_argument("--timings", action="store_true",
                      help="embed per-check runtimes (breaks byte-for-byte "
                           "report reproducibility)")
@@ -67,15 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_ALLOWED = {
-    "verify": None,
-    "sweep": SWEEP_CHECKS,
-    "counterexample": COUNTEREXAMPLE_CHECKS,
-    "disk": DISK_CHECKS,
-}
-assert set(_ALLOWED["sweep"]) <= set(CIRCLE_CHECKS)
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -92,25 +79,26 @@ def main(argv: list[str] | None = None) -> int:
         _emit(render_report_json(report), args.out)
         return 0
 
+    allowed = None
+    if args.command != "verify":
+        allowed = tuple(name for name, c in CHECKS.items() if c.group == args.command)
     try:
         scenario = parse_scenario_file(args.scenario)
-        if args.threads < 1:
-            raise ScenarioError("--threads", f"thread count {args.threads} < 1")
         report = run_scenario(scenario, tol=args.tol, seed=args.seed,
-                              threads=args.threads, timings=args.timings,
-                              allowed=_ALLOWED[args.command])
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ScenarioError as exc:
+                              timings=args.timings, allowed=allowed)
+    except (OSError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:
         print(f"internal cross-check failed: {exc}", file=sys.stderr)
         return 2
 
-    text = (render_report_csv(report) if args.format == "csv"
-            else render_report_json(report))
+    try:
+        text = (render_report_csv(report) if args.format == "csv"
+                else render_report_json(report))
+    except ValueError as exc:  # a value finite input still drove to NaN or infinity
+        print(f"error: the report cannot be rendered: {exc}", file=sys.stderr)
+        return 1
     _emit(text, args.out)
     return 0
 

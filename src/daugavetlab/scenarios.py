@@ -1,10 +1,15 @@
 """Scenario files, check runners and deterministic reports.
 
 A scenario is a JSON object naming a space, a weight, symbols, an optional
-perturbation, and a list of named checks.  Parsing is strict: unknown keys,
-malformed coordinates or out-of-range parameters are rejected with the
-offending path.  Grid coordinates are written as exact rational strings
-("3/8"); floats are reserved for continuous quantities.
+perturbation, and a list of named checks.  One schema, declared below as
+data, says which keys each object may carry and the type, range and
+default of every value; for checks it also names the CLI group and the
+runner.  Parsing is strict: unknown or missing keys, malformed coordinates
+and out-of-range values are rejected with the offending path.  Check
+parameters are keyed at parse time and read when the check runs, so a bad
+value becomes an "error" record for that check alone.  Grid coordinates
+are written as exact rational strings ("3/8"); floats are reserved for
+continuous quantities.
 
 Reports echo the scenario, the effective parameters of every check, the
 verdicts and the witnesses.  Given the same scenario and seed the rendered
@@ -17,9 +22,10 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable
 
 from . import disk as dsk
@@ -49,31 +55,27 @@ from .operators import (
 __all__ = [
     "ScenarioError",
     "Scenario",
+    "Check",
+    "CHECKS",
     "parse_scenario",
     "parse_scenario_file",
     "run_scenario",
     "render_report_json",
     "render_report_csv",
-    "CIRCLE_CHECKS",
-    "COUNTEREXAMPLE_CHECKS",
-    "DISK_CHECKS",
-    "SWEEP_CHECKS",
 ]
 
 SCHEMA_VERSION = "1"
 
-CIRCLE_CHECKS = ("equation", "criterion-sweep", "rotation-max", "convex",
-                 "s-epsilon", "refinement")
-COUNTEREXAMPLE_CHECKS = ("counterexample-modulus", "counterexample-preimage")
-DISK_CHECKS = ("disk-c-conditions", "disk-lower-bound", "disk-certified",
-               "disk-automorphism")
-SWEEP_CHECKS = ("refinement",)
-ALL_CHECKS = CIRCLE_CHECKS + COUNTEREXAMPLE_CHECKS + DISK_CHECKS
-
-#: Bounds on disk sample counts and on the closed-form size of a ladder
-#: family, checked before anything is allocated or enumerated.
-MAX_DISK_SAMPLES = 2 ** 20
+#: One bound on every point count a scenario can ask for (grid sizes, disk
+#: samples, lambda grids), checked before anything is allocated.
+MAX_POINTS = 2 ** 20
+#: Ladder cost grows with the square of max_monomial.
+MAX_MONOMIAL = 1024
+#: Bound on the closed-form size of a ladder family, checked before it is
+#: enumerated.
 MAX_LADDER_FAMILY = 20_000
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class ScenarioError(ValueError):
@@ -84,40 +86,132 @@ class ScenarioError(ValueError):
         self.path = path
 
 
-def _check_keys(obj: Any, path: str, required: tuple[str, ...],
-                optional: tuple[str, ...] = ()) -> None:
+# ---------------------------------------------------------------------------
+# the schema language
+#
+# A reader takes (value, path, n), n being the scenario's grid size or None,
+# and returns the parsed value or raises ScenarioError naming the path.  A
+# spec maps every key an object may carry to (reader, default); a default of
+# ... marks the key required.
+# ---------------------------------------------------------------------------
+
+def _bounds(lo: float, hi: float) -> str:
+    if hi == math.inf:
+        return "" if lo == -math.inf else f" >= {lo}"
+    return f" in [{lo}, {hi}]"
+
+
+def _check_keys(obj: Any, path: str, spec: dict, fixed: tuple[str, ...] = ()) -> None:
     if not isinstance(obj, dict):
         raise ScenarioError(path, f"expected an object, got {type(obj).__name__}")
-    unknown = sorted(set(obj) - set(required) - set(optional))
+    unknown = sorted(set(obj) - set(spec) - set(fixed))
     if unknown:
         raise ScenarioError(path, f"unknown field(s) {unknown}")
-    missing = sorted(set(required) - set(obj))
+    missing = sorted(k for k, (_, default) in spec.items()
+                     if default is ... and k not in obj)
     if missing:
         raise ScenarioError(path, f"missing required field(s) {missing}")
 
 
-def _real(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(path, f"expected a real number, got {value!r}")
-    return float(value)
+def _read(obj: Any, path: str, spec: dict, n: int | None = None,
+          fixed: tuple[str, ...] = ()) -> dict:
+    """Check obj's keys against spec (plus the fixed keys its caller reads)
+    and read every declared value, defaults filled in."""
+    _check_keys(obj, path, spec, fixed)
+    return {key: read(obj[key], f"{path}.{key}", n) if key in obj else default
+            for key, (read, default) in spec.items()}
 
 
-def _integer(value: Any, path: str, lo: float = -math.inf,
-             hi: float = math.inf) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(path, f"expected an integer, got {value!r}")
-    if not lo <= value <= hi:
-        raise ScenarioError(path, f"{value} is outside [{lo}, {hi}]")
-    return value
+@dataclass(frozen=True)
+class Real:
+    """A finite JSON number in [lo, hi], read as a float.  With cast=False
+    an integer stays as written, so an echoed "tol": 0 reads 0."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    cast: bool = True
+
+    def __call__(self, value: Any, path: str, n: int | None = None) -> Any:
+        x = math.nan
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            x = float(value) if -_FLOAT_MAX <= value <= _FLOAT_MAX else math.inf
+        if not (math.isfinite(x) and self.lo <= x <= self.hi):
+            raise ScenarioError(path, f"expected a finite real{_bounds(self.lo, self.hi)}, "
+                                      f"got {value!r}")
+        return x if self.cast else value
 
 
-def _complex_value(obj: Any, path: str) -> complex:
-    _check_keys(obj, path, ("re",), ("im",))
-    return complex(_real(obj["re"], f"{path}.re"),
-                   _real(obj.get("im", 0.0), f"{path}.im"))
+@dataclass(frozen=True)
+class Int:
+    """A JSON integer in [lo, hi]."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+
+    def __call__(self, value: Any, path: str, n: int | None = None) -> int:
+        if (isinstance(value, bool) or not isinstance(value, int)
+                or not self.lo <= value <= self.hi):
+            raise ScenarioError(path, f"expected an integer{_bounds(self.lo, self.hi)}, "
+                                      f"got {value!r}")
+        return value
 
 
-def _position(value: Any, path: str, exact: bool) -> Coordinate:
+@dataclass(frozen=True)
+class ListOf:
+    """A JSON list with least..most items, each read by item."""
+
+    item: Callable
+    least: int = 1
+    most: float = math.inf
+
+    def __call__(self, value: Any, path: str, n: int | None = None) -> list:
+        if not isinstance(value, list) or not self.least <= len(value) <= self.most:
+            raise ScenarioError(path, "expected a list with length"
+                                      f"{_bounds(self.least, self.most)}")
+        return [self.item(v, f"{path}[{i}]", n) for i, v in enumerate(value)]
+
+
+@dataclass(frozen=True)
+class Obj:
+    """A JSON object read by spec and built by build(**values).  A
+    ValueError from build breaks a rule across keys and names the object."""
+
+    spec: dict
+    build: Callable
+
+    def __call__(self, value: Any, path: str, n: int | None = None,
+                 fixed: tuple[str, ...] = ()) -> Any:
+        args = _read(value, path, self.spec, n, fixed)
+        try:
+            return self.build(**args)
+        except ValueError as exc:
+            raise ScenarioError(path, str(exc)) from None
+
+
+@dataclass(frozen=True)
+class Kinds:
+    """A JSON object whose "kind" picks the Obj that reads the rest."""
+
+    what: str
+    kinds: dict[str, Obj] = field(default_factory=dict)
+
+    def __call__(self, value: Any, path: str, n: int | None = None) -> Any:
+        if not isinstance(value, dict) or "kind" not in value:
+            raise ScenarioError(path, f"expected a {self.what} object with a \"kind\"")
+        kind = value["kind"]
+        if not isinstance(kind, str) or kind not in self.kinds:
+            raise ScenarioError(f"{path}.kind", f"unknown {self.what} kind {kind!r}")
+        return self.kinds[kind](value, path, n, fixed=("kind",))
+
+
+REAL = Real()
+INT = Int()
+SIZE = Int(2, MAX_POINTS)
+COMPLEX = Obj({"re": (REAL, ...), "im": (REAL, 0.0)}, lambda re, im: complex(re, im))
+
+
+def _position(value: Any, path: str, n: int | None = None,
+              exact: bool = False) -> Coordinate:
     """Rational strings ("3/8") give exact grid coordinates; plain reals are
     only allowed where continuous coordinates make sense."""
     if isinstance(value, str):
@@ -126,260 +220,135 @@ def _position(value: Any, path: str, exact: bool) -> Coordinate:
         except (ValueError, ZeroDivisionError):
             raise ScenarioError(path, f"malformed rational {value!r}") from None
         return frac_mod1(q)
-    if isinstance(value, bool):
-        raise ScenarioError(path, f"expected a coordinate, got {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return frac_mod1(Fraction(value))
-    if isinstance(value, float):
-        if exact:
-            raise ScenarioError(
-                path, "grid coordinates must be rational strings like \"3/8\"")
-        return frac_mod1(value)
-    raise ScenarioError(path, f"expected a coordinate, got {value!r}")
+    if isinstance(value, float) and exact:
+        raise ScenarioError(path, "grid coordinates must be rational strings like \"3/8\"")
+    return frac_mod1(REAL(value, path))
 
 
-def _width(value: Any, path: str) -> Coordinate:
+def _width(value: Any, path: str, n: int | None = None) -> Coordinate:
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ScenarioError(path, f"malformed rational {value!r}") from None
-    return _real(value, path)
+    return REAL(value, path)
+
+
+def _sized(value: Any, path: str, n: int | None, what: str) -> None:
+    if n is None:
+        raise ScenarioError(path, f"{what} need a grid size in space.n")
+    if not isinstance(value, list) or len(value) != n:
+        raise ScenarioError(path, f"expected {n} {what}")
+
+
+# Sampled fields and table symbols are the bulk of a large circle scenario,
+# so their entries are read by tight loops that build a path only for a bad
+# entry; the general readers then raise the precise error.
+
+def _samples(value: Any, path: str, n: int | None) -> list[complex]:
+    _sized(value, path, n, "complex entries")
+    out = []
+    for i, v in enumerate(value):
+        if type(v) is dict and v.keys() <= COMPLEX.spec.keys():
+            re, im = v.get("re"), v.get("im", 0.0)
+            if (type(re) is float and type(im) is float and
+                    -_FLOAT_MAX <= re <= _FLOAT_MAX and -_FLOAT_MAX <= im <= _FLOAT_MAX):
+                out.append(complex(re, im))
+                continue
+        out.append(COMPLEX(v, f"{path}[{i}]"))
+    return out
+
+
+def _indices(value: Any, path: str, n: int | None) -> list[int]:
+    _sized(value, path, n, "grid indices")
+    for i, k in enumerate(value):
+        if type(k) is not int:
+            INT(k, f"{path}[{i}]")
+    return value
 
 
 # ---------------------------------------------------------------------------
-# circle-model component parsers
+# scenario components (Kinds are filled after creation so that they can nest)
 # ---------------------------------------------------------------------------
 
-def parse_field(obj: Any, path: str, n: int | None) -> ScalarField:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ScenarioError(path, "expected a field object with a \"kind\"")
-    kind = obj["kind"]
-    if kind == "constant":
-        _check_keys(obj, path, ("kind", "re"), ("im",))
-        return ScalarField.constant(_complex_value(
-            {k: v for k, v in obj.items() if k != "kind"}, path))
-    if kind == "unimodular_exp":
-        _check_keys(obj, path, ("kind",), ("winding", "scale"))
-        scale = (_complex_value(obj["scale"], f"{path}.scale")
-                 if "scale" in obj else 1 + 0j)
-        return ScalarField.unimodular_exp(
-            winding=_integer(obj.get("winding", 1), f"{path}.winding"), scale=scale)
-    if kind == "cosine":
-        _check_keys(obj, path, ("kind",), ("amplitude", "offset", "frequency"))
-        return ScalarField.cosine(
-            amplitude=_real(obj.get("amplitude", 1.0), f"{path}.amplitude"),
-            offset=_real(obj.get("offset", 0.0), f"{path}.offset"),
-            frequency=_integer(obj.get("frequency", 1), f"{path}.frequency"))
-    if kind == "tent":
-        _check_keys(obj, path, ("kind", "center", "half_width"), ("peak", "base"))
-        return ScalarField.tent(
-            center=_position(obj["center"], f"{path}.center", exact=False),
-            half_width=_width(obj["half_width"], f"{path}.half_width"),
-            peak=_real(obj.get("peak", 1.0), f"{path}.peak"),
-            base=_real(obj.get("base", 0.0), f"{path}.base"))
-    if kind == "tent_dip":
-        _check_keys(obj, path, ("kind", "center", "half_width", "depth"), ("top",))
-        return ScalarField.tent_dip(
-            center=_position(obj["center"], f"{path}.center", exact=False),
-            half_width=_width(obj["half_width"], f"{path}.half_width"),
-            depth=_real(obj["depth"], f"{path}.depth"),
-            top=_real(obj.get("top", 1.0), f"{path}.top"))
-    if kind == "samples":
-        _check_keys(obj, path, ("kind", "values"))
-        if n is None:
-            raise ScenarioError(path, "sampled fields need a grid size in space.n")
-        values = obj["values"]
-        if not isinstance(values, list) or len(values) != n:
-            raise ScenarioError(f"{path}.values", f"expected {n} complex entries")
-        return ScalarField.from_samples(
-            [_complex_value(v, f"{path}.values[{i}]") for i, v in enumerate(values)], n)
-    if kind == "product":
-        _check_keys(obj, path, ("kind", "factors"))
-        factors = obj["factors"]
-        if not isinstance(factors, list) or len(factors) != 2:
-            raise ScenarioError(f"{path}.factors", "expected exactly two factor fields")
-        return ScalarField.product(
-            parse_field(factors[0], f"{path}.factors[0]", n),
-            parse_field(factors[1], f"{path}.factors[1]", n))
-    raise ScenarioError(f"{path}.kind", f"unknown field kind {kind!r}")
+FIELD = Kinds("field")
+SYMBOL = Kinds("symbol")
+OPERATOR = Kinds("operator")
+DISK_FUNCTION = Kinds("disk function")
 
+FIELD.kinds.update({
+    "constant": Obj(COMPLEX.spec, lambda re, im: ScalarField.constant(complex(re, im))),
+    "unimodular_exp": Obj({"winding": (INT, 1), "scale": (COMPLEX, 1 + 0j)},
+                          ScalarField.unimodular_exp),
+    "cosine": Obj({"amplitude": (REAL, 1.0), "offset": (REAL, 0.0),
+                   "frequency": (INT, 1)}, ScalarField.cosine),
+    "tent": Obj({"center": (_position, ...), "half_width": (_width, ...),
+                 "peak": (REAL, 1.0), "base": (REAL, 0.0)}, ScalarField.tent),
+    "tent_dip": Obj({"center": (_position, ...), "half_width": (_width, ...),
+                     "depth": (REAL, ...), "top": (REAL, 1.0)}, ScalarField.tent_dip),
+    "samples": Obj({"values": (_samples, ...)},
+                   lambda values: ScalarField.from_samples(values, len(values))),
+    "product": Obj({"factors": (ListOf(FIELD, 2, 2), ...)},
+                   lambda factors: ScalarField.product(*factors)),
+})
 
-def parse_symbol(obj: Any, path: str, n: int | None) -> SymbolMap:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ScenarioError(path, "expected a symbol object with a \"kind\"")
-    kind = obj["kind"]
-    if kind == "identity":
-        _check_keys(obj, path, ("kind",))
-        return SymbolMap.identity()
-    if kind == "rotation":
-        _check_keys(obj, path, ("kind", "shift"))
-        return SymbolMap.rotation(_position(obj["shift"], f"{path}.shift", exact=False))
-    if kind == "doubling":
-        _check_keys(obj, path, ("kind",))
-        return SymbolMap.doubling()
-    if kind == "constant_on_arc":
-        _check_keys(obj, path, ("kind", "value", "center", "half_width"), ("base",))
-        base = (parse_symbol(obj["base"], f"{path}.base", n)
-                if "base" in obj else None)
-        try:
-            arc = Arc(_position(obj["center"], f"{path}.center", exact=False),
-                      _width(obj["half_width"], f"{path}.half_width"))
-        except ValueError as exc:
-            raise ScenarioError(f"{path}.half_width", str(exc)) from None
-        return SymbolMap.constant_on_arc(
-            _position(obj["value"], f"{path}.value", exact=False), arc, base)
-    if kind == "table":
-        _check_keys(obj, path, ("kind", "map"))
-        if n is None:
-            raise ScenarioError(path, "table symbols need a grid size in space.n")
-        mapping = obj["map"]
-        if not isinstance(mapping, list) or len(mapping) != n:
-            raise ScenarioError(f"{path}.map", f"expected {n} grid indices")
-        try:
-            return SymbolMap.from_table(
-                [_integer(k, f"{path}.map[{i}]") for i, k in enumerate(mapping)], n)
-        except ValueError as exc:
-            raise ScenarioError(f"{path}.map", str(exc)) from None
-    raise ScenarioError(f"{path}.kind", f"unknown symbol kind {kind!r}")
+SYMBOL.kinds.update({
+    "identity": Obj({}, SymbolMap.identity),
+    "rotation": Obj({"shift": (_position, ...)}, SymbolMap.rotation),
+    "doubling": Obj({}, SymbolMap.doubling),
+    "constant_on_arc": Obj(
+        {"value": (_position, ...), "center": (_position, ...),
+         "half_width": (_width, ...), "base": (SYMBOL, None)},
+        lambda value, center, half_width, base:
+            SymbolMap.constant_on_arc(value, Arc(center, half_width), base)),
+    "table": Obj({"map": (_indices, ...)},
+                 lambda map: SymbolMap.from_table(map, len(map))),
+})
 
+ATOM = Obj({"pos": (partial(_position, exact=True), ...), "re": (REAL, ...),
+            "im": (REAL, 0.0)}, lambda pos, re, im: (pos, complex(re, im)))
+TERM = Obj({"g": (FIELD, ...), "atoms": (ListOf(ATOM), ...)},
+           lambda g, atoms: (g, AtomicMeasure.from_atoms(atoms)))
 
-def parse_atoms(obj: Any, path: str) -> AtomicMeasure:
-    if not isinstance(obj, list) or not obj:
-        raise ScenarioError(path, "expected a non-empty list of atoms")
-    pairs = []
-    for i, atom in enumerate(obj):
-        _check_keys(atom, f"{path}[{i}]", ("pos", "re"), ("im",))
-        pos = _position(atom["pos"], f"{path}[{i}].pos", exact=True)
-        w = complex(_real(atom["re"], f"{path}[{i}].re"),
-                    _real(atom.get("im", 0.0), f"{path}[{i}].im"))
-        pairs.append((pos, w))
-    return AtomicMeasure.from_atoms(pairs)
+OPERATOR.kinds.update({
+    "zero": Obj({}, zero_operator),
+    "finite_rank": Obj({"terms": (ListOf(TERM), ...)},
+                       lambda terms: FiniteRankOperator(tuple(terms))),
+    "weighted_composition": Obj({"weight": (FIELD, ...), "symbol": (SYMBOL, ...)},
+                                lambda weight, symbol: WeightedComposition(weight, symbol)),
+    "scaled": Obj({"coeff": (COMPLEX, ...), "inner": (OPERATOR, ...)},
+                  lambda coeff, inner: scaled(inner, coeff)),
+    "sum": Obj({"terms": (ListOf(OPERATOR), ...)},
+               lambda terms: sum(terms, OperatorExpr(()))),
+})
 
+DISK_FUNCTION.kinds.update({
+    "constant": Obj(COMPLEX.spec,
+                    lambda re, im: dsk.DiskFunction.constant(complex(re, im))),
+    "polynomial": Obj({"coeffs": (ListOf(COMPLEX), ...)}, dsk.DiskFunction.polynomial),
+    "scaled_identity": Obj(
+        COMPLEX.spec, lambda re, im: dsk.DiskFunction.scaled_identity(complex(re, im))),
+    "half_plus": Obj({"omega": (COMPLEX, ...)}, dsk.DiskFunction.half_plus),
+    "blaschke": Obj(
+        {"zeros": (ListOf(COMPLEX, 0), ...), "constant": (COMPLEX, 1 + 0j),
+         "scale": (COMPLEX, 1 + 0j)},
+        lambda zeros, constant, scale: dsk.DiskFunction.blaschke_multiple(
+            dsk.BlaschkeProduct(unimodular_constant=constant, zeros=tuple(zeros)), scale)),
+})
 
-def parse_operator(obj: Any, path: str, n: int | None) -> SupportsMeasureAt:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ScenarioError(path, "expected an operator object with a \"kind\"")
-    kind = obj["kind"]
-    if kind == "zero":
-        _check_keys(obj, path, ("kind",))
-        return zero_operator()
-    if kind == "finite_rank":
-        _check_keys(obj, path, ("kind", "terms"))
-        terms_obj = obj["terms"]
-        if not isinstance(terms_obj, list) or not terms_obj:
-            raise ScenarioError(f"{path}.terms", "expected a non-empty list of terms")
-        terms = []
-        for i, term in enumerate(terms_obj):
-            _check_keys(term, f"{path}.terms[{i}]", ("g", "atoms"))
-            terms.append((parse_field(term["g"], f"{path}.terms[{i}].g", n),
-                          parse_atoms(term["atoms"], f"{path}.terms[{i}].atoms")))
-        return FiniteRankOperator(tuple(terms))
-    if kind == "weighted_composition":
-        _check_keys(obj, path, ("kind", "weight", "symbol"))
-        return WeightedComposition(parse_field(obj["weight"], f"{path}.weight", n),
-                                   parse_symbol(obj["symbol"], f"{path}.symbol", n))
-    if kind == "scaled":
-        _check_keys(obj, path, ("kind", "coeff", "inner"))
-        return scaled(parse_operator(obj["inner"], f"{path}.inner", n),
-                      _complex_value(obj["coeff"], f"{path}.coeff"))
-    if kind == "sum":
-        _check_keys(obj, path, ("kind", "terms"))
-        terms_obj = obj["terms"]
-        if not isinstance(terms_obj, list) or not terms_obj:
-            raise ScenarioError(f"{path}.terms", "expected a non-empty list of operators")
-        expr = OperatorExpr(())
-        for i, term in enumerate(terms_obj):
-            inner = parse_operator(term, f"{path}.terms[{i}]", n)
-            expr = expr + inner
-        return expr
-    raise ScenarioError(f"{path}.kind", f"unknown operator kind {kind!r}")
+DISK_OPERATOR = Kinds("disk operator", {"point_eval": Obj(
+    {"tau": (COMPLEX, ...), "g": (DISK_FUNCTION, ...), "c": (COMPLEX, ...)},
+    dsk.RankOneDiskOperator)})
 
-
-# ---------------------------------------------------------------------------
-# disk component parsers
-# ---------------------------------------------------------------------------
-
-def parse_disk_function(obj: Any, path: str) -> dsk.DiskFunction:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ScenarioError(path, "expected a disk function object with a \"kind\"")
-    kind = obj["kind"]
-    try:
-        if kind == "constant":
-            _check_keys(obj, path, ("kind", "re"), ("im",))
-            return dsk.DiskFunction.constant(_complex_value(
-                {k: v for k, v in obj.items() if k != "kind"}, path))
-        if kind == "polynomial":
-            _check_keys(obj, path, ("kind", "coeffs"))
-            coeffs = obj["coeffs"]
-            if not isinstance(coeffs, list) or not coeffs:
-                raise ScenarioError(f"{path}.coeffs", "expected a non-empty list")
-            return dsk.DiskFunction.polynomial(
-                [_complex_value(c, f"{path}.coeffs[{i}]") for i, c in enumerate(coeffs)])
-        if kind == "scaled_identity":
-            _check_keys(obj, path, ("kind", "re"), ("im",))
-            return dsk.DiskFunction.scaled_identity(_complex_value(
-                {k: v for k, v in obj.items() if k != "kind"}, path))
-        if kind == "half_plus":
-            _check_keys(obj, path, ("kind", "omega"))
-            return dsk.DiskFunction.half_plus(_complex_value(obj["omega"], f"{path}.omega"))
-        if kind == "blaschke":
-            _check_keys(obj, path, ("kind", "zeros"), ("constant", "scale"))
-            zeros = obj["zeros"]
-            if not isinstance(zeros, list):
-                raise ScenarioError(f"{path}.zeros", "expected a list of zeros")
-            constant = (_complex_value(obj["constant"], f"{path}.constant")
-                        if "constant" in obj else 1 + 0j)
-            scale = (_complex_value(obj["scale"], f"{path}.scale")
-                     if "scale" in obj else 1 + 0j)
-            B = dsk.BlaschkeProduct(
-                unimodular_constant=constant,
-                zeros=tuple(_complex_value(a, f"{path}.zeros[{i}]")
-                            for i, a in enumerate(zeros)))
-            return dsk.DiskFunction.blaschke_multiple(B, scale)
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(path, str(exc)) from None
-    raise ScenarioError(f"{path}.kind", f"unknown disk function kind {kind!r}")
-
-
-def parse_disk_operator(obj: Any, path: str) -> dsk.RankOneDiskOperator:
-    _check_keys(obj, path, ("kind", "tau", "g", "c"))
-    if obj["kind"] != "point_eval":
-        raise ScenarioError(f"{path}.kind", f"unknown disk operator kind {obj['kind']!r}")
-    try:
-        return dsk.RankOneDiskOperator(
-            tau=_complex_value(obj["tau"], f"{path}.tau"),
-            g=parse_disk_function(obj["g"], f"{path}.g"),
-            c=_complex_value(obj["c"], f"{path}.c"))
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(path, str(exc)) from None
+SPACE = Kinds("space", {"circle": Obj(
+    {"n": (SIZE, None), "sizes": (ListOf(SIZE), None)}, dict)})
 
 
 # ---------------------------------------------------------------------------
 # scenario object
 # ---------------------------------------------------------------------------
-
-CHECK_PARAMS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "equation": ((), ("tol",)),
-    "criterion-sweep": ((), ("tol",)),
-    "rotation-max": ((), ("tol", "lambda_grid")),
-    "convex": ((), ("tol",)),
-    "s-epsilon": (("epsilon",), ()),
-    "refinement": ((), ("sizes", "tol")),
-    "counterexample-modulus": ((), ("tol",)),
-    "counterexample-preimage": (("target", "center", "half_width"), ("tol",)),
-    "disk-c-conditions": ((), ("samples", "tol")),
-    "disk-lower-bound": ((), ("radii", "phase_grid", "max_depth",
-                              "max_monomial", "samples")),
-    "disk-certified": (("omega", "epsilon", "half_angle"), ("samples",)),
-    "disk-automorphism": ((), ("radii", "phase_grid", "max_depth",
-                               "max_monomial", "samples")),
-}
-
 
 @dataclass
 class Scenario:
@@ -403,94 +372,77 @@ class Scenario:
         return GridCircle(self.n)
 
 
+def _version(value: Any, path: str, n: int | None = None) -> str:
+    if value != SCHEMA_VERSION:
+        raise ScenarioError(path, f"unsupported version {value!r}")
+    return value
+
+
+def _check_entry(entry: Any, path: str, n: int | None = None) -> dict:
+    """A check's name and keys are fixed at parse time; its values are read
+    when it runs (see _run_one)."""
+    if not isinstance(entry, dict) or "name" not in entry:
+        raise ScenarioError(path, "expected a check object with a \"name\"")
+    name = entry["name"]
+    if not isinstance(name, str) or name not in CHECKS:
+        raise ScenarioError(f"{path}.name", f"unknown check {name!r}; "
+                            f"valid names: {sorted(CHECKS)}")
+    _check_keys(entry, path, CHECKS[name].params, fixed=("name",))
+    return dict(entry)
+
+
+#: Top-level keys; "space" is read first, since its n sizes the components.
+_SCENARIO = {
+    "schema_version": (_version, SCHEMA_VERSION),
+    "seed": (INT, 0),
+    "weight": (FIELD, None),
+    "symbol": (SYMBOL, None),
+    "symbol2": (SYMBOL, None),
+    "t": (Real(0.0, 1.0), None),
+    "operator": (OPERATOR, zero_operator()),
+    "disk": (Obj({"weight": (DISK_FUNCTION, None), "symbol": (DISK_FUNCTION, None),
+                  "operator": (DISK_OPERATOR, None)}, dict), {}),
+    "checks": (ListOf(_check_entry), ...),
+}
+
+
 def parse_scenario(obj: Any) -> Scenario:
-    _check_keys(obj, "scenario",
-                ("checks",),
-                ("schema_version", "seed", "space", "weight", "symbol", "symbol2",
-                 "t", "operator", "disk"))
-    version = obj.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ScenarioError("scenario.schema_version",
-                            f"unsupported version {version!r}")
-    seed = _integer(obj.get("seed", 0), "scenario.seed")
+    space = {"n": None, "sizes": None}
+    if isinstance(obj, dict) and "space" in obj:
+        space = SPACE(obj["space"], "scenario.space")
+    a = _read(obj, "scenario", _SCENARIO, space["n"], fixed=("space",))
+    disk = a["disk"]
+    return Scenario(raw=obj, seed=a["seed"], n=space["n"], sizes=space["sizes"],
+                    weight=a["weight"], symbol=a["symbol"], symbol2=a["symbol2"],
+                    t=a["t"], operator=a["operator"],
+                    disk_weight=disk.get("weight"), disk_symbol=disk.get("symbol"),
+                    disk_operator=disk.get("operator"), checks=a["checks"])
 
-    n: int | None = None
-    sizes: list[int] | None = None
-    if "space" in obj:
-        space = obj["space"]
-        _check_keys(space, "scenario.space", ("kind",), ("n", "sizes"))
-        if space["kind"] != "circle":
-            raise ScenarioError("scenario.space.kind",
-                                f"unknown space kind {space['kind']!r}")
-        if "n" in space:
-            n = _integer(space["n"], "scenario.space.n")
-            if n < 2:
-                raise ScenarioError("scenario.space.n", f"grid size {n} < 2")
-        if "sizes" in space:
-            raw_sizes = space["sizes"]
-            if not isinstance(raw_sizes, list) or not raw_sizes:
-                raise ScenarioError("scenario.space.sizes", "expected a non-empty list")
-            sizes = [_integer(s, f"scenario.space.sizes[{i}]")
-                     for i, s in enumerate(raw_sizes)]
-            if any(s < 2 for s in sizes):
-                raise ScenarioError("scenario.space.sizes", "grid sizes must be >= 2")
 
-    weight = parse_field(obj["weight"], "scenario.weight", n) if "weight" in obj else None
-    symbol = parse_symbol(obj["symbol"], "scenario.symbol", n) if "symbol" in obj else None
-    symbol2 = (parse_symbol(obj["symbol2"], "scenario.symbol2", n)
-               if "symbol2" in obj else None)
-    t = None
-    if "t" in obj:
-        t = _real(obj["t"], "scenario.t")
-        if not (0.0 <= t <= 1.0):
-            raise ScenarioError("scenario.t", f"convex weight {t} outside [0, 1]")
-    operator = (parse_operator(obj["operator"], "scenario.operator", n)
-                if "operator" in obj else zero_operator())
-
-    disk_weight = disk_symbol = disk_operator = None
-    if "disk" in obj:
-        disk = obj["disk"]
-        _check_keys(disk, "scenario.disk", (), ("weight", "symbol", "operator"))
-        if "weight" in disk:
-            disk_weight = parse_disk_function(disk["weight"], "scenario.disk.weight")
-        if "symbol" in disk:
-            disk_symbol = parse_disk_function(disk["symbol"], "scenario.disk.symbol")
-        if "operator" in disk:
-            disk_operator = parse_disk_operator(disk["operator"], "scenario.disk.operator")
-
-    checks_obj = obj["checks"]
-    if not isinstance(checks_obj, list) or not checks_obj:
-        raise ScenarioError("scenario.checks", "expected a non-empty list of checks")
-    checks = []
-    for i, entry in enumerate(checks_obj):
-        path = f"scenario.checks[{i}]"
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ScenarioError(path, "expected a check object with a \"name\"")
-        name = entry["name"]
-        if name not in CHECK_PARAMS:
-            raise ScenarioError(f"{path}.name", f"unknown check {name!r}; "
-                                f"valid names: {sorted(CHECK_PARAMS)}")
-        required, optional = CHECK_PARAMS[name]
-        _check_keys(entry, path, ("name",) + required, optional)
-        checks.append(dict(entry))
-
-    return Scenario(raw=obj, seed=seed, n=n, sizes=sizes, weight=weight,
-                    symbol=symbol, symbol2=symbol2, t=t, operator=operator,
-                    disk_weight=disk_weight, disk_symbol=disk_symbol,
-                    disk_operator=disk_operator, checks=checks)
+def _finite_float(token: str) -> float:
+    x = float(token)
+    if not math.isfinite(x):  # NaN, Infinity, or a literal past the float range
+        raise ValueError(f"non-finite number {token}")
+    return x
 
 
 def parse_scenario_file(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+            obj = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+        # malformed JSON or UTF-8, a non-finite number, an over-long integer
+        except (ValueError, RecursionError) as exc:
             raise ScenarioError("scenario", f"invalid JSON: {exc}") from None
-    return parse_scenario(obj)
+    try:
+        return parse_scenario(obj)
+    except RecursionError:
+        raise ScenarioError("scenario", "components nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
-# check runners
+# check runners: each takes the scenario and every declared parameter as a
+# keyword, and returns the record's verdict, values and witness, plus any
+# "params" the echo adds to the declared ones
 # ---------------------------------------------------------------------------
 
 def _need(sc: Scenario, attr: str, where: str):
@@ -505,21 +457,19 @@ def _wc(sc: Scenario) -> WeightedComposition:
                                _need(sc, "symbol", "symbol"))
 
 
-def _run_equation(sc: Scenario, p: dict, tol: float) -> dict:
-    tol = p.get("tol", tol)
+def _run_equation(sc: Scenario, tol: float) -> dict:
     res = equation_holds(_wc(sc), sc.operator, sc.grid(), tol=tol)
-    return {"params": {"tol": tol, "n": sc.n},
+    return {"params": {"n": sc.n},
             "verdict": "holds" if res.holds else "fails",
             "values": {"lhs": res.lhs, "rhs": res.rhs, "gap": res.gap}}
 
 
-def _run_criterion_sweep(sc: Scenario, p: dict, tol: float) -> dict:
-    tol = p.get("tol", tol)
+def _run_criterion_sweep(sc: Scenario, tol: float) -> dict:
     grid = sc.grid()
     wc = _wc(sc)
     sweep = criterion_sweep(wc, sc.operator, grid, tol=tol)
     eq = equation_holds(wc, sc.operator, grid, tol=tol)
-    return {"params": {"tol": tol, "n": sc.n},
+    return {"params": {"n": sc.n},
             "verdict": "holds" if sweep.holds else "fails",
             "values": {
                 "equation_holds": eq.holds,
@@ -531,25 +481,20 @@ def _run_criterion_sweep(sc: Scenario, p: dict, tol: float) -> dict:
                 ]}}
 
 
-def _run_rotation_max(sc: Scenario, p: dict, tol: float) -> dict:
-    tol = p.get("tol", tol)
-    lambda_grid = p.get("lambda_grid", 4096)
-    if not isinstance(lambda_grid, int) or lambda_grid < 1:
-        raise ScenarioError("check.lambda_grid", f"bad grid size {lambda_grid!r}")
+def _run_rotation_max(sc: Scenario, tol: float, lambda_grid: int) -> dict:
     grid = sc.grid()
     wc = _wc(sc)
     res = rotation_max_norm(wc, sc.operator, grid, lambda_grid=lambda_grid, tol=tol)
     expected = wc.weight_sup(grid) + operator_norm(sc.operator, grid)
     deviation = abs(res.max - expected)
-    return {"params": {"tol": tol, "lambda_grid": lambda_grid, "n": sc.n},
+    return {"params": {"n": sc.n},
             "verdict": "holds" if deviation <= tol else "fails",
             "values": {"max": res.max, "expected": expected,
                        "deviation": deviation, "searched": res.searched,
                        "argmax_lambda": res.argmax_lambda}}
 
 
-def _run_convex(sc: Scenario, p: dict, tol: float) -> dict:
-    tol = p.get("tol", tol)
+def _run_convex(sc: Scenario, tol: float) -> dict:
     if sc.t is None:
         raise ScenarioError("scenario.t", "required by the convex check")
     cc = ConvexCombination(sc.t, _need(sc, "symbol", "symbol"),
@@ -562,31 +507,29 @@ def _run_convex(sc: Scenario, p: dict, tol: float) -> dict:
             return {"count": 0}
         return {"count": len(values), "max": max(values), "min": min(values)}
 
-    return {"params": {"tol": tol, "t": sc.t, "n": sc.n},
+    return {"params": {"t": sc.t, "n": sc.n},
             "verdict": "holds" if res.holds else "fails",
             "values": {"norm": res.norm, "upper": res.upper, "gap": res.gap,
                        "delta": summary(res.delta),
                        "delta_tilde": summary(res.delta_tilde)}}
 
 
-def _run_s_epsilon(sc: Scenario, p: dict, tol: float) -> dict:
-    epsilon = _real(p["epsilon"], "check.epsilon")
+def _run_s_epsilon(sc: Scenario, epsilon: float) -> dict:
     fraction = s_epsilon_fraction(_wc(sc), sc.operator, epsilon, sc.grid())
-    return {"params": {"epsilon": epsilon, "n": sc.n},
+    return {"params": {"n": sc.n},
             "verdict": "computed",
             "values": {"fraction": fraction}}
 
 
-def _run_refinement(sc: Scenario, p: dict, tol: float) -> dict:
-    tol = p.get("tol", tol)
-    sizes = p.get("sizes", sc.sizes)
+def _run_refinement(sc: Scenario, sizes: list[int] | None, tol: float) -> dict:
+    sizes = sizes or sc.sizes
     if not sizes:
         raise ScenarioError("check.sizes",
                             "refinement needs sizes here or in space.sizes")
     seq = refinement_convergence(_need(sc, "weight", "weight"),
                                  _need(sc, "symbol", "symbol"),
                                  sc.operator, sizes, tol=tol)
-    return {"params": {"tol": tol, "sizes": list(sizes)},
+    return {"params": {"sizes": list(sizes)},
             "verdict": "computed",
             "values": {"gaps": [
                 {"n": gp.n, "gap": gp.gap, "perturbed": gp.perturbed,
@@ -594,8 +537,8 @@ def _run_refinement(sc: Scenario, p: dict, tol: float) -> dict:
                 for gp in seq]}}
 
 
-def _cex_record(res, extra_params: dict, tol: float, n: int) -> dict:
-    return {"params": dict(extra_params, tol=tol, n=n),
+def _cex_record(res, n: int) -> dict:
+    return {"params": {"n": n},
             "verdict": "gap-certified",
             "values": {"certified_gap": res.certified_gap,
                        "perturbed_norm": res.perturbed, "upper": res.upper,
@@ -603,43 +546,28 @@ def _cex_record(res, extra_params: dict, tol: float, n: int) -> dict:
             "witness": dict(res.detail)}
 
 
-def _run_cex_modulus(sc: Scenario, p: dict, tol: float) -> dict:
-    tol = p.get("tol", tol)
+def _run_cex_modulus(sc: Scenario, tol: float) -> dict:
     res = counterexample_nonconstant_modulus(_need(sc, "weight", "weight"),
                                              _need(sc, "symbol", "symbol"),
                                              sc.grid(), tol=tol)
-    return _cex_record(res, {}, tol, sc.n)
+    return _cex_record(res, sc.n)
 
 
-def _run_cex_preimage(sc: Scenario, p: dict, tol: float) -> dict:
-    tol = p.get("tol", tol)
-    target = _position(p["target"], "check.target", exact=False)
+def _run_cex_preimage(sc: Scenario, target: Coordinate, center: Coordinate,
+                      half_width: Coordinate, tol: float) -> dict:
     try:
-        arc = Arc(_position(p["center"], "check.center", exact=False),
-                  _width(p["half_width"], "check.half_width"))
+        arc = Arc(center, half_width)
     except ValueError as exc:
         raise ScenarioError("check.half_width", str(exc)) from None
     res = counterexample_fat_preimage(_need(sc, "weight", "weight"),
                                       _need(sc, "symbol", "symbol"),
                                       target, arc, sc.grid(), tol=tol)
-    return _cex_record(res, {"target": target, "center": arc.center,
-                             "half_width": arc.half_width}, tol, sc.n)
+    return _cex_record(res, sc.n)
 
 
-def _ladder_from(p: dict) -> dsk.SearchLadder:
-    kwargs = {}
-    if "radii" in p:
-        radii = p["radii"]
-        if not isinstance(radii, list) or not radii:
-            raise ScenarioError("check.radii", "expected a non-empty list of radii")
-        kwargs["radii"] = tuple(_real(r, "check.radii") for r in radii)
-    bounds = {"phase_grid": (-math.inf, math.inf), "max_depth": (0, math.inf),
-              "max_monomial": (0, math.inf), "samples": (1, MAX_DISK_SAMPLES)}
-    for key, (lo, hi) in bounds.items():
-        if key in p:
-            kwargs[key] = _integer(p[key], f"check.{key}", lo, hi)
+def _ladder(radii: list[float], **counts: int) -> dsk.SearchLadder:
     try:
-        ladder = dsk.SearchLadder(**kwargs)
+        ladder = dsk.SearchLadder(radii=tuple(radii), **counts)
         pool = len(ladder.zero_pool())  # validates radii
     except ValueError as exc:
         raise ScenarioError("check.radii", str(exc)) from None
@@ -658,43 +586,28 @@ def _ladder_from(p: dict) -> dsk.SearchLadder:
     return ladder
 
 
-def _disk_samples(p: dict) -> int:
-    return _integer(p.get("samples", 4096), "check.samples", 1, MAX_DISK_SAMPLES)
-
-
-def _run_disk_c_conditions(sc: Scenario, p: dict, tol: float) -> dict:
-    samples = _disk_samples(p)
-    tol = p.get("tol", tol)
+def _run_disk_c_conditions(sc: Scenario, samples: int, tol: float) -> dict:
     res = dsk.check_c_conditions(_need(sc, "disk_weight", "disk.weight"),
                                  _need(sc, "disk_symbol", "disk.symbol"),
                                  samples=samples, tol=tol)
-    return {"params": {"samples": samples, "tol": tol},
-            "verdict": "all-hold" if res.all_hold else "violated",
+    return {"verdict": "all-hold" if res.all_hold else "violated",
             "values": {"weight_modulus_constant": res.weight_modulus_constant,
                        "symbol_inner": res.symbol_inner,
                        "symbol_nonconstant": res.symbol_nonconstant,
                        "detail": dict(res.detail)}}
 
 
-def _run_disk_lower_bound(sc: Scenario, p: dict, tol: float) -> dict:
-    ladder = _ladder_from(p)
+def _run_disk_lower_bound(sc: Scenario, **ladder: Any) -> dict:
     res = dsk.disk_norm_lower_bound(_need(sc, "disk_weight", "disk.weight"),
                                     _need(sc, "disk_symbol", "disk.symbol"),
-                                    sc.disk_operator, ladder=ladder)
-    return {"params": {"radii": list(ladder.radii), "phase_grid": ladder.phase_grid,
-                       "max_depth": ladder.max_depth,
-                       "max_monomial": ladder.max_monomial,
-                       "samples": ladder.samples},
-            "verdict": "computed",
+                                    sc.disk_operator, ladder=_ladder(**ladder))
+    return {"verdict": "computed",
             "values": {"lower_bound": res.bound, "family_size": res.family_size},
             "witness": dict(res.witness)}
 
 
-def _run_disk_certified(sc: Scenario, p: dict, tol: float) -> dict:
-    omega = _complex_value(p["omega"], "check.omega")
-    epsilon = _real(p["epsilon"], "check.epsilon")
-    half_angle = _real(p["half_angle"], "check.half_angle")
-    samples = _disk_samples(p)
+def _run_disk_certified(sc: Scenario, omega: complex, epsilon: float,
+                        half_angle: float, samples: int) -> dict:
     try:
         arc = dsk.ArcNeighborhood(omega, half_angle)
     except ValueError as exc:
@@ -704,17 +617,15 @@ def _run_disk_certified(sc: Scenario, p: dict, tol: float) -> dict:
         _need(sc, "disk_symbol", "disk.symbol"),
         omega, epsilon, arc, samples=samples)
     certified = res.valid and res.margin > 0
-    return {"params": {"omega": omega, "epsilon": epsilon,
-                       "half_angle": half_angle, "samples": samples},
-            "verdict": "certified" if certified else "not-certified",
+    return {"verdict": "certified" if certified else "not-certified",
             "values": {"bound": res.bound, "margin": res.margin,
                        "valid": res.valid, "on_arc": res.on_arc,
                        "off_arc": res.off_arc, "delta": res.delta,
                        "detail": dict(res.detail)}}
 
 
-def _run_disk_automorphism(sc: Scenario, p: dict, tol: float) -> dict:
-    ladder = _ladder_from(p)
+def _run_disk_automorphism(sc: Scenario, **ladder: Any) -> dict:
+    ladder = _ladder(**ladder)
     symbol = _need(sc, "disk_symbol", "disk.symbol")
     if symbol.kind != "blaschke":
         raise ScenarioError("scenario.disk.symbol",
@@ -725,61 +636,97 @@ def _run_disk_automorphism(sc: Scenario, p: dict, tol: float) -> dict:
     B = dsk.BlaschkeProduct(
         unimodular_constant=symbol.scale * symbol.blaschke.unimodular_constant,
         zeros=symbol.blaschke.zeros)
-    operator = sc.disk_operator
-    if operator is None:
-        raise ScenarioError("scenario.disk.operator", "required by this check")
+    operator = _need(sc, "disk_operator", "disk.operator")
     res = dsk.automorphism_identity_check(B, operator, ladder=ladder)
-    return {"params": {"radii": list(ladder.radii), "samples": ladder.samples,
-                       "max_depth": ladder.max_depth,
-                       "max_monomial": ladder.max_monomial,
-                       "phase_grid": ladder.phase_grid},
-            "verdict": "computed",
+    return {"verdict": "computed",
             "values": {"lower_bound": res.lower, "target": res.target,
                        "deficit": res.deficit},
             "witness": dict(res.witness)}
 
 
-RUNNERS: dict[str, Callable[[Scenario, dict, float], dict]] = {
-    "equation": _run_equation,
-    "criterion-sweep": _run_criterion_sweep,
-    "rotation-max": _run_rotation_max,
-    "convex": _run_convex,
-    "s-epsilon": _run_s_epsilon,
-    "refinement": _run_refinement,
-    "counterexample-modulus": _run_cex_modulus,
-    "counterexample-preimage": _run_cex_preimage,
-    "disk-c-conditions": _run_disk_c_conditions,
-    "disk-lower-bound": _run_disk_lower_bound,
-    "disk-certified": _run_disk_certified,
-    "disk-automorphism": _run_disk_automorphism,
+# ---------------------------------------------------------------------------
+# the check table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Check:
+    """A check's CLI group (the subcommand that runs it besides verify:
+    "sweep", "counterexample" or "disk"; "verify" for verify only), its
+    runner, and the spec of its parameters."""
+
+    group: str
+    run: Callable[..., dict]
+    params: dict
+
+
+#: Default of a tol parameter: the tolerance the run was given.
+RUN_TOL = object()
+
+_tol = Real(0.0, cast=False)
+TOL = (_tol, RUN_TOL)
+SAMPLES = (Int(1, MAX_POINTS), 4096)
+LADDER = {"radii": (ListOf(REAL), dsk.SearchLadder.radii),
+          "phase_grid": (INT, dsk.SearchLadder.phase_grid),
+          "max_depth": (Int(0), dsk.SearchLadder.max_depth),
+          "max_monomial": (Int(0, MAX_MONOMIAL), dsk.SearchLadder.max_monomial),
+          "samples": SAMPLES}
+
+CHECKS: dict[str, Check] = {
+    "equation": Check("verify", _run_equation, {"tol": TOL}),
+    "criterion-sweep": Check("verify", _run_criterion_sweep, {"tol": TOL}),
+    "rotation-max": Check("verify", _run_rotation_max,
+                          {"tol": TOL, "lambda_grid": (Int(1, MAX_POINTS), 4096)}),
+    "convex": Check("verify", _run_convex, {"tol": TOL}),
+    "s-epsilon": Check("verify", _run_s_epsilon, {"epsilon": (REAL, ...)}),
+    "refinement": Check("sweep", _run_refinement,
+                        {"sizes": (ListOf(SIZE), None), "tol": TOL}),
+    "counterexample-modulus": Check("counterexample", _run_cex_modulus, {"tol": TOL}),
+    "counterexample-preimage": Check(
+        "counterexample", _run_cex_preimage,
+        {"target": (_position, ...), "center": (_position, ...),
+         "half_width": (_width, ...), "tol": TOL}),
+    "disk-c-conditions": Check("disk", _run_disk_c_conditions,
+                               {"samples": SAMPLES, "tol": TOL}),
+    "disk-lower-bound": Check("disk", _run_disk_lower_bound, LADDER),
+    "disk-certified": Check(
+        "disk", _run_disk_certified,
+        {"omega": (COMPLEX, ...), "epsilon": (REAL, ...), "half_angle": (REAL, ...),
+         "samples": SAMPLES}),
+    "disk-automorphism": Check("disk", _run_disk_automorphism, LADDER),
 }
 
 
 def _run_one(sc: Scenario, entry: dict, tol: float, timings: bool) -> dict:
     name = entry["name"]
-    params = {k: v for k, v in entry.items() if k != "name"}
+    check = CHECKS[name]
+    given = {k: v for k, v in entry.items() if k != "name"}
     record: dict = {"name": name}
     if timings:
         import time
         start = time.perf_counter()
     try:
-        record.update(RUNNERS[name](sc, params, tol))
-    except (ScenarioError, ValueError) as exc:
-        record.update({"params": params, "verdict": "error", "error": str(exc)})
+        args = {k: tol if v is RUN_TOL else v
+                for k, v in _read(given, "check", check.params, sc.n).items()}
+        out = check.run(sc, **args)
+        record.update(out, params={**args, **out.get("params", {})})
+    except (ValueError, OverflowError) as exc:
+        record.update({"params": given, "verdict": "error", "error": str(exc)})
     if timings:
         record["runtime_ms"] = (time.perf_counter() - start) * 1000.0
     return record
 
 
 def run_scenario(sc: Scenario, tol: float = 1e-9, seed: int | None = None,
-                 threads: int = 1, timings: bool = False,
-                 allowed: tuple[str, ...] | None = None) -> dict:
+                 timings: bool = False, allowed: tuple[str, ...] | None = None) -> dict:
     """Run every check of a scenario and assemble the report dict.
 
-    Individual check failures (bad preconditions, missing pieces) are
-    recorded with verdict "error" and never abort the run; an
+    Individual check failures (bad parameter values or preconditions,
+    missing pieces, float overflow) are recorded with verdict "error" and
+    never abort the run; a tol that is not a finite real >= 0 raises
+    ScenarioError, and an
     InvariantViolation does abort, since it means the tool itself is wrong.
     """
+    tol = _tol(tol, "tol")
     if allowed is not None:
         for entry in sc.checks:
             if entry["name"] not in allowed:
@@ -787,12 +734,7 @@ def run_scenario(sc: Scenario, tol: float = 1e-9, seed: int | None = None,
                     "scenario.checks",
                     f"check {entry['name']!r} is not valid here; "
                     f"allowed: {sorted(allowed)}")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(
-                lambda entry: _run_one(sc, entry, tol, timings), sc.checks))
-    else:
-        records = [_run_one(sc, entry, tol, timings) for entry in sc.checks]
+    records = [_run_one(sc, entry, tol, timings) for entry in sc.checks]
     from . import __version__
     return {
         "schema_version": SCHEMA_VERSION,
@@ -837,7 +779,9 @@ def jsonable(value: Any) -> Any:
 
 
 def render_report_json(report: dict) -> str:
-    return json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n"
+    """Strict JSON: a NaN or infinity raises ValueError instead of printing."""
+    text = json.dumps(jsonable(report), indent=2, sort_keys=True, allow_nan=False)
+    return text + "\n"
 
 
 def render_report_csv(report: dict) -> str:
@@ -848,5 +792,7 @@ def render_report_csv(report: dict) -> str:
         if not gaps:
             continue
         for gp in gaps:
+            if not math.isfinite(gp["gap"]):
+                raise ValueError(f"non-finite gap {gp['gap']!r} at n={gp['n']}")
             lines.append(f"{record['name']},{gp['n']},{gp['gap']!r}")
     return "\n".join(lines) + "\n"

@@ -1,13 +1,20 @@
 """Scenario parsing, report rendering and the command line."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daugavetlab.cli import main
 from daugavetlab.scenarios import (
+    CHECKS,
     ScenarioError,
     parse_scenario,
     render_report_csv,
@@ -109,14 +116,6 @@ class TestRunning:
             {"name": "s-epsilon", "epsilon": 0.01}]))
         a = render_report_json(run_scenario(sc))
         b = render_report_json(run_scenario(sc))
-        assert a == b
-
-    def test_threads_do_not_change_bytes(self):
-        sc = parse_scenario(scenario(checks=[
-            {"name": "equation"}, {"name": "criterion-sweep"},
-            {"name": "rotation-max"}]))
-        a = render_report_json(run_scenario(sc, threads=1))
-        b = render_report_json(run_scenario(sc, threads=4))
         assert a == b
 
     def test_timings_are_off_by_default(self):
@@ -246,3 +245,241 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["schema_version"] == "1"
+
+
+def verify(path, *flags):
+    """Run `daugavetlab verify` in-process; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--scenario", str(path), *flags])
+    return code, out.getvalue(), err.getvalue()
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-strict token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def write(tmp_path, obj=None, text=None):
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(obj) if text is None else text)
+    return p
+
+
+class TestSchemaRegressions:
+    """Values the one schema now rejects, each accepted or fatal before it."""
+
+    @pytest.mark.parametrize("tol", ["abc", True, -1])
+    def test_tol_is_a_finite_nonnegative_real(self, tmp_path, tol):
+        obj = scenario(disk=DISK["disk"], checks=[
+            {"name": name, "tol": tol}
+            for name in ("equation", "criterion-sweep", "disk-c-conditions")])
+        code, out, err = verify(write(tmp_path, obj))
+        assert code == 0 and "Traceback" not in err
+        for rec in strict_json(out)["checks"]:
+            assert rec["verdict"] == "error" and rec["error"].startswith("check.tol:")
+
+    def test_integer_tol_echoes_as_written(self):
+        rec = run_scenario(parse_scenario(scenario(
+            checks=[{"name": "equation", "tol": 0}])))["checks"][0]
+        assert rec["params"]["tol"] == 0 and type(rec["params"]["tol"]) is int
+
+    def test_boolean_lambda_grid_rejected(self):
+        obj = scenario(checks=[{"name": "rotation-max", "lambda_grid": True}])
+        rec = run_scenario(parse_scenario(obj))["checks"][0]
+        assert rec["verdict"] == "error" and rec["error"].startswith("check.lambda_grid:")
+
+    @pytest.mark.parametrize("sizes", [[8, 2.5], "ab", [], [8, 1]])
+    def test_refinement_sizes_are_integers_of_at_least_two(self, sizes):
+        obj = scenario(checks=[{"name": "refinement", "sizes": sizes}])
+        rec = run_scenario(parse_scenario(obj))["checks"][0]
+        assert rec["verdict"] == "error" and rec["error"].startswith("check.sizes")
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_literals_rejected_at_load(self, tmp_path, token):
+        text = json.dumps(scenario()).replace('"re": 1.0', f'"re": {token}', 1)
+        code, out, err = verify(write(tmp_path, text=text))
+        assert code == 1 and out == "" and "non-finite" in err
+
+    def test_non_finite_tol_literal_rejected_at_load(self, tmp_path):
+        text = json.dumps(scenario(checks=[{"name": "equation", "tol": 1}]))
+        text = text.replace('"tol": 1', '"tol": 1e400')
+        code, out, err = verify(write(tmp_path, text=text))
+        assert code == 1 and out == "" and "non-finite" in err
+
+    def test_non_finite_tol_value_is_a_check_error(self):
+        obj = scenario(checks=[{"name": "equation", "tol": float("inf")}])
+        rec = run_scenario(parse_scenario(obj))["checks"][0]
+        assert rec["verdict"] == "error" and rec["error"].startswith("check.tol:")
+
+    def test_non_finite_weight_value_rejected(self):
+        with pytest.raises(ScenarioError, match=r"scenario\.weight\.re"):
+            parse_scenario(scenario(weight={"kind": "constant", "re": float("inf")}))
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_cli_tol_is_a_finite_nonnegative_real(self, tmp_path, tol):
+        code, out, err = verify(write(tmp_path, scenario()), "--tol", tol)
+        assert code == 1 and out == "" and "tol" in err
+
+    def test_undecodable_file_exit_one(self, tmp_path):
+        p = tmp_path / "scenario.json"
+        p.write_bytes(b"\xff\xfe{}")
+        code, out, err = verify(p)
+        assert code == 1 and out == "" and "invalid JSON" in err
+
+    def test_deeply_nested_file_exit_one(self, tmp_path):
+        code, out, err = verify(write(tmp_path, text="[" * 200_000 + "]" * 200_000))
+        assert code == 1 and out == "" and "invalid JSON" in err
+
+    def test_deeply_nested_components_exit_one(self, tmp_path):
+        field = {"kind": "constant", "re": 1.0}
+        for _ in range(300):
+            field = {"kind": "product", "factors": [field, {"kind": "constant", "re": 1.0}]}
+        code, out, err = verify(write(tmp_path, scenario(weight=field)))
+        assert code == 1 and out == "" and "nested too deeply" in err
+
+    def test_non_finite_result_from_finite_input_exit_one(self, tmp_path):
+        big = {"kind": "constant", "re": 1e308}
+        obj = {"disk": {"weight": big, "symbol": {"kind": "scaled_identity", "re": 1.0},
+                        "operator": {"kind": "point_eval", "tau": {"re": 0.0}, "g": big,
+                                     "c": {"re": 1.0}}},
+               "checks": [{"name": "disk-lower-bound", "max_depth": 0,
+                           "max_monomial": 1, "samples": 4}]}
+        with pytest.warns(RuntimeWarning):
+            code, out, err = verify(write(tmp_path, obj))
+        assert code == 1 and out == "" and "cannot be rendered" in err
+        with pytest.raises(ValueError), pytest.warns(RuntimeWarning):
+            render_report_json(run_scenario(parse_scenario(obj)))
+
+    def test_overflow_in_a_check_is_a_check_error(self):
+        big = {"kind": "constant", "re": 1.5e308}
+        obj = scenario(weight=big, operator={"kind": "finite_rank", "terms": [
+            {"g": big, "atoms": [{"pos": "0", "re": 1.0}]}]})
+        rec = run_scenario(parse_scenario(obj))["checks"][0]
+        assert rec["verdict"] == "error" and "overflow" in rec["error"]
+
+    @pytest.mark.parametrize("value", [10 ** 12, 2 ** 20 + 1])
+    def test_point_counts_are_bounded(self, value):
+        with pytest.raises(ScenarioError, match=r"scenario\.space\.n"):
+            parse_scenario(scenario(space={"kind": "circle", "n": value}))
+        with pytest.raises(ScenarioError, match=r"scenario\.space\.sizes\[1\]"):
+            parse_scenario(scenario(space={"kind": "circle", "n": 64, "sizes": [8, value]}))
+        for params, key in (({"name": "refinement", "sizes": [8, value]}, "check.sizes[1]:"),
+                            ({"name": "rotation-max", "lambda_grid": value},
+                             "check.lambda_grid:")):
+            rec = run_scenario(parse_scenario(scenario(checks=[params])))["checks"][0]
+            assert rec["verdict"] == "error" and rec["error"].startswith(key)
+
+    @pytest.mark.parametrize("value", [10 ** 12, 1025])
+    def test_max_monomial_is_bounded(self, value):
+        rec = disk_record(name="disk-lower-bound", max_monomial=value)
+        assert rec["verdict"] == "error" and rec["error"].startswith("check.max_monomial:")
+
+    def test_max_monomial_bound_itself_runs(self):
+        rec = disk_record(name="disk-lower-bound", max_depth=0, max_monomial=1024, samples=1)
+        assert rec["verdict"] == "computed" and rec["values"]["family_size"] == 1025
+
+    @pytest.mark.parametrize("where", ["weight", "checks"])
+    def test_unhashable_kind_or_name_rejected(self, where):
+        obj = (scenario(weight={"kind": ["constant"]}) if where == "weight"
+               else scenario(checks=[{"name": ["equation"]}]))
+        with pytest.raises(ScenarioError, match="unknown"):
+            parse_scenario(obj)
+
+    @pytest.mark.parametrize("bad", [{"re": float("inf")}, {"re": 1.0, "im": float("nan")},
+                                     {"re": True}, {"re": 1.0, "x": 0.0}, [1.0]])
+    def test_sample_entries_are_finite_complex_objects(self, bad):
+        values = [{"re": 1.0}, {"re": 1, "im": 2}] + [{"re": 0.5, "im": -0.5}] * 62
+        sc = parse_scenario(scenario(weight={"kind": "samples", "values": values}))
+        assert sc.weight.samples[:3] == (1 + 0j, 1 + 2j, 0.5 - 0.5j)
+        values[5] = bad
+        with pytest.raises(ScenarioError, match=r"scenario\.weight\.values\[5\]"):
+            parse_scenario(scenario(weight={"kind": "samples", "values": values}))
+
+    @pytest.mark.parametrize("key,value,path", [
+        ("operator", {"kind": "finite_rank", "terms": []}, r"scenario\.operator\.terms"),
+        ("operator", {"kind": "sum", "terms": []}, r"scenario\.operator\.terms"),
+        ("weight", {"kind": "product", "factors": [{"kind": "constant", "re": 1.0}]},
+         r"scenario\.weight\.factors"),
+        ("checks", [], r"scenario\.checks")])
+    def test_list_lengths_are_checked(self, key, value, path):
+        with pytest.raises(ScenarioError, match=path + ": expected a list"):
+            parse_scenario(scenario(**{key: value}))
+
+    def test_constructor_error_names_the_component(self):
+        bad = scenario(weight={"kind": "tent", "center": "0", "half_width": "0"})
+        with pytest.raises(ScenarioError, match=r"scenario\.weight: tent half_width"):
+            parse_scenario(bad)
+
+
+def test_readme_lists_every_check_parameter():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = [line for line in readme.splitlines() if line.startswith("| `")]
+    for name, check in CHECKS.items():
+        for key in check.params:
+            assert any(row.startswith(f"| `{name}` | {check.group} | `{key}` |")
+                       for row in rows), (name, key)
+
+
+# --- fuzzing the command line ----------------------------------------------
+
+FUZZ_BASES = (
+    scenario(checks=[{"name": "equation", "tol": 1e-9},
+                     {"name": "rotation-max", "lambda_grid": 16},
+                     {"name": "refinement", "sizes": [8, 16]}]),
+    dict(DISK, checks=[{"name": "disk-c-conditions", "samples": 64, "tol": 1e-9},
+                       {"name": "disk-lower-bound", "max_depth": 1, "samples": 64}]),
+)
+#: Integers are small or out of range, never a large in-range size, so every
+#: example runs in milliseconds.
+FUZZ_INTS = st.integers(max_value=64) | st.integers(min_value=2 ** 20 + 1)
+FUZZ_JSON = st.recursive(
+    st.none() | st.booleans() | FUZZ_INTS | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+FUZZ_KEYS = st.text(max_size=6) | st.sampled_from(
+    ["kind", "re", "im", "n", "sizes", "tol", "samples", "lambda_grid", "max_monomial",
+     "seed", "t"])
+
+
+def _nodes(obj, path=()):
+    yield path, obj
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@st.composite
+def mutated_scenarios(draw):
+    obj = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
+    value = draw(FUZZ_JSON)
+    if draw(st.booleans()):
+        leaves = [p for p, node in _nodes(obj) if p and not isinstance(node, (dict, list))]
+        path = draw(st.sampled_from(leaves))
+        _at(obj, path[:-1])[path[-1]] = value
+    else:
+        objects = [p for p, node in _nodes(obj) if isinstance(node, dict)]
+        _at(obj, draw(st.sampled_from(objects)))[draw(FUZZ_KEYS)] = value
+    return obj
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(obj=mutated_scenarios())
+def test_cli_survives_arbitrary_json(tmp_path_factory, obj):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(obj))  # allow_nan: NaN and Infinity tokens can occur
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, _ = verify(path)
+    assert code in (0, 1, 2)
+    if code == 0:
+        strict_json(out)
