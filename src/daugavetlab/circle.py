@@ -12,14 +12,33 @@ resolution: a preimage is "nowhere dense at resolution delta" when every
 closed arc of length delta contains a grid point mapped elsewhere.
 Continuity of symbols is never enforced; ``symbol_max_jump`` reports the
 largest jump between adjacent grid points as a diagnostic.
+
+Index space.  Inside a ``shared_compilation()`` block, fields are tabulated
+once per (field, grid) as complex arrays and symbols compile to exact
+integer codes, one per grid point.  A coordinate x codes as
+``id * n + j`` with ``j = floor(n x) mod n`` and ``id`` numbering the pair
+(whole turns of x, sub-step offset ``n x - floor(n x)``) in the block's
+``IndexSpace`` for that n.  On-grid points of [0, 1) have id 0, so their code is
+their grid index; any other rational gets an id of its own, whatever its
+denominator, so equal codes mean equal coordinates.  A symbol whose images
+are not all rational (a float shift or arc value) has no codes, and its
+callers keep the per-point route.  Float products and moduli go through
+``cmul`` and ``modulus``, which repeat CPython's complex ``*`` and ``abs()``
+bit for bit; numpy's own complex multiply and ``np.abs`` may not.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from collections import OrderedDict
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
+
+import numpy as np
 
 Coordinate = Union[Fraction, float]
 
@@ -49,6 +68,157 @@ def points_equal(a: Coordinate, b: Coordinate) -> bool:
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a == b
     return circle_distance(float(a), float(b)) <= ETA
+
+
+# ---------------------------------------------------------------------------
+# exact complex arithmetic and the memo of compiled objects
+# ---------------------------------------------------------------------------
+
+def cmul(a, b) -> np.ndarray:
+    """Elementwise complex product in CPython's order of operations,
+    (ar br - ai bi) + i (ar bi + ai br), overflowing silently as it does."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out.real = a.real * b.real - a.imag * b.imag
+        out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def modulus(z) -> np.ndarray:
+    """Elementwise |z| through hypot, as CPython's abs() of a complex."""
+    z = np.asarray(z, dtype=complex)
+    return np.hypot(z.real, z.imag)
+
+
+def is_rational(x) -> bool:
+    """Exact coordinate: a Fraction or an integer (bool excluded)."""
+    return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
+
+
+class IndexSpace:
+    """Exact integer codes for coordinates on the n-point grid (see the
+    module docstring).  Ids are handed out on first sight and never
+    change, so codes stay comparable for the life of the space."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self._ids: dict[tuple[int, Fraction], int] = {(0, Fraction(0)): 0}
+
+    def code(self, x: Fraction | int) -> int:
+        x = Fraction(x)
+        whole, rem = divmod(x.numerator * self.n, x.denominator)
+        turns, j = divmod(whole, self.n)
+        key = (turns, Fraction(rem, x.denominator))
+        return self._ids.setdefault(key, len(self._ids)) * self.n + j
+
+
+_UNTAGGED_FIELDS = ("samples", "table")
+
+
+def exact_key(x):
+    """x as a memo key that tells 1/2 from 0.5.
+
+    Dataclasses compare by value, and Fraction(1, 2) == 0.5, yet the
+    compiled route is exact for the one and keeps the per-point float
+    route for the other.  Tagging every real with its type makes equal keys
+    mean equal values of equal types.  Sample and table entries are read
+    by value only, so they stay as they are.
+    """
+    if is_dataclass(x) and not isinstance(x, type):
+        return (type(x),) + tuple(
+            getattr(x, f.name) if f.name in _UNTAGGED_FIELDS else exact_key(getattr(x, f.name))
+            for f in fields(x))
+    if isinstance(x, tuple):
+        return tuple(exact_key(v) for v in x)
+    if isinstance(x, (Fraction, float, int)):
+        return (type(x), x)
+    return x
+
+
+#: Compiled objects one block keeps: a scenario's fields, symbols, families
+#: and profiles at each of its grid sizes fit several times over.
+MEMO_SIZE = 64
+
+_MISSING = object()
+
+
+class CompiledMemo:
+    """Compiled objects of one shared_compilation() block.
+
+    Entries are keyed by exact_key and evicted least recently used beyond
+    MEMO_SIZE; the index spaces, one per grid size, live as long as the
+    block, so codes compiled at different times stay comparable.
+    """
+
+    def __init__(self) -> None:
+        self.entries: OrderedDict = OrderedDict()
+        self.spaces: dict[int, IndexSpace] = {}
+
+    def get(self, key: tuple, build: Callable):
+        try:
+            value = self.entries.get(key, _MISSING)
+        except TypeError:  # an unhashable user object: nothing to share
+            return build()
+        if value is _MISSING:
+            value = self.entries[key] = build()
+            if len(self.entries) > MEMO_SIZE:
+                self.entries.popitem(last=False)
+        else:
+            self.entries.move_to_end(key)
+        return value
+
+
+_MEMO: ContextVar[CompiledMemo | None] = ContextVar("daugavetlab_memo", default=None)
+
+
+@contextmanager
+def shared_compilation():
+    """Let every call inside the block share one memo of compiled objects.
+
+    Re-entrant: an inner block joins the outer one.  The memo is dropped
+    when the outermost block exits, so nothing compiled outlives it.
+    """
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set(CompiledMemo())
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def compiles(fn):
+    """Run fn inside shared_compilation()."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        with shared_compilation():
+            return fn(*args, **kwargs)
+    return wrapper
+
+
+def memoized(kind: str, n: int, objs: tuple, build: Callable):
+    """build(), shared with every call on equal objs and n in the current
+    block."""
+    memo = _MEMO.get()
+    if memo is None:
+        return build()
+    return memo.get((kind, n, *map(exact_key, objs)), build)
+
+
+def index_space(n: int) -> IndexSpace:
+    """The current block's index space for the n-point grid."""
+    memo = _MEMO.get()
+    if memo is None:
+        raise RuntimeError("index_space() needs a shared_compilation() block")
+    return memo.spaces.setdefault(n, IndexSpace(n))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -102,7 +272,7 @@ class Arc:
         return circle_distance(p, self.center) <= self.half_width
 
     def grid_points(self, grid: GridCircle) -> list[Fraction]:
-        return [p for p in grid.points() if self.contains(p)]
+        return [Fraction(k, grid.n) for k in np.flatnonzero(arc_mask(self, grid.n)).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +372,30 @@ class ScalarField:
         raise ValueError(f"unknown field kind {k!r}")
 
 
+def arc_mask(arc: Arc, n: int) -> np.ndarray:
+    """Which points k/n of the n-point grid lie on the arc, exactly.
+
+    For a rational center c and half-width h this is integer arithmetic:
+    with D = n * den(c), the distance |k/n - c| is A_k / D where
+    A_k = |k den(c) - num(c) n|, so d(k/n, c) <= h reads
+    min(A_k, D - A_k) den(h) <= num(h) D.  Python integers take over from
+    int64 when the products could overflow.  Float ends fall back to
+    ``Arc.contains`` at every point.
+    """
+    c, h = arc.center, arc.half_width
+    if not (is_rational(c) and is_rational(h)):
+        return np.array([arc.contains(Fraction(k, n)) for k in range(n)], dtype=bool)
+    c, h = Fraction(c), Fraction(h)
+    D = n * c.denominator
+    big = (2 * D + abs(c.numerator) * n) * h.denominator + h.numerator * D
+    k = np.arange(n, dtype=np.int64 if big < 2 ** 62 else object)
+    a = abs(k * c.denominator - c.numerator * n)
+    return (np.minimum(a, D - a) * h.denominator <= h.numerator * D).astype(bool)
+
+
 def sup_norm(u: ScalarField, grid: GridCircle) -> float:
     """max |u| over the grid."""
-    return max(abs(u(p)) for p in grid.points())
+    return float(modulus(tabulate(u, grid.n)).max())
 
 
 @dataclass(frozen=True)
@@ -216,8 +407,8 @@ class ModulusReport:
 
 def modulus_constancy(u: ScalarField, grid: GridCircle, tol: float = 1e-9) -> ModulusReport:
     """Check whether |u| is constant on the grid within tol."""
-    mods = [abs(u(p)) for p in grid.points()]
-    hi, lo = max(mods), min(mods)
+    mods = modulus(tabulate(u, grid.n))
+    hi, lo = float(mods.max()), float(mods.min())
     return ModulusReport(constant=(hi - lo) <= tol, value=hi, spread=hi - lo)
 
 
@@ -299,6 +490,7 @@ def symbol_max_jump(phi: SymbolMap, grid: GridCircle) -> float:
     )
 
 
+@compiles
 def preimage_nowhere_dense_at_resolution(phi: SymbolMap, t: Coordinate,
                                          delta: Coordinate, grid: GridCircle) -> bool:
     """True iff every closed arc of length delta holds a grid point with phi(s) != t.
@@ -315,7 +507,11 @@ def preimage_nowhere_dense_at_resolution(phi: SymbolMap, t: Coordinate,
     if min_pts < 2:
         raise ValueError(
             f"grid too coarse: a delta={delta} arc can contain {min_pts} < 2 grid points")
-    hits = [points_equal(phi(p), t) for p in grid.points()]
+    codes = symbol_codes(phi, grid.n)
+    if codes is None or not is_rational(t):
+        hits = [points_equal(phi(p), t) for p in grid.points()]
+    else:
+        hits = (codes == index_space(grid.n).code(t)).tolist()
     if all(hits):
         return False
     # longest circular run of consecutive hits
@@ -345,3 +541,93 @@ def image_count_on_arc(phi: SymbolMap, U: Arc, grid: GridCircle) -> int:
     if clusters > 1 and circle_distance(ordered[0], ordered[-1]) <= ETA:
         clusters -= 1  # first and last wrap onto each other
     return clusters
+
+
+# ---------------------------------------------------------------------------
+# index space: tabulated fields and symbol codes
+# ---------------------------------------------------------------------------
+
+@compiles
+def tabulate(u: ScalarField, n: int) -> np.ndarray:
+    """u at every point k/n, bit for bit as u(Fraction(k, n)) (read-only)."""
+    return memoized("field", n, (u,), lambda: _frozen(_tabulate(u, n)))
+
+
+def _tabulate(u: ScalarField, n: int) -> np.ndarray:
+    k = u.kind
+    x = np.arange(n) / n  # float(Fraction(k, n)), correctly rounded
+    if k == "constant":
+        return np.full(n, u.value, dtype=complex)
+    if k == "unimodular_exp":
+        theta = (TWO_PI * u.winding * x).tolist()
+        rotor = np.array([complex(math.cos(t), math.sin(t)) for t in theta])
+        return cmul(u.value, rotor)
+    if k == "cosine":
+        theta = (TWO_PI * u.frequency * x).tolist()
+        cos = np.array([math.cos(t) for t in theta])
+        return (u.offset + u.amplitude * cos).astype(complex)
+    if k == "tent" and is_rational(u.center) and is_rational(u.half_width):
+        c, h = Fraction(u.center), Fraction(u.half_width)
+        D = n * c.denominator
+        # ratio = d(k/n, c) / h = min(A_k, D - A_k) den(h) / (D num(h)), rounded
+        # once as float(Fraction) does; float64 division of operands below
+        # 2^53 is that rounding
+        big = max((2 * D + abs(c.numerator) * n) * h.denominator, D * h.numerator)
+        idx = np.arange(n, dtype=np.int64 if big < 2 ** 53 else object)
+        a = abs(idx * c.denominator - c.numerator * n)
+        ratio = (np.minimum(a, D - a) * h.denominator / (D * h.numerator)).astype(float)
+        left = 1.0 - ratio
+        bump = np.where(left > 0.0, left, 0.0)
+        return (u.base + (u.peak - u.base) * bump).astype(complex)
+    if k == "samples" and u.n == n:
+        return np.array(u.samples, dtype=complex)
+    if k == "product":
+        left, right = u.factors
+        return cmul(tabulate(left, n), tabulate(right, n))
+    return np.array([u(Fraction(j, n)) for j in range(n)], dtype=complex)
+
+
+def symbol_codes(phi: SymbolMap, n: int) -> np.ndarray | None:
+    """Codes of phi(k/n) in the current block's index space (read-only), or
+    None when some image is not rational.  Needs a shared_compilation()
+    block: codes compare only with codes of the same block."""
+    return memoized("symbol", n, (phi,), lambda: _symbol_codes(phi, index_space(n)))
+
+
+def _symbol_codes(phi: SymbolMap, space: IndexSpace) -> np.ndarray | None:
+    codes = _closed_form_codes(phi, space)
+    if codes is None:
+        images = [phi(Fraction(k, space.n)) for k in range(space.n)]
+        if not all(is_rational(x) for x in images):
+            return None
+        codes = np.array([space.code(x) for x in images], dtype=np.int64)
+    return _frozen(codes)
+
+
+def _closed_form_codes(phi: SymbolMap, space: IndexSpace) -> np.ndarray | None:
+    """Codes of the kinds that have an exact array form; None sends the
+    symbol to per-point evaluation, which also raises its errors."""
+    n = space.n
+    k = np.arange(n, dtype=np.int64)
+    if phi.kind == "identity":
+        return k
+    if phi.kind == "doubling":
+        return 2 * k % n
+    if phi.kind == "rotation" and is_rational(phi.shift):
+        # k/n + shift = (k + m + f)/n with m = floor(n shift) and 0 <= f < 1,
+        # so the image mod 1 is ((k + m) mod n + f)/n: grid index (k + m) mod n
+        # at the offset of f/n, whose own grid index is 0
+        shift = Fraction(phi.shift)
+        m = shift.numerator * n // shift.denominator
+        return space.code((n * shift - m) / n) + (k + m) % n
+    if phi.kind == "table" and phi.n == n:
+        table = np.array(phi.table, dtype=np.int64)
+        if table.size and 0 <= table.min() and table.max() < n:
+            return table
+    if (phi.kind == "constant_on_arc" and is_rational(phi.value)
+            and 0 <= phi.value < 1 and isinstance(phi.base, SymbolMap)):
+        base = _closed_form_codes(phi.base, space)
+        if base is None:
+            return None
+        return np.where(arc_mask(phi.arc, n), space.code(phi.value), base)
+    return None

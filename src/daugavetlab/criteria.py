@@ -37,9 +37,16 @@ from .circle import (
     GridCircle,
     ScalarField,
     SymbolMap,
+    arc_mask,
+    compiles,
+    index_space,
+    is_rational,
+    modulus,
     modulus_constancy,
     points_equal,
     preimage_nowhere_dense_at_resolution,
+    symbol_codes,
+    tabulate,
 )
 from .errors import InvariantViolation
 from .measures import dirac, point_mass
@@ -49,10 +56,12 @@ from .operators import (
     PerturbationProfile,
     SupportsMeasureAt,
     WeightedComposition,
+    compiled_family,
     convex_combo_perturbed_norm,
     operator_norm,
     perturbation_profile,
     perturbed_norm,
+    point_masses,
 )
 
 __all__ = [
@@ -143,7 +152,7 @@ def open_set_criterion(wc: WeightedComposition, T: SupportsMeasureAt, U: Arc,
     prof = perturbation_profile(wc, T, grid)
     weight_sup = float(np.abs(prof.weight).max())
     deficiency = _deficiency(prof, weight_sup)
-    mask = np.array([U.contains(p) for p in prof.points], dtype=bool)
+    mask = arc_mask(U, grid.n)
     if not mask.any():
         raise ValueError("arc contains no grid point")
     sup_value = float(deficiency[mask].max())
@@ -159,6 +168,7 @@ class EquationResult:
     gap: float   # rhs - lhs, >= 0 up to rounding
 
 
+@compiles
 def equation_holds(wc: WeightedComposition, T: SupportsMeasureAt,
                    grid: GridCircle, tol: float = 1e-9) -> EquationResult:
     """Does ||uC_phi + T|| equal sup|u| + ||T|| on the grid, within tol?"""
@@ -244,6 +254,7 @@ class CounterexampleResult:
     detail: dict
 
 
+@compiles
 def counterexample_nonconstant_modulus(u: ScalarField, phi: SymbolMap,
                                        grid: GridCircle,
                                        tol: float = 1e-9) -> CounterexampleResult:
@@ -254,8 +265,7 @@ def counterexample_nonconstant_modulus(u: ScalarField, phi: SymbolMap,
     point can then contribute at most |u(s)| + v(s) < sup|u| + 1 to the
     perturbed norm, pinning the gap at spread/2 or better.
     """
-    pts = grid.points()
-    mods = [abs(u(p)) for p in pts]
+    mods = modulus(tabulate(u, grid.n)).tolist()
     weight_sup = max(mods)
     spread = weight_sup - min(mods)
     if spread <= tol:
@@ -263,7 +273,7 @@ def counterexample_nonconstant_modulus(u: ScalarField, phi: SymbolMap,
             f"|u| is constant within {tol} (spread {spread:.3e}); "
             "this constructor needs a modulus dip")
     s0_idx = mods.index(min(mods))
-    s0 = pts[s0_idx]
+    s0 = grid.coord(s0_idx)
     threshold = weight_sup - spread / 2.0
 
     # widest symmetric radius around s0 on which |u| stays strictly below
@@ -286,6 +296,7 @@ def counterexample_nonconstant_modulus(u: ScalarField, phi: SymbolMap,
                             "modulus_spread": spread})
 
 
+@compiles
 def counterexample_fat_preimage(u: ScalarField, phi: SymbolMap, t: Coordinate,
                                 U: Arc, grid: GridCircle,
                                 tol: float = 1e-9) -> CounterexampleResult:
@@ -302,13 +313,20 @@ def counterexample_fat_preimage(u: ScalarField, phi: SymbolMap, t: Coordinate,
             f"|u| must be constant within {tol} here (spread {report.spread:.3e})")
     if report.value <= tol:
         raise ValueError("the weight must be nonzero")
-    arc_points = U.grid_points(grid)
-    if not arc_points:
+    on_arc = arc_mask(U, grid.n)
+    if not on_arc.any():
         raise ValueError("arc contains no grid point")
-    for p in arc_points:
-        if not points_equal(phi(p), t):
-            raise ValueError(
-                f"arc is not inside the preimage of {t!r}: phi({p}) = {phi(p)!r}")
+    codes = symbol_codes(phi, grid.n)
+    if codes is None or not is_rational(t):
+        misses = (k for k in np.flatnonzero(on_arc).tolist()
+                  if not points_equal(phi(grid.coord(k)), t))
+    else:
+        misses = iter(np.flatnonzero(on_arc & (codes != index_space(grid.n).code(t))).tolist())
+    k = next(misses, None)
+    if k is not None:
+        p = grid.coord(k)
+        raise ValueError(
+            f"arc is not inside the preimage of {t!r}: phi({p}) = {phi(p)!r}")
 
     g = ScalarField.tent(center=U.center, half_width=U.half_width,
                          peak=-1.0, base=-0.5)
@@ -363,6 +381,7 @@ class GapPoint:
     nowhere_dense_ok: bool   # preimage diagnostic at resolution 4/n
 
 
+@compiles
 def refinement_convergence(u: ScalarField, phi: SymbolMap, T: SupportsMeasureAt,
                            sizes, tol: float = 1e-9,
                            target_samples: int = 8) -> list[GapPoint]:
@@ -420,6 +439,7 @@ class ConvexCheckResult:
     delta_tilde: tuple[tuple[Coordinate, float], ...]  # on {phi(s) == psi(s)}
 
 
+@compiles
 def convex_center_check(cc: ConvexCombination, T: SupportsMeasureAt,
                         grid: GridCircle, tol: float = 1e-9) -> ConvexCheckResult:
     """Additivity of T against a convex combination of two compositions.
@@ -443,20 +463,38 @@ def convex_center_check(cc: ConvexCombination, T: SupportsMeasureAt,
     if gap < -1e-9:
         raise InvariantViolation(f"norm {norm!r} exceeds the bound {upper!r}")
 
+    pts = grid.points()
+    fam = compiled_family(T, grid.n)
+    phi, psi = symbol_codes(cc.phi, grid.n), symbol_codes(cc.psi, grid.n)
+    if fam is None or phi is None or psi is None:
+        values, agree = [], []
+        for p in pts:
+            mu = T.measure_at(p)
+            fp, gp = cc.phi(p), cc.psi(p)
+            m_phi = point_mass(mu, fp)
+            agree.append(points_equal(fp, gp))
+            if agree[-1]:
+                value = abs(1.0 + m_phi) - (1.0 + abs(m_phi))
+            else:
+                m_psi = point_mass(mu, gp)
+                value = (abs(cc.t + m_phi) + abs(1.0 - cc.t + m_psi)
+                         - (1.0 + abs(m_phi) + abs(m_psi)))
+            values.append(value)
+            if value > FLOAT_SLACK:
+                break
+    else:
+        m_phi, m_psi = point_masses(fam, phi)[0], point_masses(fam, psi)[0]
+        same = phi == psi
+        agree = same.tolist()
+        values = np.where(
+            same,
+            modulus(1.0 + m_phi) - (1.0 + modulus(m_phi)),
+            (modulus(cc.t + m_phi) + modulus(1.0 - cc.t + m_psi))
+            - (1.0 + modulus(m_phi) + modulus(m_psi))).tolist()
     delta: list[tuple[Coordinate, float]] = []
     delta_tilde: list[tuple[Coordinate, float]] = []
-    for p in grid.points():
-        mu = T.measure_at(p)
-        fp, gp = cc.phi(p), cc.psi(p)
-        m_phi = point_mass(mu, fp)
-        if points_equal(fp, gp):
-            value = abs(1.0 + m_phi) - (1.0 + abs(m_phi))
-            delta_tilde.append((p, value))
-        else:
-            m_psi = point_mass(mu, gp)
-            value = (abs(cc.t + m_phi) + abs(1.0 - cc.t + m_psi)
-                     - (1.0 + abs(m_phi) + abs(m_psi)))
-            delta.append((p, value))
+    for p, same, value in zip(pts, agree, values):
+        (delta_tilde if same else delta).append((p, value))
         if value > FLOAT_SLACK:
             raise InvariantViolation(
                 f"positive deficiency {value!r} at s={p}; bounded by zero")

@@ -7,10 +7,31 @@ composition u * (f o phi) has the one-atom family u(s) * delta_{phi(s)};
 finite-rank perturbations contribute finitely many moving atoms.
 
 The perturbed norm of uC_phi + T splits at each point into the aligned part
-|u(s) + mu_s({phi(s)})| plus the off-target variation.  perturbed_norm
-computes the split and cross-checks it against the direct total variation
-of the combined family at every point; disagreement raises
-InvariantViolation rather than returning a number.
+|u(s) + mu_s({phi(s)})| plus the off-target variation.  perturbation_profile
+holds the split's parts at every grid point, plus each point's total
+variation |mu_s|; the norms, the criterion sweep, the lambda search and the
+s-epsilon count all read it.
+
+Compiled route.  Inside a shared_compilation() block (see circle.py) an
+operator compiles once per grid to a family of atom slots: for each slot
+an exact integer code per point (where the atom sits), a complex weight
+per point and a presence mask, merged and zero-dropped exactly as
+AtomicMeasure.from_atoms and linear_combine do, in their order of
+summation.  Fields come from circle.tabulate, symbol images from
+circle.symbol_codes, products and moduli through circle.cmul and
+circle.modulus, and row sums through math.fsum, so every array is bit for
+bit what the per-point route computes.  Families and profiles are kept in
+the block's memo, keyed by value, so every check of a scenario reads the
+same profile.
+
+Reference pass.  The first time a profile is built, the per-point route
+runs once at every grid point: T.measure_at, linear_combine with
+uC_phi's atom, total_variation.  Its direct norm must match the compiled
+split |u + m| + off, and total_variation(mu_s) the compiled row total
+variation, within SPLIT_VS_DIRECT_TOL, else InvariantViolation names the
+point.  An operator or symbol the compiler does not cover (a float
+coordinate, a type of the caller's own) takes the per-point route for the
+whole profile, with the same cross-check.
 """
 
 from __future__ import annotations
@@ -24,10 +45,19 @@ import numpy as np
 from .circle import (
     Coordinate,
     GridCircle,
+    IndexSpace,
     ScalarField,
     SymbolMap,
+    cmul,
+    compiles,
+    index_space,
+    is_rational,
+    memoized,
+    modulus,
     modulus_constancy,
     sup_norm,
+    symbol_codes,
+    tabulate,
 )
 from .errors import InvariantViolation
 from .measures import (
@@ -151,35 +181,230 @@ def measure_at(T: SupportsMeasureAt, s: Coordinate) -> AtomicMeasure:
     return T.measure_at(s)
 
 
+# ---------------------------------------------------------------------------
+# compiled families
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CompiledFamily:
+    """s -> mu_s on one grid as m atom slots, each canonical at every point:
+    present slots sit at distinct codes and carry nonzero weights."""
+
+    codes: np.ndarray     # (m, n) int64, in the block's index space
+    weights: np.ndarray   # (m, n) complex, 0 where absent
+    present: np.ndarray   # (m, n) bool
+    tv: np.ndarray        # (n,) total variation, exactly rounded
+
+
+def _row_fsum(values: np.ndarray) -> np.ndarray:
+    """math.fsum down each column of an (m, k) array, OverflowError included."""
+    m, k = values.shape
+    if m <= 2:  # a single rounding of the exact sum, as fsum gives
+        out = values.sum(axis=0) if m else np.zeros(k)
+        if np.isfinite(out).all():
+            return out
+    return np.array([math.fsum(col) for col in values.T.tolist()], dtype=float)
+
+
+def _canonical(codes: list, weights: list, present: list, n: int) -> CompiledFamily:
+    """Merge coinciding atoms in slot order and drop zero weights, as
+    AtomicMeasure.from_atoms does at every point."""
+    weights = [np.array(np.broadcast_to(w, (n,)), dtype=complex) for w in weights]
+    present = [np.array(np.broadcast_to(p, (n,)), dtype=bool) for p in present]
+    for i in range(len(codes)):
+        for j in range(i):  # at most one earlier slot still holds code i
+            same = present[j] & present[i] & (codes[j] == codes[i])
+            if same.any():
+                weights[j] = np.where(same, weights[j] + weights[i], weights[j])
+                present[i] &= ~same
+    keep = []
+    for c, w, p in zip(codes, weights, present):
+        p &= w != 0
+        if p.any():
+            keep.append((np.broadcast_to(c, (n,)), np.where(p, w, 0j), p))
+    if not keep:
+        empty = np.empty((0, n))
+        return CompiledFamily(empty.astype(np.int64), empty.astype(complex),
+                              empty.astype(bool), np.zeros(n))
+    c, w, p = (np.array(a) for a in zip(*keep))
+    return CompiledFamily(c, w, p, _row_fsum(np.where(p, modulus(w), 0.0)))
+
+
+def _combine(coeffs, families: list[CompiledFamily], n: int) -> CompiledFamily:
+    """linear_combine on compiled families: zero coefficients skip their
+    family, the others scale every weight (complex(c) * w)."""
+    codes, weights, present = [], [], []
+    for c, fam in zip(coeffs, families):
+        c = complex(c)
+        if c == 0:
+            continue
+        codes.extend(fam.codes)
+        weights.extend(cmul(c, fam.weights))
+        present.extend(fam.present)
+    return _canonical(codes, weights, present, n)
+
+
+def compile_family(T: SupportsMeasureAt, space: IndexSpace) -> CompiledFamily | None:
+    """The family of T on space's grid, or None where the compiler does not
+    reach: a float coordinate or an operator type of its own."""
+    n = space.n
+    if isinstance(T, WeightedComposition):
+        codes = symbol_codes(T.phi, n)
+        if codes is None:
+            return None
+        w = tabulate(T.u, n)
+        return _canonical([codes], [w], [w != 0], n)
+    if isinstance(T, FiniteRankOperator):
+        codes, weights, present = [], [], []
+        for g, mu in T.terms:
+            c = tabulate(g, n)
+            for pos, w in mu.atoms:
+                if not is_rational(pos):
+                    return None
+                codes.append(space.code(pos))
+                weights.append(cmul(c, complex(w)))
+                present.append(c != 0)
+        return _canonical(codes, weights, present, n)
+    if isinstance(T, ConvexCombination):
+        phi, psi = symbol_codes(T.phi, n), symbol_codes(T.psi, n)
+        if phi is None or psi is None:
+            return None
+        one = _canonical([phi], [1 + 0j], [True], n)
+        other = _canonical([psi], [1 + 0j], [True], n)
+        return _combine([T.t, 1.0 - T.t], [one, other], n)
+    if isinstance(T, OperatorExpr):
+        inner = [compiled_family(op, n) for _, op in T.terms]
+        if any(f is None for f in inner):
+            return None
+        return _combine([c for c, _ in T.terms], inner, n)
+    return None
+
+
+def compiled_family(T: SupportsMeasureAt, n: int) -> CompiledFamily | None:
+    """T's family on the n-point grid, compiled once per shared_compilation()
+    block (which this needs: its codes belong to the block's index space)."""
+    return memoized("family", n, (T,), lambda: compile_family(T, index_space(n)))
+
+
+def point_masses(fam: CompiledFamily, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """point_mass at every point, targets given as codes: (mass, the slot
+    that holds it or -1)."""
+    if not len(fam.codes):
+        return np.zeros(targets.size, dtype=complex), np.full(targets.size, -1)
+    hit = fam.present & (fam.codes == targets)
+    found = hit.any(axis=0)
+    slot = hit.argmax(axis=0)
+    mass = np.where(found, fam.weights[slot, np.arange(targets.size)], 0j)
+    return mass, np.where(found, slot, -1)
+
+
+# ---------------------------------------------------------------------------
+# norms and the profile
+# ---------------------------------------------------------------------------
+
+@compiles
 def operator_norm(T: SupportsMeasureAt, grid: GridCircle) -> float:
     """sup over grid points of the total variation of the measure family."""
-    return max(total_variation(T.measure_at(p)) for p in grid.points())
+    fam = compiled_family(T, grid.n)
+    if fam is None:
+        return max(total_variation(T.measure_at(p)) for p in grid.points())
+    return float(fam.tv.max())
 
 
 @dataclass(frozen=True)
 class PerturbationProfile:
     """Per-point data of uC_phi + T: weight u(s), aligned mass mu_s({phi(s)}),
-    off-target variation |mu_s|(S - {phi(s)})."""
+    off-target variation |mu_s|(S - {phi(s)}) and total variation |mu_s|(S)."""
 
     points: tuple[Coordinate, ...]
-    weight: np.ndarray        # complex
-    aligned_mass: np.ndarray  # complex
-    off_mass: np.ndarray      # real
+    weight: np.ndarray           # complex
+    aligned_mass: np.ndarray     # complex
+    off_mass: np.ndarray         # real
+    total_variation: np.ndarray  # real
 
 
-def perturbation_profile(wc: WeightedComposition, T: SupportsMeasureAt,
-                         grid: GridCircle) -> PerturbationProfile:
-    pts = grid.points()
-    weight = np.empty(len(pts), dtype=complex)
-    aligned = np.empty(len(pts), dtype=complex)
-    off = np.empty(len(pts), dtype=float)
+def _split(prof: PerturbationProfile) -> np.ndarray:
+    """|u(s) + mu_s({phi(s)})| + |mu_s|(S - {phi(s)}) at every point."""
+    with np.errstate(over="ignore"):  # inf, as the per-point sum gives
+        return modulus(prof.weight + prof.aligned_mass) + prof.off_mass
+
+
+def _compiled_profile(wc: WeightedComposition, T: SupportsMeasureAt,
+                      grid: GridCircle) -> PerturbationProfile | None:
+    """The profile read off T's compiled family at phi's codes, or None
+    where the compiler does not reach."""
+    n = grid.n
+    fam = compiled_family(T, n)
+    targets = symbol_codes(wc.phi, n)
+    if fam is None or targets is None:
+        return None
+    aligned, slot = point_masses(fam, targets)
+    off = fam.tv.copy()
+    rows = np.flatnonzero(slot >= 0)
+    if rows.size:  # the rest have no atom on target: off = tv exactly
+        rest = fam.present[:, rows] & (np.arange(len(fam.codes))[:, None] != slot[rows])
+        off[rows] = _row_fsum(np.where(rest, modulus(fam.weights[:, rows]), 0.0))
+    return PerturbationProfile(tuple(grid.points()), tabulate(wc.u, n), aligned,
+                               off, fam.tv)
+
+
+def _checked_profile(wc: WeightedComposition, T: SupportsMeasureAt,
+                     grid: GridCircle) -> PerturbationProfile:
+    """The profile, after one pass of the per-point route over every point.
+
+    That pass computes the direct norm total_variation(linear_combine(
+    [1, 1], [uC_phi's atom, mu_s])) and total_variation(mu_s), and holds
+    the profile's split and row total variation to them.  Where the
+    compiler does not reach, the same pass builds the profile itself with
+    point_mass and tv_excluding.
+    """
+    prof = _compiled_profile(wc, T, grid)
+    pts = grid.points() if prof is None else prof.points
+    n = len(pts)
+    if prof is None:
+        weight = np.empty(n, dtype=complex)
+        aligned = np.empty(n, dtype=complex)
+        off = np.empty(n, dtype=float)
+        tv = np.empty(n, dtype=float)
+    else:
+        split = _split(prof).tolist()
+        tv = prof.total_variation.tolist()
     for i, p in enumerate(pts):
         mu = T.measure_at(p)
-        target = wc.phi(p)
-        weight[i] = wc.u(p)
-        aligned[i] = point_mass(mu, target)
-        off[i] = tv_excluding(mu, [target])
-    return PerturbationProfile(tuple(pts), weight, aligned, off)
+        if prof is None:
+            target = wc.phi(p)
+            w, m = wc.u(p), point_mass(mu, target)
+            o = tv_excluding(mu, [target])
+            weight[i], aligned[i], off[i] = w, m, o
+            tv[i] = total_variation(mu)
+            s = abs(w + m) + o
+        else:
+            s = split[i]
+            direct_tv = total_variation(mu)
+            if abs(tv[i] - direct_tv) > SPLIT_VS_DIRECT_TOL:
+                raise InvariantViolation(
+                    f"compiled total variation {tv[i]!r} disagrees with the "
+                    f"measure's total variation {direct_tv!r} at s={p}")
+        direct = total_variation(linear_combine([1.0, 1.0], [wc.measure_at(p), mu]))
+        if abs(s - direct) > SPLIT_VS_DIRECT_TOL:
+            raise InvariantViolation(
+                f"aligned/off-target split {s!r} disagrees with direct "
+                f"total variation {direct!r} at s={p}")
+    if prof is None:
+        prof = PerturbationProfile(tuple(pts), weight, aligned, off, tv)
+    for a in (prof.weight, prof.aligned_mass, prof.off_mass, prof.total_variation):
+        a.flags.writeable = False
+    return prof
+
+
+@compiles
+def perturbation_profile(wc: WeightedComposition, T: SupportsMeasureAt,
+                         grid: GridCircle) -> PerturbationProfile:
+    """The profile of uC_phi + T on the grid, cross-checked point by point
+    the first time it is built in a shared_compilation() block (read-only
+    arrays)."""
+    return memoized("profile", grid.n, (wc.u, wc.phi, T),
+                    lambda: _checked_profile(wc, T, grid))
 
 
 def perturbed_norm(wc: WeightedComposition, T: SupportsMeasureAt,
@@ -189,20 +414,7 @@ def perturbed_norm(wc: WeightedComposition, T: SupportsMeasureAt,
     sup_s ( |u(s) + mu_s({phi(s)})| + |mu_s|(S - {phi(s)}) ), each point
     cross-checked against the direct total variation of the merged family.
     """
-    best = 0.0
-    for p in grid.points():
-        mu = T.measure_at(p)
-        target = wc.phi(p)
-        split = (abs(wc.u(p) + point_mass(mu, target))
-                 + tv_excluding(mu, [target]))
-        direct = total_variation(
-            linear_combine([1.0, 1.0], [wc.measure_at(p), mu]))
-        if abs(split - direct) > SPLIT_VS_DIRECT_TOL:
-            raise InvariantViolation(
-                f"aligned/off-target split {split!r} disagrees with direct "
-                f"total variation {direct!r} at s={p}")
-        best = max(best, split)
-    return best
+    return max(0.0, float(_split(perturbation_profile(wc, T, grid)).max()))
 
 
 @dataclass(frozen=True)
@@ -213,6 +425,7 @@ class RotationMaxResult:
     lambda_grid: int
 
 
+@compiles
 def rotation_max_norm(wc: WeightedComposition, T: SupportsMeasureAt,
                       grid: GridCircle, lambda_grid: int = 4096,
                       tol: float = 1e-9) -> RotationMaxResult:
@@ -238,12 +451,20 @@ def rotation_max_norm(wc: WeightedComposition, T: SupportsMeasureAt,
     lam = np.exp(2j * np.pi * np.arange(lambda_grid) / lambda_grid)
     searched = -np.inf
     arg_idx = 0
-    block = max(1, (1 << 22) // max(1, grid.n))
+    # a point without aligned mass gives |u(s)| + off(s) whatever lambda is,
+    # so only the others enter the search; blocks of 2^16 values bound the
+    # temporaries
+    moving = prof.aligned_mass != 0
+    still = np.abs(prof.weight[~moving]) + prof.off_mass[~moving]
+    floor = still.max(initial=-np.inf)
+    weight, aligned = prof.weight[moving], prof.aligned_mass[moving]
+    off = prof.off_mass[moving]
+    block = max(1, (1 << 16) // max(1, weight.size))
     for start in range(0, lambda_grid, block):
         chunk = lam[start:start + block]
-        vals = np.abs(prof.weight[None, :] + chunk[:, None] * prof.aligned_mass[None, :])
-        vals += prof.off_mass[None, :]
-        per_lambda = vals.max(axis=1)
+        vals = np.abs(weight[None, :] + chunk[:, None] * aligned[None, :])
+        vals += off[None, :]
+        per_lambda = np.maximum(vals.max(axis=1, initial=-np.inf), floor)
         k = int(np.argmax(per_lambda))  # first maximizer within the chunk
         if float(per_lambda[k]) > searched:
             searched = float(per_lambda[k])
@@ -261,11 +482,15 @@ def rotation_max_norm(wc: WeightedComposition, T: SupportsMeasureAt,
                              lambda_grid=lambda_grid)
 
 
+@compiles
 def convex_combo_perturbed_norm(cc: ConvexCombination, T: SupportsMeasureAt,
                                 grid: GridCircle) -> float:
     """Exact norm of t*C_phi + (1-t)*C_psi + T via merged atom families."""
-    return max(
-        total_variation(linear_combine([1.0, 1.0],
-                                       [cc.measure_at(p), T.measure_at(p)]))
-        for p in grid.points()
-    )
+    fams = [compiled_family(cc, grid.n), compiled_family(T, grid.n)]
+    if any(f is None for f in fams):
+        return max(
+            total_variation(linear_combine([1.0, 1.0],
+                                           [cc.measure_at(p), T.measure_at(p)]))
+            for p in grid.points()
+        )
+    return float(_combine([1.0, 1.0], fams, grid.n).tv.max())

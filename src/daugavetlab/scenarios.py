@@ -29,7 +29,15 @@ from functools import partial
 from typing import Any, Callable
 
 from . import disk as dsk
-from .circle import Arc, Coordinate, GridCircle, ScalarField, SymbolMap, frac_mod1
+from .circle import (
+    Arc,
+    Coordinate,
+    GridCircle,
+    ScalarField,
+    SymbolMap,
+    frac_mod1,
+    shared_compilation,
+)
 from .criteria import (
     convex_center_check,
     counterexample_fat_preimage,
@@ -734,7 +742,8 @@ def run_scenario(sc: Scenario, tol: float = 1e-9, seed: int | None = None,
                     "scenario.checks",
                     f"check {entry['name']!r} is not valid here; "
                     f"allowed: {sorted(allowed)}")
-    records = [_run_one(sc, entry, tol, timings) for entry in sc.checks]
+    with shared_compilation():  # every check reads the same compiled profiles
+        records = [_run_one(sc, entry, tol, timings) for entry in sc.checks]
     from . import __version__
     return {
         "schema_version": SCHEMA_VERSION,

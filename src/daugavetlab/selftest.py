@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import disk as dsk
-from .circle import Arc, GridCircle, ScalarField, SymbolMap
+from .circle import Arc, GridCircle, ScalarField, SymbolMap, compiles
 from .criteria import (
     convex_center_check,
     counterexample_fat_preimage,
@@ -182,6 +182,7 @@ def _disk_stages() -> list[dict]:
     ]
 
 
+@compiles
 def run_selftest(seed: int = 0) -> dict:
     """Run the whole battery; returns a report dict with a per-stage verdict."""
     stages = [

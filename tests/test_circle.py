@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,14 +11,21 @@ from daugavetlab.circle import (
     GridCircle,
     ScalarField,
     SymbolMap,
+    arc_mask,
     circle_distance,
+    cmul,
     frac_mod1,
     image_count_on_arc,
+    index_space,
+    modulus,
     modulus_constancy,
     points_equal,
     preimage_nowhere_dense_at_resolution,
+    shared_compilation,
     sup_norm,
+    symbol_codes,
     symbol_max_jump,
+    tabulate,
 )
 
 
@@ -183,3 +191,79 @@ class TestPreimageGeometry:
         assert image_count_on_arc(SymbolMap.identity(), arc, g) == 5
         phi = SymbolMap.constant_on_arc(Fraction(0), arc)
         assert image_count_on_arc(phi, arc, g) == 1
+
+
+class TestIndexSpace:
+    def test_complex_helpers_repeat_cpython_bit_for_bit(self):
+        # numpy's complex multiply and np.abs may round differently from
+        # CPython's complex * and abs(): on AVX-512 builds they disagree on
+        # about 40% of this set.  The compiled route uses cmul and modulus.
+        rng = np.random.default_rng(2026)
+        size = 20000
+        a = ((rng.standard_normal(size) + 1j * rng.standard_normal(size))
+             * np.exp(rng.uniform(-30, 30, size)))
+        b = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        products = np.array([x * y for x, y in zip(a.tolist(), b.tolist())])
+        moduli = np.array([abs(x) for x in a.tolist()])
+        assert cmul(a, b).tobytes() == products.tobytes()
+        assert modulus(a).tobytes() == moduli.tobytes()
+
+    def test_codes_are_exact_for_any_rational(self):
+        big = 10 ** 40 + 1
+        with shared_compilation():
+            space = index_space(8)
+            assert [space.code(Fraction(k, 8)) for k in range(8)] == list(range(8))
+            codes = {space.code(x) for x in (Fraction(1, big), Fraction(2, big),
+                                             Fraction(1, 8) + Fraction(1, big),
+                                             Fraction(9, 8), Fraction(-1, 8))}
+            assert len(codes) == 5 and codes.isdisjoint(range(8))
+            assert space.code(Fraction(2, 2 * big)) == space.code(Fraction(1, big))
+
+    @pytest.mark.parametrize("phi", [
+        SymbolMap.identity(),
+        SymbolMap.doubling(),
+        SymbolMap.rotation(Fraction(3, 16)),
+        SymbolMap.rotation(Fraction(1, 7)),
+        SymbolMap.rotation(Fraction(1, 10 ** 40 + 1)),
+        SymbolMap.from_table([(5 * k + 3) % 16 for k in range(16)], 16),
+        SymbolMap.constant_on_arc(Fraction(1, 3), Arc(Fraction(1, 10 ** 40 + 1),
+                                                      Fraction(1, 5)),
+                                  base=SymbolMap.rotation(Fraction(1, 7))),
+    ])
+    def test_symbol_codes_match_images(self, phi):
+        g = GridCircle(16)
+        with shared_compilation():
+            codes = symbol_codes(phi, g.n)
+            space = index_space(g.n)
+            assert codes.tolist() == [space.code(phi(p)) for p in g.points()]
+
+    def test_float_images_have_no_codes(self):
+        with shared_compilation():
+            assert symbol_codes(SymbolMap.rotation(0.125), 16) is None
+
+    @pytest.mark.parametrize("center, half_width", [
+        (Fraction(3, 16), Fraction(1, 8)), (Fraction(1, 3), Fraction(2, 7)),
+        (Fraction(1, 10 ** 40 + 1), Fraction(1, 10 ** 30 + 7)), (0.3, 0.25),
+    ])
+    def test_arc_mask_matches_membership(self, center, half_width):
+        arc = Arc(center, half_width)
+        for n in (7, 16, 33):
+            assert arc_mask(arc, n).tolist() == [arc.contains(p)
+                                                 for p in GridCircle(n).points()]
+
+    @pytest.mark.parametrize("u", [
+        ScalarField.constant(0.5 - 2j),
+        ScalarField.unimodular_exp(winding=3, scale=0.3 + 0.7j),
+        ScalarField.cosine(amplitude=0.7, offset=-0.2, frequency=5),
+        ScalarField.tent(Fraction(5, 7), Fraction(1, 3), peak=1.3, base=-0.4),
+        ScalarField.tent(Fraction(1, 10 ** 40 + 1), Fraction(1, 10 ** 20 + 3)),
+        ScalarField.tent(0.3, 0.2),
+        ScalarField.tent_dip(Fraction(1, 8), Fraction(1, 4), depth=0.6),
+        ScalarField.from_samples([complex(k, -k / 3) for k in range(24)], 24),
+        ScalarField.product(ScalarField.cosine(frequency=2),
+                            ScalarField.unimodular_exp(winding=-1, scale=1j)),
+    ])
+    def test_tabulation_matches_pointwise_evaluation(self, u):
+        g = GridCircle(24)
+        expected = np.array([u(p) for p in g.points()], dtype=complex)
+        assert tabulate(u, g.n).tobytes() == expected.tobytes()

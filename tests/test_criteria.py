@@ -1,6 +1,8 @@
 """Norm identities, the active-set criterion and the certified counterexamples."""
 
 import math
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,12 +22,14 @@ from daugavetlab.criteria import (
 from daugavetlab.measures import point_mass
 from daugavetlab.operators import (
     ConvexCombination,
+    FiniteRankOperator,
     WeightedComposition,
     operator_norm,
     perturbed_norm,
     rank_one,
     zero_operator,
 )
+from daugavetlab.scenarios import parse_scenario, run_scenario
 from daugavetlab.sampling import (
     default_rng,
     random_fat_preimage_setup,
@@ -320,3 +324,49 @@ class TestConvexCenter:
         u = ScalarField.cosine(amplitude=1.0, offset=0.0, frequency=1)
         res = counterexample_nonconstant_modulus(u, SymbolMap.doubling(), g)
         assert res.certified_gap > 0.4
+
+
+class TestSharedProfiles:
+    SCENARIO = {
+        "space": {"kind": "circle", "n": 32},
+        "weight": {"kind": "unimodular_exp", "winding": 1},
+        "symbol": {"kind": "constant_on_arc", "value": "1/4", "center": "1/2",
+                   "half_width": "1/8", "base": {"kind": "doubling"}},
+        "symbol2": {"kind": "rotation", "shift": "1/32"},
+        "t": 0.25,
+        "operator": {"kind": "finite_rank", "terms": [
+            {"g": {"kind": "cosine", "amplitude": 0.5, "offset": 0.5},
+             "atoms": [{"pos": "1/4", "re": -1.0}, {"pos": "1/3", "re": 0.0, "im": 0.5}]}]},
+        "checks": [
+            {"name": "equation"}, {"name": "criterion-sweep"}, {"name": "rotation-max"},
+            {"name": "s-epsilon", "epsilon": 0.1}, {"name": "convex"},
+            {"name": "counterexample-preimage", "target": "1/4", "center": "1/2",
+             "half_width": "1/8"},
+            {"name": "refinement", "sizes": [16, 32]},
+        ],
+    }
+
+    def test_each_profile_is_cross_checked_once_per_run(self, monkeypatch):
+        calls = Counter()
+        original = FiniteRankOperator.measure_at
+
+        def counting(self, s):
+            calls[s] += 1
+            return original(self, s)
+
+        monkeypatch.setattr(FiniteRankOperator, "measure_at", counting)
+        report = run_scenario(parse_scenario(self.SCENARIO))
+        assert [r["verdict"] for r in report["checks"]] == [
+            "holds", "holds", "holds", "computed", "holds", "gap-certified", "computed"]
+        # three profiles: the scenario's at n = 32 and n = 16, the
+        # counterexample's operator at n = 32; one measure per point each
+        expected = Counter(GridCircle(32).points() * 2 + GridCircle(16).points())
+        assert calls == expected
+
+    def test_arc_scan_names_the_first_point_off_target(self):
+        g = GridCircle(64)
+        phi = SymbolMap.constant_on_arc(Fraction(0), Arc(Fraction(0), Fraction(1, 8)))
+        U = Arc(Fraction(1, 16), Fraction(1, 8))
+        first = next(p for p in U.grid_points(g) if phi(p) != 0)
+        with pytest.raises(ValueError, match=re.escape(f"phi({first}) = {phi(first)!r}") + "$"):
+            counterexample_fat_preimage(ScalarField.constant(1.0), phi, Fraction(0), U, g)

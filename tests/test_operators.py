@@ -13,13 +13,32 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from daugavetlab.circle import GridCircle, ScalarField, SymbolMap
-from daugavetlab.measures import dirac
+from daugavetlab import circle, operators
+from daugavetlab.circle import (
+    Arc,
+    GridCircle,
+    ScalarField,
+    SymbolMap,
+    points_equal,
+    shared_compilation,
+    symbol_codes,
+)
+from daugavetlab.criteria import convex_center_check
+from daugavetlab.errors import InvariantViolation
+from daugavetlab.measures import (
+    AtomicMeasure,
+    dirac,
+    linear_combine,
+    point_mass,
+    total_variation,
+    tv_excluding,
+)
 from daugavetlab.operators import (
     ConvexCombination,
     FiniteRankOperator,
     WeightedComposition,
     as_expr,
+    compiled_family,
     convex_combo_perturbed_norm,
     measure_at,
     operator_norm,
@@ -172,6 +191,17 @@ class TestRotationMax:
         with pytest.raises(ValueError):
             rotation_max_norm(wc, zero_operator(), g)
 
+    def test_first_maximiser_wins_across_blocks(self):
+        # |T| is tiny next to the weight, so every lambda attains the same
+        # maximum; over 2^17 lambdas, in two blocks, the first one is reported
+        g = GridCircle(16)
+        wc = WeightedComposition(ScalarField.constant(1.0), SymbolMap.identity())
+        T = rank_one(ScalarField.tent(Fraction(1, 2), Fraction(1, 4), peak=2.0, base=1e-3),
+                     at=Fraction(0))
+        res = rotation_max_norm(wc, T, g, lambda_grid=2 ** 17)
+        assert res.searched == res.max == 3.0
+        assert res.argmax_lambda == 1 + 0j
+
     @given(st.integers(min_value=0, max_value=63))
     @settings(max_examples=20, deadline=None)
     def test_scaling_is_lipschitz_in_lambda(self, k):
@@ -212,3 +242,255 @@ class TestConvexCombination:
     def test_rejects_t_outside_unit_interval(self):
         with pytest.raises(ValueError):
             ConvexCombination(1.5, SymbolMap.identity(), SymbolMap.identity())
+
+
+# ---------------------------------------------------------------------------
+# the compiled route against the per-point reference
+# ---------------------------------------------------------------------------
+
+BIG = 10 ** 40 + 1
+
+
+def bits(values, dtype):
+    return np.asarray(values, dtype=dtype).tobytes()
+
+
+def reference_profile(wc, T, grid):
+    """The per-point profile: one measure per point, point_mass and tv_excluding."""
+    weight, aligned, off, tv = [], [], [], []
+    for p in grid.points():
+        mu = T.measure_at(p)
+        target = wc.phi(p)
+        weight.append(wc.u(p))
+        aligned.append(point_mass(mu, target))
+        off.append(tv_excluding(mu, [target]))
+        tv.append(total_variation(mu))
+    return weight, aligned, off, tv
+
+
+def reference_convex_rows(cc, T, grid):
+    return [total_variation(linear_combine([1.0, 1.0], [cc.measure_at(p), T.measure_at(p)]))
+            for p in grid.points()]
+
+
+def reference_deficiencies(cc, T, grid):
+    """(delta, delta_tilde) of convex_center_check, point by point."""
+    delta, delta_tilde = [], []
+    for p in grid.points():
+        mu = T.measure_at(p)
+        fp, gp = cc.phi(p), cc.psi(p)
+        m_phi = point_mass(mu, fp)
+        if points_equal(fp, gp):
+            delta_tilde.append((p, abs(1.0 + m_phi) - (1.0 + abs(m_phi))))
+        else:
+            m_psi = point_mass(mu, gp)
+            delta.append((p, abs(cc.t + m_phi) + abs(1.0 - cc.t + m_psi)
+                          - (1.0 + abs(m_phi) + abs(m_psi))))
+    return delta, delta_tilde
+
+
+def random_field(rng, n):
+    kind = int(rng.integers(0, 7))
+    if kind == 0:
+        return ScalarField.constant(complex(*rng.standard_normal(2)))
+    if kind == 1:
+        return ScalarField.unimodular_exp(int(rng.integers(-3, 4)),
+                                          complex(*rng.standard_normal(2)))
+    if kind == 2:
+        return ScalarField.cosine(float(rng.standard_normal()), float(rng.standard_normal()),
+                                  int(rng.integers(0, 5)))
+    if kind == 3:
+        return ScalarField.tent(Fraction(int(rng.integers(0, 3 * n)), 3 * n),
+                                Fraction(int(rng.integers(1, n)), 2 * n),
+                                peak=float(rng.standard_normal()), base=float(rng.random()))
+    if kind == 4:
+        return ScalarField.tent_dip(Fraction(1, BIG), Fraction(1, 3), depth=0.5)
+    if kind == 5:
+        return ScalarField.from_samples(rng.standard_normal(n) + 1j * rng.standard_normal(n), n)
+    return ScalarField.product(ScalarField.cosine(frequency=int(rng.integers(1, 4))),
+                               ScalarField.unimodular_exp(scale=0.5j))
+
+
+def random_symbol_map(rng, n):
+    kind = int(rng.integers(0, 6))
+    if kind == 0:
+        return SymbolMap.identity()
+    if kind == 1:
+        return SymbolMap.doubling()
+    if kind == 2:
+        return SymbolMap.rotation(Fraction(int(rng.integers(0, n)), n))
+    if kind == 3:
+        return SymbolMap.rotation(Fraction(int(rng.integers(1, 7)), 7))
+    if kind == 4:
+        return SymbolMap.from_table(rng.integers(0, n, size=n).tolist(), n)
+    return SymbolMap.constant_on_arc(
+        Fraction(int(rng.integers(0, n)), n),
+        Arc(Fraction(int(rng.integers(0, n)), n), Fraction(int(rng.integers(1, n // 2)), n)),
+        base=SymbolMap.rotation(Fraction(1, BIG)))
+
+
+def random_position(rng, n):
+    return [Fraction(int(rng.integers(0, n)), n), Fraction(1, 7), Fraction(2, BIG),
+            Fraction(int(rng.integers(0, 3)), 3)][int(rng.integers(0, 4))]
+
+
+def random_operator(rng, n, depth=0):
+    kind = int(rng.integers(0, 5 if depth < 2 else 2))
+    if kind == 0:
+        return zero_operator()
+    if kind == 1:
+        terms = []
+        for _ in range(int(rng.integers(1, 4))):
+            atoms = [(random_position(rng, n), complex(*rng.standard_normal(2)))
+                     for _ in range(int(rng.integers(1, 4)))]
+            terms.append((random_field(rng, n), AtomicMeasure.from_atoms(atoms)))
+        return FiniteRankOperator(tuple(terms))
+    if kind == 2:
+        return WeightedComposition(random_field(rng, n), random_symbol_map(rng, n))
+    if kind == 3:
+        return scaled(random_operator(rng, n, depth + 1), complex(*rng.standard_normal(2)))
+    return sum((random_operator(rng, n, depth + 1) for _ in range(2)), zero_operator())
+
+
+class TestCompiledRoute:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_profile_and_rows_match_the_reference_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        g = GridCircle(int(rng.choice([12, 16, 21])))
+        wc = WeightedComposition(random_field(rng, g.n), random_symbol_map(rng, g.n))
+        T = random_operator(rng, g.n)
+        weight, aligned, off, tv = reference_profile(wc, T, g)
+        with shared_compilation():
+            assert compiled_family(T, g.n) is not None
+            assert symbol_codes(wc.phi, g.n) is not None
+            prof = perturbation_profile(wc, T, g)
+        assert bits(prof.weight, complex) == bits(weight, complex)
+        assert bits(prof.aligned_mass, complex) == bits(aligned, complex)
+        assert bits(prof.off_mass, float) == bits(off, float)
+        assert bits(prof.total_variation, float) == bits(tv, float)
+        assert operator_norm(T, g) == max(tv)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_convex_values_match_the_reference_bit_for_bit(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        g = GridCircle(int(rng.choice([12, 16, 21])))
+        cc = ConvexCombination(float(rng.random()), random_symbol_map(rng, g.n),
+                               random_symbol_map(rng, g.n))
+        T = random_operator(rng, g.n)
+        rows = reference_convex_rows(cc, T, g)
+        assert convex_combo_perturbed_norm(cc, T, g) == max(rows)
+        assert operator_norm(cc, g) == max(total_variation(cc.measure_at(p))
+                                           for p in g.points())
+        delta, delta_tilde = reference_deficiencies(cc, T, g)
+        res = convex_center_check(cc, T, g, tol=1e-9)
+        assert [p for p, _ in res.delta] == [p for p, _ in delta]
+        assert bits([v for _, v in res.delta], float) == bits([v for _, v in delta], float)
+        assert bits([v for _, v in res.delta_tilde], float) == bits(
+            [v for _, v in delta_tilde], float)
+
+    def test_float_shift_takes_the_per_point_route(self):
+        g = GridCircle(16)
+        wc = WeightedComposition(ScalarField.unimodular_exp(), SymbolMap.rotation(0.1875))
+        T = rank_one(ScalarField.cosine(), at=Fraction(3, 16), scale=-0.5)
+        weight, aligned, off, tv = reference_profile(wc, T, g)
+        with shared_compilation():
+            assert symbol_codes(wc.phi, g.n) is None
+            prof = perturbation_profile(wc, T, g)
+        assert bits(prof.aligned_mass, complex) == bits(aligned, complex)
+        assert bits(prof.off_mass, float) == bits(off, float)
+        assert np.flatnonzero(prof.aligned_mass).tolist() == [0]  # 0 + 0.1875 = 3/16
+
+    def test_operator_of_its_own_takes_the_per_point_route(self):
+        # an unhashable type the compiler does not know: no memo, no compile
+        class Delegate:
+            __hash__ = None
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def measure_at(self, s):
+                return self.inner.measure_at(s)
+
+        g = GridCircle(16)
+        wc = WeightedComposition(ScalarField.unimodular_exp(), SymbolMap.doubling())
+        T = rank_one(ScalarField.cosine(), at=Fraction(1, 3), scale=0.5j)
+        with shared_compilation():
+            assert compiled_family(Delegate(T), g.n) is None
+            assert perturbed_norm(wc, Delegate(T), g) == perturbed_norm(wc, T, g)
+            assert operator_norm(Delegate(T), g) == operator_norm(T, g)
+
+    def test_zero_operator_profile(self):
+        g = GridCircle(8)
+        wc = WeightedComposition(ScalarField.constant(2.0), SymbolMap.doubling())
+        prof = perturbation_profile(wc, zero_operator(), g)
+        assert not prof.aligned_mass.any() and not prof.total_variation.any()
+        assert perturbed_norm(wc, zero_operator(), g) == 2.0
+
+    def test_memo_stays_bounded_over_a_battery(self):
+        # one block, many instances: the memo keeps at most MEMO_SIZE entries
+        g = GridCircle(8)
+        T = rank_one(ScalarField.constant(0.5), at=Fraction(0))
+        with shared_compilation():
+            for k in range(3 * circle.MEMO_SIZE):
+                wc = WeightedComposition(ScalarField.constant(1.0 + k), SymbolMap.identity())
+                assert perturbed_norm(wc, T, g) == 1.5 + k
+            assert len(circle._MEMO.get().entries) == circle.MEMO_SIZE
+        assert circle._MEMO.get() is None
+
+    def test_profile_arrays_are_read_only(self):
+        g = GridCircle(8)
+        wc = WeightedComposition(ScalarField.constant(1.0), SymbolMap.identity())
+        prof = perturbation_profile(wc, rank_one(ScalarField.constant(0.5), at=Fraction(0)), g)
+        with pytest.raises(ValueError):
+            prof.off_mass[0] = 1.0
+
+
+class TestCrossCheckFires:
+    """The per-point reference pass rejects a wrong compiled profile."""
+
+    @pytest.mark.parametrize("k, where", [(0, "on target"), (3, "off target")])
+    def test_corrupt_compiled_weight_is_caught_at_its_point(self, monkeypatch, k, where):
+        g = GridCircle(16)
+        wc = WeightedComposition(ScalarField.constant(1.0), SymbolMap.identity())
+        T = rank_one(ScalarField.cosine(offset=0.5, amplitude=0.25), at=Fraction(0))
+        original = operators.compile_family
+
+        def corrupted(op, space):
+            fam = original(op, space)
+            weights = fam.weights.copy()
+            weights[0, k] += 0.25  # the atom at 0: s = 0 maps onto it, s = 3/16 does not
+            tv = fam.tv.copy()
+            tv[k] = abs(complex(weights[0, k]))
+            return operators.CompiledFamily(fam.codes, weights, fam.present, tv)
+
+        monkeypatch.setattr(operators, "compile_family", corrupted)
+        with pytest.raises(InvariantViolation, match=f"at s={Fraction(k, 16)}$"):
+            perturbed_norm(wc, T, g)
+
+    def test_corrupt_row_total_variation_is_caught(self, monkeypatch):
+        g = GridCircle(16)
+        wc = WeightedComposition(ScalarField.constant(1.0), SymbolMap.doubling())
+        T = rank_one(ScalarField.constant(0.5), at=Fraction(1, 2))
+        original = operators.compile_family
+
+        def corrupted(op, space):
+            fam = original(op, space)
+            tv = fam.tv.copy()
+            tv[5] *= 1.5
+            return operators.CompiledFamily(fam.codes, fam.weights, fam.present, tv)
+
+        monkeypatch.setattr(operators, "compile_family", corrupted)
+        with pytest.raises(InvariantViolation, match="compiled total variation .* at s=5/16$"):
+            perturbation_profile(wc, T, g)
+
+    def test_non_canonical_measure_on_the_float_route(self):
+        # hand-built atoms that cancel: the split counts both, the merged
+        # direct total variation neither
+        class Raw:
+            def measure_at(self, s):
+                return AtomicMeasure(((0.25, 1 + 0j), (0.25, -1 + 0j)))
+
+        g = GridCircle(8)
+        wc = WeightedComposition(ScalarField.constant(1.0), SymbolMap.identity())
+        with pytest.raises(InvariantViolation, match="at s=0$"):
+            perturbed_norm(wc, Raw(), g)
