@@ -1,11 +1,13 @@
 """Discretized circle model: grids, arcs, scalar fields and self-maps.
 
 The underlying compact space is the unit circle parameterized by [0, 1)
-with the wraparound metric d(a, b) = min(|a - b|, 1 - |a - b|).  Grid mode
-works on the n equispaced points k/n represented as exact rationals, so
-symbol evaluation (rotations by rational shifts, angle doubling, arc
-membership) never rounds.  Continuous mode uses floats; point equality is
-then decided at the fixed matching tolerance ETA.
+with the wraparound metric d(a, b) = min(|a - b|, 1 - |a - b|).  Every
+coordinate is an exact rational: frac_mod1 turns an int or a Fraction into
+a Fraction in [0, 1) where it enters the program (arc centers, tent
+centers, shifts, symbol values, atom positions) and rejects a float with
+TypeError.  The model works on the n equispaced points k/n, so symbol
+evaluation (rotations by rational shifts, angle doubling, arc membership)
+never rounds and two points are equal exactly when they compare equal.
 
 Topological notions that make no sense on a finite set are rendered at a
 resolution: a preimage is "nowhere dense at resolution delta" when every
@@ -15,59 +17,56 @@ largest jump between adjacent grid points as a diagnostic.
 
 Index space.  Inside a ``shared_compilation()`` block, fields are tabulated
 once per (field, grid) as complex arrays and symbols compile to exact
-integer codes, one per grid point.  A coordinate x codes as
-``id * n + j`` with ``j = floor(n x) mod n`` and ``id`` numbering the pair
-(whole turns of x, sub-step offset ``n x - floor(n x)``) in the block's
-``IndexSpace`` for that n.  On-grid points of [0, 1) have id 0, so their code is
-their grid index; any other rational gets an id of its own, whatever its
-denominator, so equal codes mean equal coordinates.  A symbol whose images
-are not all rational (a float shift or arc value) has no codes, and its
-callers keep the per-point route.  Float products and moduli go through
-``cmul`` and ``modulus``, which repeat CPython's complex ``*`` and ``abs()``
-bit for bit; numpy's own complex multiply and ``np.abs`` may not.
+integer codes, one per grid point.  A coordinate x in [0, 1) codes as
+``id * n + j`` with ``j = floor(n x)`` and ``id`` numbering its sub-step
+offset ``n x - j`` in the block's ``IndexSpace`` for that n.  Grid points
+have offset 0 and id 0, so their code is their grid index; any other
+rational gets an id of its own, whatever its denominator, so equal codes
+mean equal coordinates.  Float products and moduli go through ``cmul`` and
+``modulus``, which repeat CPython's complex ``*`` and ``abs()`` bit for
+bit; numpy's own complex multiply and ``np.abs`` may not.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
-
-Coordinate = Union[Fraction, float]
-
-#: Point-matching tolerance for continuous (float) coordinates.
-ETA = 1e-9
 
 TWO_PI = 2.0 * math.pi
 
 
-def frac_mod1(x: Coordinate) -> Coordinate:
-    """Reduce a coordinate into [0, 1), exactly for rationals."""
-    r = x % 1
-    # float modulo can land on 1.0 when x is a hair below an integer
-    if not isinstance(r, Fraction) and r >= 1.0:
-        r = 0.0
-    return r
+def _as_fraction(x) -> Fraction:
+    """x as a Fraction: an int (numpy integers too) or a Fraction.  A float
+    or a bool raises TypeError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return Fraction(int(x))
+    raise TypeError(f"coordinates are exact rationals (an int or a Fraction), "
+                    f"got {type(x).__name__} {x!r}")
 
 
-def circle_distance(a: Coordinate, b: Coordinate) -> Coordinate:
-    """Wraparound distance on [0, 1); exact when both inputs are rational."""
+def frac_mod1(x) -> Fraction:
+    """Reduce an int or a Fraction into [0, 1), exactly; a float or a bool
+    raises TypeError."""
+    if not isinstance(x, Fraction):
+        x = _as_fraction(x)
+    return x if 0 <= x.numerator < x.denominator else x % 1
+
+
+def circle_distance(a: Fraction, b: Fraction) -> Fraction:
+    """Wraparound distance between two points of [0, 1)."""
     d = abs(a - b)
     return min(d, 1 - d)
-
-
-def points_equal(a: Coordinate, b: Coordinate) -> bool:
-    """Exact comparison for rational pairs, ETA-matching otherwise."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    return circle_distance(float(a), float(b)) <= ETA
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +91,6 @@ def modulus(z) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def is_rational(x) -> bool:
-    """Exact coordinate: a Fraction or an integer (bool excluded)."""
-    return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
-
-
 class IndexSpace:
     """Exact integer codes for coordinates on the n-point grid (see the
     module docstring).  Ids are handed out on first sight and never
@@ -104,37 +98,12 @@ class IndexSpace:
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self._ids: dict[tuple[int, Fraction], int] = {(0, Fraction(0)): 0}
+        self._ids: dict[Fraction, int] = {Fraction(0): 0}
 
-    def code(self, x: Fraction | int) -> int:
-        x = Fraction(x)
-        whole, rem = divmod(x.numerator * self.n, x.denominator)
-        turns, j = divmod(whole, self.n)
-        key = (turns, Fraction(rem, x.denominator))
-        return self._ids.setdefault(key, len(self._ids)) * self.n + j
-
-
-_UNTAGGED_FIELDS = ("samples", "table")
-
-
-def exact_key(x):
-    """x as a memo key that tells 1/2 from 0.5.
-
-    Dataclasses compare by value, and Fraction(1, 2) == 0.5, yet the
-    compiled route is exact for the one and keeps the per-point float
-    route for the other.  Tagging every real with its type makes equal keys
-    mean equal values of equal types.  Sample and table entries are read
-    by value only, so they stay as they are.
-    """
-    if is_dataclass(x) and not isinstance(x, type):
-        return (type(x),) + tuple(
-            getattr(x, f.name) if f.name in _UNTAGGED_FIELDS else exact_key(getattr(x, f.name))
-            for f in fields(x))
-    if isinstance(x, tuple):
-        return tuple(exact_key(v) for v in x)
-    if isinstance(x, (Fraction, float, int)):
-        return (type(x), x)
-    return x
+    def code(self, x: Fraction) -> int:
+        """The code of a coordinate x in [0, 1)."""
+        j, rem = divmod(x.numerator * self.n, x.denominator)
+        return self._ids.setdefault(Fraction(rem, x.denominator), len(self._ids)) * self.n + j
 
 
 #: Compiled objects one block keeps: a scenario's fields, symbols, families
@@ -147,8 +116,8 @@ _MISSING = object()
 class CompiledMemo:
     """Compiled objects of one shared_compilation() block.
 
-    Entries are keyed by exact_key and evicted least recently used beyond
-    MEMO_SIZE; the index spaces, one per grid size, live as long as the
+    Entries are keyed by value (the frozen dataclasses themselves) and
+    evicted least recently used beyond MEMO_SIZE; the index spaces, one per grid size, live as long as the
     block, so codes compiled at different times stay comparable.
     """
 
@@ -157,10 +126,7 @@ class CompiledMemo:
         self.spaces: dict[int, IndexSpace] = {}
 
     def get(self, key: tuple, build: Callable):
-        try:
-            value = self.entries.get(key, _MISSING)
-        except TypeError:  # an unhashable user object: nothing to share
-            return build()
+        value = self.entries.get(key, _MISSING)
         if value is _MISSING:
             value = self.entries[key] = build()
             if len(self.entries) > MEMO_SIZE:
@@ -205,7 +171,7 @@ def memoized(kind: str, n: int, objs: tuple, build: Callable):
     memo = _MEMO.get()
     if memo is None:
         return build()
-    return memo.get((kind, n, *map(exact_key, objs)), build)
+    return memo.get((kind, n, *objs), build)
 
 
 def index_space(n: int) -> IndexSpace:
@@ -237,15 +203,14 @@ class GridCircle:
     def coord(self, k: int) -> Fraction:
         return Fraction(k % self.n, self.n)
 
-    def index_of(self, p: Coordinate) -> int:
+    def index_of(self, p: Fraction) -> int:
         """Grid index of an on-grid coordinate; rejects off-grid points."""
-        q = Fraction(p) if not isinstance(p, Fraction) else p
-        scaled = q * self.n
+        scaled = _as_fraction(p) * self.n
         if scaled.denominator != 1:
             raise ValueError(f"{p!r} is not a grid point of the {self.n}-point grid")
         return scaled.numerator % self.n
 
-    def contains(self, p: Coordinate) -> bool:
+    def contains(self, p: Fraction) -> bool:
         try:
             self.index_of(p)
         except ValueError:
@@ -253,22 +218,29 @@ class GridCircle:
         return True
 
 
+def _half_width(h, what: str) -> Fraction:
+    h = _as_fraction(h)
+    if not (0 < h <= Fraction(1, 2)):
+        raise ValueError(f"{what} half_width must lie in (0, 1/2], got {h}")
+    return h
+
+
 @dataclass(frozen=True)
 class Arc:
     """Closed arc {s : d(s, center) <= half_width}, half_width in (0, 1/2]."""
 
-    center: Coordinate
-    half_width: Coordinate
+    center: Fraction
+    half_width: Fraction
 
     def __post_init__(self) -> None:
-        if not (0 < self.half_width <= Fraction(1, 2)):
-            raise ValueError(f"arc half_width must lie in (0, 1/2], got {self.half_width}")
+        object.__setattr__(self, "center", frac_mod1(self.center))
+        object.__setattr__(self, "half_width", _half_width(self.half_width, "arc"))
 
     @property
-    def length(self) -> Coordinate:
+    def length(self) -> Fraction:
         return 2 * self.half_width
 
-    def contains(self, p: Coordinate) -> bool:
+    def contains(self, p: Fraction) -> bool:
         return circle_distance(p, self.center) <= self.half_width
 
     def grid_points(self, grid: GridCircle) -> list[Fraction]:
@@ -301,13 +273,17 @@ class ScalarField:
     amplitude: float = 1.0
     offset: float = 0.0
     frequency: int = 1
-    center: Coordinate = Fraction(0)
-    half_width: Coordinate = Fraction(1, 4)
+    center: Fraction = Fraction(0)
+    half_width: Fraction = Fraction(1, 4)
     peak: float = 1.0
     base: float = 0.0
     samples: tuple[complex, ...] = ()
     n: int = 0
     factors: tuple["ScalarField", ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "center", frac_mod1(self.center))
+        object.__setattr__(self, "half_width", _half_width(self.half_width, "tent"))
 
     @classmethod
     def constant(cls, value: complex) -> "ScalarField":
@@ -324,15 +300,13 @@ class ScalarField:
                    frequency=int(frequency))
 
     @classmethod
-    def tent(cls, center: Coordinate, half_width: Coordinate,
+    def tent(cls, center: Fraction, half_width: Fraction,
              peak: float = 1.0, base: float = 0.0) -> "ScalarField":
-        if not (0 < half_width <= Fraction(1, 2)):
-            raise ValueError(f"tent half_width must lie in (0, 1/2], got {half_width}")
         return cls(kind="tent", center=center, half_width=half_width,
                    peak=float(peak), base=float(base))
 
     @classmethod
-    def tent_dip(cls, center: Coordinate, half_width: Coordinate,
+    def tent_dip(cls, center: Fraction, half_width: Fraction,
                  depth: float, top: float = 1.0) -> "ScalarField":
         """Plateau at `top` dipping linearly to `top - depth` at `center`."""
         return cls.tent(center, half_width, peak=float(top) - float(depth),
@@ -349,7 +323,7 @@ class ScalarField:
     def product(cls, left: "ScalarField", right: "ScalarField") -> "ScalarField":
         return cls(kind="product", factors=(left, right))
 
-    def __call__(self, s: Coordinate) -> complex:
+    def __call__(self, s: Fraction) -> complex:
         k = self.kind
         if k == "constant":
             return self.value
@@ -375,17 +349,12 @@ class ScalarField:
 def arc_mask(arc: Arc, n: int) -> np.ndarray:
     """Which points k/n of the n-point grid lie on the arc, exactly.
 
-    For a rational center c and half-width h this is integer arithmetic:
-    with D = n * den(c), the distance |k/n - c| is A_k / D where
-    A_k = |k den(c) - num(c) n|, so d(k/n, c) <= h reads
-    min(A_k, D - A_k) den(h) <= num(h) D.  Python integers take over from
-    int64 when the products could overflow.  Float ends fall back to
-    ``Arc.contains`` at every point.
+    With center c and half-width h, and D = n * den(c), the distance
+    |k/n - c| is A_k / D where A_k = |k den(c) - num(c) n|, so
+    d(k/n, c) <= h reads min(A_k, D - A_k) den(h) <= num(h) D.  Python
+    integers take over from int64 when the products could overflow.
     """
     c, h = arc.center, arc.half_width
-    if not (is_rational(c) and is_rational(h)):
-        return np.array([arc.contains(Fraction(k, n)) for k in range(n)], dtype=bool)
-    c, h = Fraction(c), Fraction(h)
     D = n * c.denominator
     big = (2 * D + abs(c.numerator) * n) * h.denominator + h.numerator * D
     k = np.arange(n, dtype=np.int64 if big < 2 ** 62 else object)
@@ -427,29 +396,34 @@ class SymbolMap:
     """
 
     kind: str
-    shift: Coordinate = Fraction(0)
+    shift: Fraction = Fraction(0)
     arc: Arc | None = None
-    value: Coordinate | None = None
+    value: Fraction | None = None
     base: "SymbolMap | None" = None
     table: tuple[int, ...] = ()
     n: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "shift", frac_mod1(self.shift))
+        if self.value is not None:
+            object.__setattr__(self, "value", frac_mod1(self.value))
 
     @classmethod
     def identity(cls) -> "SymbolMap":
         return cls(kind="identity")
 
     @classmethod
-    def rotation(cls, shift: Coordinate) -> "SymbolMap":
-        return cls(kind="rotation", shift=frac_mod1(shift))
+    def rotation(cls, shift: Fraction) -> "SymbolMap":
+        return cls(kind="rotation", shift=shift)
 
     @classmethod
     def doubling(cls) -> "SymbolMap":
         return cls(kind="doubling")
 
     @classmethod
-    def constant_on_arc(cls, value: Coordinate, arc: Arc,
+    def constant_on_arc(cls, value: Fraction, arc: Arc,
                         base: "SymbolMap | None" = None) -> "SymbolMap":
-        return cls(kind="constant_on_arc", value=frac_mod1(value), arc=arc,
+        return cls(kind="constant_on_arc", value=value, arc=arc,
                    base=base if base is not None else cls.identity())
 
     @classmethod
@@ -461,7 +435,7 @@ class SymbolMap:
             raise ValueError("symbol table entries must be grid indices in [0, n)")
         return cls(kind="table", table=mapping, n=n)
 
-    def __call__(self, s: Coordinate) -> Coordinate:
+    def __call__(self, s: Fraction) -> Fraction:
         k = self.kind
         if k == "identity":
             r = frac_mod1(s)
@@ -475,7 +449,7 @@ class SymbolMap:
             r = Fraction(self.table[GridCircle(self.n).index_of(s)], self.n)
         else:
             raise ValueError(f"unknown symbol kind {k!r}")
-        if not (0 <= r < 1):  # NaN or a reduction bug both land here
+        if not (0 <= r < 1):  # a table built by hand can point off its grid
             raise ValueError(f"symbol produced {r!r}, outside [0, 1)")
         return r
 
@@ -491,8 +465,8 @@ def symbol_max_jump(phi: SymbolMap, grid: GridCircle) -> float:
 
 
 @compiles
-def preimage_nowhere_dense_at_resolution(phi: SymbolMap, t: Coordinate,
-                                         delta: Coordinate, grid: GridCircle) -> bool:
+def preimage_nowhere_dense_at_resolution(phi: SymbolMap, t: Fraction,
+                                         delta: Fraction, grid: GridCircle) -> bool:
     """True iff every closed arc of length delta holds a grid point with phi(s) != t.
 
     delta must satisfy 2/n <= delta <= 1/2 so that the stingiest placement of
@@ -500,18 +474,14 @@ def preimage_nowhere_dense_at_resolution(phi: SymbolMap, t: Coordinate,
     via run-length counting, to: no circular run of floor(n*delta) consecutive
     grid points is mapped entirely to t.
     """
+    t, delta = frac_mod1(t), _as_fraction(delta)
     if not (0 < delta <= Fraction(1, 2)):
         raise ValueError(f"resolution delta must lie in (0, 1/2], got {delta}")
-    exact = Fraction(delta) if not isinstance(delta, Fraction) else delta
-    min_pts = int(grid.n * exact)  # floor; exact for rational delta
+    min_pts = int(grid.n * delta)  # floor
     if min_pts < 2:
         raise ValueError(
             f"grid too coarse: a delta={delta} arc can contain {min_pts} < 2 grid points")
-    codes = symbol_codes(phi, grid.n)
-    if codes is None or not is_rational(t):
-        hits = [points_equal(phi(p), t) for p in grid.points()]
-    else:
-        hits = (codes == index_space(grid.n).code(t)).tolist()
+    hits = (symbol_codes(phi, grid.n) == index_space(grid.n).code(t)).tolist()
     if all(hits):
         return False
     # longest circular run of consecutive hits
@@ -529,18 +499,7 @@ def image_count_on_arc(phi: SymbolMap, U: Arc, grid: GridCircle) -> int:
     pts = U.grid_points(grid)
     if not pts:
         raise ValueError("arc contains no grid point; refine the grid or widen the arc")
-    images = [phi(p) for p in pts]
-    if all(isinstance(v, Fraction) for v in images):
-        return len(set(images))
-    # continuous values: cluster at the matching tolerance
-    ordered = sorted(float(v) for v in images)
-    clusters = 1
-    for a, b in zip(ordered, ordered[1:]):
-        if b - a > ETA:
-            clusters += 1
-    if clusters > 1 and circle_distance(ordered[0], ordered[-1]) <= ETA:
-        clusters -= 1  # first and last wrap onto each other
-    return clusters
+    return len({phi(p) for p in pts})
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +525,8 @@ def _tabulate(u: ScalarField, n: int) -> np.ndarray:
         theta = (TWO_PI * u.frequency * x).tolist()
         cos = np.array([math.cos(t) for t in theta])
         return (u.offset + u.amplitude * cos).astype(complex)
-    if k == "tent" and is_rational(u.center) and is_rational(u.half_width):
-        c, h = Fraction(u.center), Fraction(u.half_width)
+    if k == "tent":
+        c, h = u.center, u.half_width
         D = n * c.denominator
         # ratio = d(k/n, c) / h = min(A_k, D - A_k) den(h) / (D num(h)), rounded
         # once as float(Fraction) does; float64 division of operands below
@@ -587,20 +546,18 @@ def _tabulate(u: ScalarField, n: int) -> np.ndarray:
     return np.array([u(Fraction(j, n)) for j in range(n)], dtype=complex)
 
 
-def symbol_codes(phi: SymbolMap, n: int) -> np.ndarray | None:
-    """Codes of phi(k/n) in the current block's index space (read-only), or
-    None when some image is not rational.  Needs a shared_compilation()
-    block: codes compare only with codes of the same block."""
+def symbol_codes(phi: SymbolMap, n: int) -> np.ndarray:
+    """Codes of phi(k/n) in the current block's index space (read-only).
+    Needs a shared_compilation() block: codes compare only with codes of
+    the same block."""
     return memoized("symbol", n, (phi,), lambda: _symbol_codes(phi, index_space(n)))
 
 
-def _symbol_codes(phi: SymbolMap, space: IndexSpace) -> np.ndarray | None:
+def _symbol_codes(phi: SymbolMap, space: IndexSpace) -> np.ndarray:
     codes = _closed_form_codes(phi, space)
     if codes is None:
-        images = [phi(Fraction(k, space.n)) for k in range(space.n)]
-        if not all(is_rational(x) for x in images):
-            return None
-        codes = np.array([space.code(x) for x in images], dtype=np.int64)
+        codes = np.array([space.code(phi(Fraction(k, space.n))) for k in range(space.n)],
+                         dtype=np.int64)
     return _frozen(codes)
 
 
@@ -613,19 +570,17 @@ def _closed_form_codes(phi: SymbolMap, space: IndexSpace) -> np.ndarray | None:
         return k
     if phi.kind == "doubling":
         return 2 * k % n
-    if phi.kind == "rotation" and is_rational(phi.shift):
+    if phi.kind == "rotation":
         # k/n + shift = (k + m + f)/n with m = floor(n shift) and 0 <= f < 1,
         # so the image mod 1 is ((k + m) mod n + f)/n: grid index (k + m) mod n
         # at the offset of f/n, whose own grid index is 0
-        shift = Fraction(phi.shift)
-        m = shift.numerator * n // shift.denominator
-        return space.code((n * shift - m) / n) + (k + m) % n
+        m = phi.shift.numerator * n // phi.shift.denominator
+        return space.code((n * phi.shift - m) / n) + (k + m) % n
     if phi.kind == "table" and phi.n == n:
         table = np.array(phi.table, dtype=np.int64)
         if table.size and 0 <= table.min() and table.max() < n:
             return table
-    if (phi.kind == "constant_on_arc" and is_rational(phi.value)
-            and 0 <= phi.value < 1 and isinstance(phi.base, SymbolMap)):
+    if phi.kind == "constant_on_arc" and isinstance(phi.base, SymbolMap):
         base = _closed_form_codes(phi.base, space)
         if base is None:
             return None

@@ -33,23 +33,21 @@ import numpy as np
 
 from .circle import (
     Arc,
-    Coordinate,
     GridCircle,
     ScalarField,
     SymbolMap,
     arc_mask,
     compiles,
+    frac_mod1,
     index_space,
-    is_rational,
     modulus,
     modulus_constancy,
-    points_equal,
     preimage_nowhere_dense_at_resolution,
     symbol_codes,
     tabulate,
 )
 from .errors import InvariantViolation
-from .measures import dirac, point_mass
+from .measures import dirac
 from .operators import (
     ConvexCombination,
     FiniteRankOperator,
@@ -297,7 +295,7 @@ def counterexample_nonconstant_modulus(u: ScalarField, phi: SymbolMap,
 
 
 @compiles
-def counterexample_fat_preimage(u: ScalarField, phi: SymbolMap, t: Coordinate,
+def counterexample_fat_preimage(u: ScalarField, phi: SymbolMap, t: Fraction,
                                 U: Arc, grid: GridCircle,
                                 tol: float = 1e-9) -> CounterexampleResult:
     """Rank-one operator breaking additivity when phi collapses the arc U to t.
@@ -307,6 +305,7 @@ def counterexample_fat_preimage(u: ScalarField, phi: SymbolMap, t: Coordinate,
     Inside U the aligned mass cancels against u down to sup|u|/2; outside,
     values top out at (3/2) sup|u|, leaving a gap of sup|u|/2.
     """
+    t = frac_mod1(t)
     report = modulus_constancy(u, grid, tol=tol)
     if not report.constant:
         raise ValueError(
@@ -316,15 +315,9 @@ def counterexample_fat_preimage(u: ScalarField, phi: SymbolMap, t: Coordinate,
     on_arc = arc_mask(U, grid.n)
     if not on_arc.any():
         raise ValueError("arc contains no grid point")
-    codes = symbol_codes(phi, grid.n)
-    if codes is None or not is_rational(t):
-        misses = (k for k in np.flatnonzero(on_arc).tolist()
-                  if not points_equal(phi(grid.coord(k)), t))
-    else:
-        misses = iter(np.flatnonzero(on_arc & (codes != index_space(grid.n).code(t))).tolist())
-    k = next(misses, None)
-    if k is not None:
-        p = grid.coord(k)
+    misses = np.flatnonzero(on_arc & (symbol_codes(phi, grid.n) != index_space(grid.n).code(t)))
+    if misses.size:
+        p = grid.coord(int(misses[0]))
         raise ValueError(
             f"arc is not inside the preimage of {t!r}: phi({p}) = {phi(p)!r}")
 
@@ -418,7 +411,7 @@ def refinement_convergence(u: ScalarField, phi: SymbolMap, T: SupportsMeasureAt,
         targets = []
         for k in range(target_samples):
             tval = phi(grid.coord(k * n // target_samples))
-            if not any(points_equal(tval, seen) for seen in targets):
+            if tval not in targets:
                 targets.append(tval)
         ok = all(
             preimage_nowhere_dense_at_resolution(phi, tval, delta, grid)
@@ -435,8 +428,8 @@ class ConvexCheckResult:
     gap: float
     norm: float            # ||t C_phi + (1-t) C_psi + T||
     upper: float           # 1 + ||T||
-    delta: tuple[tuple[Coordinate, float], ...]        # on {phi(s) != psi(s)}
-    delta_tilde: tuple[tuple[Coordinate, float], ...]  # on {phi(s) == psi(s)}
+    delta: tuple[tuple[Fraction, float], ...]        # on {phi(s) != psi(s)}
+    delta_tilde: tuple[tuple[Fraction, float], ...]  # on {phi(s) == psi(s)}
 
 
 @compiles
@@ -463,38 +456,19 @@ def convex_center_check(cc: ConvexCombination, T: SupportsMeasureAt,
     if gap < -1e-9:
         raise InvariantViolation(f"norm {norm!r} exceeds the bound {upper!r}")
 
-    pts = grid.points()
     fam = compiled_family(T, grid.n)
     phi, psi = symbol_codes(cc.phi, grid.n), symbol_codes(cc.psi, grid.n)
-    if fam is None or phi is None or psi is None:
-        values, agree = [], []
-        for p in pts:
-            mu = T.measure_at(p)
-            fp, gp = cc.phi(p), cc.psi(p)
-            m_phi = point_mass(mu, fp)
-            agree.append(points_equal(fp, gp))
-            if agree[-1]:
-                value = abs(1.0 + m_phi) - (1.0 + abs(m_phi))
-            else:
-                m_psi = point_mass(mu, gp)
-                value = (abs(cc.t + m_phi) + abs(1.0 - cc.t + m_psi)
-                         - (1.0 + abs(m_phi) + abs(m_psi)))
-            values.append(value)
-            if value > FLOAT_SLACK:
-                break
-    else:
-        m_phi, m_psi = point_masses(fam, phi)[0], point_masses(fam, psi)[0]
-        same = phi == psi
-        agree = same.tolist()
-        values = np.where(
-            same,
-            modulus(1.0 + m_phi) - (1.0 + modulus(m_phi)),
-            (modulus(cc.t + m_phi) + modulus(1.0 - cc.t + m_psi))
-            - (1.0 + modulus(m_phi) + modulus(m_psi))).tolist()
-    delta: list[tuple[Coordinate, float]] = []
-    delta_tilde: list[tuple[Coordinate, float]] = []
-    for p, same, value in zip(pts, agree, values):
-        (delta_tilde if same else delta).append((p, value))
+    m_phi, m_psi = point_masses(fam, phi)[0], point_masses(fam, psi)[0]
+    same = phi == psi
+    values = np.where(
+        same,
+        modulus(1.0 + m_phi) - (1.0 + modulus(m_phi)),
+        (modulus(cc.t + m_phi) + modulus(1.0 - cc.t + m_psi))
+        - (1.0 + modulus(m_phi) + modulus(m_psi)))
+    delta: list[tuple[Fraction, float]] = []
+    delta_tilde: list[tuple[Fraction, float]] = []
+    for p, agree, value in zip(grid.points(), same.tolist(), values.tolist()):
+        (delta_tilde if agree else delta).append((p, value))
         if value > FLOAT_SLACK:
             raise InvariantViolation(
                 f"positive deficiency {value!r} at s={p}; bounded by zero")

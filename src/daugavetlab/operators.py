@@ -24,26 +24,29 @@ bit what the per-point route computes.  Families and profiles are kept in
 the block's memo, keyed by value, so every check of a scenario reads the
 same profile.
 
+The operators are the four classes below and their nested sums; the
+compiler covers all of them, and any other type raises TypeError.
+
 Reference pass.  The first time a profile is built, the per-point route
 runs once at every grid point: T.measure_at, linear_combine with
 uC_phi's atom, total_variation.  Its direct norm must match the compiled
 split |u + m| + off, and total_variation(mu_s) the compiled row total
 variation, within SPLIT_VS_DIRECT_TOL, else InvariantViolation names the
-point.  An operator or symbol the compiler does not cover (a float
-coordinate, a type of the caller's own) takes the per-point route for the
-whole profile, with the same cross-check.
+point.  The per-point route is a check only: it builds nothing the checks
+read and names nothing of the compiled route, so it stays an independent
+witness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
+from fractions import Fraction
+from typing import Union
 
 import numpy as np
 
 from .circle import (
-    Coordinate,
     GridCircle,
     IndexSpace,
     ScalarField,
@@ -51,7 +54,6 @@ from .circle import (
     cmul,
     compiles,
     index_space,
-    is_rational,
     memoized,
     modulus,
     modulus_constancy,
@@ -60,14 +62,7 @@ from .circle import (
     tabulate,
 )
 from .errors import InvariantViolation
-from .measures import (
-    AtomicMeasure,
-    dirac,
-    linear_combine,
-    point_mass,
-    total_variation,
-    tv_excluding,
-)
+from .measures import AtomicMeasure, dirac, linear_combine, total_variation
 
 __all__ = [
     "SupportsMeasureAt",
@@ -91,10 +86,6 @@ __all__ = [
 SPLIT_VS_DIRECT_TOL = 1e-12
 
 
-class SupportsMeasureAt(Protocol):
-    def measure_at(self, s: Coordinate) -> AtomicMeasure: ...
-
-
 @dataclass(frozen=True)
 class WeightedComposition:
     """f -> u * (f o phi); measure family u(s) * delta_{phi(s)}."""
@@ -102,7 +93,7 @@ class WeightedComposition:
     u: ScalarField
     phi: SymbolMap
 
-    def measure_at(self, s: Coordinate) -> AtomicMeasure:
+    def measure_at(self, s: Fraction) -> AtomicMeasure:
         return AtomicMeasure.from_atoms([(self.phi(s), self.u(s))])
 
     def weight_sup(self, grid: GridCircle) -> float:
@@ -120,7 +111,7 @@ class FiniteRankOperator:
     def rank_one(cls, g: ScalarField, mu: AtomicMeasure) -> "FiniteRankOperator":
         return cls(((g, mu),))
 
-    def measure_at(self, s: Coordinate) -> AtomicMeasure:
+    def measure_at(self, s: Fraction) -> AtomicMeasure:
         return linear_combine([g(s) for g, _ in self.terms],
                               [mu for _, mu in self.terms])
 
@@ -137,7 +128,7 @@ class ConvexCombination:
         if not (0.0 <= self.t <= 1.0):
             raise ValueError(f"convex weight t must lie in [0, 1], got {self.t}")
 
-    def measure_at(self, s: Coordinate) -> AtomicMeasure:
+    def measure_at(self, s: Fraction) -> AtomicMeasure:
         return linear_combine([self.t, 1.0 - self.t],
                               [dirac(self.phi(s)), dirac(self.psi(s))])
 
@@ -148,15 +139,21 @@ class OperatorExpr:
 
     terms: tuple[tuple[complex, SupportsMeasureAt], ...] = ()
 
-    def measure_at(self, s: Coordinate) -> AtomicMeasure:
+    def measure_at(self, s: Fraction) -> AtomicMeasure:
         return linear_combine([c for c, _ in self.terms],
                               [op.measure_at(s) for _, op in self.terms])
 
-    def __add__(self, other: "OperatorExpr | SupportsMeasureAt") -> "OperatorExpr":
+    def __add__(self, other: SupportsMeasureAt) -> "OperatorExpr":
         return OperatorExpr(self.terms + as_expr(other).terms)
 
 
-def rank_one(g: ScalarField, at: Coordinate,
+#: The operators of the library: a closed set, every member of which
+#: compiles.
+SupportsMeasureAt = Union[WeightedComposition, FiniteRankOperator, ConvexCombination,
+                          OperatorExpr]
+
+
+def rank_one(g: ScalarField, at: Fraction,
              scale: complex = 1.0) -> FiniteRankOperator:
     """The ubiquitous f -> scale * f(at) * g."""
     return FiniteRankOperator.rank_one(g, AtomicMeasure.from_atoms([(at, scale)]))
@@ -176,7 +173,7 @@ def zero_operator() -> OperatorExpr:
     return OperatorExpr(())
 
 
-def measure_at(T: SupportsMeasureAt, s: Coordinate) -> AtomicMeasure:
+def measure_at(T: SupportsMeasureAt, s: Fraction) -> AtomicMeasure:
     """The adjoint image of the point evaluation at s."""
     return T.measure_at(s)
 
@@ -244,43 +241,34 @@ def _combine(coeffs, families: list[CompiledFamily], n: int) -> CompiledFamily:
     return _canonical(codes, weights, present, n)
 
 
-def compile_family(T: SupportsMeasureAt, space: IndexSpace) -> CompiledFamily | None:
-    """The family of T on space's grid, or None where the compiler does not
-    reach: a float coordinate or an operator type of its own."""
+def compile_family(T: SupportsMeasureAt, space: IndexSpace) -> CompiledFamily:
+    """The family of T on space's grid."""
     n = space.n
     if isinstance(T, WeightedComposition):
-        codes = symbol_codes(T.phi, n)
-        if codes is None:
-            return None
         w = tabulate(T.u, n)
-        return _canonical([codes], [w], [w != 0], n)
+        return _canonical([symbol_codes(T.phi, n)], [w], [w != 0], n)
     if isinstance(T, FiniteRankOperator):
         codes, weights, present = [], [], []
         for g, mu in T.terms:
             c = tabulate(g, n)
             for pos, w in mu.atoms:
-                if not is_rational(pos):
-                    return None
                 codes.append(space.code(pos))
                 weights.append(cmul(c, complex(w)))
                 present.append(c != 0)
         return _canonical(codes, weights, present, n)
     if isinstance(T, ConvexCombination):
-        phi, psi = symbol_codes(T.phi, n), symbol_codes(T.psi, n)
-        if phi is None or psi is None:
-            return None
-        one = _canonical([phi], [1 + 0j], [True], n)
-        other = _canonical([psi], [1 + 0j], [True], n)
+        one = _canonical([symbol_codes(T.phi, n)], [1 + 0j], [True], n)
+        other = _canonical([symbol_codes(T.psi, n)], [1 + 0j], [True], n)
         return _combine([T.t, 1.0 - T.t], [one, other], n)
     if isinstance(T, OperatorExpr):
-        inner = [compiled_family(op, n) for _, op in T.terms]
-        if any(f is None for f in inner):
-            return None
-        return _combine([c for c, _ in T.terms], inner, n)
-    return None
+        return _combine([c for c, _ in T.terms],
+                        [compiled_family(op, n) for _, op in T.terms], n)
+    raise TypeError(f"{type(T).__name__} is not an operator of daugavetlab: use "
+                    "WeightedComposition, FiniteRankOperator, ConvexCombination "
+                    "or OperatorExpr")
 
 
-def compiled_family(T: SupportsMeasureAt, n: int) -> CompiledFamily | None:
+def compiled_family(T: SupportsMeasureAt, n: int) -> CompiledFamily:
     """T's family on the n-point grid, compiled once per shared_compilation()
     block (which this needs: its codes belong to the block's index space)."""
     return memoized("family", n, (T,), lambda: compile_family(T, index_space(n)))
@@ -305,10 +293,7 @@ def point_masses(fam: CompiledFamily, targets: np.ndarray) -> tuple[np.ndarray, 
 @compiles
 def operator_norm(T: SupportsMeasureAt, grid: GridCircle) -> float:
     """sup over grid points of the total variation of the measure family."""
-    fam = compiled_family(T, grid.n)
-    if fam is None:
-        return max(total_variation(T.measure_at(p)) for p in grid.points())
-    return float(fam.tv.max())
+    return float(compiled_family(T, grid.n).tv.max())
 
 
 @dataclass(frozen=True)
@@ -316,7 +301,7 @@ class PerturbationProfile:
     """Per-point data of uC_phi + T: weight u(s), aligned mass mu_s({phi(s)}),
     off-target variation |mu_s|(S - {phi(s)}) and total variation |mu_s|(S)."""
 
-    points: tuple[Coordinate, ...]
+    points: tuple[Fraction, ...]
     weight: np.ndarray           # complex
     aligned_mass: np.ndarray     # complex
     off_mass: np.ndarray         # real
@@ -330,15 +315,11 @@ def _split(prof: PerturbationProfile) -> np.ndarray:
 
 
 def _compiled_profile(wc: WeightedComposition, T: SupportsMeasureAt,
-                      grid: GridCircle) -> PerturbationProfile | None:
-    """The profile read off T's compiled family at phi's codes, or None
-    where the compiler does not reach."""
+                      grid: GridCircle) -> PerturbationProfile:
+    """The profile read off T's compiled family at phi's codes."""
     n = grid.n
     fam = compiled_family(T, n)
-    targets = symbol_codes(wc.phi, n)
-    if fam is None or targets is None:
-        return None
-    aligned, slot = point_masses(fam, targets)
+    aligned, slot = point_masses(fam, symbol_codes(wc.phi, n))
     off = fam.tv.copy()
     rows = np.flatnonzero(slot >= 0)
     if rows.size:  # the rest have no atom on target: off = tv exactly
@@ -350,48 +331,26 @@ def _compiled_profile(wc: WeightedComposition, T: SupportsMeasureAt,
 
 def _checked_profile(wc: WeightedComposition, T: SupportsMeasureAt,
                      grid: GridCircle) -> PerturbationProfile:
-    """The profile, after one pass of the per-point route over every point.
+    """The compiled profile, after one pass of the per-point route over
+    every point.
 
     That pass computes the direct norm total_variation(linear_combine(
     [1, 1], [uC_phi's atom, mu_s])) and total_variation(mu_s), and holds
-    the profile's split and row total variation to them.  Where the
-    compiler does not reach, the same pass builds the profile itself with
-    point_mass and tv_excluding.
+    the profile's split and row total variation to them.
     """
     prof = _compiled_profile(wc, T, grid)
-    pts = grid.points() if prof is None else prof.points
-    n = len(pts)
-    if prof is None:
-        weight = np.empty(n, dtype=complex)
-        aligned = np.empty(n, dtype=complex)
-        off = np.empty(n, dtype=float)
-        tv = np.empty(n, dtype=float)
-    else:
-        split = _split(prof).tolist()
-        tv = prof.total_variation.tolist()
-    for i, p in enumerate(pts):
+    for p, s, tv in zip(prof.points, _split(prof).tolist(), prof.total_variation.tolist()):
         mu = T.measure_at(p)
-        if prof is None:
-            target = wc.phi(p)
-            w, m = wc.u(p), point_mass(mu, target)
-            o = tv_excluding(mu, [target])
-            weight[i], aligned[i], off[i] = w, m, o
-            tv[i] = total_variation(mu)
-            s = abs(w + m) + o
-        else:
-            s = split[i]
-            direct_tv = total_variation(mu)
-            if abs(tv[i] - direct_tv) > SPLIT_VS_DIRECT_TOL:
-                raise InvariantViolation(
-                    f"compiled total variation {tv[i]!r} disagrees with the "
-                    f"measure's total variation {direct_tv!r} at s={p}")
+        direct_tv = total_variation(mu)
+        if abs(tv - direct_tv) > SPLIT_VS_DIRECT_TOL:
+            raise InvariantViolation(
+                f"compiled total variation {tv!r} disagrees with the "
+                f"measure's total variation {direct_tv!r} at s={p}")
         direct = total_variation(linear_combine([1.0, 1.0], [wc.measure_at(p), mu]))
         if abs(s - direct) > SPLIT_VS_DIRECT_TOL:
             raise InvariantViolation(
                 f"aligned/off-target split {s!r} disagrees with direct "
                 f"total variation {direct!r} at s={p}")
-    if prof is None:
-        prof = PerturbationProfile(tuple(pts), weight, aligned, off, tv)
     for a in (prof.weight, prof.aligned_mass, prof.off_mass, prof.total_variation):
         a.flags.writeable = False
     return prof
@@ -487,10 +446,4 @@ def convex_combo_perturbed_norm(cc: ConvexCombination, T: SupportsMeasureAt,
                                 grid: GridCircle) -> float:
     """Exact norm of t*C_phi + (1-t)*C_psi + T via merged atom families."""
     fams = [compiled_family(cc, grid.n), compiled_family(T, grid.n)]
-    if any(f is None for f in fams):
-        return max(
-            total_variation(linear_combine([1.0, 1.0],
-                                           [cc.measure_at(p), T.measure_at(p)]))
-            for p in grid.points()
-        )
     return float(_combine([1.0, 1.0], fams, grid.n).tv.max())

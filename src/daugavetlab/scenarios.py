@@ -8,8 +8,8 @@ runner.  Parsing is strict: unknown or missing keys, malformed coordinates
 and out-of-range values are rejected with the offending path.  Check
 parameters are keyed at parse time and read when the check runs, so a bad
 value becomes an "error" record for that check alone.  Grid coordinates
-are written as exact rational strings ("3/8"); floats are reserved for
-continuous quantities.
+and half-widths are written as exact rational strings ("3/8") and nothing
+else; floats are reserved for continuous quantities.
 
 Reports echo the scenario, the effective parameters of every check, the
 verdicts and the witnesses.  Given the same scenario and seed the rendered
@@ -25,13 +25,11 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Any, Callable
 
 from . import disk as dsk
 from .circle import (
     Arc,
-    Coordinate,
     GridCircle,
     ScalarField,
     SymbolMap,
@@ -218,30 +216,20 @@ SIZE = Int(2, MAX_POINTS)
 COMPLEX = Obj({"re": (REAL, ...), "im": (REAL, 0.0)}, lambda re, im: complex(re, im))
 
 
-def _position(value: Any, path: str, n: int | None = None,
-              exact: bool = False) -> Coordinate:
-    """Rational strings ("3/8") give exact grid coordinates; plain reals are
-    only allowed where continuous coordinates make sense."""
-    if isinstance(value, str):
-        try:
-            q = Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ScenarioError(path, f"malformed rational {value!r}") from None
-        return frac_mod1(q)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return frac_mod1(Fraction(value))
-    if isinstance(value, float) and exact:
-        raise ScenarioError(path, "grid coordinates must be rational strings like \"3/8\"")
-    return frac_mod1(REAL(value, path))
+def _rational(value: Any, path: str, n: int | None = None) -> Fraction:
+    """A rational string ("3/8")."""
+    if not isinstance(value, str):
+        raise ScenarioError(path, "coordinates and widths are rational strings like "
+                                  f"\"3/8\", got {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ScenarioError(path, f"malformed rational {value!r}") from None
 
 
-def _width(value: Any, path: str, n: int | None = None) -> Coordinate:
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ScenarioError(path, f"malformed rational {value!r}") from None
-    return REAL(value, path)
+def _position(value: Any, path: str, n: int | None = None) -> Fraction:
+    """A grid coordinate: a rational string, reduced into [0, 1)."""
+    return frac_mod1(_rational(value, path))
 
 
 def _sized(value: Any, path: str, n: int | None, what: str) -> None:
@@ -292,9 +280,9 @@ FIELD.kinds.update({
                           ScalarField.unimodular_exp),
     "cosine": Obj({"amplitude": (REAL, 1.0), "offset": (REAL, 0.0),
                    "frequency": (INT, 1)}, ScalarField.cosine),
-    "tent": Obj({"center": (_position, ...), "half_width": (_width, ...),
+    "tent": Obj({"center": (_position, ...), "half_width": (_rational, ...),
                  "peak": (REAL, 1.0), "base": (REAL, 0.0)}, ScalarField.tent),
-    "tent_dip": Obj({"center": (_position, ...), "half_width": (_width, ...),
+    "tent_dip": Obj({"center": (_position, ...), "half_width": (_rational, ...),
                      "depth": (REAL, ...), "top": (REAL, 1.0)}, ScalarField.tent_dip),
     "samples": Obj({"values": (_samples, ...)},
                    lambda values: ScalarField.from_samples(values, len(values))),
@@ -308,14 +296,14 @@ SYMBOL.kinds.update({
     "doubling": Obj({}, SymbolMap.doubling),
     "constant_on_arc": Obj(
         {"value": (_position, ...), "center": (_position, ...),
-         "half_width": (_width, ...), "base": (SYMBOL, None)},
+         "half_width": (_rational, ...), "base": (SYMBOL, None)},
         lambda value, center, half_width, base:
             SymbolMap.constant_on_arc(value, Arc(center, half_width), base)),
     "table": Obj({"map": (_indices, ...)},
                  lambda map: SymbolMap.from_table(map, len(map))),
 })
 
-ATOM = Obj({"pos": (partial(_position, exact=True), ...), "re": (REAL, ...),
+ATOM = Obj({"pos": (_position, ...), "re": (REAL, ...),
             "im": (REAL, 0.0)}, lambda pos, re, im: (pos, complex(re, im)))
 TERM = Obj({"g": (FIELD, ...), "atoms": (ListOf(ATOM), ...)},
            lambda g, atoms: (g, AtomicMeasure.from_atoms(atoms)))
@@ -561,8 +549,8 @@ def _run_cex_modulus(sc: Scenario, tol: float) -> dict:
     return _cex_record(res, sc.n)
 
 
-def _run_cex_preimage(sc: Scenario, target: Coordinate, center: Coordinate,
-                      half_width: Coordinate, tol: float) -> dict:
+def _run_cex_preimage(sc: Scenario, target: Fraction, center: Fraction,
+                      half_width: Fraction, tol: float) -> dict:
     try:
         arc = Arc(center, half_width)
     except ValueError as exc:
@@ -692,7 +680,7 @@ CHECKS: dict[str, Check] = {
     "counterexample-preimage": Check(
         "counterexample", _run_cex_preimage,
         {"target": (_position, ...), "center": (_position, ...),
-         "half_width": (_width, ...), "tol": TOL}),
+         "half_width": (_rational, ...), "tol": TOL}),
     "disk-c-conditions": Check("disk", _run_disk_c_conditions,
                                {"samples": SAMPLES, "tol": TOL}),
     "disk-lower-bound": Check("disk", _run_disk_lower_bound, LADDER),

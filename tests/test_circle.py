@@ -19,7 +19,6 @@ from daugavetlab.circle import (
     index_space,
     modulus,
     modulus_constancy,
-    points_equal,
     preimage_nowhere_dense_at_resolution,
     shared_compilation,
     sup_norm,
@@ -27,6 +26,11 @@ from daugavetlab.circle import (
     symbol_max_jump,
     tabulate,
 )
+from daugavetlab.criteria import counterexample_fat_preimage
+from daugavetlab.measures import AtomicMeasure, dirac
+from daugavetlab.operators import rank_one
+
+FULL = Arc(Fraction(0), Fraction(1, 2))
 
 
 class TestGeometry:
@@ -54,10 +58,34 @@ class TestGeometry:
                 <= circle_distance(frac_mod1(a), frac_mod1(b))
                 + circle_distance(frac_mod1(b), frac_mod1(c)))
 
-    def test_points_equal_mixes_exact_and_float(self):
-        assert points_equal(Fraction(1, 4), Fraction(1, 4))
-        assert not points_equal(Fraction(1, 4), Fraction(1, 4) + Fraction(1, 10 ** 12))
-        assert points_equal(0.25, float(Fraction(1, 4)) + 1e-12)
+    def test_frac_mod1_is_exact_and_strict(self):
+        assert frac_mod1(Fraction(-3, 4)) == Fraction(1, 4)
+        assert frac_mod1(np.int64(7)) == 0 and isinstance(frac_mod1(np.int64(7)), Fraction)
+        for bad in (0.25, True, "1/4"):
+            with pytest.raises(TypeError):
+                frac_mod1(bad)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Arc(0.25, Fraction(1, 8)),
+        lambda: Arc(Fraction(1, 4), 0.125),
+        lambda: ScalarField.tent(0.3, Fraction(1, 5)),
+        lambda: ScalarField.tent_dip(Fraction(0), 0.25, depth=0.5),
+        lambda: SymbolMap.rotation(0.125),
+        lambda: SymbolMap.constant_on_arc(0.5, Arc(Fraction(0), Fraction(1, 4))),
+        lambda: AtomicMeasure.from_atoms([(0.25, 1.0)]),
+        lambda: dirac(0.25),
+        lambda: rank_one(ScalarField.constant(1.0), at=0.25),
+        lambda: preimage_nowhere_dense_at_resolution(
+            SymbolMap.doubling(), 0.5, Fraction(1, 4), GridCircle(16)),
+        lambda: counterexample_fat_preimage(
+            ScalarField.constant(1.0), SymbolMap.constant_on_arc(Fraction(0), FULL),
+            0.0, FULL, GridCircle(16)),
+    ], ids=["arc-center", "arc-half-width", "tent", "tent-dip", "rotation",
+            "constant-on-arc", "from-atoms", "dirac", "rank-one", "preimage",
+            "fat-preimage"])
+    def test_float_coordinate_is_rejected(self, build):
+        with pytest.raises(TypeError, match="exact rationals"):
+            build()
 
     def test_grid_points_are_exact_rationals(self):
         g = GridCircle(8)
@@ -215,7 +243,8 @@ class TestIndexSpace:
             assert [space.code(Fraction(k, 8)) for k in range(8)] == list(range(8))
             codes = {space.code(x) for x in (Fraction(1, big), Fraction(2, big),
                                              Fraction(1, 8) + Fraction(1, big),
-                                             Fraction(9, 8), Fraction(-1, 8))}
+                                             Fraction(7, 8) + Fraction(1, big),
+                                             Fraction(1, 3))}
             assert len(codes) == 5 and codes.isdisjoint(range(8))
             assert space.code(Fraction(2, 2 * big)) == space.code(Fraction(1, big))
 
@@ -237,13 +266,9 @@ class TestIndexSpace:
             space = index_space(g.n)
             assert codes.tolist() == [space.code(phi(p)) for p in g.points()]
 
-    def test_float_images_have_no_codes(self):
-        with shared_compilation():
-            assert symbol_codes(SymbolMap.rotation(0.125), 16) is None
-
     @pytest.mark.parametrize("center, half_width", [
         (Fraction(3, 16), Fraction(1, 8)), (Fraction(1, 3), Fraction(2, 7)),
-        (Fraction(1, 10 ** 40 + 1), Fraction(1, 10 ** 30 + 7)), (0.3, 0.25),
+        (Fraction(1, 10 ** 40 + 1), Fraction(1, 10 ** 30 + 7)), (Fraction(3, 10), Fraction(1, 4)),
     ])
     def test_arc_mask_matches_membership(self, center, half_width):
         arc = Arc(center, half_width)
@@ -257,7 +282,7 @@ class TestIndexSpace:
         ScalarField.cosine(amplitude=0.7, offset=-0.2, frequency=5),
         ScalarField.tent(Fraction(5, 7), Fraction(1, 3), peak=1.3, base=-0.4),
         ScalarField.tent(Fraction(1, 10 ** 40 + 1), Fraction(1, 10 ** 20 + 3)),
-        ScalarField.tent(0.3, 0.2),
+        ScalarField.tent(Fraction(3, 10), Fraction(1, 5)),
         ScalarField.tent_dip(Fraction(1, 8), Fraction(1, 4), depth=0.6),
         ScalarField.from_samples([complex(k, -k / 3) for k in range(24)], 24),
         ScalarField.product(ScalarField.cosine(frequency=2),

@@ -36,10 +36,21 @@ class TestCanonicalForm:
         assert total_variation(mu) == 0.0
 
     def test_wraparound_merge(self):
-        # 1 - 1e-13 and 0 match at float resolution
-        mu = AtomicMeasure.from_atoms([(0.0, 1.0), (1.0 - 1e-13, 1.0)])
-        assert len(mu.atoms) == 1
-        assert mu.atoms[0][1] == 2 + 0j
+        # 1 and 0, -1/4 and 3/4 are the same points of the circle
+        mu = AtomicMeasure.from_atoms([(Fraction(0), 1.0), (Fraction(1), 1.0),
+                                       (Fraction(-1, 4), 1j), (Fraction(3, 4), 1.0)])
+        assert mu.atoms == ((Fraction(0), 2 + 0j), (Fraction(3, 4), 1 + 1j))
+
+    @pytest.mark.parametrize("atoms", [
+        ((Fraction(1, 4), 1 + 0j), (Fraction(1, 4), -1 + 0j)),   # cancelling duplicates
+        ((Fraction(1, 2), 1 + 0j), (Fraction(1, 4), 1 + 0j)),    # descending
+        ((Fraction(1, 4), 0j),),                                 # zero weight
+        ((0.25, 1 + 0j),),                                       # float position
+        ((Fraction(5, 4), 1 + 0j),),                             # outside [0, 1)
+    ], ids=["duplicate", "descending", "zero-weight", "float", "unreduced"])
+    def test_non_canonical_measure_is_rejected(self, atoms):
+        with pytest.raises(ValueError):
+            AtomicMeasure(atoms)
 
     def test_dirac(self):
         assert dirac(Fraction(1, 4)).atoms == ((Fraction(1, 4), 1 + 0j),)

@@ -317,6 +317,15 @@ class TestSchemaRegressions:
         with pytest.raises(ScenarioError, match=r"scenario\.weight\.re"):
             parse_scenario(scenario(weight={"kind": "constant", "re": float("inf")}))
 
+    @pytest.mark.parametrize("symbol, path", [
+        ({"kind": "rotation", "shift": 0.125}, "scenario.symbol.shift"),
+        ({"kind": "constant_on_arc", "value": "0", "center": "0", "half_width": 0.25},
+         "scenario.symbol.half_width")])
+    def test_real_coordinate_exits_one_naming_its_path(self, tmp_path, symbol, path):
+        code, out, err = verify(write(tmp_path, scenario(symbol=symbol)))
+        assert code == 1 and out == ""
+        assert f"{path}: coordinates and widths are rational strings" in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_cli_tol_is_a_finite_nonnegative_real(self, tmp_path, tol):
         code, out, err = verify(write(tmp_path, scenario()), "--tol", tol)
