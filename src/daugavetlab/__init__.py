@@ -58,7 +58,6 @@ from .operators import (
     WeightedComposition,
     as_expr,
     convex_combo_perturbed_norm,
-    measure_at,
     operator_norm,
     perturbation_profile,
     perturbed_norm,
@@ -92,7 +91,7 @@ __all__ = [
     # operators
     "WeightedComposition", "FiniteRankOperator", "ConvexCombination",
     "OperatorExpr", "rank_one", "as_expr", "scaled", "zero_operator",
-    "measure_at", "operator_norm", "perturbation_profile", "perturbed_norm",
+    "operator_norm", "perturbation_profile", "perturbed_norm",
     "rotation_max_norm", "convex_combo_perturbed_norm",
     # norm identities and counterexamples
     "equation_holds", "criterion_sup", "criterion_sweep", "open_set_criterion",

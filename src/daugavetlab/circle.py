@@ -12,8 +12,7 @@ never rounds and two points are equal exactly when they compare equal.
 Topological notions that make no sense on a finite set are rendered at a
 resolution: a preimage is "nowhere dense at resolution delta" when every
 closed arc of length delta contains a grid point mapped elsewhere.
-Continuity of symbols is never enforced; ``symbol_max_jump`` reports the
-largest jump between adjacent grid points as a diagnostic.
+Continuity of symbols is never enforced.
 
 Index space.  Inside a ``shared_compilation()`` block, fields are tabulated
 once per (field, grid) as complex arrays and symbols compile to exact
@@ -64,8 +63,10 @@ def frac_mod1(x) -> Fraction:
 
 
 def circle_distance(a: Fraction, b: Fraction) -> Fraction:
-    """Wraparound distance between two points of [0, 1)."""
+    """Wraparound distance between two points, reduced mod 1 or not.  An
+    in-range |a - b| truncates to 0 and skips the reduction."""
     d = abs(a - b)
+    d = d % 1 if int(d) else d
     return min(d, 1 - d)
 
 
@@ -235,10 +236,6 @@ class Arc:
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", frac_mod1(self.center))
         object.__setattr__(self, "half_width", _half_width(self.half_width, "arc"))
-
-    @property
-    def length(self) -> Fraction:
-        return 2 * self.half_width
 
     def contains(self, p: Fraction) -> bool:
         return circle_distance(p, self.center) <= self.half_width
@@ -454,16 +451,6 @@ class SymbolMap:
         return r
 
 
-def symbol_max_jump(phi: SymbolMap, grid: GridCircle) -> float:
-    """Largest image distance between adjacent grid points (continuity diagnostic)."""
-    pts = grid.points()
-    images = [phi(p) for p in pts]
-    return max(
-        float(circle_distance(images[k], images[(k + 1) % grid.n]))
-        for k in range(grid.n)
-    )
-
-
 @compiles
 def preimage_nowhere_dense_at_resolution(phi: SymbolMap, t: Fraction,
                                          delta: Fraction, grid: GridCircle) -> bool:
@@ -492,14 +479,6 @@ def preimage_nowhere_dense_at_resolution(phi: SymbolMap, t: Fraction,
         longest = max(longest, run)
     longest = min(longest, grid.n)
     return longest < min_pts
-
-
-def image_count_on_arc(phi: SymbolMap, U: Arc, grid: GridCircle) -> int:
-    """Number of distinct symbol values over the grid points of U."""
-    pts = U.grid_points(grid)
-    if not pts:
-        raise ValueError("arc contains no grid point; refine the grid or widen the arc")
-    return len({phi(p) for p in pts})
 
 
 # ---------------------------------------------------------------------------

@@ -37,15 +37,20 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--tol", type=float, default=1e-9,
                      help="default tolerance for checks that accept one")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the scenario seed recorded in the report")
     sub.add_argument("--timings", action="store_true",
                      help="embed per-check runtimes (breaks byte-for-byte "
                           "report reproducibility)")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """A rejected flag exits 1, as a rejected scenario does (not 2)."""
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="daugavetlab",
         description="Exact operator-norm experiments for weighted compositions "
                     "with finite-rank perturbations.")
@@ -84,8 +89,8 @@ def main(argv: list[str] | None = None) -> int:
         allowed = tuple(name for name, c in CHECKS.items() if c.group == args.command)
     try:
         scenario = parse_scenario_file(args.scenario)
-        report = run_scenario(scenario, tol=args.tol, seed=args.seed,
-                              timings=args.timings, allowed=allowed)
+        report = run_scenario(scenario, tol=args.tol, timings=args.timings,
+                              allowed=allowed)
     except (OSError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -46,7 +46,7 @@ from .circle import (
     symbol_codes,
     tabulate,
 )
-from .errors import InvariantViolation
+from .errors import InvariantViolation, agree, at_most
 from .measures import dirac
 from .operators import (
     ConvexCombination,
@@ -81,8 +81,9 @@ __all__ = [
     "convex_center_check",
 ]
 
-#: Floating slack for inequalities that hold exactly in real arithmetic.
-FLOAT_SLACK = 1e-12
+#: Symbol values sampled per grid size for refinement_convergence's
+#: preimage diagnostic.
+TARGET_SAMPLES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +114,9 @@ def _criterion_from_profile(prof: PerturbationProfile, weight_sup: float,
             "empty active set; the norm supremum must belong to it")
     deficiency = _deficiency(prof, weight_sup)
     sup_value = float(deficiency[active].max())
-    if sup_value > FLOAT_SLACK:
-        raise InvariantViolation(
-            f"criterion supremum {sup_value!r} is positive; "
-            "the deficiency is bounded by zero")
+    at_most(sup_value, 0.0, f"criterion supremum {sup_value!r} is positive; "
+                            "the deficiency is bounded by zero",
+            scale=max(weight_sup, t_norm))
     return CriterionResult(epsilon=float(epsilon), active_set_size=int(active.sum()),
                            sup_value=sup_value, holds=sup_value >= -tol)
 
@@ -172,10 +172,8 @@ def equation_holds(wc: WeightedComposition, T: SupportsMeasureAt,
     """Does ||uC_phi + T|| equal sup|u| + ||T|| on the grid, within tol?"""
     lhs = perturbed_norm(wc, T, grid)
     rhs = wc.weight_sup(grid) + operator_norm(T, grid)
+    at_most(lhs, rhs, f"norm {lhs!r} exceeds the additivity bound {rhs!r}")
     gap = rhs - lhs
-    if gap < -1e-9:
-        raise InvariantViolation(
-            f"norm {lhs!r} exceeds the additivity bound {rhs!r}")
     return EquationResult(holds=gap <= tol, lhs=lhs, rhs=rhs, gap=gap)
 
 
@@ -376,8 +374,7 @@ class GapPoint:
 
 @compiles
 def refinement_convergence(u: ScalarField, phi: SymbolMap, T: SupportsMeasureAt,
-                           sizes, tol: float = 1e-9,
-                           target_samples: int = 8) -> list[GapPoint]:
+                           sizes, tol: float = 1e-9) -> list[GapPoint]:
     """Additivity gap of uC_phi + T across grid sizes.
 
     Requires closed-form u and phi (shared across grids) with |u| constant.
@@ -401,23 +398,18 @@ def refinement_convergence(u: ScalarField, phi: SymbolMap, T: SupportsMeasureAt,
             raise ValueError(
                 f"|u| must be constant for the refinement harness "
                 f"(spread {report.spread:.3e} at n={n})")
-        wc = WeightedComposition(u, phi)
-        lhs = perturbed_norm(wc, T, grid)
-        rhs = wc.weight_sup(grid) + operator_norm(T, grid)
-        gap = rhs - lhs
-        if gap < -1e-9:
-            raise InvariantViolation(f"negative gap {gap!r} at n={n}")
+        eq = equation_holds(WeightedComposition(u, phi), T, grid, tol=tol)
         delta = Fraction(4, n)
         targets = []
-        for k in range(target_samples):
-            tval = phi(grid.coord(k * n // target_samples))
+        for k in range(TARGET_SAMPLES):
+            tval = phi(grid.coord(k * n // TARGET_SAMPLES))
             if tval not in targets:
                 targets.append(tval)
         ok = all(
             preimage_nowhere_dense_at_resolution(phi, tval, delta, grid)
             for tval in targets
         )
-        out.append(GapPoint(n=n, gap=gap, perturbed=lhs, upper=rhs,
+        out.append(GapPoint(n=n, gap=eq.gap, perturbed=eq.lhs, upper=eq.rhs,
                             nowhere_dense_ok=ok))
     return out
 
@@ -446,15 +438,13 @@ def convex_center_check(cc: ConvexCombination, T: SupportsMeasureAt,
     additivity means they climb to 0 along the relevant points.
     """
     combo_norm = operator_norm(cc, grid)
-    if abs(combo_norm - 1.0) > FLOAT_SLACK:
-        raise InvariantViolation(
-            f"a convex combination of compositions has norm 1, got {combo_norm!r}")
+    agree(combo_norm, 1.0,
+          f"a convex combination of compositions has norm 1, got {combo_norm!r}")
     t_norm = operator_norm(T, grid)
     norm = convex_combo_perturbed_norm(cc, T, grid)
     upper = combo_norm + t_norm
+    at_most(norm, upper, f"norm {norm!r} exceeds the bound {upper!r}")
     gap = upper - norm
-    if gap < -1e-9:
-        raise InvariantViolation(f"norm {norm!r} exceeds the bound {upper!r}")
 
     fam = compiled_family(T, grid.n)
     phi, psi = symbol_codes(cc.phi, grid.n), symbol_codes(cc.psi, grid.n)
@@ -467,10 +457,10 @@ def convex_center_check(cc: ConvexCombination, T: SupportsMeasureAt,
         - (1.0 + modulus(m_phi) + modulus(m_psi)))
     delta: list[tuple[Fraction, float]] = []
     delta_tilde: list[tuple[Fraction, float]] = []
-    for p, agree, value in zip(grid.points(), same.tolist(), values.tolist()):
-        (delta_tilde if agree else delta).append((p, value))
-        if value > FLOAT_SLACK:
-            raise InvariantViolation(
-                f"positive deficiency {value!r} at s={p}; bounded by zero")
+    for p, same_symbol, value in zip(grid.points(), same.tolist(), values.tolist()):
+        (delta_tilde if same_symbol else delta).append((p, value))
+        if value > 0.0:  # at_most never raises on a value <= 0
+            at_most(value, 0.0, f"positive deficiency {value!r} at s={p}; bounded by zero",
+                    scale=max(combo_norm, t_norm))
     return ConvexCheckResult(holds=gap <= tol, gap=gap, norm=norm, upper=upper,
                              delta=tuple(delta), delta_tilde=tuple(delta_tilde))

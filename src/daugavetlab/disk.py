@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import REL_TOL, at_most
 
 __all__ = [
     "BlaschkeProduct",
@@ -173,9 +173,6 @@ class RankOneDiskOperator:
     def norm(self, samples: int = 4096) -> tuple[float, bool]:
         g_sup, exact = self.g.sup_norm(samples)
         return abs(self.c) * g_sup, exact
-
-    def apply(self, f, z):
-        return self.c * f(self.tau) * self.g(z)
 
 
 @dataclass(frozen=True)
@@ -345,6 +342,16 @@ def _ladder_walk(root: list, zeros: list[complex], points: list):
         stack.extend((child, values, b) for b, child in reversed(children.items()))
 
 
+def _ladder_scale(ladder: SearchLadder, bound: float) -> float:
+    """errors.at_most's scale for a ladder value against bound: a zero at
+    radius r magnifies the rounding of |phi(z)| = 1 +- eps by up to
+    (1 + r)/(1 - r) per factor, so allow 8 ulps of max_depth such factors
+    (or of max_monomial), never less than REL_TOL * max(1, bound)."""
+    r = max(abs(a) for a in ladder.zero_pool())
+    growth = max(ladder.max_depth * (1.0 + r) / (1.0 - r), float(ladder.max_monomial))
+    return bound * max(1.0, 8.0 * float(np.finfo(float).eps) * growth / REL_TOL)
+
+
 @dataclass(frozen=True)
 class LowerBoundResult:
     bound: float
@@ -400,13 +407,11 @@ def disk_norm_lower_bound(u: DiskFunction, phi: DiskFunction,
             witness = dict(desc)
             witness.update({"sample_index": k, "z": complex(z[k])})
 
-    u_sup, u_exact = u.sup_norm(m)
-    t_norm, t_exact = T.norm(m) if T is not None else (0.0, True)
-    slack = 1e-9 if (u_exact and t_exact) else 1e-6
-    if best > u_sup + t_norm + slack:
-        raise InvariantViolation(
-            f"lower bound {best!r} exceeds the triangle bound "
-            f"{u_sup + t_norm!r}")
+    u_sup = u.sup_norm(m)[0]
+    t_norm = T.norm(m)[0] if T is not None else 0.0
+    at_most(best, u_sup + t_norm,
+            f"lower bound {best!r} exceeds the triangle bound {u_sup + t_norm!r}",
+            scale=_ladder_scale(ladder, u_sup + t_norm))
     return LowerBoundResult(bound=best, witness=witness, family_size=count,
                             samples=m)
 
@@ -496,8 +501,7 @@ def certified_counterexample_bound(u: DiskFunction, phi: DiskFunction,
     delta = math.cos(arc.half_angle / 2.0)
     z_off = arc.complement_samples(samples)
     sampled_delta = float(np.max(np.abs(np.asarray(T.g(z_off)))))
-    if sampled_delta > delta + 1e-12:
-        raise InvariantViolation(
+    at_most(sampled_delta, delta,
             f"sampled off-arc sup {sampled_delta!r} exceeds the closed form {delta!r}")
     off_arc = u_sup + u_omega * delta
 
@@ -537,9 +541,9 @@ def automorphism_identity_check(phi: BlaschkeProduct,
                                 DiskFunction.blaschke_multiple(phi), T, ladder)
     t_norm, _ = T.norm(ladder.samples)
     target = 1.0 + t_norm
+    at_most(res.bound, target,
+            f"lower bound {res.bound!r} exceeds the exact norm {target!r}",
+            scale=_ladder_scale(ladder, target))
     deficit = target - res.bound
-    if deficit < -1e-9:
-        raise InvariantViolation(
-            f"lower bound {res.bound!r} exceeds the exact norm {target!r}")
     return AutomorphismResult(lower=res.bound, target=target, deficit=deficit,
                               witness=res.witness)

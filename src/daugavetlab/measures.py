@@ -102,13 +102,15 @@ def total_variation(mu: AtomicMeasure) -> float:
 
 
 def point_mass(mu: AtomicMeasure, t: Fraction) -> complex:
-    """Weight carried at t (0 if no atom there)."""
+    """Weight carried at t, reduced mod 1 (0 if no atom there)."""
+    t = frac_mod1(t)
     return next((w for pos, w in mu.atoms if pos == t), 0j)
 
 
 def tv_excluding(mu: AtomicMeasure, points: Iterable[Fraction]) -> float:
-    """Total variation of the restriction away from the given points."""
-    excluded = list(points)
+    """Total variation of the restriction away from the given points,
+    reduced mod 1."""
+    excluded = [frac_mod1(p) for p in points]
     return math.fsum(abs(w) for pos, w in mu.atoms if pos not in excluded)
 
 

@@ -31,10 +31,10 @@ Reference pass.  The first time a profile is built, the per-point route
 runs once at every grid point: T.measure_at, linear_combine with
 uC_phi's atom, total_variation.  Its direct norm must match the compiled
 split |u + m| + off, and total_variation(mu_s) the compiled row total
-variation, within SPLIT_VS_DIRECT_TOL, else InvariantViolation names the
-point.  The per-point route is a check only: it builds nothing the checks
-read and names nothing of the compiled route, so it stays an independent
-witness.
+variation, to errors.agree's relative tolerance, else InvariantViolation
+names the point.  The per-point route is a check only: it builds nothing
+the checks read and names nothing of the compiled route, so it stays an
+independent witness.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .circle import (
     symbol_codes,
     tabulate,
 )
-from .errors import InvariantViolation
+from .errors import agree, at_most
 from .measures import AtomicMeasure, dirac, linear_combine, total_variation
 
 __all__ = [
@@ -74,7 +74,6 @@ __all__ = [
     "as_expr",
     "scaled",
     "zero_operator",
-    "measure_at",
     "operator_norm",
     "perturbation_profile",
     "perturbed_norm",
@@ -82,8 +81,6 @@ __all__ = [
     "rotation_max_norm",
     "convex_combo_perturbed_norm",
 ]
-
-SPLIT_VS_DIRECT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -171,11 +168,6 @@ def scaled(op: SupportsMeasureAt, coeff: complex) -> OperatorExpr:
 
 def zero_operator() -> OperatorExpr:
     return OperatorExpr(())
-
-
-def measure_at(T: SupportsMeasureAt, s: Fraction) -> AtomicMeasure:
-    """The adjoint image of the point evaluation at s."""
-    return T.measure_at(s)
 
 
 # ---------------------------------------------------------------------------
@@ -339,18 +331,18 @@ def _checked_profile(wc: WeightedComposition, T: SupportsMeasureAt,
     the profile's split and row total variation to them.
     """
     prof = _compiled_profile(wc, T, grid)
+    # the two routes usually agree bit for bit, and equal values always
+    # pass, so only a differing pair goes through the tolerance rule
     for p, s, tv in zip(prof.points, _split(prof).tolist(), prof.total_variation.tolist()):
         mu = T.measure_at(p)
         direct_tv = total_variation(mu)
-        if abs(tv - direct_tv) > SPLIT_VS_DIRECT_TOL:
-            raise InvariantViolation(
-                f"compiled total variation {tv!r} disagrees with the "
-                f"measure's total variation {direct_tv!r} at s={p}")
+        if direct_tv != tv:
+            agree(tv, direct_tv, lambda: f"compiled total variation {tv!r} disagrees with "
+                                         f"the measure's total variation {direct_tv!r} at s={p}")
         direct = total_variation(linear_combine([1.0, 1.0], [wc.measure_at(p), mu]))
-        if abs(s - direct) > SPLIT_VS_DIRECT_TOL:
-            raise InvariantViolation(
-                f"aligned/off-target split {s!r} disagrees with direct "
-                f"total variation {direct!r} at s={p}")
+        if direct != s:
+            agree(s, direct, lambda: f"aligned/off-target split {s!r} disagrees with "
+                                     f"direct total variation {direct!r} at s={p}")
     for a in (prof.weight, prof.aligned_mass, prof.off_mass, prof.total_variation):
         a.flags.writeable = False
     return prof
@@ -392,8 +384,9 @@ def rotation_max_norm(wc: WeightedComposition, T: SupportsMeasureAt,
 
     The analytic value sup_s(|u(s)| + |mu_s({phi(s)})| + off-target mass)
     collapses to sup|u| + ||T||; the lambda-grid search must come within
-    (2*pi/lambda_grid) * ||T|| of it (Lipschitz bound), else
-    InvariantViolation.  lambda_grid=2 restricts to real scalars {1, -1}.
+    (2*pi/lambda_grid) * ||T|| of it (Lipschitz bound) and must not exceed
+    it, up to errors.at_most's relative tolerance, else InvariantViolation.
+    lambda_grid=2 restricts to real scalars {1, -1}.
     """
     if lambda_grid < 1:
         raise ValueError(f"lambda_grid must be positive, got {lambda_grid}")
@@ -428,14 +421,12 @@ def rotation_max_norm(wc: WeightedComposition, T: SupportsMeasureAt,
         if float(per_lambda[k]) > searched:
             searched = float(per_lambda[k])
             arg_idx = start + k
-    if searched > analytic + 1e-9:
-        raise InvariantViolation(
+    at_most(searched, analytic,
             f"lambda search {searched!r} exceeded the analytic maximum {analytic!r}")
-    slack = (2.0 * math.pi / lambda_grid) * t_norm + 1e-9
-    if analytic - searched > slack:
-        raise InvariantViolation(
+    slack = (2.0 * math.pi / lambda_grid) * t_norm
+    at_most(analytic - searched, slack,
             f"lambda search {searched!r} missed the analytic maximum {analytic!r} "
-            f"by more than {slack!r}")
+            f"by more than {slack!r}", scale=analytic)
     return RotationMaxResult(max=analytic, searched=searched,
                              argmax_lambda=complex(lam[arg_idx]),
                              lambda_grid=lambda_grid)

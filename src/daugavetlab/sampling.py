@@ -18,7 +18,6 @@ from .operators import FiniteRankOperator
 __all__ = [
     "default_rng",
     "random_unimodular_field",
-    "random_constant_modulus_field",
     "random_nonconstant_weight",
     "random_symbol",
     "random_measure",
@@ -35,13 +34,6 @@ def random_unimodular_field(rng: np.random.Generator, n: int) -> ScalarField:
     """Tabulated field with |u| = 1 at every grid point."""
     phases = rng.random(n)
     return ScalarField.from_samples(np.exp(2j * np.pi * phases), n)
-
-
-def random_constant_modulus_field(rng: np.random.Generator, n: int) -> ScalarField:
-    """Tabulated field with |u| = c for a random c in [0.5, 2)."""
-    c = 0.5 + 1.5 * rng.random()
-    phases = rng.random(n)
-    return ScalarField.from_samples(c * np.exp(2j * np.pi * phases), n)
 
 
 def random_nonconstant_weight(rng: np.random.Generator, n: int) -> ScalarField:

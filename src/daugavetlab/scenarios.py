@@ -712,8 +712,8 @@ def _run_one(sc: Scenario, entry: dict, tol: float, timings: bool) -> dict:
     return record
 
 
-def run_scenario(sc: Scenario, tol: float = 1e-9, seed: int | None = None,
-                 timings: bool = False, allowed: tuple[str, ...] | None = None) -> dict:
+def run_scenario(sc: Scenario, tol: float = 1e-9, timings: bool = False,
+                 allowed: tuple[str, ...] | None = None) -> dict:
     """Run every check of a scenario and assemble the report dict.
 
     Individual check failures (bad parameter values or preconditions,
@@ -736,7 +736,7 @@ def run_scenario(sc: Scenario, tol: float = 1e-9, seed: int | None = None,
     return {
         "schema_version": SCHEMA_VERSION,
         "generator": {"name": "daugavetlab", "version": __version__},
-        "seed": sc.seed if seed is None else seed,
+        "seed": sc.seed,
         "scenario": sc.raw,
         "checks": records,
     }

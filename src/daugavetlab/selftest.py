@@ -39,6 +39,7 @@ from .sampling import (
     random_symbol,
     random_unimodular_field,
 )
+from .scenarios import SCHEMA_VERSION
 
 __all__ = ["run_selftest"]
 
@@ -198,7 +199,7 @@ def run_selftest(seed: int = 0) -> dict:
     ]
     from . import __version__
     return {
-        "schema_version": "1",
+        "schema_version": SCHEMA_VERSION,
         "generator": {"name": "daugavetlab", "version": __version__},
         "seed": seed,
         "kind": "selftest",

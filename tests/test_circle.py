@@ -15,7 +15,6 @@ from daugavetlab.circle import (
     circle_distance,
     cmul,
     frac_mod1,
-    image_count_on_arc,
     index_space,
     modulus,
     modulus_constancy,
@@ -23,11 +22,10 @@ from daugavetlab.circle import (
     shared_compilation,
     sup_norm,
     symbol_codes,
-    symbol_max_jump,
     tabulate,
 )
 from daugavetlab.criteria import counterexample_fat_preimage
-from daugavetlab.measures import AtomicMeasure, dirac
+from daugavetlab.measures import AtomicMeasure, dirac, point_mass, tv_excluding
 from daugavetlab.operators import rank_one
 
 FULL = Arc(Fraction(0), Fraction(1, 2))
@@ -38,6 +36,17 @@ class TestGeometry:
         assert circle_distance(Fraction(0), Fraction(3, 4)) == Fraction(1, 4)
         assert circle_distance(Fraction(1, 8), Fraction(7, 8)) == Fraction(1, 4)
         assert circle_distance(0.0, 0.5) == 0.5
+
+    def test_unreduced_query_points_act_as_their_residue(self):
+        far = Fraction(9, 4)  # the point 1/4, two turns on
+        assert circle_distance(0, far) == circle_distance(far, 0) == Fraction(1, 4)
+        assert circle_distance(Fraction(-7, 4), 0) == Fraction(1, 4)
+        assert not Arc(0, Fraction(1, 8)).contains(far)
+        assert ScalarField.tent(0, Fraction(1, 8))(far) == 0j
+        assert ScalarField.tent(0, Fraction(1, 2))(far) == 0.5 + 0j
+        mu = dirac(Fraction(1, 4))
+        assert point_mass(mu, Fraction(5, 4)) == point_mass(mu, Fraction(-3, 4)) == 1 + 0j
+        assert tv_excluding(mu, [Fraction(5, 4)]) == 0.0
 
     def test_distance_exact_for_rationals(self):
         d = circle_distance(Fraction(1, 3), Fraction(2, 3))
@@ -103,7 +112,6 @@ class TestGeometry:
         assert arc.contains(Fraction(15, 16))
         assert arc.contains(Fraction(1, 16))
         assert not arc.contains(Fraction(1, 4))
-        assert arc.length == Fraction(1, 4)
 
     def test_arc_grid_points(self):
         g = GridCircle(16)
@@ -180,11 +188,6 @@ class TestSymbolMaps:
         with pytest.raises(ValueError):
             SymbolMap.from_table([0, 4], 2)  # index out of range
 
-    def test_max_jump_of_doubling(self):
-        g = GridCircle(64)
-        jump = symbol_max_jump(SymbolMap.doubling(), g)
-        assert jump == Fraction(2, 64)
-
 
 class TestPreimageGeometry:
     def test_doubling_preimages_are_nowhere_dense(self):
@@ -212,13 +215,6 @@ class TestPreimageGeometry:
         with pytest.raises(ValueError):
             preimage_nowhere_dense_at_resolution(
                 SymbolMap.identity(), Fraction(0), Fraction(1, 16), g)
-
-    def test_image_counts_on_arc(self):
-        g = GridCircle(16)
-        arc = Arc(Fraction(0), Fraction(1, 8))
-        assert image_count_on_arc(SymbolMap.identity(), arc, g) == 5
-        phi = SymbolMap.constant_on_arc(Fraction(0), arc)
-        assert image_count_on_arc(phi, arc, g) == 1
 
 
 class TestIndexSpace:

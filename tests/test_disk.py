@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from daugavetlab import disk
 from daugavetlab.disk import (
     ArcNeighborhood,
     BlaschkeProduct,
@@ -19,6 +20,7 @@ from daugavetlab.disk import (
     disk_counterexample_operator,
     disk_norm_lower_bound,
 )
+from daugavetlab.errors import InvariantViolation
 
 
 class TestBlaschke:
@@ -156,6 +158,15 @@ class TestLowerBound:
         with pytest.raises(ValueError):
             disk_norm_lower_bound(DiskFunction.constant(1.0),
                                   DiskFunction.polynomial([0.0, 2.0]))
+
+    def test_value_a_billionth_over_the_bound_still_raises(self, monkeypatch):
+        # the default ladder's slack tracks its rounding (about 1e-11 at unit
+        # magnitude), well under the 1e-9 an exact bound has always allowed
+        monkeypatch.setattr(DiskFunction, "sup_norm",
+                            lambda self, samples=4096: (1.0 - 1e-9, True))
+        with pytest.raises(InvariantViolation, match="exceeds the triangle bound"):
+            disk_norm_lower_bound(DiskFunction.constant(1.0),
+                                  DiskFunction.polynomial([0.0, 0.0, 1.0]))
 
 
 def reference_lower_bound(u, phi, T, ladder):
@@ -336,6 +347,15 @@ class TestAutomorphism:
         assert res.target == pytest.approx(1.7, abs=1e-12)
         assert res.deficit <= 1e-2
         assert res.lower <= res.target + 1e-9
+
+    def test_bound_a_billionth_over_the_exact_norm_still_raises(self, monkeypatch):
+        phi = BlaschkeProduct(zeros=(0.5 + 0j,))
+        T = RankOneDiskOperator(tau=0.0, g=DiskFunction.constant(1.0), c=1.0)
+        over = disk.LowerBoundResult(bound=2.0 + 1e-9, witness={}, family_size=1,
+                                     samples=4096)
+        monkeypatch.setattr(disk, "disk_norm_lower_bound", lambda *args: over)
+        with pytest.raises(InvariantViolation, match="exceeds the exact norm"):
+            automorphism_identity_check(phi, T)
 
     def test_rejects_higher_degree(self):
         phi = BlaschkeProduct(zeros=(0j, 0j))

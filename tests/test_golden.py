@@ -27,7 +27,7 @@ def golden(name: str) -> str:
 def test_every_scenario_has_a_report_and_nothing_else():
     reports = sorted(p.name for p in (GOLDEN / "reports").glob("*.json"))
     assert reports == sorted(SCENARIOS + [f"selftest-{regenerate.SELFTEST_SEED}.json"])
-    assert len(SCENARIOS) == 7
+    assert len(SCENARIOS) == 9
 
 
 @pytest.mark.parametrize("name", SCENARIOS)

@@ -40,7 +40,6 @@ from daugavetlab.operators import (
     as_expr,
     compiled_family,
     convex_combo_perturbed_norm,
-    measure_at,
     operator_norm,
     perturbation_profile,
     perturbed_norm,
@@ -95,13 +94,13 @@ class TestMeasureFamilies:
         wc = WeightedComposition(ScalarField.constant(1.0), SymbolMap.identity())
         T = rank_one(ScalarField.constant(1.0), at=Fraction(0))
         total = as_expr(wc) + T
-        mu = measure_at(total, Fraction(0))
+        mu = total.measure_at(Fraction(0))
         assert mu.atoms == ((Fraction(0), 2 + 0j),)
 
     def test_scaled_and_zero(self):
         T = scaled(rank_one(ScalarField.constant(1.0), at=Fraction(0)), 3j)
-        assert measure_at(T, Fraction(0)).atoms == ((Fraction(0), 3j),)
-        assert measure_at(zero_operator(), Fraction(0)).atoms == ()
+        assert T.measure_at(Fraction(0)).atoms == ((Fraction(0), 3j),)
+        assert zero_operator().measure_at(Fraction(0)).atoms == ()
 
     def test_operator_norm_of_rank_one(self):
         g = GridCircle(32)
