@@ -70,6 +70,29 @@ def circle_distance(a: Fraction, b: Fraction) -> Fraction:
     return min(d, 1 - d)
 
 
+def _gap(s, c: Fraction) -> tuple[int, int]:
+    """The distance d(s, c) as integers (G, D), exactly G / D: s an int or
+    a Fraction, reduced mod 1 or not, and c in [0, 1).  With s = a/b and
+    D = b den(c), |s - c| is |a den(c) - num(c) b| / D, and taking that
+    numerator mod D reduces it mod 1."""
+    s = _as_fraction(s)
+    D = s.denominator * c.denominator
+    A = abs(s.numerator * c.denominator - c.numerator * s.denominator) % D
+    return min(A, D - A), D
+
+
+def _grid_index(p, n: int) -> int:
+    """Grid index of p on the n-point grid: p an int or a Fraction with
+    n p an integer, else ValueError (TypeError on a float)."""
+    if n < 2:
+        raise ValueError(f"grid needs at least 2 points, got n={n}")
+    x = _as_fraction(p)
+    j, rem = divmod(x.numerator * n, x.denominator)
+    if rem:
+        raise ValueError(f"{p!r} is not a grid point of the {n}-point grid")
+    return j % n
+
+
 # ---------------------------------------------------------------------------
 # exact complex arithmetic and the memo of compiled objects
 # ---------------------------------------------------------------------------
@@ -206,10 +229,7 @@ class GridCircle:
 
     def index_of(self, p: Fraction) -> int:
         """Grid index of an on-grid coordinate; rejects off-grid points."""
-        scaled = _as_fraction(p) * self.n
-        if scaled.denominator != 1:
-            raise ValueError(f"{p!r} is not a grid point of the {self.n}-point grid")
-        return scaled.numerator % self.n
+        return _grid_index(p, self.n)
 
     def contains(self, p: Fraction) -> bool:
         try:
@@ -238,7 +258,8 @@ class Arc:
         object.__setattr__(self, "half_width", _half_width(self.half_width, "arc"))
 
     def contains(self, p: Fraction) -> bool:
-        return circle_distance(p, self.center) <= self.half_width
+        G, D = _gap(p, self.center)
+        return G * self.half_width.denominator <= self.half_width.numerator * D
 
     def grid_points(self, grid: GridCircle) -> list[Fraction]:
         return [Fraction(k, grid.n) for k in np.flatnonzero(arc_mask(self, grid.n)).tolist()]
@@ -331,12 +352,14 @@ class ScalarField:
             return complex(self.offset
                            + self.amplitude * math.cos(TWO_PI * self.frequency * float(s)))
         if k == "tent":
-            ratio = circle_distance(s, self.center) / self.half_width
-            bump = max(0.0, 1.0 - float(ratio))
+            # d(s, c) / h = G den(h) / (D num(h)); int / int rounds once,
+            # as float(Fraction) does
+            G, D = _gap(s, self.center)
+            h = self.half_width
+            bump = max(0.0, 1.0 - G * h.denominator / (D * h.numerator))
             return complex(self.base + (self.peak - self.base) * bump)
         if k == "samples":
-            idx = GridCircle(self.n).index_of(s)
-            return self.samples[idx]
+            return self.samples[_grid_index(s, self.n)]
         if k == "product":
             left, right = self.factors
             return left(s) * right(s)
@@ -443,10 +466,11 @@ class SymbolMap:
         elif k == "constant_on_arc":
             r = self.value if self.arc.contains(s) else self.base(s)
         elif k == "table":
-            r = Fraction(self.table[GridCircle(self.n).index_of(s)], self.n)
+            r = Fraction(self.table[_grid_index(s, self.n)], self.n)
         else:
             raise ValueError(f"unknown symbol kind {k!r}")
-        if not (0 <= r < 1):  # a table built by hand can point off its grid
+        # a table built by hand can point off its grid
+        if not (0 <= r.numerator < r.denominator):
             raise ValueError(f"symbol produced {r!r}, outside [0, 1)")
         return r
 

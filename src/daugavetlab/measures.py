@@ -7,6 +7,12 @@ identity is canonical and all sums run in a fixed order (math.fsum, exactly
 rounded, makes the reductions order-independent anyway).  Positions are
 exact rationals in [0, 1), so two atoms coincide exactly when their
 positions compare equal.
+
+The reference pass of operators.py runs here once per grid point.
+linear_combine merges measures that are canonical already, so it skips
+from_atoms' reduction and only sorts and merges.  direct_norm gives the
+total variation of mu_s + u(s) delta_{phi(s)} by adding u's atom in place,
+with no second merge.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .circle import GridCircle, frac_mod1
@@ -23,19 +30,12 @@ __all__ = [
     "dirac",
     "linear_combine",
     "total_variation",
+    "direct_norm",
     "point_mass",
     "tv_excluding",
     "integrate",
     "norm_oracle",
 ]
-
-
-def _order(atom: tuple[Fraction, complex]) -> tuple[float, Fraction]:
-    """Sort key of an atom: its position, exactly.  The correctly rounded
-    float comes first (rounding is monotone), so most comparisons skip
-    Fraction arithmetic; the Fraction breaks ties."""
-    pos = atom[0]
-    return pos.numerator / pos.denominator, pos
 
 
 @dataclass(frozen=True)
@@ -64,17 +64,31 @@ class AtomicMeasure:
     def from_atoms(cls, pairs: Iterable[tuple[Fraction, complex]]) -> "AtomicMeasure":
         """Reduce every position into [0, 1), merge coinciding atoms and drop
         zero weights."""
-        items = sorted(((frac_mod1(pos), complex(w)) for pos, w in pairs), key=_order)
-        merged: list[tuple[Fraction, complex]] = []
-        for pos, w in items:
-            if merged and merged[-1][0] == pos:
-                merged[-1] = (pos, merged[-1][1] + w)
-            else:
-                merged.append((pos, w))
-        return cls(tuple((pos, w) for pos, w in merged if w != 0))
+        return _merged([(frac_mod1(pos), complex(w)) for pos, w in pairs])
 
     def __len__(self) -> int:
         return len(self.atoms)
+
+
+def _merged(items: Sequence[tuple[Fraction, complex]]) -> AtomicMeasure:
+    """The measure of atoms with positions in [0, 1): a stable sort by
+    position, then coinciding atoms merged in that order and zero weights
+    dropped."""
+    # the key is the position exactly: its correctly rounded float first
+    # (rounding is monotone), then the Fraction to break ties.  Different
+    # positions nearly always differ in their float, so few Fractions are
+    # compared, and equal keys are equal positions.
+    keyed = [((pos.numerator / pos.denominator, pos), pos, w) for pos, w in items]
+    keyed.sort(key=itemgetter(0))
+    merged: list[tuple[Fraction, complex]] = []
+    last = None
+    for key, pos, w in keyed:
+        if key == last:
+            merged[-1] = (pos, merged[-1][1] + w)
+        else:
+            merged.append((pos, w))
+            last = key
+    return AtomicMeasure(tuple((pos, w) for pos, w in merged if w != 0))
 
 
 def dirac(t: Fraction) -> AtomicMeasure:
@@ -84,7 +98,8 @@ def dirac(t: Fraction) -> AtomicMeasure:
 
 def linear_combine(coeffs: Sequence[complex],
                    measures: Sequence[AtomicMeasure]) -> AtomicMeasure:
-    """sum_i coeffs[i] * measures[i], re-canonicalized."""
+    """sum_i coeffs[i] * measures[i], re-canonicalized.  The measures are
+    canonical already, so their atoms are merged as they stand."""
     if len(coeffs) != len(measures):
         raise ValueError(f"{len(coeffs)} coefficients for {len(measures)} measures")
     pairs: list[tuple[Fraction, complex]] = []
@@ -93,12 +108,28 @@ def linear_combine(coeffs: Sequence[complex],
         if c == 0:
             continue
         pairs.extend((pos, c * w) for pos, w in mu.atoms)
-    return AtomicMeasure.from_atoms(pairs)
+    return _merged(pairs)
 
 
 def total_variation(mu: AtomicMeasure) -> float:
     """Exact dual norm: sum of weight moduli."""
     return math.fsum(abs(w) for _, w in mu.atoms)
+
+
+def direct_norm(mu: AtomicMeasure, t: Fraction, w: complex) -> float:
+    """total_variation(mu + w delta_t), t reduced mod 1, without a merge: w
+    joins mu's atom at t, or stands as an atom of its own."""
+    # positions are Fractions in lowest terms: equal exactly when their
+    # numerators and denominators are
+    t = frac_mod1(t)
+    num, den = t.numerator, t.denominator
+    moduli = []
+    for pos, m in mu.atoms:
+        if pos.numerator == num and pos.denominator == den:
+            m, w = m + w, 0j
+        moduli.append(abs(m))
+    moduli.append(abs(w))
+    return math.fsum(moduli)
 
 
 def point_mass(mu: AtomicMeasure, t: Fraction) -> complex:

@@ -28,13 +28,14 @@ The operators are the four classes below and their nested sums; the
 compiler covers all of them, and any other type raises TypeError.
 
 Reference pass.  The first time a profile is built, the per-point route
-runs once at every grid point: T.measure_at, linear_combine with
-uC_phi's atom, total_variation.  Its direct norm must match the compiled
-split |u + m| + off, and total_variation(mu_s) the compiled row total
-variation, to errors.agree's relative tolerance, else InvariantViolation
-names the point.  The per-point route is a check only: it builds nothing
-the checks read and names nothing of the compiled route, so it stays an
-independent witness.
+runs once at every grid point: T.measure_at gives mu_s, total_variation
+its norm, and measures.direct_norm the norm of mu_s + u(s) delta_{phi(s)},
+with u's atom added in place rather than merged as a second measure.  The
+direct norm must match the compiled split |u + m| + off, and
+total_variation(mu_s) the compiled row total variation, to errors.agree's
+relative tolerance, else InvariantViolation names the point.  The
+per-point route is a check only: it builds nothing the checks read and
+names nothing of the compiled route, so it stays an independent witness.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .circle import (
     tabulate,
 )
 from .errors import agree, at_most
-from .measures import AtomicMeasure, dirac, linear_combine, total_variation
+from .measures import AtomicMeasure, dirac, direct_norm, linear_combine, total_variation
 
 __all__ = [
     "SupportsMeasureAt",
@@ -326,9 +327,9 @@ def _checked_profile(wc: WeightedComposition, T: SupportsMeasureAt,
     """The compiled profile, after one pass of the per-point route over
     every point.
 
-    That pass computes the direct norm total_variation(linear_combine(
-    [1, 1], [uC_phi's atom, mu_s])) and total_variation(mu_s), and holds
-    the profile's split and row total variation to them.
+    That pass computes the direct norm direct_norm(mu_s, phi(s), u(s)) and
+    total_variation(mu_s), and holds the profile's split and row total
+    variation to them.
     """
     prof = _compiled_profile(wc, T, grid)
     # the two routes usually agree bit for bit, and equal values always
@@ -339,7 +340,7 @@ def _checked_profile(wc: WeightedComposition, T: SupportsMeasureAt,
         if direct_tv != tv:
             agree(tv, direct_tv, lambda: f"compiled total variation {tv!r} disagrees with "
                                          f"the measure's total variation {direct_tv!r} at s={p}")
-        direct = total_variation(linear_combine([1.0, 1.0], [wc.measure_at(p), mu]))
+        direct = direct_norm(mu, wc.phi(p), wc.u(p))
         if direct != s:
             agree(s, direct, lambda: f"aligned/off-target split {s!r} disagrees with "
                                      f"direct total variation {direct!r} at s={p}")

@@ -2,9 +2,10 @@
 
 Every profile is held to the per-point route once at each grid point, so
 that route must stay an independent witness: measures.py and every
-measure_at method (with the field and symbol evaluations they call) may
-not name any part of the compiled route.  Checked on the source, without
-importing it.
+measure_at method (with the field and symbol evaluations they call, and
+every function of circle.py or measures.py that any of these names, to
+any depth) may not name any part of the compiled route.  Checked on the
+source, without importing it.
 """
 
 import ast
@@ -15,10 +16,13 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "daugavetlab"
 
 COMPILED_ROUTE = {
-    "IndexSpace", "symbol_codes", "tabulate",
-    "cmul", "modulus",
+    "IndexSpace", "index_space", "symbol_codes", "_symbol_codes", "_closed_form_codes",
+    "tabulate", "_tabulate", "arc_mask", "cmul", "modulus",
     "CompiledFamily", "compile_family", "compiled_family", "memoized",
 }
+
+#: Modules whose module-level functions the route is followed into.
+HELPER_MODULES = ("circle.py", "measures.py")
 
 #: Methods of circle.py that measure_at evaluates at each point.
 POINT_EVALUATIONS = {("ScalarField", "__call__"), ("SymbolMap", "__call__"),
@@ -45,6 +49,16 @@ def methods(tree: ast.Module):
                     yield cls.name, fn
 
 
+def helpers() -> dict[str, tuple[str, ast.FunctionDef]]:
+    """Module-level functions of HELPER_MODULES by name."""
+    found = {}
+    for module in HELPER_MODULES:
+        for fn in ast.parse((SRC / module).read_text()).body:
+            if isinstance(fn, ast.FunctionDef):
+                found[fn.name] = (f"{module}:{fn.name}", fn)
+    return found
+
+
 def reference_route() -> list[tuple[str, ast.AST]]:
     parts = [("measures.py", ast.parse((SRC / "measures.py").read_text()))]
     for path in sorted(SRC.glob("*.py")):
@@ -53,6 +67,14 @@ def reference_route() -> list[tuple[str, ast.AST]]:
             if fn.name == "measure_at" or (path.name == "circle.py"
                                            and (cls, fn.name) in POINT_EVALUATIONS):
                 parts.append((f"{path.name}:{cls}.{fn.name}", fn))
+    # follow every name of a helper function, called or passed, to any depth
+    table, seen = helpers(), set()
+    todo = [node for _, node in parts]
+    while todo:
+        for name in sorted(names(todo.pop()) & (table.keys() - seen)):
+            seen.add(name)
+            parts.append(table[name])
+            todo.append(table[name][1])
     return parts
 
 
@@ -63,7 +85,9 @@ def test_the_reference_route_is_found():
             "operators.py:ConvexCombination.measure_at",
             "operators.py:OperatorExpr.measure_at",
             "circle.py:ScalarField.__call__", "circle.py:SymbolMap.__call__",
-            "circle.py:Arc.contains"} <= found
+            "circle.py:Arc.contains",
+            "circle.py:_gap", "circle.py:_grid_index", "circle.py:frac_mod1",
+            "circle.py:_as_fraction", "measures.py:_merged"} <= found
 
 
 @pytest.mark.parametrize("node", [pytest.param(node, id=where)

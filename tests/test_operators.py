@@ -6,6 +6,7 @@ pointwise values, so agreement is evidence rather than tautology.
 """
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -513,6 +514,28 @@ class TestCrossCheckFires:
         monkeypatch.setattr(operators, "compile_family", corrupted)
         with pytest.raises(InvariantViolation, match=f"at s={Fraction(k, 16)}$"):
             perturbed_norm(wc, T, g)
+
+    @pytest.mark.parametrize("k, where", [(3, "no atom of mu_s at phi(s)"),
+                                          (0, "u(s) + mu_s({phi(s)}) = 0")])
+    def test_corrupt_split_is_caught_at_its_point(self, monkeypatch, k, where):
+        # the direct norm appends |u(s)| at s = 3/16 and adds u(s) to an
+        # atom it cancels at s = 0
+        g = GridCircle(16)
+        wc = WeightedComposition(ScalarField.constant(1.0), SymbolMap.identity())
+        T = rank_one(ScalarField.constant(-1.0), at=Fraction(0))
+        p = Fraction(k, 16)
+        assert point_mass(T.measure_at(p), wc.phi(p)) == (-1 if k == 0 else 0)
+        original = operators._compiled_profile
+
+        def corrupted(wc, T, grid):
+            prof = original(wc, T, grid)
+            weight = prof.weight.copy()
+            weight[k] += 0.25
+            return dataclasses.replace(prof, weight=weight)
+
+        monkeypatch.setattr(operators, "_compiled_profile", corrupted)
+        with pytest.raises(InvariantViolation, match=f"aligned/off-target split .* at s={p}$"):
+            perturbation_profile(wc, T, g)
 
     def test_corrupt_row_total_variation_is_caught(self, monkeypatch):
         g = GridCircle(16)

@@ -1,0 +1,257 @@
+"""The per-point reference pieces, pinned bit for bit to their earlier
+algorithms.
+
+linear_combine merges canonical measures without re-normalising them,
+direct_norm adds u's atom in place of a second merge, tents and arcs
+measure distances in integers, and tables and sample fields find grid
+indices with one divmod.  Each is held here to the algorithm it replaced,
+copied below as the oracle: the Fraction route through circle_distance and
+a full from_atoms pass.
+"""
+
+import numbers
+import struct
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, strategies as st
+
+from daugavetlab.circle import Arc, GridCircle, ScalarField, SymbolMap, frac_mod1
+from daugavetlab.measures import (
+    AtomicMeasure,
+    direct_norm,
+    linear_combine,
+    total_variation,
+)
+
+# ---------------------------------------------------------------------------
+# the earlier algorithms
+# ---------------------------------------------------------------------------
+
+
+def old_order(atom):
+    pos = atom[0]
+    return pos.numerator / pos.denominator, pos
+
+
+def old_from_atoms(pairs):
+    items = sorted(((frac_mod1(pos), complex(w)) for pos, w in pairs), key=old_order)
+    merged = []
+    for pos, w in items:
+        if merged and merged[-1][0] == pos:
+            merged[-1] = (pos, merged[-1][1] + w)
+        else:
+            merged.append((pos, w))
+    return AtomicMeasure(tuple((pos, w) for pos, w in merged if w != 0))
+
+
+def old_linear_combine(coeffs, measures):
+    if len(coeffs) != len(measures):
+        raise ValueError(f"{len(coeffs)} coefficients for {len(measures)} measures")
+    pairs = []
+    for c, mu in zip(coeffs, measures):
+        c = complex(c)
+        if c == 0:
+            continue
+        pairs.extend((pos, c * w) for pos, w in mu.atoms)
+    return old_from_atoms(pairs)
+
+
+def old_direct(mu, t, w):
+    """The direct norm as the reference pass took it: uC_phi's atom merged
+    into mu_s through linear_combine."""
+    return total_variation(old_linear_combine([1.0, 1.0], [old_from_atoms([(t, w)]), mu]))
+
+
+def old_circle_distance(a, b):
+    d = abs(a - b)
+    d = d % 1 if int(d) else d
+    return min(d, 1 - d)
+
+
+def old_tent(u, s):
+    ratio = old_circle_distance(s, u.center) / u.half_width
+    bump = max(0.0, 1.0 - float(ratio))
+    return complex(u.base + (u.peak - u.base) * bump)
+
+
+def old_as_fraction(x):
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return Fraction(int(x))
+    raise TypeError(f"coordinates are exact rationals (an int or a Fraction), "
+                    f"got {type(x).__name__} {x!r}")
+
+
+def old_index_of(p, n):
+    """GridCircle(n).index_of(p), whose grid check runs first."""
+    if n < 2:
+        raise ValueError(f"grid needs at least 2 points, got n={n}")
+    scaled = old_as_fraction(p) * n
+    if scaled.denominator != 1:
+        raise ValueError(f"{p!r} is not a grid point of the {n}-point grid")
+    return scaled.numerator % n
+
+
+def bits(z) -> bytes:
+    z = complex(z)
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def measure_bits(mu: AtomicMeasure):
+    return [(pos, bits(w)) for pos, w in mu.atoms]
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# strategies
+# ---------------------------------------------------------------------------
+
+# positions on a coarse grid tie often; the huge denominators put distinct
+# positions on one float
+positions = st.one_of(
+    st.integers(0, 7).map(lambda k: Fraction(k, 8)),
+    st.sampled_from([Fraction(1, 10 ** 40), Fraction(1, 10 ** 40 + 1),
+                     Fraction(10 ** 40, 10 ** 40 + 1), Fraction(1, 3)]))
+weights = st.one_of(
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+    st.sampled_from([1 + 0j, -1 + 0j, 0.5j, 0.1 + 0.2j, -0.1 - 0.2j]))
+measures = st.lists(st.tuples(positions, weights), max_size=6).map(old_from_atoms)
+coeffs = st.one_of(st.sampled_from([0, 0j, 1.0, -1.0, 1j]), weights)
+
+
+class TestLinearCombine:
+    @given(st.lists(st.tuples(coeffs, measures), max_size=4))
+    def test_matches_the_full_merge(self, terms):
+        cs, mus = [c for c, _ in terms], [mu for _, mu in terms]
+        assert measure_bits(linear_combine(cs, mus)) == measure_bits(old_linear_combine(cs, mus))
+
+    @pytest.mark.parametrize("cs, atoms", [
+        # tied positions across measures
+        ([1.0, 2.0, 1j], [[(Fraction(1, 8), 1.0), (Fraction(1, 2), 2.0)],
+                          [(Fraction(1, 2), -0.5), (Fraction(3, 4), 1j)],
+                          [(Fraction(1, 8), 0.25)]]),
+        # exact cancellation to zero at 1/2, and everywhere
+        ([1.0, 1.0], [[(Fraction(1, 2), 0.1 + 0.2j), (Fraction(0), 1.0)],
+                      [(Fraction(1, 2), -0.1 - 0.2j)]]),
+        ([1.0, -1.0], [[(Fraction(1, 3), 0.7)], [(Fraction(1, 3), 0.7)]]),
+        # zero coefficients skip their measure
+        ([0, 0j, 2.0], [[(Fraction(0), 1.0)], [(Fraction(1, 4), 1.0)],
+                        [(Fraction(1, 4), 1.0)]]),
+        # distinct positions that share a float
+        ([1.0, 1.0], [[(Fraction(1, 10 ** 40 + 1), 1.0)], [(Fraction(1, 10 ** 40), 2.0)]]),
+    ], ids=["ties", "cancel-one", "cancel-all", "zero-coefficients", "same-float"])
+    def test_cases(self, cs, atoms):
+        mus = [old_from_atoms(a) for a in atoms]
+        assert measure_bits(linear_combine(cs, mus)) == measure_bits(old_linear_combine(cs, mus))
+
+    def test_length_mismatch_message_is_unchanged(self):
+        mu = old_from_atoms([(Fraction(0), 1.0)])
+        assert raised(linear_combine, [1.0], [mu, mu]) == raised(old_linear_combine,
+                                                                  [1.0], [mu, mu])
+
+
+class TestDirectNorm:
+    @given(measures, positions, weights)
+    def test_matches_the_merged_total_variation(self, mu, t, w):
+        assert direct_norm(mu, t, w) == old_direct(mu, t, w)
+
+    @pytest.mark.parametrize("where", ["on target", "off target", "cancels", "u = 0",
+                                       "u = 0 off target", "unreduced target"])
+    def test_cases(self, where):
+        mu = old_from_atoms([(Fraction(1, 8), 0.3 - 0.4j), (Fraction(1, 2), 1.5),
+                             (Fraction(3, 4), -0.25j)])
+        t, w = {"on target": (Fraction(1, 2), 0.1 + 2j),
+                "off target": (Fraction(1, 4), 0.1 + 2j),
+                "cancels": (Fraction(1, 2), -1.5 + 0j),
+                "u = 0": (Fraction(1, 2), 0j),
+                "u = 0 off target": (Fraction(1, 4), 0j),
+                "unreduced target": (Fraction(-1, 2), 0.5 + 0j)}[where]
+        got = direct_norm(mu, t, w)
+        assert struct.pack("<d", got) == struct.pack("<d", old_direct(mu, t, w))
+
+    def test_empty_measure(self):
+        assert direct_norm(AtomicMeasure(), Fraction(1, 3), 3 - 4j) == 5.0
+        assert direct_norm(AtomicMeasure(), Fraction(1, 3), 0j) == 0.0
+
+
+class TestIntegerDistances:
+    tents = [ScalarField.tent(Fraction(1, 4), Fraction(1, 8), peak=1.3, base=-0.4),
+             ScalarField.tent(Fraction(0), Fraction(1, 2)),
+             ScalarField.tent_dip(Fraction(5, 7), Fraction(1, 3), depth=0.6),
+             ScalarField.tent(Fraction(1, 10 ** 40 + 1), Fraction(1, 10 ** 20 + 3)),
+             ScalarField.tent(Fraction(3, 10), Fraction(1, 5))]
+    points = [Fraction(9, 4), Fraction(-1, 3), Fraction(1, 10 ** 40 + 1),
+              Fraction(2, 10 ** 40 + 1), Fraction(-1, 10 ** 40 + 1), Fraction(0), 3, -2,
+              Fraction(1, 4), Fraction(3, 8), Fraction(7, 10)]
+
+    @pytest.mark.parametrize("u", tents, ids=range(len(tents)))
+    def test_tent_matches_the_fraction_route(self, u):
+        for s in self.points:
+            assert bits(u(s)) == bits(old_tent(u, s)), s
+
+    @given(st.fractions(), st.fractions(min_value=0, max_value=1).filter(bool),
+           st.fractions())
+    @example(Fraction(9, 4), Fraction(1, 8), Fraction(0))
+    @example(Fraction(-1, 3), Fraction(1, 2), Fraction(1, 10 ** 40 + 1))
+    def test_tent_and_arc_match_the_fraction_route(self, center, width, s):
+        h = min(width, Fraction(1, 2))
+        u = ScalarField.tent(center, h, peak=2.5, base=-1.0)
+        assert bits(u(s)) == bits(old_tent(u, s))
+        arc = Arc(center, h)
+        assert arc.contains(s) == (old_circle_distance(s, arc.center) <= arc.half_width)
+
+    def test_float_point_is_rejected(self):
+        u = ScalarField.tent(Fraction(0), Fraction(1, 4))
+        with pytest.raises(TypeError, match="exact rationals"):
+            u(0.25)
+        with pytest.raises(TypeError, match="exact rationals"):
+            Arc(Fraction(0), Fraction(1, 4)).contains(0.25)
+
+
+class TestGridIndex:
+    n = 8
+    samples = ScalarField.from_samples([complex(k, -k) for k in range(8)], 8)
+    table = SymbolMap.from_table([(3 * k + 1) % 8 for k in range(8)], 8)
+
+    @pytest.mark.parametrize("p", [Fraction(3, 8), Fraction(11, 8), Fraction(-1, 8), 0, 5,
+                                   Fraction(1, 3), Fraction(1, 16), 0.375, 0.0])
+    def test_samples_and_table_match_index_of(self, p):
+        old = raised(old_index_of, p, self.n)
+        if old is None:
+            k = old_index_of(p, self.n)
+            assert self.samples(p) == self.samples.samples[k]
+            assert self.table(p) == Fraction(self.table.table[k], self.n)
+            assert GridCircle(self.n).index_of(p) == k
+        else:
+            assert raised(self.samples, p) == old
+            assert raised(self.table, p) == old
+            assert raised(GridCircle(self.n).index_of, p) == old
+
+    def test_off_grid_and_float_messages(self):
+        with pytest.raises(ValueError, match=r"^Fraction\(1, 3\) is not a grid point of "
+                                             r"the 8-point grid$"):
+            self.samples(Fraction(1, 3))
+        with pytest.raises(TypeError, match=r"^coordinates are exact rationals \(an int or "
+                                            r"a Fraction\), got float 0\.5$"):
+            self.table(0.5)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_a_grid_below_two_points_is_rejected_on_evaluation(self, n):
+        u = ScalarField(kind="samples", samples=(1j,) * n, n=n)
+        assert raised(u, Fraction(0)) == (ValueError,
+                                          f"grid needs at least 2 points, got n={n}")
+
+    def test_a_table_that_points_off_its_grid_is_rejected(self):
+        phi = SymbolMap(kind="table", table=(0, 9), n=2)
+        with pytest.raises(ValueError, match=r"symbol produced Fraction\(9, 2\), outside"):
+            phi(Fraction(1, 2))
+        assert phi(Fraction(0)) == 0
