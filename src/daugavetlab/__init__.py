@@ -11,7 +11,6 @@ from .circle import (
     GridCircle,
     ScalarField,
     SymbolMap,
-    circle_distance,
     frac_mod1,
     modulus_constancy,
     preimage_nowhere_dense_at_resolution,
@@ -83,7 +82,7 @@ __all__ = [
     "__version__",
     # circle model
     "GridCircle", "Arc", "ScalarField", "SymbolMap",
-    "circle_distance", "frac_mod1", "sup_norm", "modulus_constancy",
+    "frac_mod1", "sup_norm", "modulus_constancy",
     "preimage_nowhere_dense_at_resolution",
     # measures
     "AtomicMeasure", "dirac", "linear_combine", "total_variation",

@@ -62,14 +62,6 @@ def frac_mod1(x) -> Fraction:
     return x if 0 <= x.numerator < x.denominator else x % 1
 
 
-def circle_distance(a: Fraction, b: Fraction) -> Fraction:
-    """Wraparound distance between two points, reduced mod 1 or not.  An
-    in-range |a - b| truncates to 0 and skips the reduction."""
-    d = abs(a - b)
-    d = d % 1 if int(d) else d
-    return min(d, 1 - d)
-
-
 def _gap(s, c: Fraction) -> tuple[int, int]:
     """The distance d(s, c) as integers (G, D), exactly G / D: s an int or
     a Fraction, reduced mod 1 or not, and c in [0, 1).  With s = a/b and
@@ -455,6 +447,11 @@ class SymbolMap:
             raise ValueError("symbol table entries must be grid indices in [0, n)")
         return cls(kind="table", table=mapping, n=n)
 
+    @functools.cached_property
+    def table_images(self) -> tuple[Fraction, ...]:
+        """The table's images k/n, built once."""
+        return tuple(Fraction(k, self.n) for k in self.table)
+
     def __call__(self, s: Fraction) -> Fraction:
         k = self.kind
         if k == "identity":
@@ -466,7 +463,8 @@ class SymbolMap:
         elif k == "constant_on_arc":
             r = self.value if self.arc.contains(s) else self.base(s)
         elif k == "table":
-            r = Fraction(self.table[_grid_index(s, self.n)], self.n)
+            j = _grid_index(s, self.n)  # first: it rejects a grid below 2 points
+            r = self.table_images[j]
         else:
             raise ValueError(f"unknown symbol kind {k!r}")
         # a table built by hand can point off its grid

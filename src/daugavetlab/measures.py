@@ -8,11 +8,18 @@ rounded, makes the reductions order-independent anyway).  Positions are
 exact rationals in [0, 1), so two atoms coincide exactly when their
 positions compare equal.
 
-The reference pass of operators.py runs here once per grid point.
-linear_combine merges measures that are canonical already, so it skips
-from_atoms' reduction and only sorts and merges.  direct_norm gives the
-total variation of mu_s + u(s) delta_{phi(s)} by adding u's atom in place,
-with no second merge.
+The reference pass of operators.py runs here once per grid point.  A
+merge plan lists the ascending distinct positions of some atom lists, each
+with the (list index, weight) pairs found there in list order: merge_plan
+is the one sort-and-group routine, from_atoms sums a plan's weights as
+they stand, and apply_plan sums coefficient times weight.  linear_combine
+plans its canonical measures at each call; a FiniteRankOperator plans its
+fixed measures once and applies the plan to the coefficients g_i(s) at
+every point, so no point sorts anything.  Every measure built still passes
+AtomicMeasure's validation.  direct_norms takes the moduli of mu_s's atoms
+once and returns both the total variation of mu_s and that of
+mu_s + u(s) delta_{phi(s)}, adding u's atom in place, with no second
+merge.
 """
 
 from __future__ import annotations
@@ -28,9 +35,11 @@ from .circle import GridCircle, frac_mod1
 __all__ = [
     "AtomicMeasure",
     "dirac",
+    "merge_plan",
+    "apply_plan",
     "linear_combine",
     "total_variation",
-    "direct_norm",
+    "direct_norms",
     "point_mass",
     "tv_excluding",
     "integrate",
@@ -51,7 +60,7 @@ class AtomicMeasure:
         for pos, w in self.atoms:
             if not isinstance(pos, Fraction):
                 raise ValueError(f"atom position {pos!r} is not a Fraction")
-            num, den = pos.numerator, pos.denominator
+            num, den = pos.as_integer_ratio()
             if not (0 <= num < den):
                 raise ValueError(f"atom position {pos} lies outside [0, 1)")
             if num * last_den <= last_num * den:
@@ -62,38 +71,70 @@ class AtomicMeasure:
 
     @classmethod
     def from_atoms(cls, pairs: Iterable[tuple[Fraction, complex]]) -> "AtomicMeasure":
-        """Reduce every position into [0, 1), merge coinciding atoms and drop
-        zero weights."""
-        return _merged([(frac_mod1(pos), complex(w)) for pos, w in pairs])
+        """Reduce every position into [0, 1), merge coinciding atoms in the
+        given order and drop zero weights."""
+        plan = merge_plan([[(frac_mod1(pos), complex(w)) for pos, w in pairs]])
+        atoms = []
+        for pos, parts in plan:
+            total = parts[0][1]
+            for _, w in parts[1:]:
+                total = total + w
+            if total != 0:
+                atoms.append((pos, total))
+        return cls(tuple(atoms))
 
     def __len__(self) -> int:
         return len(self.atoms)
 
 
-def _merged(items: Sequence[tuple[Fraction, complex]]) -> AtomicMeasure:
-    """The measure of atoms with positions in [0, 1): a stable sort by
-    position, then coinciding atoms merged in that order and zero weights
-    dropped."""
+#: Ascending distinct positions, each with the (list index, weight) pairs
+#: that sit there, in list order.
+MergePlan = list[tuple[Fraction, list[tuple[int, complex]]]]
+
+
+def merge_plan(atom_lists: Sequence[Sequence[tuple[Fraction, complex]]]) -> MergePlan:
+    """The merge plan of atom lists with positions in [0, 1): a stable sort
+    by position, then the atoms of each position gathered in that order."""
     # the key is the position exactly: its correctly rounded float first
     # (rounding is monotone), then the Fraction to break ties.  Different
     # positions nearly always differ in their float, so few Fractions are
     # compared, and equal keys are equal positions.
-    keyed = [((pos.numerator / pos.denominator, pos), pos, w) for pos, w in items]
+    keyed = [((pos.numerator / pos.denominator, pos), pos, i, w)
+             for i, atoms in enumerate(atom_lists) for pos, w in atoms]
     keyed.sort(key=itemgetter(0))
-    merged: list[tuple[Fraction, complex]] = []
+    plan: MergePlan = []
     last = None
-    for key, pos, w in keyed:
+    for key, pos, i, w in keyed:
         if key == last:
-            merged[-1] = (pos, merged[-1][1] + w)
+            plan[-1][1].append((i, w))
         else:
-            merged.append((pos, w))
+            plan.append((pos, [(i, w)]))
             last = key
-    return AtomicMeasure(tuple((pos, w) for pos, w in merged if w != 0))
+    return plan
 
 
 def dirac(t: Fraction) -> AtomicMeasure:
     """Unit point mass at t."""
     return AtomicMeasure.from_atoms([(t, 1 + 0j)])
+
+
+def apply_plan(plan: MergePlan, coeffs: Sequence[complex]) -> AtomicMeasure:
+    """sum_i coeffs[i] * measures[i] for the measures the plan was made of:
+    a zero coefficient skips its measure, the others scale each weight
+    (complex(c) * w), each position sums its terms in measure order, and
+    zero sums are dropped."""
+    cs = [complex(c) for c in coeffs]
+    atoms = []
+    for pos, parts in plan:
+        total = None
+        for i, w in parts:
+            c = cs[i]
+            if c == 0:
+                continue
+            total = c * w if total is None else total + c * w
+        if total is not None and total != 0:
+            atoms.append((pos, total))
+    return AtomicMeasure(tuple(atoms))
 
 
 def linear_combine(coeffs: Sequence[complex],
@@ -102,13 +143,7 @@ def linear_combine(coeffs: Sequence[complex],
     canonical already, so their atoms are merged as they stand."""
     if len(coeffs) != len(measures):
         raise ValueError(f"{len(coeffs)} coefficients for {len(measures)} measures")
-    pairs: list[tuple[Fraction, complex]] = []
-    for c, mu in zip(coeffs, measures):
-        c = complex(c)
-        if c == 0:
-            continue
-        pairs.extend((pos, c * w) for pos, w in mu.atoms)
-    return _merged(pairs)
+    return apply_plan(merge_plan([mu.atoms for mu in measures]), coeffs)
 
 
 def total_variation(mu: AtomicMeasure) -> float:
@@ -116,20 +151,24 @@ def total_variation(mu: AtomicMeasure) -> float:
     return math.fsum(abs(w) for _, w in mu.atoms)
 
 
-def direct_norm(mu: AtomicMeasure, t: Fraction, w: complex) -> float:
-    """total_variation(mu + w delta_t), t reduced mod 1, without a merge: w
-    joins mu's atom at t, or stands as an atom of its own."""
+def direct_norms(mu: AtomicMeasure, t: Fraction, w: complex) -> tuple[float, float]:
+    """(total_variation(mu), total_variation(mu + w delta_t)), t reduced
+    mod 1, from one list of moduli and without a merge: w joins mu's atom
+    at t, or stands as an atom of its own."""
     # positions are Fractions in lowest terms: equal exactly when their
     # numerators and denominators are
     t = frac_mod1(t)
     num, den = t.numerator, t.denominator
-    moduli = []
+    moduli, at = [], -1
     for pos, m in mu.atoms:
         if pos.numerator == num and pos.denominator == den:
-            m, w = m + w, 0j
+            at = len(moduli)
         moduli.append(abs(m))
+    tv = math.fsum(moduli)
+    if at >= 0:
+        moduli[at], w = abs(mu.atoms[at][1] + w), 0j
     moduli.append(abs(w))
-    return math.fsum(moduli)
+    return tv, math.fsum(moduli)
 
 
 def point_mass(mu: AtomicMeasure, t: Fraction) -> complex:

@@ -28,10 +28,12 @@ The operators are the four classes below and their nested sums; the
 compiler covers all of them, and any other type raises TypeError.
 
 Reference pass.  The first time a profile is built, the per-point route
-runs once at every grid point: T.measure_at gives mu_s, total_variation
-its norm, and measures.direct_norm the norm of mu_s + u(s) delta_{phi(s)},
-with u's atom added in place rather than merged as a second measure.  The
-direct norm must match the compiled split |u + m| + off, and
+runs once at every grid point: T.measure_at gives mu_s (a finite-rank T
+applies the merge plan of its measures, built once per operator, to the
+coefficients g_i(s)), and measures.direct_norms, from one list of atom
+moduli, both its total variation and the norm of
+mu_s + u(s) delta_{phi(s)}, with u's atom added in place rather than
+merged as a second measure.  The direct norm must match the compiled split |u + m| + off, and
 total_variation(mu_s) the compiled row total variation, to errors.agree's
 relative tolerance, else InvariantViolation names the point.  The
 per-point route is a check only: it builds nothing the checks read and
@@ -40,6 +42,7 @@ names nothing of the compiled route, so it stays an independent witness.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,7 +66,15 @@ from .circle import (
     tabulate,
 )
 from .errors import agree, at_most
-from .measures import AtomicMeasure, dirac, direct_norm, linear_combine, total_variation
+from .measures import (
+    AtomicMeasure,
+    MergePlan,
+    apply_plan,
+    dirac,
+    direct_norms,
+    linear_combine,
+    merge_plan,
+)
 
 __all__ = [
     "SupportsMeasureAt",
@@ -109,9 +120,14 @@ class FiniteRankOperator:
     def rank_one(cls, g: ScalarField, mu: AtomicMeasure) -> "FiniteRankOperator":
         return cls(((g, mu),))
 
+    @functools.cached_property
+    def plan(self) -> MergePlan:
+        """The merge plan of the mu_i, built once: only the coefficients
+        g_i(s) change from point to point."""
+        return merge_plan([mu.atoms for _, mu in self.terms])
+
     def measure_at(self, s: Fraction) -> AtomicMeasure:
-        return linear_combine([g(s) for g, _ in self.terms],
-                              [mu for _, mu in self.terms])
+        return apply_plan(self.plan, [g(s) for g, _ in self.terms])
 
 
 @dataclass(frozen=True)
@@ -327,20 +343,18 @@ def _checked_profile(wc: WeightedComposition, T: SupportsMeasureAt,
     """The compiled profile, after one pass of the per-point route over
     every point.
 
-    That pass computes the direct norm direct_norm(mu_s, phi(s), u(s)) and
-    total_variation(mu_s), and holds the profile's split and row total
-    variation to them.
+    That pass computes total_variation(mu_s) and the direct norm of
+    mu_s + u(s) delta_{phi(s)} (direct_norms) and holds the profile's row
+    total variation and split to them.
     """
     prof = _compiled_profile(wc, T, grid)
     # the two routes usually agree bit for bit, and equal values always
     # pass, so only a differing pair goes through the tolerance rule
     for p, s, tv in zip(prof.points, _split(prof).tolist(), prof.total_variation.tolist()):
-        mu = T.measure_at(p)
-        direct_tv = total_variation(mu)
+        direct_tv, direct = direct_norms(T.measure_at(p), wc.phi(p), wc.u(p))
         if direct_tv != tv:
             agree(tv, direct_tv, lambda: f"compiled total variation {tv!r} disagrees with "
                                          f"the measure's total variation {direct_tv!r} at s={p}")
-        direct = direct_norm(mu, wc.phi(p), wc.u(p))
         if direct != s:
             agree(s, direct, lambda: f"aligned/off-target split {s!r} disagrees with "
                                      f"direct total variation {direct!r} at s={p}")

@@ -16,6 +16,10 @@ verdicts and the witnesses.  Given the same scenario and seed the rendered
 report is byte-identical across reruns: floats serialize through Python's
 shortest round-trip repr, keys are sorted, and no wall-clock data is
 embedded (timing collection is opt-in and off by default).
+render_report_json writes the report in one recursive pass into a list of
+strings, the bytes json.dumps(indent=2, sort_keys=True, allow_nan=False)
+gives after rationals, complex numbers and numpy scalars are rewritten
+as plain JSON values.
 """
 
 from __future__ import annotations
@@ -25,7 +29,10 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _ascii
 from typing import Any, Callable
+
+import numpy as np
 
 from . import disk as dsk
 from .circle import (
@@ -746,39 +753,90 @@ def run_scenario(sc: Scenario, tol: float = 1e-9, timings: bool = False,
 # report rendering
 # ---------------------------------------------------------------------------
 
-def jsonable(value: Any) -> Any:
-    """Recursively rewrite report values into JSON-safe primitives.
+def _float(x: float) -> str:
+    if x != x or x in (math.inf, -math.inf):
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
+    return float.__repr__(x)
 
-    Rationals become exact "p/q" strings, complex numbers {"re", "im"}
-    pairs; floats pass through untouched (json emits the shortest
-    round-trip decimal, so no precision is lost)."""
-    import numpy as np
 
+#: The JSON text of a value of exactly these types.  Containers look their
+#: children up here first; anything else goes through _write's checks,
+#: which give the same text.
+_EXACT: dict[type, Callable[[Any], str]] = {
+    str: _ascii, float: _float, int: int.__repr__,
+    bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _write(value: Any, out: list[str], newline: str) -> None:
+    """Append value as JSON to out, nested at the depth whose line break
+    (with its indent) is newline."""
     if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.complexfloating,)):
-        return {"re": float(value.real), "im": float(value.imag)}
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
-    raise TypeError(f"cannot serialize {type(value).__name__}: {value!r}")
+        if not value:
+            out.append("{}")
+            return
+        items = {str(k): v for k, v in value.items()}
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(items):
+            v = items[key]
+            text = _EXACT.get(type(v))
+            if text is None:
+                out.append(f"{sep}{_ascii(key)}: ")
+                _write(v, out, inner)
+            else:
+                out.append(f"{sep}{_ascii(key)}: {text(v)}")
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for v in value:
+            text = _EXACT.get(type(v))
+            if text is None:
+                out.append(sep)
+                _write(v, out, inner)
+            else:
+                out.append(sep + text(v))
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, str):
+        out.append(_ascii(value))
+    elif isinstance(value, (bool, np.bool_)):
+        out.append("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        out.append(int.__repr__(int(value)))
+    elif isinstance(value, np.floating):
+        out.append(_float(float(value)))
+    elif isinstance(value, float):
+        out.append(_float(value))
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, Fraction):
+        out.append(_ascii(str(value)))
+    elif isinstance(value, complex):
+        inner = newline + "  "
+        out.append(f'{{{inner}"im": {_float(value.imag)},{inner}"re": '
+                   f'{_float(value.real)}{newline}}}')
+    elif isinstance(value, np.complexfloating):
+        _write(complex(value), out, newline)
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}: {value!r}")
 
 
 def render_report_json(report: dict) -> str:
-    """Strict JSON: a NaN or infinity raises ValueError instead of printing."""
-    text = json.dumps(jsonable(report), indent=2, sort_keys=True, allow_nan=False)
-    return text + "\n"
+    """Strict JSON, keys sorted and indented by two spaces, in one pass over
+    the report: a NaN or infinity raises ValueError instead of printing.
+
+    Rationals become exact "p/q" strings, complex numbers {"re", "im"}
+    pairs, numpy scalars their Python values, and floats the shortest
+    decimal that reads back as the same float (float.__repr__)."""
+    out: list[str] = []
+    _write(report, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def render_report_csv(report: dict) -> str:

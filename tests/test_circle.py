@@ -11,8 +11,8 @@ from daugavetlab.circle import (
     GridCircle,
     ScalarField,
     SymbolMap,
+    _gap,
     arc_mask,
-    circle_distance,
     cmul,
     frac_mod1,
     index_space,
@@ -31,16 +31,21 @@ from daugavetlab.operators import rank_one
 FULL = Arc(Fraction(0), Fraction(1, 2))
 
 
+def distance(a, b) -> Fraction:
+    """d(a, b) as the exact ratio G / D that _gap gives, b reduced first."""
+    G, D = _gap(a, frac_mod1(b))
+    return Fraction(G, D)
+
+
 class TestGeometry:
     def test_distance_is_shorter_way_around(self):
-        assert circle_distance(Fraction(0), Fraction(3, 4)) == Fraction(1, 4)
-        assert circle_distance(Fraction(1, 8), Fraction(7, 8)) == Fraction(1, 4)
-        assert circle_distance(0.0, 0.5) == 0.5
+        assert distance(Fraction(0), Fraction(3, 4)) == Fraction(1, 4)
+        assert distance(Fraction(1, 8), Fraction(7, 8)) == Fraction(1, 4)
 
     def test_unreduced_query_points_act_as_their_residue(self):
         far = Fraction(9, 4)  # the point 1/4, two turns on
-        assert circle_distance(0, far) == circle_distance(far, 0) == Fraction(1, 4)
-        assert circle_distance(Fraction(-7, 4), 0) == Fraction(1, 4)
+        assert distance(0, far) == distance(far, 0) == Fraction(1, 4)
+        assert distance(Fraction(-7, 4), 0) == Fraction(1, 4)
         assert not Arc(0, Fraction(1, 8)).contains(far)
         assert ScalarField.tent(0, Fraction(1, 8))(far) == 0j
         assert ScalarField.tent(0, Fraction(1, 2))(far) == 0.5 + 0j
@@ -49,23 +54,21 @@ class TestGeometry:
         assert tv_excluding(mu, [Fraction(5, 4)]) == 0.0
 
     def test_distance_exact_for_rationals(self):
-        d = circle_distance(Fraction(1, 3), Fraction(2, 3))
-        assert isinstance(d, Fraction) and d == Fraction(1, 3)
+        G, D = _gap(Fraction(1, 3), Fraction(2, 3))
+        assert type(G) is int and type(D) is int and Fraction(G, D) == Fraction(1, 3)
 
     @given(st.fractions(min_value=0, max_value=1), st.fractions(min_value=0, max_value=1))
     def test_distance_is_a_metric(self, a, b):
         a, b = frac_mod1(a), frac_mod1(b)
-        d = circle_distance(a, b)
+        d = distance(a, b)
         assert 0 <= d <= Fraction(1, 2)
-        assert d == circle_distance(b, a)
+        assert d == distance(b, a)
         assert (d == 0) == (a == b)
 
     @given(st.fractions(min_value=0, max_value=1), st.fractions(min_value=0, max_value=1),
            st.fractions(min_value=0, max_value=1))
     def test_distance_triangle_inequality(self, a, b, c):
-        assert (circle_distance(frac_mod1(a), frac_mod1(c))
-                <= circle_distance(frac_mod1(a), frac_mod1(b))
-                + circle_distance(frac_mod1(b), frac_mod1(c)))
+        assert distance(a, c) <= distance(a, b) + distance(b, c)
 
     def test_frac_mod1_is_exact_and_strict(self):
         assert frac_mod1(Fraction(-3, 4)) == Fraction(1, 4)

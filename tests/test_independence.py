@@ -2,9 +2,11 @@
 
 Every profile is held to the per-point route once at each grid point, so
 that route must stay an independent witness: measures.py and every
-measure_at method (with the field and symbol evaluations they call, and
-every function of circle.py or measures.py that any of these names, to
-any depth) may not name any part of the compiled route.  Checked on the
+measure_at method (with the field and symbol evaluations they call, every
+function of circle.py or measures.py and every method of circle.py,
+measures.py or operators.py that any of these names, to any depth) may not
+name any part of the compiled route.  The methods include properties such
+as FiniteRankOperator.plan and SymbolMap.table_images.  Checked on the
 source, without importing it.
 """
 
@@ -23,6 +25,9 @@ COMPILED_ROUTE = {
 
 #: Modules whose module-level functions the route is followed into.
 HELPER_MODULES = ("circle.py", "measures.py")
+
+#: Modules whose methods (properties too) the route is followed into.
+METHOD_MODULES = ("circle.py", "measures.py", "operators.py")
 
 #: Methods of circle.py that measure_at evaluates at each point.
 POINT_EVALUATIONS = {("ScalarField", "__call__"), ("SymbolMap", "__call__"),
@@ -49,13 +54,17 @@ def methods(tree: ast.Module):
                     yield cls.name, fn
 
 
-def helpers() -> dict[str, tuple[str, ast.FunctionDef]]:
-    """Module-level functions of HELPER_MODULES by name."""
-    found = {}
+def helpers() -> dict[str, list[tuple[str, ast.FunctionDef]]]:
+    """Module-level functions of HELPER_MODULES and methods of
+    METHOD_MODULES, by name."""
+    found: dict[str, list] = {}
     for module in HELPER_MODULES:
         for fn in ast.parse((SRC / module).read_text()).body:
             if isinstance(fn, ast.FunctionDef):
-                found[fn.name] = (f"{module}:{fn.name}", fn)
+                found.setdefault(fn.name, []).append((f"{module}:{fn.name}", fn))
+    for module in METHOD_MODULES:
+        for cls, fn in methods(ast.parse((SRC / module).read_text())):
+            found.setdefault(fn.name, []).append((f"{module}:{cls}.{fn.name}", fn))
     return found
 
 
@@ -67,14 +76,17 @@ def reference_route() -> list[tuple[str, ast.AST]]:
             if fn.name == "measure_at" or (path.name == "circle.py"
                                            and (cls, fn.name) in POINT_EVALUATIONS):
                 parts.append((f"{path.name}:{cls}.{fn.name}", fn))
-    # follow every name of a helper function, called or passed, to any depth
-    table, seen = helpers(), set()
+    # follow every name of a helper function or method, called, passed or
+    # read as a property, to any depth
+    table, seen = helpers(), {where for where, _ in parts}
     todo = [node for _, node in parts]
     while todo:
-        for name in sorted(names(todo.pop()) & (table.keys() - seen)):
-            seen.add(name)
-            parts.append(table[name])
-            todo.append(table[name][1])
+        for name in sorted(names(todo.pop()) & table.keys()):
+            for where, node in table[name]:
+                if where not in seen:
+                    seen.add(where)
+                    parts.append((where, node))
+                    todo.append(node)
     return parts
 
 
@@ -87,7 +99,9 @@ def test_the_reference_route_is_found():
             "circle.py:ScalarField.__call__", "circle.py:SymbolMap.__call__",
             "circle.py:Arc.contains",
             "circle.py:_gap", "circle.py:_grid_index", "circle.py:frac_mod1",
-            "circle.py:_as_fraction", "measures.py:_merged"} <= found
+            "circle.py:_as_fraction", "circle.py:SymbolMap.table_images",
+            "operators.py:FiniteRankOperator.plan", "measures.py:merge_plan",
+            "measures.py:apply_plan"} <= found
 
 
 @pytest.mark.parametrize("node", [pytest.param(node, id=where)

@@ -1,27 +1,36 @@
 """The per-point reference pieces, pinned bit for bit to their earlier
 algorithms.
 
-linear_combine merges canonical measures without re-normalising them,
-direct_norm adds u's atom in place of a second merge, tents and arcs
-measure distances in integers, and tables and sample fields find grid
-indices with one divmod.  Each is held here to the algorithm it replaced,
-copied below as the oracle: the Fraction route through circle_distance and
-a full from_atoms pass.
+linear_combine and FiniteRankOperator.measure_at apply a merge plan to
+canonical measures without re-normalising them (the operator builds its
+plan once), direct_norms adds u's atom in place of a second merge, tents
+and arcs measure distances in integers, and tables and sample fields find
+grid indices with one divmod.  Each is held here to the algorithm it
+replaced, copied below as the oracle: the Fraction route to the circle
+distance, a full from_atoms pass, and the sort-and-merge linear_combine.
 """
 
+import math
 import numbers
 import struct
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from daugavetlab import operators
 from daugavetlab.circle import Arc, GridCircle, ScalarField, SymbolMap, frac_mod1
 from daugavetlab.measures import (
     AtomicMeasure,
-    direct_norm,
+    direct_norms,
     linear_combine,
     total_variation,
+)
+from daugavetlab.operators import (
+    FiniteRankOperator,
+    WeightedComposition,
+    perturbation_profile,
 )
 
 # ---------------------------------------------------------------------------
@@ -55,6 +64,34 @@ def old_linear_combine(coeffs, measures):
             continue
         pairs.extend((pos, c * w) for pos, w in mu.atoms)
     return old_from_atoms(pairs)
+
+
+def parent_merged(items):
+    keyed = [((pos.numerator / pos.denominator, pos), pos, w) for pos, w in items]
+    keyed.sort(key=itemgetter(0))
+    merged = []
+    last = None
+    for key, pos, w in keyed:
+        if key == last:
+            merged[-1] = (pos, merged[-1][1] + w)
+        else:
+            merged.append((pos, w))
+            last = key
+    return AtomicMeasure(tuple((pos, w) for pos, w in merged if w != 0))
+
+
+def parent_linear_combine(coeffs, measures):
+    """linear_combine as it was before merge plans: every scaled atom
+    sorted and merged at each call."""
+    if len(coeffs) != len(measures):
+        raise ValueError(f"{len(coeffs)} coefficients for {len(measures)} measures")
+    pairs = []
+    for c, mu in zip(coeffs, measures):
+        c = complex(c)
+        if c == 0:
+            continue
+        pairs.extend((pos, c * w) for pos, w in mu.atoms)
+    return parent_merged(pairs)
 
 
 def old_direct(mu, t, w):
@@ -159,10 +196,76 @@ class TestLinearCombine:
                                                                   [1.0], [mu, mu])
 
 
+class TestMergePlan:
+    """The planned merge, held bit for bit to the sort-and-merge one."""
+
+    special = st.sampled_from([0, 0.0, -0.0, 0j, complex(-0.0, -0.0), complex(0.0, -0.0),
+                               math.inf, -math.inf, complex(0, math.inf), math.nan,
+                               complex(math.nan, 0), complex(1, math.nan)])
+    coefficients = st.one_of(special, coeffs)
+
+    @staticmethod
+    def operator(cs, mus):
+        """The finite-rank operator whose measure at every point is
+        sum_i cs[i] * mus[i]."""
+        return FiniteRankOperator(tuple((ScalarField.constant(c), mu)
+                                        for c, mu in zip(cs, mus)))
+
+    def check(self, cs, mus):
+        want = measure_bits(parent_linear_combine(cs, mus))
+        assert measure_bits(linear_combine(cs, mus)) == want
+        T = self.operator(cs, mus)
+        for s in (Fraction(0), Fraction(3, 8)):
+            assert measure_bits(T.measure_at(s)) == want
+
+    @given(st.lists(st.tuples(coefficients, measures), max_size=5))
+    def test_matches_the_parent_merge(self, terms):
+        self.check([c for c, _ in terms], [mu for _, mu in terms])
+
+    @pytest.mark.parametrize("cs, atoms", [
+        # zero and negative-zero coefficients skip their measure
+        ([-0.0, complex(-0.0, -0.0), 1.0], [[(Fraction(1, 8), 1.0)], [(Fraction(1, 8), 2.0)],
+                                            [(Fraction(1, 8), -0.0 + 0j)]]),
+        # inf and NaN coefficients, alone and meeting a finite term
+        ([math.inf, 1.0], [[(Fraction(1, 4), 1 + 1j)], [(Fraction(1, 4), 2.0)]]),
+        ([complex(math.nan, 0), 1j], [[(Fraction(0), 1.0)], [(Fraction(1, 2), 1.0)]]),
+        ([complex(0, math.inf), -1.0], [[(Fraction(1, 3), 0.5j)], [(Fraction(1, 3), 0.5j)]]),
+        # positions that coincide across three terms, summed in term order
+        ([0.1, 0.2, 0.3], [[(Fraction(1, 8), 1.0), (Fraction(1, 2), 1.0)],
+                           [(Fraction(1, 8), 1.0), (Fraction(1, 2), -3.0)],
+                           [(Fraction(1, 8), 1.0)]]),
+        # exact cancellation to zero, at one position and at every one
+        ([1.0, -1.0], [[(Fraction(1, 2), 0.1 + 0.2j), (Fraction(0), 1.0)],
+                       [(Fraction(1, 2), 0.1 + 0.2j)]]),
+        ([2.0, -1.0], [[(Fraction(1, 3), 0.35)], [(Fraction(1, 3), 0.7)]]),
+        # sums that reach -0.0 parts without being zero
+        ([-1.0, 1.0], [[(Fraction(0), complex(0.0, 1.0))], [(Fraction(0), complex(-0.0, 2.0))]]),
+    ], ids=["zero-coefficients", "inf", "nan", "inf-imaginary", "coincide", "cancel-one",
+            "cancel-all", "negative-zero-parts"])
+    def test_cases(self, cs, atoms):
+        self.check(cs, [old_from_atoms(a) for a in atoms])
+
+    def test_the_plan_is_built_once_per_operator(self, monkeypatch):
+        builds, points = [], []
+        plan, measure_at = operators.merge_plan, FiniteRankOperator.measure_at
+        monkeypatch.setattr(operators, "merge_plan",
+                            lambda lists: builds.append(1) or plan(lists))
+        monkeypatch.setattr(FiniteRankOperator, "measure_at",
+                            lambda self, s: points.append(s) or measure_at(self, s))
+        T = self.operator([0.5, 1j], [old_from_atoms([(Fraction(1, 4), 1.0)]),
+                                      old_from_atoms([(Fraction(1, 4), 2.0),
+                                                      (Fraction(1, 2), 1.0)])])
+        wc = WeightedComposition(ScalarField.constant(1.0), SymbolMap.doubling())
+        perturbation_profile(wc, T, GridCircle(64))
+        perturbation_profile(wc, T, GridCircle(32))
+        assert len(points) == 64 + 32
+        assert len(builds) == 1
+
+
 class TestDirectNorm:
     @given(measures, positions, weights)
     def test_matches_the_merged_total_variation(self, mu, t, w):
-        assert direct_norm(mu, t, w) == old_direct(mu, t, w)
+        assert direct_norms(mu, t, w) == (total_variation(mu), old_direct(mu, t, w))
 
     @pytest.mark.parametrize("where", ["on target", "off target", "cancels", "u = 0",
                                        "u = 0 off target", "unreduced target"])
@@ -175,12 +278,13 @@ class TestDirectNorm:
                 "u = 0": (Fraction(1, 2), 0j),
                 "u = 0 off target": (Fraction(1, 4), 0j),
                 "unreduced target": (Fraction(-1, 2), 0.5 + 0j)}[where]
-        got = direct_norm(mu, t, w)
-        assert struct.pack("<d", got) == struct.pack("<d", old_direct(mu, t, w))
+        tv, direct = direct_norms(mu, t, w)
+        assert struct.pack("<d", tv) == struct.pack("<d", total_variation(mu))
+        assert struct.pack("<d", direct) == struct.pack("<d", old_direct(mu, t, w))
 
     def test_empty_measure(self):
-        assert direct_norm(AtomicMeasure(), Fraction(1, 3), 3 - 4j) == 5.0
-        assert direct_norm(AtomicMeasure(), Fraction(1, 3), 0j) == 0.0
+        assert direct_norms(AtomicMeasure(), Fraction(1, 3), 3 - 4j) == (0.0, 5.0)
+        assert direct_norms(AtomicMeasure(), Fraction(1, 3), 0j) == (0.0, 0.0)
 
 
 class TestIntegerDistances:
