@@ -231,6 +231,12 @@ class GridCircle:
         return True
 
 
+def shared_points(n: int) -> list[Fraction]:
+    """GridCircle(n).points(), built once per n and shared by every call in
+    the current block (do not modify it)."""
+    return memoized("points", n, (), lambda: GridCircle(n).points())
+
+
 def _half_width(h, what: str) -> Fraction:
     h = _as_fraction(h)
     if not (0 < h <= Fraction(1, 2)):
@@ -334,15 +340,18 @@ class ScalarField:
         return cls(kind="product", factors=(left, right))
 
     def __call__(self, s: Fraction) -> complex:
+        s = _as_fraction(s)
         k = self.kind
         if k == "constant":
             return self.value
         if k == "unimodular_exp":
-            theta = TWO_PI * self.winding * float(s)
+            num, den = s.as_integer_ratio()  # num / den rounds as float(s) does
+            theta = TWO_PI * self.winding * (num / den)
             return self.value * complex(math.cos(theta), math.sin(theta))
         if k == "cosine":
+            num, den = s.as_integer_ratio()
             return complex(self.offset
-                           + self.amplitude * math.cos(TWO_PI * self.frequency * float(s)))
+                           + self.amplitude * math.cos(TWO_PI * self.frequency * (num / den)))
         if k == "tent":
             # d(s, c) / h = G den(h) / (D num(h)); int / int rounds once,
             # as float(Fraction) does
@@ -453,24 +462,28 @@ class SymbolMap:
         return tuple(Fraction(k, self.n) for k in self.table)
 
     def __call__(self, s: Fraction) -> Fraction:
+        s = _as_fraction(s)
         k = self.kind
         if k == "identity":
-            r = frac_mod1(s)
-        elif k == "rotation":
-            r = frac_mod1(s + self.shift)
-        elif k == "doubling":
-            r = frac_mod1(2 * s)
-        elif k == "constant_on_arc":
-            r = self.value if self.arc.contains(s) else self.base(s)
-        elif k == "table":
+            return frac_mod1(s)
+        if k == "rotation":
+            # a/b + c/d = (a d + c b) / (b d), reduced mod 1 in integers
+            a, b = s.as_integer_ratio()
+            c, d = self.shift.as_integer_ratio()
+            return Fraction((a * d + c * b) % (b * d), b * d)
+        if k == "doubling":
+            a, b = s.as_integer_ratio()
+            return Fraction(2 * a % b, b)
+        if k == "constant_on_arc":
+            return self.value if self.arc.contains(s) else self.base(s)
+        if k == "table":
             j = _grid_index(s, self.n)  # first: it rejects a grid below 2 points
-            r = self.table_images[j]
-        else:
-            raise ValueError(f"unknown symbol kind {k!r}")
-        # a table built by hand can point off its grid
-        if not (0 <= r.numerator < r.denominator):
-            raise ValueError(f"symbol produced {r!r}, outside [0, 1)")
-        return r
+            # a table built by hand can point off its grid
+            if not 0 <= self.table[j] < self.n:
+                raise ValueError(f"symbol produced {Fraction(self.table[j], self.n)!r}, "
+                                 "outside [0, 1)")
+            return self.table_images[j]
+        raise ValueError(f"unknown symbol kind {k!r}")
 
 
 @compiles

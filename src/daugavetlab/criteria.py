@@ -43,6 +43,7 @@ from .circle import (
     modulus,
     modulus_constancy,
     preimage_nowhere_dense_at_resolution,
+    shared_points,
     symbol_codes,
     tabulate,
 )
@@ -104,15 +105,14 @@ class CriterionResult:
     holds: bool
 
 
-def _criterion_from_profile(prof: PerturbationProfile, weight_sup: float,
-                            t_norm: float, epsilon: float,
-                            tol: float) -> CriterionResult:
-    tv = np.abs(prof.aligned_mass) + prof.off_mass
+def _criterion_level(tv: np.ndarray, deficiency: np.ndarray, weight_sup: float,
+                     t_norm: float, epsilon: float, tol: float) -> CriterionResult:
+    """criterion_sup at one level, from the profile's per-point total
+    variation tv and its _deficiency."""
     active = tv > t_norm - epsilon
     if not active.any():
         raise InvariantViolation(
             "empty active set; the norm supremum must belong to it")
-    deficiency = _deficiency(prof, weight_sup)
     sup_value = float(deficiency[active].max())
     at_most(sup_value, 0.0, f"criterion supremum {sup_value!r} is positive; "
                             "the deficiency is bounded by zero",
@@ -133,8 +133,9 @@ def criterion_sup(wc: WeightedComposition, T: SupportsMeasureAt, epsilon: float,
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     prof = perturbation_profile(wc, T, grid)
     weight_sup = float(np.abs(prof.weight).max())
-    t_norm = float((np.abs(prof.aligned_mass) + prof.off_mass).max())
-    return _criterion_from_profile(prof, weight_sup, t_norm, epsilon, tol)
+    tv = np.abs(prof.aligned_mass) + prof.off_mass
+    return _criterion_level(tv, _deficiency(prof, weight_sup), weight_sup,
+                            float(tv.max()), epsilon, tol)
 
 
 @dataclass(frozen=True)
@@ -214,10 +215,9 @@ def criterion_sweep(wc: WeightedComposition, T: SupportsMeasureAt,
         if t_norm - eps == t_norm:
             eps = gap  # one rounding step: the half would round back to ||T||
         epsilons.append(eps)
-    results = tuple(
-        _criterion_from_profile(prof, weight_sup, t_norm, eps, tol)
-        for eps in epsilons
-    )
+    deficiency = _deficiency(prof, weight_sup)
+    results = tuple(_criterion_level(tv, deficiency, weight_sup, t_norm, eps, tol)
+                    for eps in epsilons)
     return SweepResult(holds=all(r.holds for r in results), results=results)
 
 
@@ -457,7 +457,7 @@ def convex_center_check(cc: ConvexCombination, T: SupportsMeasureAt,
         - (1.0 + modulus(m_phi) + modulus(m_psi)))
     delta: list[tuple[Fraction, float]] = []
     delta_tilde: list[tuple[Fraction, float]] = []
-    for p, same_symbol, value in zip(grid.points(), same.tolist(), values.tolist()):
+    for p, same_symbol, value in zip(shared_points(grid.n), same.tolist(), values.tolist()):
         (delta_tilde if same_symbol else delta).append((p, value))
         if value > 0.0:  # at_most never raises on a value <= 0
             at_most(value, 0.0, f"positive deficiency {value!r} at s={p}; bounded by zero",

@@ -15,8 +15,11 @@ is the one sort-and-group routine, from_atoms sums a plan's weights as
 they stand, and apply_plan sums coefficient times weight.  linear_combine
 plans its canonical measures at each call; a FiniteRankOperator plans its
 fixed measures once and applies the plan to the coefficients g_i(s) at
-every point, so no point sorts anything.  Every measure built still passes
-AtomicMeasure's validation.  direct_norms takes the moduli of mu_s's atoms
+every point, so no point sorts anything.  A plan's positions are validated
+once, when the plan is made (Fractions in [0, 1), strictly ascending), and
+apply_plan drops zero sums, so the measures it builds are canonical without
+a second pass of AtomicMeasure's validation; from_atoms and hand-built
+measures are validated in full.  direct_norms takes the moduli of mu_s's atoms
 once and returns both the total variation of mu_s and that of
 mu_s + u(s) delta_{phi(s)}, adding u's atom in place, with no second
 merge.
@@ -34,6 +37,7 @@ from .circle import GridCircle, frac_mod1
 
 __all__ = [
     "AtomicMeasure",
+    "MergePlan",
     "dirac",
     "merge_plan",
     "apply_plan",
@@ -56,18 +60,7 @@ class AtomicMeasure:
     atoms: tuple[tuple[Fraction, complex], ...] = ()
 
     def __post_init__(self) -> None:
-        last_num, last_den = -1, 1
-        for pos, w in self.atoms:
-            if not isinstance(pos, Fraction):
-                raise ValueError(f"atom position {pos!r} is not a Fraction")
-            num, den = pos.as_integer_ratio()
-            if not (0 <= num < den):
-                raise ValueError(f"atom position {pos} lies outside [0, 1)")
-            if num * last_den <= last_num * den:
-                raise ValueError(f"atom positions are not strictly ascending at {pos}")
-            if w == 0:
-                raise ValueError(f"atom at {pos} has weight zero")
-            last_num, last_den = num, den
+        _check_positions(self.atoms, nonzero=True)
 
     @classmethod
     def from_atoms(cls, pairs: Iterable[tuple[Fraction, complex]]) -> "AtomicMeasure":
@@ -75,7 +68,7 @@ class AtomicMeasure:
         given order and drop zero weights."""
         plan = merge_plan([[(frac_mod1(pos), complex(w)) for pos, w in pairs]])
         atoms = []
-        for pos, parts in plan:
+        for pos, parts in plan.entries:
             total = parts[0][1]
             for _, w in parts[1:]:
                 total = total + w
@@ -87,14 +80,47 @@ class AtomicMeasure:
         return len(self.atoms)
 
 
-#: Ascending distinct positions, each with the (list index, weight) pairs
-#: that sit there, in list order.
-MergePlan = list[tuple[Fraction, list[tuple[int, complex]]]]
+def _check_positions(pairs, nonzero: bool) -> None:
+    """ValueError unless the first items of pairs are Fractions in [0, 1),
+    strictly ascending, and (with nonzero) no second item is zero."""
+    last_num, last_den = -1, 1
+    for pos, w in pairs:
+        if not isinstance(pos, Fraction):
+            raise ValueError(f"atom position {pos!r} is not a Fraction")
+        num, den = pos.as_integer_ratio()
+        if not (0 <= num < den):
+            raise ValueError(f"atom position {pos} lies outside [0, 1)")
+        if num * last_den <= last_num * den:
+            raise ValueError(f"atom positions are not strictly ascending at {pos}")
+        if nonzero and w == 0:
+            raise ValueError(f"atom at {pos} has weight zero")
+        last_num, last_den = num, den
+
+
+def _trusted(atoms: tuple[tuple[Fraction, complex], ...]) -> AtomicMeasure:
+    """The AtomicMeasure of atoms already known canonical, without a second
+    validation: positions from a MergePlan and nonzero weights."""
+    mu = object.__new__(AtomicMeasure)
+    object.__setattr__(mu, "atoms", atoms)
+    return mu
+
+
+@dataclass(frozen=True)
+class MergePlan:
+    """Ascending distinct positions, each with the (list index, weight)
+    pairs that sit there, in list order.  The positions are validated when
+    the plan is made: Fractions in [0, 1), strictly ascending."""
+
+    entries: tuple[tuple[Fraction, list[tuple[int, complex]]], ...]
+
+    def __post_init__(self) -> None:
+        _check_positions(self.entries, nonzero=False)
 
 
 def merge_plan(atom_lists: Sequence[Sequence[tuple[Fraction, complex]]]) -> MergePlan:
     """The merge plan of atom lists with positions in [0, 1): a stable sort
-    by position, then the atoms of each position gathered in that order."""
+    by position, then the atoms of each position gathered in that order.
+    The plan checks its positions as it is made (see MergePlan)."""
     # the key is the position exactly: its correctly rounded float first
     # (rounding is monotone), then the Fraction to break ties.  Different
     # positions nearly always differ in their float, so few Fractions are
@@ -102,15 +128,15 @@ def merge_plan(atom_lists: Sequence[Sequence[tuple[Fraction, complex]]]) -> Merg
     keyed = [((pos.numerator / pos.denominator, pos), pos, i, w)
              for i, atoms in enumerate(atom_lists) for pos, w in atoms]
     keyed.sort(key=itemgetter(0))
-    plan: MergePlan = []
+    entries: list[tuple[Fraction, list[tuple[int, complex]]]] = []
     last = None
     for key, pos, i, w in keyed:
         if key == last:
-            plan[-1][1].append((i, w))
+            entries[-1][1].append((i, w))
         else:
-            plan.append((pos, [(i, w)]))
+            entries.append((pos, [(i, w)]))
             last = key
-    return plan
+    return MergePlan(tuple(entries))
 
 
 def dirac(t: Fraction) -> AtomicMeasure:
@@ -122,10 +148,11 @@ def apply_plan(plan: MergePlan, coeffs: Sequence[complex]) -> AtomicMeasure:
     """sum_i coeffs[i] * measures[i] for the measures the plan was made of:
     a zero coefficient skips its measure, the others scale each weight
     (complex(c) * w), each position sums its terms in measure order, and
-    zero sums are dropped."""
+    zero sums are dropped.  The plan validated its positions, so the
+    measure is not validated again."""
     cs = [complex(c) for c in coeffs]
     atoms = []
-    for pos, parts in plan:
+    for pos, parts in plan.entries:
         total = None
         for i, w in parts:
             c = cs[i]
@@ -134,7 +161,7 @@ def apply_plan(plan: MergePlan, coeffs: Sequence[complex]) -> AtomicMeasure:
             total = c * w if total is None else total + c * w
         if total is not None and total != 0:
             atoms.append((pos, total))
-    return AtomicMeasure(tuple(atoms))
+    return _trusted(tuple(atoms))
 
 
 def linear_combine(coeffs: Sequence[complex],

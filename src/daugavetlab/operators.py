@@ -29,15 +29,19 @@ compiler covers all of them, and any other type raises TypeError.
 
 Reference pass.  The first time a profile is built, the per-point route
 runs once at every grid point: T.measure_at gives mu_s (a finite-rank T
-applies the merge plan of its measures, built once per operator, to the
-coefficients g_i(s)), and measures.direct_norms, from one list of atom
-moduli, both its total variation and the norm of
+applies the merge plan of its measures, built once per operator and
+validated then, to the coefficients g_i(s)), and measures.direct_norms,
+from one list of atom moduli, both its total variation and the norm of
 mu_s + u(s) delta_{phi(s)}, with u's atom added in place rather than
-merged as a second measure.  The direct norm must match the compiled split |u + m| + off, and
-total_variation(mu_s) the compiled row total variation, to errors.agree's
-relative tolerance, else InvariantViolation names the point.  The
-per-point route is a check only: it builds nothing the checks read and
-names nothing of the compiled route, so it stays an independent witness.
+merged as a second measure.  phi(s) and u(s) come from the per-point calls
+wc.phi(s) and wc.u(s), made once per (u, phi, grid) in a
+shared_compilation() block and read by every profile of that weighted
+composition; the grid points are one list per grid size.  The direct norm
+must match the compiled split |u + m| + off, and total_variation(mu_s) the
+compiled row total variation, to errors.agree's relative tolerance, else
+InvariantViolation names the point.  The per-point route is a check only:
+it builds nothing the checks read and names nothing of the compiled route,
+so it stays an independent witness.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from .circle import (
     memoized,
     modulus,
     modulus_constancy,
+    shared_points,
     sup_norm,
     symbol_codes,
     tabulate,
@@ -310,7 +315,6 @@ class PerturbationProfile:
     """Per-point data of uC_phi + T: weight u(s), aligned mass mu_s({phi(s)}),
     off-target variation |mu_s|(S - {phi(s)}) and total variation |mu_s|(S)."""
 
-    points: tuple[Fraction, ...]
     weight: np.ndarray           # complex
     aligned_mass: np.ndarray     # complex
     off_mass: np.ndarray         # real
@@ -334,8 +338,26 @@ def _compiled_profile(wc: WeightedComposition, T: SupportsMeasureAt,
     if rows.size:  # the rest have no atom on target: off = tv exactly
         rest = fam.present[:, rows] & (np.arange(len(fam.codes))[:, None] != slot[rows])
         off[rows] = _row_fsum(np.where(rest, modulus(fam.weights[:, rows]), 0.0))
-    return PerturbationProfile(tuple(grid.points()), tabulate(wc.u, n), aligned,
-                               off, fam.tv)
+    return PerturbationProfile(tabulate(wc.u, n), aligned, off, fam.tv)
+
+
+def _pointwise(wc: WeightedComposition, n: int) -> tuple[list[Fraction], np.ndarray]:
+    """phi(s) and u(s) at every point of shared_points(n), by the per-point
+    calls, once per (u, phi, n) in the current block.  They stay in the
+    block's memo, so they are kept small: an image on the grid is the equal
+    shared point rather than a copy, and the u(s) are a complex array (the
+    values exactly, at 16 bytes a point)."""
+    points = shared_points(n)
+
+    def build():
+        images = []
+        for p in points:
+            t = wc.phi(p)
+            q, r = divmod(n, t.denominator)
+            images.append(t if r else points[t.numerator * q])
+        return images, np.array([wc.u(p) for p in points], dtype=complex)
+
+    return memoized("pointwise", n, (wc.u, wc.phi), build)
 
 
 def _checked_profile(wc: WeightedComposition, T: SupportsMeasureAt,
@@ -345,13 +367,16 @@ def _checked_profile(wc: WeightedComposition, T: SupportsMeasureAt,
 
     That pass computes total_variation(mu_s) and the direct norm of
     mu_s + u(s) delta_{phi(s)} (direct_norms) and holds the profile's row
-    total variation and split to them.
+    total variation and split to them.  phi(s) and u(s) come from
+    _pointwise, so profiles that share u and phi evaluate them once.
     """
     prof = _compiled_profile(wc, T, grid)
+    images, weights = _pointwise(wc, grid.n)
     # the two routes usually agree bit for bit, and equal values always
     # pass, so only a differing pair goes through the tolerance rule
-    for p, s, tv in zip(prof.points, _split(prof).tolist(), prof.total_variation.tolist()):
-        direct_tv, direct = direct_norms(T.measure_at(p), wc.phi(p), wc.u(p))
+    for p, t, w, s, tv in zip(shared_points(grid.n), images, weights.tolist(),
+                              _split(prof).tolist(), prof.total_variation.tolist()):
+        direct_tv, direct = direct_norms(T.measure_at(p), t, w)
         if direct_tv != tv:
             agree(tv, direct_tv, lambda: f"compiled total variation {tv!r} disagrees with "
                                          f"the measure's total variation {direct_tv!r} at s={p}")

@@ -1,5 +1,6 @@
 """Grid circle geometry, scalar fields and symbol maps."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -98,6 +99,32 @@ class TestGeometry:
     def test_float_coordinate_is_rejected(self, build):
         with pytest.raises(TypeError, match="exact rationals"):
             build()
+
+    EVALUATED = [
+        ScalarField.constant(1),
+        ScalarField.unimodular_exp(winding=2),
+        ScalarField.cosine(),
+        ScalarField.tent(Fraction(0), Fraction(1, 4)),
+        ScalarField.from_samples([1, 2, 3, 4], 4),
+        ScalarField.product(ScalarField.constant(2), ScalarField.cosine()),
+        SymbolMap.identity(),
+        SymbolMap.rotation(Fraction(1, 3)),
+        SymbolMap.doubling(),
+        SymbolMap.constant_on_arc(Fraction(1, 2), Arc(Fraction(0), Fraction(1, 8))),
+        SymbolMap.from_table([1, 2, 3, 0], 4),
+    ]
+
+    @pytest.mark.parametrize("point", [0.25, True, "1/4"], ids=["float", "bool", "str"])
+    @pytest.mark.parametrize("obj", EVALUATED, ids=[f"{type(o).__name__}-{o.kind}"
+                                                    for o in EVALUATED])
+    def test_every_kind_rejects_a_non_rational_point(self, obj, point):
+        # the message names the point passed, not a value computed from it
+        with pytest.raises(TypeError, match=r"^coordinates are exact rationals \(an int or "
+                                            r"a Fraction\), got "
+                                            + re.escape(f"{type(point).__name__} {point!r}")
+                                            + "$"):
+            obj(point)
+        obj(Fraction(1, 4))  # while an exact point evaluates
 
     def test_grid_points_are_exact_rationals(self):
         g = GridCircle(8)

@@ -9,6 +9,7 @@ import pytest
 
 from daugavetlab.circle import Arc, GridCircle, ScalarField, SymbolMap, modulus_constancy
 from daugavetlab.criteria import (
+    TARGET_SAMPLES,
     convex_center_check,
     counterexample_fat_preimage,
     counterexample_nonconstant_modulus,
@@ -347,21 +348,38 @@ class TestSharedProfiles:
     }
 
     def test_each_profile_is_cross_checked_once_per_run(self, monkeypatch):
-        calls = Counter()
-        original = FiniteRankOperator.measure_at
+        sc = parse_scenario(self.SCENARIO)
+        calls, weights, images = Counter(), Counter(), Counter()
 
-        def counting(self, s):
-            calls[s] += 1
-            return original(self, s)
+        def counting(cls, method, counter, of=None):
+            original = getattr(cls, method)
 
-        monkeypatch.setattr(FiniteRankOperator, "measure_at", counting)
-        report = run_scenario(parse_scenario(self.SCENARIO))
+            def call(self, s):
+                if of is None or self == of:
+                    counter[s] += 1
+                return original(self, s)
+
+            monkeypatch.setattr(cls, method, call)
+
+        counting(FiniteRankOperator, "measure_at", calls)
+        counting(ScalarField, "__call__", weights, of=sc.weight)
+        counting(SymbolMap, "__call__", images, of=sc.symbol)
+        report = run_scenario(sc)
         assert [r["verdict"] for r in report["checks"]] == [
             "holds", "holds", "holds", "computed", "holds", "gap-certified", "computed"]
         # three profiles: the scenario's at n = 32 and n = 16, the
         # counterexample's operator at n = 32; one measure per point each
         expected = Counter(GridCircle(32).points() * 2 + GridCircle(16).points())
         assert calls == expected
+        # u and phi once per point per grid: the counterexample's profile
+        # shares the scenario's (u, phi) at n = 32.  Besides, the
+        # counterexample's operator has the coefficient g * u, whose
+        # measure_at evaluates u once per point, and refinement samples phi
+        # at TARGET_SAMPLES points k/8 of each of its two grids
+        once = Counter(GridCircle(32).points() + GridCircle(16).points())
+        assert weights == once + Counter(GridCircle(32).points())
+        assert images == once + Counter([Fraction(k, TARGET_SAMPLES)
+                                         for k in range(TARGET_SAMPLES)] * 2)
 
     def test_arc_scan_names_the_first_point_off_target(self):
         g = GridCircle(64)

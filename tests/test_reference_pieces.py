@@ -4,10 +4,14 @@ algorithms.
 linear_combine and FiniteRankOperator.measure_at apply a merge plan to
 canonical measures without re-normalising them (the operator builds its
 plan once), direct_norms adds u's atom in place of a second merge, tents
-and arcs measure distances in integers, and tables and sample fields find
-grid indices with one divmod.  Each is held here to the algorithm it
-replaced, copied below as the oracle: the Fraction route to the circle
-distance, a full from_atoms pass, and the sort-and-merge linear_combine.
+and arcs measure distances in integers, tables and sample fields find
+grid indices with one divmod, and rotations, doubling and the
+trigonometric fields evaluate a point from its integer numerator and
+denominator.  A merge plan validates its positions once, so the measures
+applied from it skip a second validation and must still pass it.  Each is
+held here to the algorithm it replaced, copied below as the oracle: the
+Fraction route to the circle distance and to rotations and doubling, a
+full from_atoms pass, and the sort-and-merge linear_combine.
 """
 
 import math
@@ -23,8 +27,10 @@ from daugavetlab import operators
 from daugavetlab.circle import Arc, GridCircle, ScalarField, SymbolMap, frac_mod1
 from daugavetlab.measures import (
     AtomicMeasure,
+    MergePlan,
     direct_norms,
     linear_combine,
+    merge_plan,
     total_variation,
 )
 from daugavetlab.operators import (
@@ -260,6 +266,90 @@ class TestMergePlan:
         perturbation_profile(wc, T, GridCircle(32))
         assert len(points) == 64 + 32
         assert len(builds) == 1
+
+
+class TestPlanTimeValidation:
+    """A plan validates its positions once, when it is made; the measures
+    applied from it are canonical without a second validation."""
+
+    fields = st.one_of(
+        coeffs.map(ScalarField.constant),
+        st.sampled_from([ScalarField.cosine(amplitude=0.5, offset=0.5, frequency=3),
+                         ScalarField.unimodular_exp(winding=-2, scale=0.3 - 0.4j),
+                         ScalarField.tent(Fraction(1, 4), Fraction(1, 8), peak=-1.0),
+                         ScalarField.tent(Fraction(0), Fraction(1, 2), base=0.5)]))
+
+    @given(st.lists(st.tuples(fields, measures), max_size=4),
+           st.lists(st.fractions(), min_size=1, max_size=4))
+    @example([(ScalarField.constant(1.0), old_from_atoms([(Fraction(1, 2), 1.0)])),
+              (ScalarField.constant(-1.0), old_from_atoms([(Fraction(1, 2), 1.0)]))],
+             [Fraction(0)])
+    def test_applied_measures_pass_full_validation(self, terms, points):
+        T = FiniteRankOperator(tuple(terms))
+        for s in points:
+            mu = T.measure_at(s)
+            assert AtomicMeasure(mu.atoms) == mu
+
+    @pytest.mark.parametrize("entries, message", [
+        (((Fraction(1, 2), [(0, 1.0)]), (Fraction(1, 4), [(0, 1.0)])),
+         "not strictly ascending at 1/4"),
+        (((Fraction(1, 4), [(0, 1.0)]), (Fraction(1, 4), [(1, 1.0)])),
+         "not strictly ascending at 1/4"),
+        (((Fraction(1, 4), [(0, 1.0)]), (Fraction(5, 4), [(0, 1.0)])),
+         "outside"),
+        (((Fraction(-1, 4), [(0, 1.0)]),), "outside"),
+        (((0, [(0, 1.0)]),), "is not a Fraction"),
+    ], ids=["descending", "repeated", "above-one", "negative", "int"])
+    def test_a_plan_over_bad_positions_is_rejected(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            MergePlan(entries)
+
+    def test_merge_plan_rejects_positions_outside_the_circle(self):
+        with pytest.raises(ValueError, match="outside"):
+            merge_plan([[(Fraction(1, 4), 1.0)], [(Fraction(5, 4), 1.0)]])
+        with pytest.raises(ValueError, match="is not a Fraction"):
+            merge_plan([[(0, 1.0)]])
+
+    def test_measures_are_validated_at_the_plan_not_at_each_point(self, monkeypatch):
+        checks = []
+        post_init = AtomicMeasure.__post_init__
+        monkeypatch.setattr(AtomicMeasure, "__post_init__",
+                            lambda self: checks.append(1) or post_init(self))
+        mu = old_from_atoms([(Fraction(1, 8), 1.0), (Fraction(1, 2), -1j)])
+        T = FiniteRankOperator(((ScalarField.cosine(), mu), (ScalarField.constant(2j), mu)))
+        checks.clear()
+        for k in range(8):
+            T.measure_at(Fraction(k, 8))
+        assert checks == []
+        AtomicMeasure.from_atoms([(Fraction(1, 8), 1.0)])
+        assert checks == [1]
+
+
+class TestIntegerPoints:
+    """Rotation, doubling and the trigonometric fields evaluate a point
+    from its integer numerator and denominator, bit for bit as the
+    Fraction route did."""
+
+    points = st.one_of(st.fractions(), st.integers(-10, 10),
+                       st.sampled_from([Fraction(1, 10 ** 40 + 1), Fraction(-7, 4),
+                                        Fraction(10 ** 40, 10 ** 40 + 1)]))
+    shifts = st.one_of(st.fractions(), st.sampled_from([Fraction(1, 3), Fraction(-1, 10 ** 30)]))
+
+    @given(points, shifts)
+    def test_rotation_and_doubling(self, s, shift):
+        image = SymbolMap.rotation(shift)(s)
+        assert image == frac_mod1(Fraction(s) + frac_mod1(shift))
+        assert type(image) is Fraction and 0 <= image < 1
+        assert SymbolMap.doubling()(s) == frac_mod1(2 * Fraction(s))
+
+    @given(points, st.integers(-5, 5))
+    def test_cosine_and_unimodular_exp(self, s, k):
+        x = float(Fraction(s))
+        cos = ScalarField.cosine(amplitude=0.7, offset=-0.2, frequency=k)
+        assert bits(cos(s)) == bits(complex(-0.2 + 0.7 * math.cos(2.0 * math.pi * k * x)))
+        exp = ScalarField.unimodular_exp(winding=k, scale=0.6 + 0.8j)
+        theta = 2.0 * math.pi * k * x
+        assert bits(exp(s)) == bits((0.6 + 0.8j) * complex(math.cos(theta), math.sin(theta)))
 
 
 class TestDirectNorm:
