@@ -51,12 +51,11 @@ from .measures import (
     tv_excluding,
 )
 from .operators import (
-    ConvexCombination,
     FiniteRankOperator,
     OperatorExpr,
     WeightedComposition,
     as_expr,
-    convex_combo_perturbed_norm,
+    convex_combination,
     operator_norm,
     perturbation_profile,
     perturbed_norm,
@@ -88,10 +87,10 @@ __all__ = [
     "AtomicMeasure", "dirac", "linear_combine", "total_variation",
     "point_mass", "tv_excluding", "integrate", "norm_oracle",
     # operators
-    "WeightedComposition", "FiniteRankOperator", "ConvexCombination",
-    "OperatorExpr", "rank_one", "as_expr", "scaled", "zero_operator",
+    "WeightedComposition", "FiniteRankOperator", "OperatorExpr",
+    "rank_one", "convex_combination", "as_expr", "scaled", "zero_operator",
     "operator_norm", "perturbation_profile", "perturbed_norm",
-    "rotation_max_norm", "convex_combo_perturbed_norm",
+    "rotation_max_norm",
     # norm identities and counterexamples
     "equation_holds", "criterion_sup", "criterion_sweep", "open_set_criterion",
     "s_epsilon_fraction", "counterexample_nonconstant_modulus",

@@ -48,19 +48,19 @@ from .circle import (
     tabulate,
 )
 from .errors import InvariantViolation, agree, at_most
-from .measures import dirac
 from .operators import (
-    ConvexCombination,
     FiniteRankOperator,
+    OperatorExpr,
     PerturbationProfile,
     SupportsMeasureAt,
     WeightedComposition,
     compiled_family,
-    convex_combo_perturbed_norm,
+    convex_combination,
     operator_norm,
     perturbation_profile,
     perturbed_norm,
     point_masses,
+    rank_one,
 )
 
 __all__ = [
@@ -285,7 +285,7 @@ def counterexample_nonconstant_modulus(u: ScalarField, phi: SymbolMap,
     half_width = max(Fraction(steps, 2 * grid.n), Fraction(1, 2 * grid.n))
 
     v = ScalarField.tent(center=s0, half_width=half_width, peak=1.0, base=0.0)
-    T = FiniteRankOperator.rank_one(v, dirac(s0))
+    T = rank_one(v, s0)
     return _certify(WeightedComposition(u, phi), T, grid,
                     detail={"kind": "modulus-dip", "s0": s0,
                             "tent_half_width": half_width,
@@ -321,7 +321,7 @@ def counterexample_fat_preimage(u: ScalarField, phi: SymbolMap, t: Fraction,
 
     g = ScalarField.tent(center=U.center, half_width=U.half_width,
                          peak=-1.0, base=-0.5)
-    T = FiniteRankOperator.rank_one(ScalarField.product(g, u), dirac(t))
+    T = rank_one(ScalarField.product(g, u), t)
     return _certify(WeightedComposition(u, phi), T, grid,
                     detail={"kind": "fat-preimage", "target": t,
                             "arc_center": U.center, "arc_half_width": U.half_width})
@@ -425,9 +425,9 @@ class ConvexCheckResult:
 
 
 @compiles
-def convex_center_check(cc: ConvexCombination, T: SupportsMeasureAt,
+def convex_center_check(t: float, phi: SymbolMap, psi: SymbolMap, T: SupportsMeasureAt,
                         grid: GridCircle, tol: float = 1e-9) -> ConvexCheckResult:
-    """Additivity of T against a convex combination of two compositions.
+    """Additivity of T against the convex combination t*C_phi + (1-t)*C_psi.
 
     Besides the norm comparison, reports the pointwise deficiencies that
     control it: on the set where the symbols disagree,
@@ -437,23 +437,26 @@ def convex_center_check(cc: ConvexCombination, T: SupportsMeasureAt,
     and |1 + m_phi| - (1 + |m_phi|) where they agree; both are <= 0, and
     additivity means they climb to 0 along the relevant points.
     """
+    cc = convex_combination(t, phi, psi)
     combo_norm = operator_norm(cc, grid)
     agree(combo_norm, 1.0,
           f"a convex combination of compositions has norm 1, got {combo_norm!r}")
     t_norm = operator_norm(T, grid)
-    norm = convex_combo_perturbed_norm(cc, T, grid)
+    # cc + T as two terms: flattening T's terms into cc's would change the
+    # order of summation
+    norm = operator_norm(OperatorExpr(((1.0, cc), (1.0, T))), grid)
     upper = combo_norm + t_norm
     at_most(norm, upper, f"norm {norm!r} exceeds the bound {upper!r}")
     gap = upper - norm
 
     fam = compiled_family(T, grid.n)
-    phi, psi = symbol_codes(cc.phi, grid.n), symbol_codes(cc.psi, grid.n)
-    m_phi, m_psi = point_masses(fam, phi)[0], point_masses(fam, psi)[0]
-    same = phi == psi
+    phi_codes, psi_codes = symbol_codes(phi, grid.n), symbol_codes(psi, grid.n)
+    m_phi, m_psi = point_masses(fam, phi_codes)[0], point_masses(fam, psi_codes)[0]
+    same = phi_codes == psi_codes
     values = np.where(
         same,
         modulus(1.0 + m_phi) - (1.0 + modulus(m_phi)),
-        (modulus(cc.t + m_phi) + modulus(1.0 - cc.t + m_psi))
+        (modulus(t + m_phi) + modulus(1.0 - t + m_psi))
         - (1.0 + modulus(m_phi) + modulus(m_psi)))
     delta: list[tuple[Fraction, float]] = []
     delta_tilde: list[tuple[Fraction, float]] = []

@@ -18,9 +18,10 @@ fixed measures once and applies the plan to the coefficients g_i(s) at
 every point, so no point sorts anything.  A plan's positions are validated
 once, when the plan is made (Fractions in [0, 1), strictly ascending), and
 apply_plan drops zero sums, so the measures it builds are canonical without
-a second pass of AtomicMeasure's validation; from_atoms and hand-built
-measures are validated in full.  direct_norms takes the moduli of mu_s's atoms
-once and returns both the total variation of mu_s and that of
+a second pass of AtomicMeasure's validation.  from_atoms builds its
+measure from a plan in the same way; a hand-built AtomicMeasure is
+validated in full.  direct_norms takes the moduli of mu_s's atoms once
+and returns both the total variation of mu_s and that of
 mu_s + u(s) delta_{phi(s)}, adding u's atom in place, with no second
 merge.
 """
@@ -65,7 +66,8 @@ class AtomicMeasure:
     @classmethod
     def from_atoms(cls, pairs: Iterable[tuple[Fraction, complex]]) -> "AtomicMeasure":
         """Reduce every position into [0, 1), merge coinciding atoms in the
-        given order and drop zero weights."""
+        given order and drop zero weights.  The plan validated the
+        positions, so the measure is not validated again."""
         plan = merge_plan([[(frac_mod1(pos), complex(w)) for pos, w in pairs]])
         atoms = []
         for pos, parts in plan.entries:
@@ -74,7 +76,7 @@ class AtomicMeasure:
                 total = total + w
             if total != 0:
                 atoms.append((pos, total))
-        return cls(tuple(atoms))
+        return _trusted(tuple(atoms))
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -125,8 +127,13 @@ def merge_plan(atom_lists: Sequence[Sequence[tuple[Fraction, complex]]]) -> Merg
     # (rounding is monotone), then the Fraction to break ties.  Different
     # positions nearly always differ in their float, so few Fractions are
     # compared, and equal keys are equal positions.
-    keyed = [((pos.numerator / pos.denominator, pos), pos, i, w)
-             for i, atoms in enumerate(atom_lists) for pos, w in atoms]
+    try:
+        keyed = [((pos.numerator / pos.denominator, pos), pos, i, w)
+                 for i, atoms in enumerate(atom_lists) for pos, w in atoms]
+    except AttributeError:  # a position without numerator and denominator
+        bad = next(pos for atoms in atom_lists for pos, _ in atoms
+                   if not isinstance(pos, Fraction))
+        raise ValueError(f"atom position {bad!r} is not a Fraction") from None
     keyed.sort(key=itemgetter(0))
     entries: list[tuple[Fraction, list[tuple[int, complex]]]] = []
     last = None

@@ -24,8 +24,10 @@ bit what the per-point route computes.  Families and profiles are kept in
 the block's memo, keyed by value, so every check of a scenario reads the
 same profile.
 
-The operators are the four classes below and their nested sums; the
-compiler covers all of them, and any other type raises TypeError.
+The operators are the three classes below and their nested sums; the
+compiler covers all of them, and any other type raises TypeError.  A
+convex combination t*C_phi + (1-t)*C_psi is such a sum
+(convex_combination).
 
 Reference pass.  The first time a profile is built, the per-point route
 runs once at every grid point: T.measure_at gives mu_s (a finite-rank T
@@ -75,7 +77,6 @@ from .measures import (
     AtomicMeasure,
     MergePlan,
     apply_plan,
-    dirac,
     direct_norms,
     linear_combine,
     merge_plan,
@@ -85,9 +86,9 @@ __all__ = [
     "SupportsMeasureAt",
     "WeightedComposition",
     "FiniteRankOperator",
-    "ConvexCombination",
     "OperatorExpr",
     "rank_one",
+    "convex_combination",
     "as_expr",
     "scaled",
     "zero_operator",
@@ -96,7 +97,6 @@ __all__ = [
     "perturbed_norm",
     "RotationMaxResult",
     "rotation_max_norm",
-    "convex_combo_perturbed_norm",
 ]
 
 
@@ -121,10 +121,6 @@ class FiniteRankOperator:
 
     terms: tuple[tuple[ScalarField, AtomicMeasure], ...]
 
-    @classmethod
-    def rank_one(cls, g: ScalarField, mu: AtomicMeasure) -> "FiniteRankOperator":
-        return cls(((g, mu),))
-
     @functools.cached_property
     def plan(self) -> MergePlan:
         """The merge plan of the mu_i, built once: only the coefficients
@@ -133,23 +129,6 @@ class FiniteRankOperator:
 
     def measure_at(self, s: Fraction) -> AtomicMeasure:
         return apply_plan(self.plan, [g(s) for g, _ in self.terms])
-
-
-@dataclass(frozen=True)
-class ConvexCombination:
-    """t*C_phi + (1-t)*C_psi; family t*delta_{phi(s)} + (1-t)*delta_{psi(s)}."""
-
-    t: float
-    phi: SymbolMap
-    psi: SymbolMap
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.t <= 1.0):
-            raise ValueError(f"convex weight t must lie in [0, 1], got {self.t}")
-
-    def measure_at(self, s: Fraction) -> AtomicMeasure:
-        return linear_combine([self.t, 1.0 - self.t],
-                              [dirac(self.phi(s)), dirac(self.psi(s))])
 
 
 @dataclass(frozen=True)
@@ -168,14 +147,22 @@ class OperatorExpr:
 
 #: The operators of the library: a closed set, every member of which
 #: compiles.
-SupportsMeasureAt = Union[WeightedComposition, FiniteRankOperator, ConvexCombination,
-                          OperatorExpr]
+SupportsMeasureAt = Union[WeightedComposition, FiniteRankOperator, OperatorExpr]
 
 
 def rank_one(g: ScalarField, at: Fraction,
              scale: complex = 1.0) -> FiniteRankOperator:
     """The ubiquitous f -> scale * f(at) * g."""
-    return FiniteRankOperator.rank_one(g, AtomicMeasure.from_atoms([(at, scale)]))
+    return FiniteRankOperator(((g, AtomicMeasure.from_atoms([(at, scale)])),))
+
+
+def convex_combination(t: float, phi: SymbolMap, psi: SymbolMap) -> OperatorExpr:
+    """t*C_phi + (1-t)*C_psi; family t*delta_{phi(s)} + (1-t)*delta_{psi(s)}."""
+    if not (0.0 <= t <= 1.0):
+        raise ValueError(f"convex weight t must lie in [0, 1], got {t}")
+    one = ScalarField.constant(1.0)
+    return OperatorExpr(((t, WeightedComposition(one, phi)),
+                         (1.0 - t, WeightedComposition(one, psi))))
 
 
 def as_expr(op: SupportsMeasureAt) -> OperatorExpr:
@@ -270,16 +257,11 @@ def compile_family(T: SupportsMeasureAt, space: IndexSpace) -> CompiledFamily:
                 weights.append(cmul(c, complex(w)))
                 present.append(c != 0)
         return _canonical(codes, weights, present, n)
-    if isinstance(T, ConvexCombination):
-        one = _canonical([symbol_codes(T.phi, n)], [1 + 0j], [True], n)
-        other = _canonical([symbol_codes(T.psi, n)], [1 + 0j], [True], n)
-        return _combine([T.t, 1.0 - T.t], [one, other], n)
     if isinstance(T, OperatorExpr):
         return _combine([c for c, _ in T.terms],
                         [compiled_family(op, n) for _, op in T.terms], n)
     raise TypeError(f"{type(T).__name__} is not an operator of daugavetlab: use "
-                    "WeightedComposition, FiniteRankOperator, ConvexCombination "
-                    "or OperatorExpr")
+                    "WeightedComposition, FiniteRankOperator or OperatorExpr")
 
 
 def compiled_family(T: SupportsMeasureAt, n: int) -> CompiledFamily:
@@ -471,10 +453,3 @@ def rotation_max_norm(wc: WeightedComposition, T: SupportsMeasureAt,
                              argmax_lambda=complex(lam[arg_idx]),
                              lambda_grid=lambda_grid)
 
-
-@compiles
-def convex_combo_perturbed_norm(cc: ConvexCombination, T: SupportsMeasureAt,
-                                grid: GridCircle) -> float:
-    """Exact norm of t*C_phi + (1-t)*C_psi + T via merged atom families."""
-    fams = [compiled_family(cc, grid.n), compiled_family(T, grid.n)]
-    return float(_combine([1.0, 1.0], fams, grid.n).tv.max())

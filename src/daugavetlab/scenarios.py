@@ -54,7 +54,6 @@ from .criteria import (
 )
 from .measures import AtomicMeasure
 from .operators import (
-    ConvexCombination,
     FiniteRankOperator,
     OperatorExpr,
     SupportsMeasureAt,
@@ -500,9 +499,9 @@ def _run_rotation_max(sc: Scenario, tol: float, lambda_grid: int) -> dict:
 def _run_convex(sc: Scenario, tol: float) -> dict:
     if sc.t is None:
         raise ScenarioError("scenario.t", "required by the convex check")
-    cc = ConvexCombination(sc.t, _need(sc, "symbol", "symbol"),
-                           _need(sc, "symbol2", "symbol2"))
-    res = convex_center_check(cc, sc.operator, sc.grid(), tol=tol)
+    res = convex_center_check(sc.t, _need(sc, "symbol", "symbol"),
+                              _need(sc, "symbol2", "symbol2"), sc.operator,
+                              sc.grid(), tol=tol)
 
     def summary(pairs):
         values = [v for _, v in pairs]

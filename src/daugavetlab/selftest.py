@@ -25,7 +25,6 @@ from .criteria import (
 )
 from .measures import norm_oracle, total_variation
 from .operators import (
-    ConvexCombination,
     WeightedComposition,
     operator_norm,
     rank_one,
@@ -143,8 +142,7 @@ def _convex_stage() -> dict:
     phi = SymbolMap.doubling()
     psi = SymbolMap.rotation(Fraction(1, 64))
     T = rank_one(ScalarField.constant(1.0), scale=-1.0, at=Fraction(0))
-    cc = ConvexCombination(0.4, phi, psi)
-    res = convex_center_check(cc, T, grid)
+    res = convex_center_check(0.4, phi, psi, T, grid)
     return _stage("convex", res.holds and abs(res.norm - 2.0) <= 1e-12,
                   norm=res.norm, gap=res.gap)
 

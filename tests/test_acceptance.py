@@ -21,7 +21,6 @@ from daugavetlab.criteria import (
 )
 from daugavetlab.measures import norm_oracle, point_mass, total_variation, tv_excluding
 from daugavetlab.operators import (
-    ConvexCombination,
     WeightedComposition,
     operator_norm,
     rank_one,
@@ -141,9 +140,8 @@ def test_05_convex_combinations():
     worst_gap = 0.0
     worst_delta = -float("inf")
     for t in (0.0, 0.25, 0.5, 1.0):
-        cc = ConvexCombination(t, SymbolMap.doubling(),
-                               SymbolMap.rotation(Fraction(1, n)))
-        res = convex_center_check(cc, T, grid)
+        res = convex_center_check(t, SymbolMap.doubling(),
+                                  SymbolMap.rotation(Fraction(1, n)), T, grid)
         worst_gap = max(worst_gap, res.gap)
         for _, v in list(res.delta) + list(res.delta_tilde):
             worst_delta = max(worst_delta, v)

@@ -22,7 +22,6 @@ from daugavetlab.criteria import (
 )
 from daugavetlab.measures import point_mass
 from daugavetlab.operators import (
-    ConvexCombination,
     FiniteRankOperator,
     WeightedComposition,
     operator_norm,
@@ -287,10 +286,9 @@ class TestRefinement:
 class TestConvexCenter:
     def test_golden_instance(self):
         g = GridCircle(64)
-        cc = ConvexCombination(0.4, SymbolMap.doubling(),
-                               SymbolMap.rotation(Fraction(1, 64)))
         T = rank_one(ScalarField.constant(1.0), at=Fraction(0), scale=-1.0)
-        res = convex_center_check(cc, T, g)
+        res = convex_center_check(0.4, SymbolMap.doubling(),
+                                  SymbolMap.rotation(Fraction(1, 64)), T, g)
         assert res.holds
         assert res.norm == 2.0
         assert all(v <= 1e-12 for _, v in res.delta)
@@ -299,12 +297,10 @@ class TestConvexCenter:
     def test_endpoints_reduce_to_single_composition(self):
         g = GridCircle(64)
         T = rank_one(ScalarField.constant(1.0), at=Fraction(0), scale=-1.0)
+        phi, psi = SymbolMap.doubling(), SymbolMap.rotation(Fraction(1, 64))
         for t in (0.0, 1.0):
-            cc = ConvexCombination(t, SymbolMap.doubling(),
-                                   SymbolMap.rotation(Fraction(1, 64)))
-            res = convex_center_check(cc, T, g)
-            phi = cc.phi if t == 1.0 else cc.psi
-            wc = WeightedComposition(ScalarField.constant(1.0), phi)
+            res = convex_center_check(t, phi, psi, T, g)
+            wc = WeightedComposition(ScalarField.constant(1.0), phi if t == 1.0 else psi)
             assert res.norm == pytest.approx(perturbed_norm(wc, T, g), abs=1e-15)
 
     def test_window_gap_shrinks_with_n(self):
@@ -312,9 +308,9 @@ class TestConvexCenter:
                      at=Fraction(0), scale=-1.0)
         gaps = []
         for n in (64, 256, 1024):
-            cc = ConvexCombination(0.5, SymbolMap.doubling(),
-                                   SymbolMap.rotation(Fraction(1, n)))
-            gaps.append(convex_center_check(cc, T, GridCircle(n)).gap)
+            gaps.append(convex_center_check(0.5, SymbolMap.doubling(),
+                                            SymbolMap.rotation(Fraction(1, n)), T,
+                                            GridCircle(n)).gap)
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[-1] < 1e-4
 

@@ -94,7 +94,6 @@ def test_the_reference_route_is_found():
     found = {where for where, _ in reference_route()}
     assert {"operators.py:WeightedComposition.measure_at",
             "operators.py:FiniteRankOperator.measure_at",
-            "operators.py:ConvexCombination.measure_at",
             "operators.py:OperatorExpr.measure_at",
             "circle.py:ScalarField.__call__", "circle.py:SymbolMap.__call__",
             "circle.py:Arc.contains",

@@ -34,13 +34,12 @@ from daugavetlab.measures import (
     tv_excluding,
 )
 from daugavetlab.operators import (
-    ConvexCombination,
     FiniteRankOperator,
     OperatorExpr,
     WeightedComposition,
     as_expr,
     compiled_family,
-    convex_combo_perturbed_norm,
+    convex_combination,
     operator_norm,
     perturbation_profile,
     perturbed_norm,
@@ -232,26 +231,27 @@ class TestRotationMax:
 class TestConvexCombination:
     def test_combination_norm_is_one(self):
         g = GridCircle(64)
-        cc = ConvexCombination(0.4, SymbolMap.doubling(),
-                               SymbolMap.rotation(Fraction(1, 64)))
+        cc = convex_combination(0.4, SymbolMap.doubling(),
+                                SymbolMap.rotation(Fraction(1, 64)))
         assert operator_norm(cc, g) == pytest.approx(1.0, abs=1e-15)
 
     def test_atoms_merge_where_symbols_agree(self):
-        cc = ConvexCombination(0.25, SymbolMap.identity(), SymbolMap.identity())
+        cc = convex_combination(0.25, SymbolMap.identity(), SymbolMap.identity())
         assert cc.measure_at(Fraction(0)).atoms == ((Fraction(0), 1 + 0j),)
 
     def test_golden_instance_reaches_two_exactly(self):
         # doubling and the 1/64 rotation merge at s = 1/64; with g = 1 the
         # perturbation adds a full extra unit there
         g = GridCircle(64)
-        cc = ConvexCombination(0.4, SymbolMap.doubling(),
-                               SymbolMap.rotation(Fraction(1, 64)))
+        cc = convex_combination(0.4, SymbolMap.doubling(),
+                                SymbolMap.rotation(Fraction(1, 64)))
         T = rank_one(ScalarField.constant(1.0), at=Fraction(0), scale=-1.0)
-        assert convex_combo_perturbed_norm(cc, T, g) == 2.0
+        assert operator_norm(OperatorExpr(((1.0, cc), (1.0, T))), g) == 2.0
 
     def test_rejects_t_outside_unit_interval(self):
-        with pytest.raises(ValueError):
-            ConvexCombination(1.5, SymbolMap.identity(), SymbolMap.identity())
+        for t in (1.5, -0.25, math.nan):
+            with pytest.raises(ValueError, match=r"convex weight t must lie in \[0, 1\]"):
+                convex_combination(t, SymbolMap.identity(), SymbolMap.identity())
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +283,18 @@ def reference_convex_rows(cc, T, grid):
             for p in grid.points()]
 
 
-def reference_deficiencies(cc, T, grid):
+def reference_deficiencies(t, phi, psi, T, grid):
     """(delta, delta_tilde) of convex_center_check, point by point."""
     delta, delta_tilde = [], []
     for p in grid.points():
         mu = T.measure_at(p)
-        fp, gp = cc.phi(p), cc.psi(p)
+        fp, gp = phi(p), psi(p)
         m_phi = point_mass(mu, fp)
         if fp == gp:
             delta_tilde.append((p, abs(1.0 + m_phi) - (1.0 + abs(m_phi))))
         else:
             m_psi = point_mass(mu, gp)
-            delta.append((p, abs(cc.t + m_phi) + abs(1.0 - cc.t + m_psi)
+            delta.append((p, abs(t + m_phi) + abs(1.0 - t + m_psi)
                           - (1.0 + abs(m_phi) + abs(m_psi))))
     return delta, delta_tilde
 
@@ -386,7 +386,7 @@ H_OPERATORS = st.recursive(
         st.lists(st.tuples(H_FIELDS, H_MEASURES), min_size=1, max_size=3)
         .map(lambda terms: FiniteRankOperator(tuple(terms))),
         H_COMPOSITIONS,
-        st.builds(ConvexCombination, st.sampled_from([0.0, 0.25, 0.5]), H_SYMBOLS, H_SYMBOLS)),
+        st.builds(convex_combination, st.sampled_from([0.0, 0.25, 0.5]), H_SYMBOLS, H_SYMBOLS)),
     lambda inner: st.one_of(
         st.builds(scaled, inner, H_WEIGHTS),
         st.lists(inner, min_size=2, max_size=3).map(lambda ops: sum(ops, zero_operator())),
@@ -436,15 +436,16 @@ class TestCompiledRoute:
     def test_convex_values_match_the_reference_bit_for_bit(self, seed):
         rng = np.random.default_rng(100 + seed)
         g = GridCircle(int(rng.choice([12, 16, 21])))
-        cc = ConvexCombination(float(rng.random()), random_symbol_map(rng, g.n),
-                               random_symbol_map(rng, g.n))
+        t = float(rng.random())
+        phi, psi = random_symbol_map(rng, g.n), random_symbol_map(rng, g.n)
+        cc = convex_combination(t, phi, psi)
         T = random_operator(rng, g.n)
         rows = reference_convex_rows(cc, T, g)
-        assert convex_combo_perturbed_norm(cc, T, g) == max(rows)
+        assert operator_norm(OperatorExpr(((1.0, cc), (1.0, T))), g) == max(rows)
         assert operator_norm(cc, g) == max(total_variation(cc.measure_at(p))
                                            for p in g.points())
-        delta, delta_tilde = reference_deficiencies(cc, T, g)
-        res = convex_center_check(cc, T, g, tol=1e-9)
+        delta, delta_tilde = reference_deficiencies(t, phi, psi, T, g)
+        res = convex_center_check(t, phi, psi, T, g, tol=1e-9)
         assert [p for p, _ in res.delta] == [p for p, _ in delta]
         assert bits([v for _, v in res.delta], float) == bits([v for _, v in delta], float)
         assert bits([v for _, v in res.delta_tilde], float) == bits(

@@ -8,12 +8,16 @@ and arcs measure distances in integers, tables and sample fields find
 grid indices with one divmod, and rotations, doubling and the
 trigonometric fields evaluate a point from its integer numerator and
 denominator.  A merge plan validates its positions once, so the measures
-applied from it skip a second validation and must still pass it.  Each is
-held here to the algorithm it replaced, copied below as the oracle: the
-Fraction route to the circle distance and to rotations and doubling, a
-full from_atoms pass, and the sort-and-merge linear_combine.
+applied from it skip a second validation and must still pass it.  A
+convex combination is an operator sum of two weighted compositions.  Each
+is held here to the algorithm it replaced, copied below as the oracle:
+the Fraction route to the circle distance and to rotations and doubling,
+a full from_atoms pass, the sort-and-merge linear_combine, and the
+ConvexCombination operator with its own compiled family, per-point
+measure and perturbed norm.
 """
 
+import itertools
 import math
 import numbers
 import struct
@@ -23,11 +27,24 @@ from operator import itemgetter
 import pytest
 from hypothesis import example, given, strategies as st
 
+import numpy as np
+
 from daugavetlab import operators
-from daugavetlab.circle import Arc, GridCircle, ScalarField, SymbolMap, frac_mod1
+from daugavetlab.circle import (
+    Arc,
+    GridCircle,
+    ScalarField,
+    SymbolMap,
+    frac_mod1,
+    modulus,
+    shared_compilation,
+    symbol_codes,
+)
+from daugavetlab.criteria import convex_center_check
 from daugavetlab.measures import (
     AtomicMeasure,
     MergePlan,
+    dirac,
     direct_norms,
     linear_combine,
     merge_plan,
@@ -36,7 +53,13 @@ from daugavetlab.measures import (
 from daugavetlab.operators import (
     FiniteRankOperator,
     WeightedComposition,
+    as_expr,
+    compiled_family,
+    convex_combination,
     perturbation_profile,
+    point_masses,
+    rank_one,
+    scaled,
 )
 
 # ---------------------------------------------------------------------------
@@ -135,6 +158,43 @@ def old_index_of(p, n):
     if scaled.denominator != 1:
         raise ValueError(f"{p!r} is not a grid point of the {n}-point grid")
     return scaled.numerator % n
+
+
+def parent_convex_family(t, phi, psi, n):
+    """ConvexCombination's compiled family: two one-slot unit-weight
+    families, combined with coefficients t and 1 - t.  Needs a
+    shared_compilation() block."""
+    one = operators._canonical([symbol_codes(phi, n)], [1 + 0j], [True], n)
+    other = operators._canonical([symbol_codes(psi, n)], [1 + 0j], [True], n)
+    return operators._combine([t, 1.0 - t], [one, other], n)
+
+
+def parent_convex_measure(t, phi, psi, s):
+    """ConvexCombination.measure_at."""
+    return linear_combine([t, 1.0 - t], [dirac(phi(s)), dirac(psi(s))])
+
+
+def parent_convex_center(t, phi, psi, T, grid):
+    """(norm, gap, delta, delta_tilde) of convex_center_check on a
+    ConvexCombination, its perturbed norm from convex_combo_perturbed_norm."""
+    n = grid.n
+    with shared_compilation():
+        cc = parent_convex_family(t, phi, psi, n)
+        fam = compiled_family(T, n)
+        norm = float(operators._combine([1.0, 1.0], [cc, fam], n).tv.max())
+        gap = float(cc.tv.max()) + float(fam.tv.max()) - norm
+        phi_codes, psi_codes = symbol_codes(phi, n), symbol_codes(psi, n)
+        m_phi, m_psi = point_masses(fam, phi_codes)[0], point_masses(fam, psi_codes)[0]
+    same = phi_codes == psi_codes
+    values = np.where(
+        same,
+        modulus(1.0 + m_phi) - (1.0 + modulus(m_phi)),
+        (modulus(t + m_phi) + modulus(1.0 - t + m_psi))
+        - (1.0 + modulus(m_phi) + modulus(m_psi)))
+    delta, delta_tilde = [], []
+    for p, same_symbol, value in zip(grid.points(), same.tolist(), values.tolist()):
+        (delta_tilde if same_symbol else delta).append((p, value))
+    return norm, gap, delta, delta_tilde
 
 
 def bits(z) -> bytes:
@@ -290,6 +350,14 @@ class TestPlanTimeValidation:
             mu = T.measure_at(s)
             assert AtomicMeasure(mu.atoms) == mu
 
+    @given(st.lists(st.tuples(st.one_of(positions, st.fractions(), st.integers(-3, 3)),
+                              weights), max_size=6))
+    @example([(Fraction(1, 2), 1.0), (Fraction(3, 2), -1.0), (Fraction(-1, 4), 0.5j)])
+    def test_from_atoms_passes_full_validation(self, pairs):
+        mu = AtomicMeasure.from_atoms(pairs)
+        assert AtomicMeasure(mu.atoms) == mu
+        assert measure_bits(mu) == measure_bits(old_from_atoms(pairs))
+
     @pytest.mark.parametrize("entries, message", [
         (((Fraction(1, 2), [(0, 1.0)]), (Fraction(1, 4), [(0, 1.0)])),
          "not strictly ascending at 1/4"),
@@ -309,6 +377,8 @@ class TestPlanTimeValidation:
             merge_plan([[(Fraction(1, 4), 1.0)], [(Fraction(5, 4), 1.0)]])
         with pytest.raises(ValueError, match="is not a Fraction"):
             merge_plan([[(0, 1.0)]])
+        with pytest.raises(ValueError, match="atom position 0.25 is not a Fraction"):
+            merge_plan([[(Fraction(1, 2), 1.0)], [(0.25, 1.0)]])
 
     def test_measures_are_validated_at_the_plan_not_at_each_point(self, monkeypatch):
         checks = []
@@ -322,6 +392,8 @@ class TestPlanTimeValidation:
             T.measure_at(Fraction(k, 8))
         assert checks == []
         AtomicMeasure.from_atoms([(Fraction(1, 8), 1.0)])
+        assert checks == []
+        AtomicMeasure(((Fraction(1, 8), 1 + 0j),))
         assert checks == [1]
 
 
@@ -449,3 +521,54 @@ class TestGridIndex:
         with pytest.raises(ValueError, match=r"symbol produced Fraction\(9, 2\), outside"):
             phi(Fraction(1, 2))
         assert phi(Fraction(0)) == 0
+
+
+class TestConvexCombination:
+    """convex_combination, an operator sum of two weighted compositions,
+    held bit for bit to the ConvexCombination operator it replaced."""
+
+    symbols = [SymbolMap.identity(), SymbolMap.doubling(), SymbolMap.rotation(Fraction(1, 8)),
+               SymbolMap.rotation(Fraction(1, 3)), SymbolMap.rotation(Fraction(1, 10 ** 40 + 1)),
+               SymbolMap.constant_on_arc(Fraction(1, 4), Arc(Fraction(0), Fraction(1, 6)))]
+    pairs = list(itertools.product(symbols, repeat=2))  # phi == psi included
+    perturbations = [
+        rank_one(ScalarField.constant(1.0), at=Fraction(0), scale=-1.0),
+        rank_one(ScalarField.cosine(amplitude=0.5, offset=0.5, frequency=1),
+                 at=Fraction(1, 3), scale=0.5j),
+        scaled(WeightedComposition(ScalarField.unimodular_exp(1), SymbolMap.doubling()), -0.5),
+        # two terms that merge at 0: (t + 0.3) - 0.1 and t + (0.3 - 0.1) round
+        # apart, so the perturbed norm must sum cc + T as two terms
+        as_expr(rank_one(ScalarField.constant(1.0), at=Fraction(0), scale=0.3))
+        + rank_one(ScalarField.constant(1.0), at=Fraction(0), scale=-0.1)]
+
+    @staticmethod
+    def array_bits(a):
+        return a.dtype, a.shape, a.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("t", [0.0, 0.25, 0.4, 0.5, 1.0])
+    def test_family_and_measures_match_the_parent(self, t, n):
+        for phi, psi in self.pairs:
+            cc = convex_combination(t, phi, psi)
+            with shared_compilation():
+                want = parent_convex_family(t, phi, psi, n)
+                got = compiled_family(cc, n)
+                for field in ("codes", "weights", "present", "tv"):
+                    assert (self.array_bits(getattr(got, field))
+                            == self.array_bits(getattr(want, field))), (phi, psi, field)
+            for s in GridCircle(n).points():
+                assert (measure_bits(cc.measure_at(s))
+                        == measure_bits(parent_convex_measure(t, phi, psi, s))), (phi, psi, s)
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("t", [0.0, 0.25, 0.4, 0.5, 1.0])
+    def test_convex_center_check_matches_the_parent(self, t, n):
+        grid = GridCircle(n)
+        for T in self.perturbations:
+            for phi, psi in self.pairs:
+                res = convex_center_check(t, phi, psi, T, grid)
+                norm, gap, delta, delta_tilde = parent_convex_center(t, phi, psi, T, grid)
+                assert bits(res.norm) == bits(norm) and bits(res.gap) == bits(gap)
+                for got, want in ((res.delta, delta), (res.delta_tilde, delta_tilde)):
+                    assert [p for p, _ in got] == [p for p, _ in want]
+                    assert [bits(v) for _, v in got] == [bits(v) for _, v in want]
