@@ -20,6 +20,8 @@ Two one-sided tools replace the circle model's exact norms:
 
 from __future__ import annotations
 
+import copy
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -243,10 +245,11 @@ class SearchLadder:
     pure monomials up to degree max_monomial.
 
     test_functions() is the one definition of the family, its order and its
-    size.  disk_norm_lower_bound evaluates it depth first over shared zero
-    prefixes, one factor per function, and still reports the first
-    maximiser in test_functions() order; blaschke_eval on each member is
-    the reference route the walk is tested against.
+    size.  disk_norm_lower_bound walks it depth first over shared zero
+    prefixes, one factor per evaluated function, skips every subtree whose
+    certified cap stays below the best value so far, and still reports the
+    first maximiser in test_functions() order; blaschke_eval on each member
+    is the reference route the walk is tested against.
 
     phase_grid is recorded for completeness: the searched operators are
     linear, so a unimodular prefactor e^{i gamma} never changes the sampled
@@ -259,6 +262,10 @@ class SearchLadder:
     max_depth: int = 3
     max_monomial: int = 16
     samples: int = 4096
+
+    def __post_init__(self) -> None:
+        # hashable, so the ladder can key _ladder_tree's memo
+        object.__setattr__(self, "radii", tuple(self.radii))
 
     def zero_pool(self) -> list[float]:
         pool = {0.0}
@@ -282,6 +289,7 @@ class SearchLadder:
                    BlaschkeProduct(zeros=(0j,) * degree))
 
 
+@functools.lru_cache(maxsize=8)
 def _ladder_tree(ladder: SearchLadder) -> tuple[list, int, list[complex]]:
     """Prefix tree of the zero tuples of ladder.test_functions().
 
@@ -289,6 +297,10 @@ def _ladder_tree(ladder: SearchLadder) -> tuple[list, int, list[complex]]:
     not itself a family member has index None, and a repeated tuple keeps
     its first index.  Also returns the family size and the distinct zeros
     in order of first use.
+
+    Memoized per ladder (dataclass equality also compares the class, so a
+    subclass with its own test_functions() gets its own tree).  Callers
+    must not mutate the tree or hand out its descriptions.
     """
     root: list = [None, None, {}]
     zeros: dict[complex, None] = {}
@@ -306,40 +318,82 @@ def _ladder_tree(ladder: SearchLadder) -> tuple[list, int, list[complex]]:
     return root, size, list(zeros)
 
 
-def _ladder_walk(root: list, zeros: list[complex], points: list):
-    """Yield (ladder index, description, values) for every member of a
-    _ladder_tree, depth first; values holds the product at each entry of
-    points (an array or a scalar, kept 0-d as blaschke_eval keeps it).
+def _ladder_walk(root: list, zeros: list[complex], uz: np.ndarray, phiz: np.ndarray,
+                 T: RankOneDiskOperator | None, gz: np.ndarray | None, scale: float
+                 ) -> tuple[float, int, int, dict | None, int]:
+    """Score the members of a _ladder_tree depth first over its shared zero
+    prefixes: max_k |u(z_k) f(phi(z_k)) + c f(tau) g(z_k)|, without the
+    second term when T is None.  Returns the best value, its ladder index,
+    sample index and (shared, uncopied) description, and how many members
+    were evaluated.
 
     A child is its parent times one factor, formed as blaschke_eval forms
     it (out * (arr - a) / den, factors in tuple order), so every value is
-    bit-identical to the per-function route.  The closed-disk and pole
-    checks run once per point array and pool zero, with blaschke_eval's
-    messages.  Only the prefixes on the current path and the parents of
-    pending siblings stay alive.
+    bit-identical to the per-function route; f(tau) rides along as a 0-d
+    chain.  The closed-disk and pole checks run once per point array and
+    pool zero, with blaschke_eval's messages.  Ties go to the smallest
+    ladder index.
+
+    Branch and bound: a factor has modulus at most 1 on the closed disk, so
+    below a node |f(phi(z_k))| <= M, the least max_k |f(phi(z_k))| on the
+    path to it (1 at the root), and |f(tau)| <= |f_node(tau)|.  Every
+    member under a child therefore scores at most
+    U M_parent + C |f_child(tau)|, with U = max|u(z_k)| and
+    C = |c| max|g(z_k)|.  The child's subtree is skipped, its arrays never
+    formed, when that cap plus twice the slack errors.at_most gives the
+    ladder's rounding (scale = _ladder_scale(ladder, 1.0)) is strictly
+    below the best so far.  A skipped member can then neither win nor tie,
+    so the result is that of the full walk; a NaN cap never skips.  Only
+    the prefixes on the current path and the parents of pending siblings
+    stay alive.
     """
-    arrs = [np.asarray(p, dtype=complex) for p in points]
-    for arr in arrs:
+    points = [phiz] if T is None else [phiz, np.asarray(complex(T.tau), dtype=complex)]
+    for arr in points:
         if arr.size and float(np.max(np.abs(arr))) > 1.0 + BOUNDARY_SLACK:
             raise ValueError("evaluation point outside the closed unit disk")
     factors = {}
     for a in zeros:
         factors[a] = []
-        for arr in arrs:
+        for arr in points:
             den = 1.0 - np.conj(a) * arr
             if arr.size and float(np.min(np.abs(den))) < 1e-300:
                 raise ValueError(f"evaluation too close to the pole of the {a!r} factor")
             factors[a].append((arr - a, den))
-    stack = [(root, tuple(np.full(arr.shape, 1 + 0j) for arr in arrs), None)]
+    u_sup = float(np.max(np.abs(uz)))
+    t_sup = 0.0 if T is None else abs(T.c) * float(np.max(np.abs(gz)))
+
+    best, best_index, best_k, best_desc, evaluated = -1.0, -1, 0, None, 0
+    stack = [(root, [np.full(arr.shape, 1 + 0j) for arr in points], 1.0, None)]
     while stack:
-        node, values, a = stack.pop()
+        node, values, f_sup, a = stack.pop()
         if a is not None:
-            values = tuple(out * num / den
-                           for out, (num, den) in zip(values, factors[a]))
+            cap = u_sup * f_sup
+            if T is not None:
+                num, den = factors[a][1]
+                f_tau = values[1] * num / den
+                cap += t_sup * abs(complex(f_tau))
+            # at best = inf a skipped member could still tie
+            if cap + 2.0 * REL_TOL * max(1.0, scale * cap) < best < math.inf:
+                continue
+            num, den = factors[a][0]
+            f = values[0] * num
+            f /= den  # in place: the same rounding, one array fewer
+            values = [f] if T is None else [f, f_tau]
         index, desc, children = node
         if index is not None:
-            yield index, desc, values
-        stack.extend((child, values, b) for b, child in reversed(children.items()))
+            evaluated += 1
+            scores = uz * values[0]
+            if T is not None:
+                scores += T.c * complex(values[1]) * gz
+            scores = np.abs(scores)
+            k = int(np.argmax(scores))
+            value = float(scores[k])
+            if value > best or (value == best and index < best_index):
+                best, best_index, best_k, best_desc = value, index, k, desc
+        if children:
+            f_sup = min(f_sup, float(np.max(np.abs(values[0]))))
+            stack.extend((child, values, f_sup, b) for b, child in reversed(children.items()))
+    return best, best_index, best_k, best_desc, evaluated
 
 
 def _ladder_scale(ladder: SearchLadder, bound: float) -> float:
@@ -358,6 +412,7 @@ class LowerBoundResult:
     witness: dict       # test function description + attaining sample
     family_size: int
     samples: int
+    evaluated: int      # members whose sample values were computed
 
 
 def disk_norm_lower_bound(u: DiskFunction, phi: DiskFunction,
@@ -370,50 +425,40 @@ def disk_norm_lower_bound(u: DiskFunction, phi: DiskFunction,
     lower bound; the result is their maximum, with the first witness in
     ladder order.  Requires phi to map into the closed disk.
 
-    The ladder is evaluated depth first over shared zero prefixes, so each
-    test function costs one complex multiply and divide per sample on top
-    of its parent, and f(tau) is carried alongside as a 0-d chain.  Values
-    are bit-identical to blaschke_eval per function (the reference route),
-    and ties go to the smallest test_functions() index, so bound and
-    witness do not depend on the walk order.
+    _ladder_walk evaluates the ladder depth first over shared zero
+    prefixes, one complex multiply and divide per sample for each evaluated
+    test function on top of its parent, and skips every subtree whose
+    certified cap cannot reach the best value so far.  Values are
+    bit-identical to blaschke_eval per function (the reference route), and
+    ties go to the smallest test_functions() index, so bound and witness
+    depend neither on the walk order nor on what was skipped.
+    family_size counts the whole ladder, evaluated only what was scored.
     """
     m = ladder.samples
     z = np.exp(2j * np.pi * np.arange(m) / m)
     uz = np.asarray(u(z))
     phiz = np.asarray(phi(z))
-    overflow = float(np.max(np.abs(phiz))) - 1.0
+    modulus = np.abs(phiz)
+    overflow = float(np.max(modulus)) - 1.0
     if overflow > 1e-9:
         raise ValueError(
             f"symbol leaves the closed disk by {overflow:.3e}; "
             "test functions cannot be composed with it")
-    phiz = np.where(np.abs(phiz) > 1.0, phiz / np.abs(phiz), phiz)
-    if T is not None:
-        gz = np.asarray(T.g(z))
+    phiz = np.divide(phiz, modulus, out=phiz.astype(complex), where=modulus > 1.0)
+    gz = None if T is None else np.asarray(T.g(z))
 
-    points = [phiz] if T is None else [phiz, complex(T.tau)]
-    best = -1.0
-    best_index = -1
-    witness: dict = {}
     root, count, zeros = _ladder_tree(ladder)
-    for index, desc, f in _ladder_walk(root, zeros, points):
-        values = uz * f[0]
-        if T is not None:
-            values = values + T.c * complex(f[1]) * gz
-        values = np.abs(values)
-        k = int(np.argmax(values))
-        value = float(values[k])
-        if value > best or (value == best and index < best_index):
-            best, best_index = value, index
-            witness = dict(desc)
-            witness.update({"sample_index": k, "z": complex(z[k])})
-
+    best, index, k, desc, evaluated = _ladder_walk(root, zeros, uz, phiz, T, gz,
+                                                   _ladder_scale(ladder, 1.0))
+    witness = {} if index < 0 else {**copy.deepcopy(desc), "sample_index": k,
+                                    "z": complex(z[k])}
     u_sup = u.sup_norm(m)[0]
     t_norm = T.norm(m)[0] if T is not None else 0.0
     at_most(best, u_sup + t_norm,
             f"lower bound {best!r} exceeds the triangle bound {u_sup + t_norm!r}",
             scale=_ladder_scale(ladder, u_sup + t_norm))
     return LowerBoundResult(bound=best, witness=witness, family_size=count,
-                            samples=m)
+                            samples=m, evaluated=evaluated)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Disk-algebra searches: Blaschke families, certified bounds, automorphisms."""
 
 import cmath
+import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from daugavetlab import disk
 from daugavetlab.disk import (
@@ -159,6 +162,20 @@ class TestLowerBound:
             disk_norm_lower_bound(DiskFunction.constant(1.0),
                                   DiskFunction.polynomial([0.0, 2.0]))
 
+    @pytest.mark.parametrize("phi", [DiskFunction.constant(0.0),
+                                     DiskFunction.scaled_identity(0.0)])
+    def test_symbol_vanishing_at_samples_warns_nothing(self, phi):
+        T = RankOneDiskOperator(tau=0.3, g=DiskFunction.constant(1.0), c=1.0)
+        ladder = SearchLadder(max_depth=2, samples=64)
+        one = DiskFunction.constant(1.0)
+        for op in (None, T):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = disk_norm_lower_bound(one, phi, op, ladder)
+            with np.errstate(all="ignore"):
+                reference = reference_lower_bound(one, phi, op, ladder)
+            assert (res.bound, res.witness, res.family_size) == reference
+
     def test_value_a_billionth_over_the_bound_still_raises(self, monkeypatch):
         # the default ladder's slack tracks its rounding (about 1e-11 at unit
         # magnitude), well under the 1e-9 an exact bound has always allowed
@@ -194,6 +211,71 @@ def reference_lower_bound(u, phi, T, ladder):
 
 def random_disk_point(rng, radius):
     return radius * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+
+
+def unit(rng):
+    return cmath.exp(2j * math.pi * rng.random())
+
+
+def inner_case(rng):
+    """Shaped like the benchmark's inner template: |u| constant on the
+    boundary, phi an automorphism, T a point evaluation at |tau| <= 0.5."""
+    u = DiskFunction.blaschke_multiple(
+        BlaschkeProduct(zeros=(random_disk_point(rng, 0.7),)),
+        scale=(0.5 + 1.5 * rng.random()) * unit(rng))
+    phi = DiskFunction.blaschke_multiple(
+        BlaschkeProduct(unimodular_constant=unit(rng), zeros=(random_disk_point(rng, 0.5),)))
+    T = RankOneDiskOperator(tau=random_disk_point(rng, 0.5),
+                            g=DiskFunction.constant((0.5 + 0.5 * rng.random()) * unit(rng)),
+                            c=(0.5 + 0.5 * rng.random()) * unit(rng))
+    return u, phi, T
+
+
+def certified_case(rng):
+    """Shaped like the benchmark's certified template: constant u, a
+    contraction phi(z) = s z and -T for the canonical T at omega."""
+    u = (0.5 + 1.5 * rng.random()) * unit(rng)
+    s = (0.25 + 0.25 * rng.random()) * unit(rng)
+    omega = unit(rng)
+    T = RankOneDiskOperator(tau=s * omega, g=DiskFunction.half_plus(omega), c=-u)
+    return DiskFunction.constant(u), DiskFunction.scaled_identity(s), T
+
+
+def contraction_case(rng):
+    """No T, and a symbol that stays inside the disk."""
+    u = DiskFunction.polynomial(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    phi = [DiskFunction.scaled_identity(random_disk_point(rng, 0.9)),
+           DiskFunction.polynomial([random_disk_point(rng, 0.3), 0.4, 0.2j])
+           ][int(rng.integers(0, 2))]
+    return u, phi, None
+
+
+H_POINTS = st.builds(cmath.rect, st.floats(0.0, 0.95), st.floats(0.0, 2 * math.pi))
+H_UNITS = st.builds(cmath.rect, st.just(1.0), st.floats(0.0, 2 * math.pi))
+H_SCALARS = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+H_WEIGHTS = st.one_of(
+    st.builds(DiskFunction.constant, H_SCALARS),
+    st.builds(lambda a, s: DiskFunction.blaschke_multiple(BlaschkeProduct(zeros=(a,)), s),
+              H_POINTS, H_SCALARS),
+    st.lists(H_SCALARS, min_size=1, max_size=3).map(DiskFunction.polynomial))
+H_SYMBOLS = st.one_of(
+    st.builds(lambda c, zs: DiskFunction.blaschke_multiple(BlaschkeProduct(c, tuple(zs))),
+              H_UNITS, st.lists(H_POINTS, min_size=1, max_size=2)),
+    st.builds(lambda r, w: DiskFunction.scaled_identity(r * w), st.floats(0.0, 1.0), H_UNITS),
+    st.builds(lambda a, r, w: DiskFunction.polynomial([a, (1.0 - abs(a)) * r * w]),
+              H_POINTS, st.floats(0.0, 1.0), H_UNITS),
+    st.builds(lambda r, w: DiskFunction.constant(r * w), st.floats(0.0, 1.0), H_UNITS))
+H_OPERATORS = st.one_of(st.none(), st.builds(
+    RankOneDiskOperator,
+    tau=st.one_of(H_POINTS, H_UNITS),
+    g=st.one_of(st.builds(DiskFunction.half_plus, H_UNITS),
+                st.builds(DiskFunction.constant, H_SCALARS)),
+    c=H_SCALARS))
+H_LADDERS = st.builds(
+    SearchLadder,
+    radii=st.lists(st.sampled_from([0.3, 0.5, 0.9, 0.99, 0.999]), min_size=1,
+                   max_size=2).map(tuple),
+    max_depth=st.integers(0, 3), max_monomial=st.integers(0, 5), samples=st.integers(1, 64))
 
 
 class TestLadderWalk:
@@ -278,6 +360,69 @@ class TestLadderWalk:
             disk_norm_lower_bound(one, DiskFunction.scaled_identity(1.5), None, ladder)
 
 
+    def check(self, u, phi, T, ladder):
+        """The pruned walk, warning-free, against the reference route."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = disk_norm_lower_bound(u, phi, T, ladder)
+        with np.errstate(all="ignore"):  # the reference's clip divides every sample
+            reference = reference_lower_bound(u, phi, T, ladder)
+        assert (res.bound, res.witness, res.family_size) == reference
+        assert 1 <= res.evaluated <= res.family_size
+        return res
+
+    @pytest.mark.parametrize("case", [inner_case, certified_case, contraction_case])
+    def test_template_cases_skip_and_match_the_reference(self, case):
+        rng = np.random.default_rng(11)
+        for trial in range(6):
+            ladder = SearchLadder(max_depth=2 + trial % 2, samples=int(rng.integers(64, 512)))
+            res = self.check(*case(rng), ladder)
+            assert res.evaluated < res.family_size
+
+    def test_nothing_is_skipped_when_every_cap_reaches_the_best(self):
+        # f = 1 attains |1 + 1| = 2 at z = tau = 1, and every member has
+        # sup |f| = 1 = |f(tau)|, so no cap falls below 2
+        one = DiskFunction.constant(1.0)
+        T = RankOneDiskOperator(tau=1.0, g=one, c=1.0)
+        ladder = SearchLadder(max_depth=3, max_monomial=6, samples=128)
+        res = self.check(one, DiskFunction.scaled_identity(1.0), T, ladder)
+        assert res.bound == 2.0
+        assert res.evaluated == res.family_size
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(u=H_WEIGHTS, phi=H_SYMBOLS, T=H_OPERATORS, ladder=H_LADDERS)
+    @example(u=DiskFunction.constant(1.0), phi=DiskFunction.scaled_identity(1.0),
+             T=RankOneDiskOperator(tau=1.0, g=DiskFunction.constant(1.0), c=1.0),
+             ladder=SearchLadder(radii=(0.999,), max_depth=3, max_monomial=5, samples=1))
+    def test_generated_cases_match_the_reference(self, u, phi, T, ladder):
+        self.check(u, phi, T, ladder)
+
+    def test_witness_shares_nothing_with_the_memoized_tree(self):
+        one = DiskFunction.constant(1.0)
+        T = RankOneDiskOperator(tau=0.0, g=one, c=-1.0)
+        args = (one, DiskFunction.polynomial([0.0, 0.0, 1.0]), T,
+                SearchLadder(radii=(0.9,), max_depth=2, max_monomial=3, samples=64))
+        first = disk_norm_lower_bound(*args)
+        expected = copy.deepcopy(first)
+        assert first.witness["zeros"]
+        first.witness["zeros"].append(0.5)
+        first.witness["zeros"][0] = -1.0
+        assert disk_norm_lower_bound(*args) == expected
+
+    def test_radii_given_as_a_list_still_work(self):
+        ladder = SearchLadder(radii=[0.9, 0.5], max_depth=2, samples=32)
+        assert ladder == SearchLadder(radii=(0.9, 0.5), max_depth=2, samples=32)
+        self.check(DiskFunction.constant(1.0), DiskFunction.scaled_identity(0.5), None, ladder)
+
+    def test_subclass_ladder_gets_its_own_tree(self):
+        # a plain ladder with the pole ladder's field values runs first, so
+        # a memo keyed on field values alone would hand the pole ladder a
+        # tree without its pole factor
+        disk_norm_lower_bound(DiskFunction.constant(1.0), DiskFunction.scaled_identity(1.0),
+                              None, SearchLadder(max_depth=1, max_monomial=0, samples=8))
+        self.test_pole_still_raises()
+
+
 class TestCertifiedBound:
     def canonical(self, half_angle=0.1):
         one = DiskFunction.constant(1.0)
@@ -352,7 +497,7 @@ class TestAutomorphism:
         phi = BlaschkeProduct(zeros=(0.5 + 0j,))
         T = RankOneDiskOperator(tau=0.0, g=DiskFunction.constant(1.0), c=1.0)
         over = disk.LowerBoundResult(bound=2.0 + 1e-9, witness={}, family_size=1,
-                                     samples=4096)
+                                     samples=4096, evaluated=1)
         monkeypatch.setattr(disk, "disk_norm_lower_bound", lambda *args: over)
         with pytest.raises(InvariantViolation, match="exceeds the exact norm"):
             automorphism_identity_check(phi, T)

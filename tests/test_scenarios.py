@@ -248,6 +248,22 @@ class TestCli:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["schema_version"] == "1"
 
+    def test_zero_disk_symbol_leaves_stderr_empty(self, tmp_path):
+        # a symbol with zeros on the boundary samples once divided 0 by 0
+        # while clipping to the closed disk and printed a RuntimeWarning
+        p = tmp_path / "scenario.json"
+        p.write_text(json.dumps({
+            "disk": {"weight": {"kind": "constant", "re": 1.0},
+                     "symbol": {"kind": "constant", "re": 0.0},
+                     "operator": {"kind": "point_eval", "tau": {"re": 0.3},
+                                  "g": {"kind": "constant", "re": 1.0}, "c": {"re": 1.0}}},
+            "checks": [{"name": "disk-lower-bound", "max_depth": 2, "samples": 64}]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "daugavetlab", "verify", "--scenario", str(p)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["checks"][0]["verdict"] == "computed"
+
 
 def verify(path, *flags):
     """Run `daugavetlab verify` in-process; returns (exit code, stdout, stderr)."""
