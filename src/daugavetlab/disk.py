@@ -251,14 +251,11 @@ class SearchLadder:
     first maximiser in test_functions() order; blaschke_eval on each member
     is the reference route the walk is tested against.
 
-    phase_grid is recorded for completeness: the searched operators are
-    linear, so a unimodular prefactor e^{i gamma} never changes the sampled
-    modulus and the search evaluates the gamma = 0 representative of each
-    orbit.
+    Every member has phase 0: the searched operators are linear, so a
+    unimodular prefactor never changes the sampled modulus.
     """
 
     radii: tuple[float, ...] = (0.9, 0.99, 0.999)
-    phase_grid: int = 256
     max_depth: int = 3
     max_monomial: int = 16
     samples: int = 4096

@@ -7,19 +7,18 @@ default of every value; for checks it also names the CLI group and the
 runner.  Parsing is strict: unknown or missing keys, malformed coordinates
 and out-of-range values are rejected with the offending path.  Check
 parameters are keyed at parse time and read when the check runs, so a bad
-value becomes an "error" record for that check alone.  Grid coordinates
-and half-widths are written as exact rational strings ("3/8") and nothing
-else; floats are reserved for continuous quantities.
+value becomes an "error" record for that check alone (one nested past
+MAX_NESTING is rejected).  Coordinates and half-widths are exact rational
+strings ("3/8"); floats are reserved for continuous quantities.
 
 Reports echo the scenario, the effective parameters of every check, the
-verdicts and the witnesses.  Given the same scenario and seed the rendered
-report is byte-identical across reruns: floats serialize through Python's
-shortest round-trip repr, keys are sorted, and no wall-clock data is
-embedded (timing collection is opt-in and off by default).
-render_report_json writes the report in one recursive pass into a list of
-strings, the bytes json.dumps(indent=2, sort_keys=True, allow_nan=False)
-gives after rationals, complex numbers and numpy scalars are rewritten
-as plain JSON values.
+verdicts and the witnesses.  The echo pins each grid-sized list (a samples
+field's values, a table symbol's map) by its length and the sha256 of its
+canonical JSON, so a report's size follows its checks, not the grid.
+Given the same scenario and seed the rendered report is byte-identical
+across reruns: render_report_json is json.dumps(indent=2, sort_keys=True,
+allow_nan=False) of plain JSON values, and no wall-clock data is embedded
+(timing collection is opt-in and off by default).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _ascii
 from typing import Any, Callable
 
 import numpy as np
@@ -76,11 +74,13 @@ __all__ = [
     "render_report_csv",
 ]
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 #: One bound on every point count a scenario can ask for (grid sizes, disk
 #: samples, lambda grids), checked before anything is allocated.
 MAX_POINTS = 2 ** 20
+#: How deep a check value may nest: it is echoed before a reader bounds it.
+MAX_NESTING = 32
 #: Ladder cost grows with the square of max_monomial.
 MAX_MONOMIAL = 1024
 #: Bound on the closed-form size of a ladder family, checked before it is
@@ -390,7 +390,17 @@ def _check_entry(entry: Any, path: str, n: int | None = None) -> dict:
         raise ScenarioError(f"{path}.name", f"unknown check {name!r}; "
                             f"valid names: {sorted(CHECKS)}")
     _check_keys(entry, path, CHECKS[name].params, fixed=("name",))
+    for key, value in entry.items():
+        if not _nests_at_most(value, MAX_NESTING):
+            raise ScenarioError(f"{path}.{key}", f"nested past {MAX_NESTING} levels")
     return dict(entry)
+
+
+def _nests_at_most(value: Any, levels: int) -> bool:
+    if not isinstance(value, (dict, list)):
+        return True
+    children = value.values() if isinstance(value, dict) else value
+    return levels > 0 and all(_nests_at_most(v, levels - 1) for v in children)
 
 
 #: Top-level keys; "space" is read first, since its n sizes the components.
@@ -612,8 +622,8 @@ def _run_disk_certified(sc: Scenario, omega: complex, epsilon: float,
                         half_angle: float, samples: int) -> dict:
     try:
         arc = dsk.ArcNeighborhood(omega, half_angle)
-    except ValueError as exc:
-        raise ScenarioError("check.half_angle", str(exc)) from None
+    except ValueError as exc:  # the message opens with the field at fault
+        raise ScenarioError(f"check.{str(exc).split()[0]}", str(exc)) from None
     res = dsk.certified_counterexample_bound(
         _need(sc, "disk_weight", "disk.weight"),
         _need(sc, "disk_symbol", "disk.symbol"),
@@ -668,7 +678,6 @@ _tol = Real(0.0, cast=False)
 TOL = (_tol, RUN_TOL)
 SAMPLES = (Int(1, MAX_POINTS), 4096)
 LADDER = {"radii": (ListOf(REAL), dsk.SearchLadder.radii),
-          "phase_grid": (INT, dsk.SearchLadder.phase_grid),
           "max_depth": (Int(0), dsk.SearchLadder.max_depth),
           "max_monomial": (Int(0, MAX_MONOMIAL), dsk.SearchLadder.max_monomial),
           "samples": SAMPLES}
@@ -718,6 +727,29 @@ def _run_one(sc: Scenario, entry: dict, tol: float, timings: bool) -> dict:
     return record
 
 
+#: The scenario keys that hold components, and the grid-sized list of each
+#: component kind that has one.
+_COMPONENTS = ("weight", "symbol", "symbol2", "operator", "disk")
+_BULK = {"samples": "values", "table": "map"}
+
+
+def _pinned(component: Any) -> Any:
+    """A parsed component as echoed: each samples or table list becomes its
+    length and the sha256 of its canonical JSON (sorted keys, compact)."""
+    if isinstance(component, list):
+        return [_pinned(v) for v in component]
+    if not isinstance(component, dict):
+        return component
+    bulk = _BULK.get(component.get("kind"))
+    return {k: _digest(v) if k == bulk else _pinned(v) for k, v in component.items()}
+
+
+def _digest(values: list) -> dict:
+    import hashlib
+    text = json.dumps(values, sort_keys=True, separators=(",", ":"))
+    return {"length": len(values), "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
 def run_scenario(sc: Scenario, tol: float = 1e-9, timings: bool = False,
                  allowed: tuple[str, ...] | None = None) -> dict:
     """Run every check of a scenario and assemble the report dict.
@@ -739,11 +771,12 @@ def run_scenario(sc: Scenario, tol: float = 1e-9, timings: bool = False,
     with shared_compilation():  # every check reads the same compiled profiles
         records = [_run_one(sc, entry, tol, timings) for entry in sc.checks]
     from . import __version__
+    echo = {k: _pinned(v) if k in _COMPONENTS else v for k, v in sc.raw.items()}
     return {
         "schema_version": SCHEMA_VERSION,
         "generator": {"name": "daugavetlab", "version": __version__},
         "seed": sc.seed,
-        "scenario": sc.raw,
+        "scenario": echo,
         "checks": records,
     }
 
@@ -752,90 +785,30 @@ def run_scenario(sc: Scenario, tol: float = 1e-9, timings: bool = False,
 # report rendering
 # ---------------------------------------------------------------------------
 
-def _float(x: float) -> str:
-    if x != x or x in (math.inf, -math.inf):
-        raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
-    return float.__repr__(x)
-
-
-#: The JSON text of a value of exactly these types.  Containers look their
-#: children up here first; anything else goes through _write's checks,
-#: which give the same text.
-_EXACT: dict[type, Callable[[Any], str]] = {
-    str: _ascii, float: _float, int: int.__repr__,
-    bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
-
-
-def _write(value: Any, out: list[str], newline: str) -> None:
-    """Append value as JSON to out, nested at the depth whose line break
-    (with its indent) is newline."""
+def _jsonable(value: Any) -> Any:
+    """value with string keys, rationals as exact "p/q" strings, complex
+    numbers as {"re", "im"} pairs and numpy scalars as Python values."""
     if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        items = {str(k): v for k, v in value.items()}
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(items):
-            v = items[key]
-            text = _EXACT.get(type(v))
-            if text is None:
-                out.append(f"{sep}{_ascii(key)}: ")
-                _write(v, out, inner)
-            else:
-                out.append(f"{sep}{_ascii(key)}: {text(v)}")
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for v in value:
-            text = _EXACT.get(type(v))
-            if text is None:
-                out.append(sep)
-                _write(v, out, inner)
-            else:
-                out.append(sep + text(v))
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, str):
-        out.append(_ascii(value))
-    elif isinstance(value, (bool, np.bool_)):
-        out.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        out.append(int.__repr__(int(value)))
-    elif isinstance(value, np.floating):
-        out.append(_float(float(value)))
-    elif isinstance(value, float):
-        out.append(_float(value))
-    elif value is None:
-        out.append("null")
-    elif isinstance(value, Fraction):
-        out.append(_ascii(str(value)))
-    elif isinstance(value, complex):
-        inner = newline + "  "
-        out.append(f'{{{inner}"im": {_float(value.imag)},{inner}"re": '
-                   f'{_float(value.real)}{newline}}}')
-    elif isinstance(value, np.complexfloating):
-        _write(complex(value), out, newline)
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}: {value!r}")
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if isinstance(value, np.complexfloating):
+        return {"re": float(value.real), "im": float(value.imag)}
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
+        return value.item()
+    if isinstance(value, Fraction):
+        return str(value)
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    raise TypeError(f"cannot serialize {type(value).__name__}: {value!r}")
 
 
 def render_report_json(report: dict) -> str:
-    """Strict JSON, keys sorted and indented by two spaces, in one pass over
-    the report: a NaN or infinity raises ValueError instead of printing.
-
-    Rationals become exact "p/q" strings, complex numbers {"re", "im"}
-    pairs, numpy scalars their Python values, and floats the shortest
-    decimal that reads back as the same float (float.__repr__)."""
-    out: list[str] = []
-    _write(report, out, "\n")
-    out.append("\n")
-    return "".join(out)
+    """Strict JSON, keys sorted and indented by two spaces: a NaN or
+    infinity raises ValueError instead of printing."""
+    return json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def render_report_csv(report: dict) -> str:

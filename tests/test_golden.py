@@ -5,12 +5,21 @@ would, to exactly the bytes stored under golden/reports, and so does
 `run_selftest(0)`.  The reports were written before the circle model was
 compiled to index space; a change that means to alter them reruns
 golden/regenerate.py and names every changed value in CHANGES.md.
+
+Schema version 2 changed three things only: the echo pins each samples or
+table list by its length and sha256, ladder checks no longer echo
+phase_grid, and the version reads "2".  Undoing those three on each
+golden report gives back, byte for byte, the version 1 report whose
+sha256 is frozen below.
 """
 
+import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+from test_render import two_pass
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCENARIOS = sorted(p.name for p in (GOLDEN / "scenarios").glob("*.json"))
@@ -37,3 +46,65 @@ def test_scenario_report_matches_golden_bytes(name):
 
 def test_selftest_report_matches_golden_bytes():
     assert regenerate.render_selftest() == golden(f"selftest-{regenerate.SELFTEST_SEED}.json")
+
+
+#: sha256 of each golden report as schema version 1 wrote it.
+V1_SHA256 = {
+    "circle-closed-256.json": "da952a975f6da126605e9c99b79ff683a57857675891488a21954e30a700016c",
+    "circle-dip-256.json": "80a2994f39c8824787afbf7a1eccefa50ef71293e2864d3ebd63bdfa8a0e297a",
+    "circle-readme-256.json": "6c1ee761283e39a065845c9c2067fbab8ba1ff53d31265b4ce6934b8c243b106",
+    "circle-tabulated-256.json":
+        "cb21bf24c6b7d4fd53f02277ecd1fe0dd25a63a951e5660b9d8a612f5febe8f0",
+    "disk-automorphism-256.json":
+        "ab7ad8207d8df7bdede4ba23210da1a39fcead6bcbad262040ba7fa1ca2b35ca",
+    "disk-contraction-256.json":
+        "27ff8a78e4602c4b9f71780080c88195b03dc4dd8ad2bb96d8cb876c561a89a5",
+    "off-grid-rational.json": "2fcccdecea5dc362623d5d22c7337a3ce3ed2f352d0c0d81b9c7bd31fd304aad",
+    "operator-expr.json": "271c530a84808f2220790285cffdbbf6e84e64e2565decbd385a6ac7d62dc2d5",
+    "readme.json": "3ed988ce0f0aa3adf6297a19aa42a5af4a15eea80386bfac8bed26f60746617d",
+    "selftest-0.json": "f3f8f221b173625a3eebbfaac0c6fd8bb3622164b0efbe614522793dfa89606c",
+}
+
+
+def unpinned(echo, given):
+    """echo with each {"length", "sha256"} pin replaced by the list of the
+    scenario file it pins, once the pin is checked; everything else in
+    echo must equal the file."""
+    if isinstance(echo, dict) and set(echo) == {"length", "sha256"} and isinstance(given, list):
+        text = json.dumps(given, sort_keys=True, separators=(",", ":"))
+        assert echo == {"length": len(given),
+                        "sha256": hashlib.sha256(text.encode()).hexdigest()}
+        return given
+    if isinstance(echo, dict):
+        assert isinstance(given, dict) and set(echo) == set(given)
+        return {k: unpinned(v, given[k]) for k, v in echo.items()}
+    if isinstance(echo, list):
+        assert isinstance(given, list) and len(echo) == len(given)
+        return [unpinned(e, g) for e, g in zip(echo, given)]
+    assert echo == given and type(echo) is type(given)
+    return echo
+
+
+def version_1(name: str) -> dict:
+    report = json.loads(golden(name))
+    assert report["schema_version"] == "2"
+    report["schema_version"] = "1"
+    if name in SCENARIOS:
+        given = json.loads((GOLDEN / "scenarios" / name).read_text(encoding="utf-8"))
+        report["scenario"] = unpinned(report["scenario"], given)
+    for record in report.get("checks", []):
+        if record["name"] in ("disk-lower-bound", "disk-automorphism") \
+                and record["verdict"] != "error":
+            assert "phase_grid" not in record["params"]
+            record["params"]["phase_grid"] = 256
+    return report
+
+
+def test_every_golden_report_has_a_frozen_version_1_digest():
+    assert sorted(V1_SHA256) == sorted(p.name for p in (GOLDEN / "reports").glob("*.json"))
+
+
+@pytest.mark.parametrize("name", sorted(V1_SHA256))
+def test_only_the_version_2_keys_changed(name):
+    text = two_pass(version_1(name))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == V1_SHA256[name]

@@ -1,7 +1,7 @@
-"""render_report_json writes a report in one pass, byte for byte as the
-two-pass route it replaced: jsonable over the whole tree, then
-json.dumps(indent=2, sort_keys=True, allow_nan=False).  That route is
-copied below as the oracle."""
+"""render_report_json writes a report byte for byte as the two-pass route:
+jsonable over the whole tree, then json.dumps(indent=2, sort_keys=True,
+allow_nan=False).  That route is copied below as the oracle, and the golden
+tests rebuild version 1 reports with it."""
 
 import json
 import math

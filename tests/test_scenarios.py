@@ -1,6 +1,7 @@
 """Scenario parsing, report rendering and the command line."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -141,6 +142,90 @@ class TestRunning:
         assert '"fraction": "63/64"' in text
 
 
+def pin(values):
+    text = json.dumps(values, sort_keys=True, separators=(",", ":"))
+    return {"length": len(values), "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def samples(n, k):
+    return {"kind": "samples", "values": [{"re": 1.0 + (i % k) / 8, "im": -0.5}
+                                          for i in range(n)]}
+
+
+def table(n, k):
+    return {"kind": "table", "map": [(k * i) % n for i in range(n)]}
+
+
+def upsampled(obj, k):
+    """obj on a grid k times finer: each sample repeated k times, and each
+    block of k points mapped to where the table maps the block's first."""
+    if isinstance(obj, list):
+        return [upsampled(v, k) for v in obj]
+    if not isinstance(obj, dict):
+        return obj
+    if obj.get("kind") == "samples":
+        return dict(obj, values=[v for v in obj["values"] for _ in range(k)])
+    if obj.get("kind") == "table":
+        return dict(obj, map=[k * m for m in obj["map"] for _ in range(k)])
+    return {key: upsampled(v, k) for key, v in obj.items()}
+
+
+class TestEcho:
+    """Reports echo the scenario with each samples or table list pinned by
+    its length and the sha256 of its canonical JSON."""
+
+    def test_each_bulk_list_is_pinned_by_length_and_digest(self):
+        n = 16
+        obj = scenario(
+            space={"kind": "circle", "n": n},
+            weight={"kind": "product", "factors": [samples(n, 3), {"kind": "constant",
+                                                                   "re": 1.0}]},
+            symbol={"kind": "constant_on_arc", "value": "0", "center": "1/2",
+                    "half_width": "1/8", "base": table(n, 3)},
+            symbol2=table(n, 5),
+            operator={"kind": "sum", "terms": [
+                {"kind": "weighted_composition", "weight": samples(n, 5),
+                 "symbol": table(n, 7)},
+                {"kind": "finite_rank", "terms": [
+                    {"g": samples(n, 7), "atoms": [{"pos": "1/4", "re": 1.0}]}]}]},
+            checks=[{"name": "equation", "tol": samples(n, 2)},
+                    {"name": "refinement", "sizes": [8, 16]}])
+        echo = run_scenario(parse_scenario(json.loads(json.dumps(obj))))["scenario"]
+        expected = json.loads(json.dumps(obj))
+        factors = expected["weight"]["factors"]
+        factors[0]["values"] = pin(factors[0]["values"])
+        expected["symbol"]["base"]["map"] = pin(expected["symbol"]["base"]["map"])
+        expected["symbol2"]["map"] = pin(expected["symbol2"]["map"])
+        wc, rank = expected["operator"]["terms"]
+        wc["weight"]["values"] = pin(wc["weight"]["values"])
+        wc["symbol"]["map"] = pin(wc["symbol"]["map"])
+        rank["terms"][0]["g"]["values"] = pin(rank["terms"][0]["g"]["values"])
+        # check values are echoed as written, whatever they look like
+        assert echo == expected
+        assert echo["checks"] == obj["checks"]
+
+    def test_report_size_does_not_grow_with_n(self):
+        golden = Path(__file__).resolve().parent / "golden" / "scenarios"
+        obj = json.loads((golden / "circle-tabulated-256.json").read_text(encoding="utf-8"))
+        fine = upsampled(obj, 32)
+        fine["space"]["n"] = 8192
+        small, large = (run_scenario(parse_scenario(o)) for o in (obj, fine))
+        assert [r["verdict"] for r in small["checks"]] == [r["verdict"] for r in large["checks"]]
+        small, large = render_report_json(small), render_report_json(large)
+        assert large.count('"length": 8192') == 3
+        assert abs(len(large) - len(small)) < 2048
+
+    def test_a_phase_grid_exits_one(self, tmp_path):
+        obj = dict(DISK, checks=[{"name": "disk-lower-bound", "phase_grid": 256}])
+        code, out, err = verify(write(tmp_path, obj))
+        assert code == 1 and out == ""
+        assert "scenario.checks[0]" in err and "phase_grid" in err
+
+    def test_a_version_1_scenario_exits_one(self, tmp_path):
+        code, out, err = verify(write(tmp_path, scenario(schema_version="1")))
+        assert code == 1 and out == "" and "scenario.schema_version" in err
+
+
 DISK = {
     "disk": {"weight": {"kind": "constant", "re": 1.0},
              "symbol": {"kind": "scaled_identity", "re": 1.0}},
@@ -194,6 +279,14 @@ class TestDiskParameters:
         rec = disk_record(name="disk-lower-bound", max_monomial=-1)
         assert rec["error"].startswith("check.max_monomial:")
 
+    @pytest.mark.parametrize("omega, half_angle, key", [
+        ({"re": 2.0}, 0.1, "omega"), ({"re": 0.6, "im": 0.6}, 4.0, "omega"),
+        ({"re": 1.0}, 4.0, "half_angle"), ({"re": 0.0, "im": -1.0}, 0.0, "half_angle")])
+    def test_certified_arc_error_names_the_key_at_fault(self, omega, half_angle, key):
+        rec = disk_record(name="disk-certified", omega=omega, epsilon=0.05,
+                          half_angle=half_angle, samples=64)
+        assert rec["verdict"] == "error" and rec["error"].startswith(f"check.{key}: {key} ")
+
     def test_benchmark_sized_ladder_still_runs(self):
         rec = disk_record(name="disk-lower-bound", max_depth=5, samples=16)
         assert rec["verdict"] == "computed"
@@ -246,7 +339,7 @@ class TestCli:
             [sys.executable, "-m", "daugavetlab", "verify", "--scenario", str(p)],
             capture_output=True, text=True)
         assert proc.returncode == 0
-        assert json.loads(proc.stdout)["schema_version"] == "1"
+        assert json.loads(proc.stdout)["schema_version"] == "2"
 
     def test_zero_disk_symbol_leaves_stderr_empty(self, tmp_path):
         # a symbol with zeros on the boundary samples once divided 0 by 0
@@ -365,6 +458,25 @@ class TestSchemaRegressions:
             field = {"kind": "product", "factors": [field, {"kind": "constant", "re": 1.0}]}
         code, out, err = verify(write(tmp_path, scenario(weight=field)))
         assert code == 1 and out == "" and "nested too deeply" in err
+
+    @pytest.mark.parametrize("depth", [500, 33])
+    def test_deeply_nested_check_value_exit_one(self, tmp_path, depth):
+        tol = 1.0
+        for _ in range(depth):
+            tol = [tol]
+        code, out, err = verify(write(tmp_path, scenario(checks=[{"name": "equation",
+                                                                  "tol": tol}])))
+        assert code == 1 and out == ""
+        assert err.startswith("error: scenario.checks[0].tol: nested past 32 levels")
+
+    def test_check_value_at_the_nesting_bound_is_a_check_error(self, tmp_path):
+        tol = 1.0
+        for _ in range(32):
+            tol = {"a": tol}
+        code, out, err = verify(write(tmp_path, scenario(checks=[{"name": "equation",
+                                                                  "tol": tol}])))
+        assert code == 0, err
+        assert strict_json(out)["checks"][0]["error"].startswith("check.tol:")
 
     def test_non_finite_result_from_finite_input_exit_one(self, tmp_path):
         big = {"kind": "constant", "re": 1e308}
@@ -512,12 +624,13 @@ class TestScaleInvariance:
 
 
 def test_readme_lists_every_check_parameter():
+    """The README check table has one row per declared parameter and no
+    other row."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    rows = [line for line in readme.splitlines() if line.startswith("| `")]
-    for name, check in CHECKS.items():
-        for key in check.params:
-            assert any(row.startswith(f"| `{name}` | {check.group} | `{key}` |")
-                       for row in rows), (name, key)
+    rows = [line.split(" | ")[:3] for line in readme.splitlines() if line.startswith("| `")]
+    declared = [[f"| `{name}`", check.group, f"`{key}`"]
+                for name, check in CHECKS.items() for key in check.params]
+    assert sorted(rows) == sorted(declared)
 
 
 # --- fuzzing the command line ----------------------------------------------
