@@ -340,9 +340,14 @@ def _ladder_walk(root: list, zeros: list[complex], uz: np.ndarray, phiz: np.ndar
     formed, when that cap plus twice the slack errors.at_most gives the
     ladder's rounding (scale = _ladder_scale(ladder, 1.0)) is strictly
     below the best so far.  A skipped member can then neither win nor tie,
-    so the result is that of the full walk; a NaN cap never skips.  Only
-    the prefixes on the current path and the parents of pending siblings
-    stay alive.
+    so the result is that of the full walk; a NaN cap never skips.
+
+    Memory: the walk allocates nothing per member.  A node's f goes into
+    the one buffer of its depth, which the next node of that depth
+    overwrites only after the node's whole subtree has been walked (the
+    stack pops depth first); the scores, the c f(tau) g term and the
+    moduli reuse one buffer each, through the same operations in the same
+    order, so every value stays bit-identical.
     """
     points = [phiz] if T is None else [phiz, np.asarray(complex(T.tau), dtype=complex)]
     for arr in points:
@@ -360,9 +365,13 @@ def _ladder_walk(root: list, zeros: list[complex], uz: np.ndarray, phiz: np.ndar
     t_sup = 0.0 if T is None else abs(T.c) * float(np.max(np.abs(gz)))
 
     best, best_index, best_k, best_desc, evaluated = -1.0, -1, 0, None, 0
-    stack = [(root, [np.full(arr.shape, 1 + 0j) for arr in points], 1.0, None)]
+    values = [np.full(arr.shape, 1 + 0j) for arr in points]
+    f_at = [values[0]]  # f's buffer at each depth (see Memory above)
+    scores, term = np.empty_like(values[0]), np.empty_like(values[0])
+    moduli = np.empty(phiz.shape)
+    stack = [(root, values, 1.0, None, 0)]
     while stack:
-        node, values, f_sup, a = stack.pop()
+        node, values, f_sup, a, depth = stack.pop()
         if a is not None:
             cap = u_sup * f_sup
             if T is not None:
@@ -372,24 +381,27 @@ def _ladder_walk(root: list, zeros: list[complex], uz: np.ndarray, phiz: np.ndar
             # at best = inf a skipped member could still tie
             if cap + 2.0 * REL_TOL * max(1.0, scale * cap) < best < math.inf:
                 continue
+            if depth == len(f_at):
+                f_at.append(np.empty_like(values[0]))
             num, den = factors[a][0]
-            f = values[0] * num
-            f /= den  # in place: the same rounding, one array fewer
+            f = np.multiply(values[0], num, out=f_at[depth])
+            f /= den
             values = [f] if T is None else [f, f_tau]
         index, desc, children = node
         if index is not None:
             evaluated += 1
-            scores = uz * values[0]
+            np.multiply(uz, values[0], out=scores)
             if T is not None:
-                scores += T.c * complex(values[1]) * gz
-            scores = np.abs(scores)
-            k = int(np.argmax(scores))
-            value = float(scores[k])
+                scores += np.multiply(T.c * complex(values[1]), gz, out=term)
+            np.abs(scores, out=moduli)
+            k = int(np.argmax(moduli))
+            value = float(moduli[k])
             if value > best or (value == best and index < best_index):
                 best, best_index, best_k, best_desc = value, index, k, desc
         if children:
-            f_sup = min(f_sup, float(np.max(np.abs(values[0]))))
-            stack.extend((child, values, f_sup, b) for b, child in reversed(children.items()))
+            f_sup = min(f_sup, float(np.max(np.abs(values[0], out=moduli))))
+            stack.extend((child, values, f_sup, b, depth + 1)
+                         for b, child in reversed(children.items()))
     return best, best_index, best_k, best_desc, evaluated
 
 

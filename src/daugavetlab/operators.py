@@ -20,7 +20,10 @@ AtomicMeasure.from_atoms and linear_combine do, in their order of
 summation.  Fields come from circle.tabulate, symbol images from
 circle.symbol_codes, products and moduli through circle.cmul and
 circle.modulus, and row sums through math.fsum, so every array is bit for
-bit what the per-point route computes.  Families and profiles are kept in
+bit what the per-point route computes.  The slots are merged in place in
+preallocated (m, n) arrays, and every pass that makes Python numbers or
+(m, k) temporaries walks blocks of about BLOCK values, so a family costs
+little more than its own arrays.  Families and profiles are kept in
 the block's memo, keyed by value, so every check of a scenario reads the
 same profile.
 
@@ -194,52 +197,87 @@ class CompiledFamily:
     tv: np.ndarray        # (n,) total variation, exactly rounded
 
 
+#: Values per block where a pass over every point would otherwise hold
+#: Python objects or temporaries for the whole grid: _row_fsum's columns,
+#: the profile's off-target rows and the reference pass read blocks of at
+#: most about this many values.
+BLOCK = 1 << 14
+
+
+def _blocks(k: int, m: int = 1) -> list[slice]:
+    """Slices over k columns of an (m, k) array, each of at most about
+    BLOCK values (one column at least)."""
+    step = max(1, BLOCK // max(1, m))
+    return [slice(a, a + step) for a in range(0, k, step)]
+
+
 def _row_fsum(values: np.ndarray) -> np.ndarray:
-    """math.fsum down each column of an (m, k) array, OverflowError included."""
+    """math.fsum down each column of an (m, k) array, OverflowError included.
+
+    With m <= 2 one numpy sum is that value wherever it is finite.  Else
+    math.fsum runs per column, on the Python floats of one block of
+    columns at a time (_blocks), so the floats alive at once stay bounded
+    whatever k is.
+    """
     m, k = values.shape
     if m <= 2:  # a single rounding of the exact sum, as fsum gives
         out = values.sum(axis=0) if m else np.zeros(k)
         if np.isfinite(out).all():
             return out
-    return np.array([math.fsum(col) for col in values.T.tolist()], dtype=float)
+    out = np.empty(k)
+    for cols in _blocks(k, m):
+        out[cols] = [math.fsum(col) for col in values[:, cols].T.tolist()]
+    return out
 
 
-def _canonical(codes: list, weights: list, present: list, n: int) -> CompiledFamily:
+def _canonical(codes: list, weights, present: list, n: int) -> CompiledFamily:
     """Merge coinciding atoms in slot order and drop zero weights, as
-    AtomicMeasure.from_atoms does at every point."""
-    weights = [np.array(np.broadcast_to(w, (n,)), dtype=complex) for w in weights]
-    present = [np.array(np.broadcast_to(p, (n,)), dtype=bool) for p in present]
-    for i in range(len(codes)):
-        for j in range(i):  # at most one earlier slot still holds code i
-            same = present[j] & present[i] & (codes[j] == codes[i])
+    AtomicMeasure.from_atoms does at every point.
+
+    Slot i is codes[i], the i-th item of weights (any iterable, read once,
+    so a caller can form each row as it is stored) and present[i]; each
+    may be a scalar or an (n,) array.  The slots fill preallocated (m, n)
+    arrays one at a time, and a slot merges into the earlier slot that
+    holds its code at a point (at most one does) in place: that slot's
+    weight gains it, the slot itself goes absent there.  Then zero
+    weights go absent, absent weights become 0j, and slots absent
+    everywhere are dropped.  The row total variations are summed per
+    block of points.
+    """
+    m = len(codes)
+    C = np.empty((m, n), dtype=np.int64)
+    W = np.empty((m, n), dtype=complex)
+    P = np.empty((m, n), dtype=bool)
+    same = np.empty(n, dtype=bool)
+    for i, w in enumerate(weights):
+        C[i], W[i], P[i] = codes[i], w, present[i]
+        for j in range(i):
+            np.equal(C[j], C[i], out=same)
+            same &= P[j]
+            same &= P[i]
             if same.any():
-                weights[j] = np.where(same, weights[j] + weights[i], weights[j])
-                present[i] &= ~same
-    keep = []
-    for c, w, p in zip(codes, weights, present):
-        p &= w != 0
-        if p.any():
-            keep.append((np.broadcast_to(c, (n,)), np.where(p, w, 0j), p))
-    if not keep:
-        empty = np.empty((0, n))
-        return CompiledFamily(empty.astype(np.int64), empty.astype(complex),
-                              empty.astype(bool), np.zeros(n))
-    c, w, p = (np.array(a) for a in zip(*keep))
-    return CompiledFamily(c, w, p, _row_fsum(np.where(p, modulus(w), 0.0)))
+                np.add(W[j], W[i], out=W[j], where=same)
+                P[i] &= ~same
+    for i in range(m):
+        P[i] &= W[i] != 0
+        np.copyto(W[i], 0j, where=~P[i])
+    keep = P.any(axis=1)
+    if not keep.all():
+        C, W, P = C[keep], W[keep], P[keep]
+    tv = np.empty(n)
+    for cols in _blocks(n, len(W)):
+        tv[cols] = _row_fsum(modulus(W[:, cols]))
+    return CompiledFamily(C, W, P, tv)
 
 
 def _combine(coeffs, families: list[CompiledFamily], n: int) -> CompiledFamily:
     """linear_combine on compiled families: zero coefficients skip their
-    family, the others scale every weight (complex(c) * w)."""
-    codes, weights, present = [], [], []
-    for c, fam in zip(coeffs, families):
-        c = complex(c)
-        if c == 0:
-            continue
-        codes.extend(fam.codes)
-        weights.extend(cmul(c, fam.weights))
-        present.extend(fam.present)
-    return _canonical(codes, weights, present, n)
+    family, the others scale every weight (complex(c) * w), one slot at a
+    time as _canonical stores it."""
+    terms = [(c, fam) for c, fam in zip(map(complex, coeffs), families) if c != 0]
+    return _canonical([row for _, fam in terms for row in fam.codes],
+                      (cmul(c, row) for c, fam in terms for row in fam.weights),
+                      [row for _, fam in terms for row in fam.present], n)
 
 
 def compile_family(T: SupportsMeasureAt, space: IndexSpace) -> CompiledFamily:
@@ -249,14 +287,15 @@ def compile_family(T: SupportsMeasureAt, space: IndexSpace) -> CompiledFamily:
         w = tabulate(T.u, n)
         return _canonical([symbol_codes(T.phi, n)], [w], [w != 0], n)
     if isinstance(T, FiniteRankOperator):
-        codes, weights, present = [], [], []
+        codes, present, atoms = [], [], []
         for g, mu in T.terms:
             c = tabulate(g, n)
+            nonzero = c != 0
             for pos, w in mu.atoms:
                 codes.append(space.code(pos))
-                weights.append(cmul(c, complex(w)))
-                present.append(c != 0)
-        return _canonical(codes, weights, present, n)
+                present.append(nonzero)
+                atoms.append((c, complex(w)))
+        return _canonical(codes, (cmul(c, w) for c, w in atoms), present, n)
     if isinstance(T, OperatorExpr):
         return _combine([c for c, _ in T.terms],
                         [compiled_family(op, n) for _, op in T.terms], n)
@@ -316,10 +355,12 @@ def _compiled_profile(wc: WeightedComposition, T: SupportsMeasureAt,
     fam = compiled_family(T, n)
     aligned, slot = point_masses(fam, symbol_codes(wc.phi, n))
     off = fam.tv.copy()
-    rows = np.flatnonzero(slot >= 0)
-    if rows.size:  # the rest have no atom on target: off = tv exactly
-        rest = fam.present[:, rows] & (np.arange(len(fam.codes))[:, None] != slot[rows])
-        off[rows] = _row_fsum(np.where(rest, modulus(fam.weights[:, rows]), 0.0))
+    rows = np.flatnonzero(slot >= 0)  # the rest have no atom on target: off = tv exactly
+    m = len(fam.codes)
+    for block in _blocks(rows.size, m):
+        at = rows[block]
+        rest = fam.present[:, at] & (np.arange(m)[:, None] != slot[at])
+        off[at] = _row_fsum(np.where(rest, modulus(fam.weights[:, at]), 0.0))
     return PerturbationProfile(tabulate(wc.u, n), aligned, off, fam.tv)
 
 
@@ -350,21 +391,27 @@ def _checked_profile(wc: WeightedComposition, T: SupportsMeasureAt,
     That pass computes total_variation(mu_s) and the direct norm of
     mu_s + u(s) delta_{phi(s)} (direct_norms) and holds the profile's row
     total variation and split to them.  phi(s) and u(s) come from
-    _pointwise, so profiles that share u and phi evaluate them once.
+    _pointwise, so profiles that share u and phi evaluate them once.  The
+    compiled values become Python numbers one block of points at a time
+    (_blocks), so the pass holds a bounded number of them whatever n is.
     """
     prof = _compiled_profile(wc, T, grid)
+    points = shared_points(grid.n)
     images, weights = _pointwise(wc, grid.n)
-    # the two routes usually agree bit for bit, and equal values always
-    # pass, so only a differing pair goes through the tolerance rule
-    for p, t, w, s, tv in zip(shared_points(grid.n), images, weights.tolist(),
-                              _split(prof).tolist(), prof.total_variation.tolist()):
-        direct_tv, direct = direct_norms(T.measure_at(p), t, w)
-        if direct_tv != tv:
-            agree(tv, direct_tv, lambda: f"compiled total variation {tv!r} disagrees with "
-                                         f"the measure's total variation {direct_tv!r} at s={p}")
-        if direct != s:
-            agree(s, direct, lambda: f"aligned/off-target split {s!r} disagrees with "
-                                     f"direct total variation {direct!r} at s={p}")
+    split = _split(prof)
+    for block in _blocks(grid.n):
+        # the two routes usually agree bit for bit, and equal values always
+        # pass, so only a differing pair goes through the tolerance rule
+        for p, t, w, s, tv in zip(points[block], images[block], weights[block].tolist(),
+                                  split[block].tolist(), prof.total_variation[block].tolist()):
+            direct_tv, direct = direct_norms(T.measure_at(p), t, w)
+            if direct_tv != tv:
+                agree(tv, direct_tv, lambda: f"compiled total variation {tv!r} disagrees "
+                                             f"with the measure's total variation "
+                                             f"{direct_tv!r} at s={p}")
+            if direct != s:
+                agree(s, direct, lambda: f"aligned/off-target split {s!r} disagrees with "
+                                         f"direct total variation {direct!r} at s={p}")
     for a in (prof.weight, prof.aligned_mass, prof.off_mass, prof.total_variation):
         a.flags.writeable = False
     return prof

@@ -5,11 +5,13 @@ perturbation, and a list of named checks.  One schema, declared below as
 data, says which keys each object may carry and the type, range and
 default of every value; for checks it also names the CLI group and the
 runner.  Parsing is strict: unknown or missing keys, malformed coordinates
-and out-of-range values are rejected with the offending path.  Check
-parameters are keyed at parse time and read when the check runs, so a bad
-value becomes an "error" record for that check alone (one nested past
-MAX_NESTING is rejected).  Coordinates and half-widths are exact rational
-strings ("3/8"); floats are reserved for continuous quantities.
+and out-of-range values are rejected with the offending path, and so is a
+component (field, symbol, operator) nested past MAX_NESTING levels, the
+outermost being level 1.  Check parameters are keyed at parse time and
+read when the check runs, so a bad value becomes an "error" record for
+that check alone (one nested past MAX_NESTING is rejected).  Coordinates
+and half-widths are exact rational strings ("3/8"); floats are reserved
+for continuous quantities.
 
 Reports echo the scenario, the effective parameters of every check, the
 verdicts and the witnesses.  The echo pins each grid-sized list (a samples
@@ -79,7 +81,8 @@ SCHEMA_VERSION = "2"
 #: One bound on every point count a scenario can ask for (grid sizes, disk
 #: samples, lambda grids), checked before anything is allocated.
 MAX_POINTS = 2 ** 20
-#: How deep a check value may nest: it is echoed before a reader bounds it.
+#: How deep a check value may nest (it is echoed before a reader bounds
+#: it), and how many components may nest inside one another.
 MAX_NESTING = 32
 #: Ladder cost grows with the square of max_monomial.
 MAX_MONOMIAL = 1024
@@ -101,7 +104,8 @@ class ScenarioError(ValueError):
 # ---------------------------------------------------------------------------
 # the schema language
 #
-# A reader takes (value, path, n), n being the scenario's grid size or None,
+# A reader takes (value, path, n, depth), n being the scenario's grid size or
+# None and depth the number of components (Kinds objects) it is read inside,
 # and returns the parsed value or raises ScenarioError naming the path.  A
 # spec maps every key an object may carry to (reader, default); a default of
 # ... marks the key required.
@@ -125,12 +129,12 @@ def _check_keys(obj: Any, path: str, spec: dict, fixed: tuple[str, ...] = ()) ->
         raise ScenarioError(path, f"missing required field(s) {missing}")
 
 
-def _read(obj: Any, path: str, spec: dict, n: int | None = None,
+def _read(obj: Any, path: str, spec: dict, n: int | None = None, depth: int = 0,
           fixed: tuple[str, ...] = ()) -> dict:
     """Check obj's keys against spec (plus the fixed keys its caller reads)
     and read every declared value, defaults filled in."""
     _check_keys(obj, path, spec, fixed)
-    return {key: read(obj[key], f"{path}.{key}", n) if key in obj else default
+    return {key: read(obj[key], f"{path}.{key}", n, depth) if key in obj else default
             for key, (read, default) in spec.items()}
 
 
@@ -143,7 +147,7 @@ class Real:
     hi: float = math.inf
     cast: bool = True
 
-    def __call__(self, value: Any, path: str, n: int | None = None) -> Any:
+    def __call__(self, value: Any, path: str, n: int | None = None, depth: int = 0) -> Any:
         x = math.nan
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             x = float(value) if -_FLOAT_MAX <= value <= _FLOAT_MAX else math.inf
@@ -160,7 +164,7 @@ class Int:
     lo: float = -math.inf
     hi: float = math.inf
 
-    def __call__(self, value: Any, path: str, n: int | None = None) -> int:
+    def __call__(self, value: Any, path: str, n: int | None = None, depth: int = 0) -> int:
         if (isinstance(value, bool) or not isinstance(value, int)
                 or not self.lo <= value <= self.hi):
             raise ScenarioError(path, f"expected an integer{_bounds(self.lo, self.hi)}, "
@@ -176,11 +180,11 @@ class ListOf:
     least: int = 1
     most: float = math.inf
 
-    def __call__(self, value: Any, path: str, n: int | None = None) -> list:
+    def __call__(self, value: Any, path: str, n: int | None = None, depth: int = 0) -> list:
         if not isinstance(value, list) or not self.least <= len(value) <= self.most:
             raise ScenarioError(path, "expected a list with length"
                                       f"{_bounds(self.least, self.most)}")
-        return [self.item(v, f"{path}[{i}]", n) for i, v in enumerate(value)]
+        return [self.item(v, f"{path}[{i}]", n, depth) for i, v in enumerate(value)]
 
 
 @dataclass(frozen=True)
@@ -191,9 +195,9 @@ class Obj:
     spec: dict
     build: Callable
 
-    def __call__(self, value: Any, path: str, n: int | None = None,
+    def __call__(self, value: Any, path: str, n: int | None = None, depth: int = 0,
                  fixed: tuple[str, ...] = ()) -> Any:
-        args = _read(value, path, self.spec, n, fixed)
+        args = _read(value, path, self.spec, n, depth, fixed)
         try:
             return self.build(**args)
         except ValueError as exc:
@@ -202,18 +206,21 @@ class Obj:
 
 @dataclass(frozen=True)
 class Kinds:
-    """A JSON object whose "kind" picks the Obj that reads the rest."""
+    """A JSON object whose "kind" picks the Obj that reads the rest: a
+    component, read inside at most MAX_NESTING - 1 others."""
 
     what: str
     kinds: dict[str, Obj] = field(default_factory=dict)
 
-    def __call__(self, value: Any, path: str, n: int | None = None) -> Any:
+    def __call__(self, value: Any, path: str, n: int | None = None, depth: int = 0) -> Any:
+        if depth == MAX_NESTING:
+            raise ScenarioError(path, f"nested past {MAX_NESTING} levels")
         if not isinstance(value, dict) or "kind" not in value:
             raise ScenarioError(path, f"expected a {self.what} object with a \"kind\"")
         kind = value["kind"]
         if not isinstance(kind, str) or kind not in self.kinds:
             raise ScenarioError(f"{path}.kind", f"unknown {self.what} kind {kind!r}")
-        return self.kinds[kind](value, path, n, fixed=("kind",))
+        return self.kinds[kind](value, path, n, depth + 1, fixed=("kind",))
 
 
 REAL = Real()
@@ -222,7 +229,7 @@ SIZE = Int(2, MAX_POINTS)
 COMPLEX = Obj({"re": (REAL, ...), "im": (REAL, 0.0)}, lambda re, im: complex(re, im))
 
 
-def _rational(value: Any, path: str, n: int | None = None) -> Fraction:
+def _rational(value: Any, path: str, n: int | None = None, depth: int = 0) -> Fraction:
     """A rational string ("3/8")."""
     if not isinstance(value, str):
         raise ScenarioError(path, "coordinates and widths are rational strings like "
@@ -233,7 +240,7 @@ def _rational(value: Any, path: str, n: int | None = None) -> Fraction:
         raise ScenarioError(path, f"malformed rational {value!r}") from None
 
 
-def _position(value: Any, path: str, n: int | None = None) -> Fraction:
+def _position(value: Any, path: str, n: int | None = None, depth: int = 0) -> Fraction:
     """A grid coordinate: a rational string, reduced into [0, 1)."""
     return frac_mod1(_rational(value, path))
 
@@ -249,7 +256,7 @@ def _sized(value: Any, path: str, n: int | None, what: str) -> None:
 # so their entries are read by tight loops that build a path only for a bad
 # entry; the general readers then raise the precise error.
 
-def _samples(value: Any, path: str, n: int | None) -> list[complex]:
+def _samples(value: Any, path: str, n: int | None, depth: int = 0) -> list[complex]:
     _sized(value, path, n, "complex entries")
     out = []
     for i, v in enumerate(value):
@@ -263,7 +270,7 @@ def _samples(value: Any, path: str, n: int | None) -> list[complex]:
     return out
 
 
-def _indices(value: Any, path: str, n: int | None) -> list[int]:
+def _indices(value: Any, path: str, n: int | None, depth: int = 0) -> list[int]:
     _sized(value, path, n, "grid indices")
     for i, k in enumerate(value):
         if type(k) is not int:
@@ -374,13 +381,13 @@ class Scenario:
         return GridCircle(self.n)
 
 
-def _version(value: Any, path: str, n: int | None = None) -> str:
+def _version(value: Any, path: str, n: int | None = None, depth: int = 0) -> str:
     if value != SCHEMA_VERSION:
         raise ScenarioError(path, f"unsupported version {value!r}")
     return value
 
 
-def _check_entry(entry: Any, path: str, n: int | None = None) -> dict:
+def _check_entry(entry: Any, path: str, n: int | None = None, depth: int = 0) -> dict:
     """A check's name and keys are fixed at parse time; its values are read
     when it runs (see _run_one)."""
     if not isinstance(entry, dict) or "name" not in entry:
@@ -445,10 +452,7 @@ def parse_scenario_file(path: str) -> Scenario:
         # malformed JSON or UTF-8, a non-finite number, an over-long integer
         except (ValueError, RecursionError) as exc:
             raise ScenarioError("scenario", f"invalid JSON: {exc}") from None
-    try:
-        return parse_scenario(obj)
-    except RecursionError:
-        raise ScenarioError("scenario", "components nested too deeply") from None
+    return parse_scenario(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -744,10 +748,24 @@ def _pinned(component: Any) -> Any:
     return {k: _digest(v) if k == bulk else _pinned(v) for k, v in component.items()}
 
 
+#: Items of a pinned list serialised at a time: the sha256 reads its
+#: canonical JSON block by block, never the whole text at once.
+_DIGEST_BLOCK = 1 << 12
+
+
 def _digest(values: list) -> dict:
+    """{length, sha256} of json.dumps(values, sort_keys=True,
+    separators=(",", ":")), fed to the hash one block of items at a time:
+    the text of a list is "[", its items' texts joined by ",", then "]"."""
     import hashlib
-    text = json.dumps(values, sort_keys=True, separators=(",", ":"))
-    return {"length": len(values), "sha256": hashlib.sha256(text.encode()).hexdigest()}
+    h = hashlib.sha256(b"[")
+    for a in range(0, len(values), _DIGEST_BLOCK):
+        if a:
+            h.update(b",")
+        text = json.dumps(values[a:a + _DIGEST_BLOCK], sort_keys=True, separators=(",", ":"))
+        h.update(text[1:-1].encode())
+    h.update(b"]")
+    return {"length": len(values), "sha256": h.hexdigest()}
 
 
 def run_scenario(sc: Scenario, tol: float = 1e-9, timings: bool = False,

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from daugavetlab import scenarios
 from daugavetlab.cli import main
 from daugavetlab.scenarios import (
     CHECKS,
@@ -224,6 +225,15 @@ class TestEcho:
     def test_a_version_1_scenario_exits_one(self, tmp_path):
         code, out, err = verify(write(tmp_path, scenario(schema_version="1")))
         assert code == 1 and out == "" and "scenario.schema_version" in err
+
+    @pytest.mark.parametrize("values", [
+        [], [{"re": 1.0}], [{"re": 0.5, "im": -0.25}, {"im": 1e-320, "re": -0.0}],
+        [3, -0.0, 1e-320, 2.5, -7], [-0.0], [1e-320],
+        [{"re": i / 7, "im": -i} for i in range(3 * scenarios._DIGEST_BLOCK + 5)],
+        list(range(2 * scenarios._DIGEST_BLOCK)),
+        list(range(scenarios._DIGEST_BLOCK + 1))])
+    def test_streamed_digest_is_the_one_shot_digest(self, values):
+        assert scenarios._digest(values) == pin(values)
 
 
 DISK = {
@@ -457,7 +467,34 @@ class TestSchemaRegressions:
         for _ in range(300):
             field = {"kind": "product", "factors": [field, {"kind": "constant", "re": 1.0}]}
         code, out, err = verify(write(tmp_path, scenario(weight=field)))
-        assert code == 1 and out == "" and "nested too deeply" in err
+        assert code == 1 and out == "" and "nested past 32 levels" in err
+
+    # each component nests inside the one before: (key, field, innermost, wrap)
+    NESTED = {
+        "product": ("weight", ".factors[0]", {"kind": "constant", "re": 1.0},
+                    lambda c: {"kind": "product",
+                               "factors": [c, {"kind": "constant", "re": 1.0}]}),
+        "scaled": ("operator", ".inner", {"kind": "zero"},
+                   lambda c: {"kind": "scaled", "coeff": {"re": 0.5}, "inner": c}),
+        "constant_on_arc": ("symbol", ".base", {"kind": "doubling"},
+                            lambda c: {"kind": "constant_on_arc", "value": "0",
+                                       "center": "1/2", "half_width": "1/8", "base": c}),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(NESTED))
+    @pytest.mark.parametrize("levels", [32, 33])
+    def test_components_nest_at_most_32_levels(self, tmp_path, kind, levels):
+        key, step, component, wrap = self.NESTED[kind]
+        for _ in range(levels - 1):
+            component = wrap(component)
+        code, out, err = verify(write(tmp_path, scenario(**{key: component})))
+        if levels == 32:
+            assert code == 0 and err == "", err
+            assert strict_json(out)["checks"][0]["verdict"] in ("holds", "fails")
+        else:
+            assert code == 1 and out == ""
+            path = f"scenario.{key}" + step * 32
+            assert err.startswith(f"error: {path}: nested past 32 levels\n")
 
     @pytest.mark.parametrize("depth", [500, 33])
     def test_deeply_nested_check_value_exit_one(self, tmp_path, depth):
