@@ -8,8 +8,8 @@
 
 Exit codes: 0 when the run completed (individual checks may still report
 "fails" or "error" inside the report), 1 for a rejected scenario file or
-flag, or a report that would hold a NaN or an infinity, 2 for an internal
-cross-check failure.
+flag, a report that would hold a NaN or an infinity, or a report that
+cannot be written, 2 for an internal cross-check failure.
 """
 
 from __future__ import annotations
@@ -49,6 +49,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """A non-negative integer, as numpy's seeding takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="daugavetlab",
@@ -63,17 +74,23 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(subs.add_parser(name, help=blurb))
 
     st = subs.add_parser("selftest", help="run the built-in battery")
-    st.add_argument("--seed", type=int, default=0)
+    st.add_argument("--seed", type=_seed, default=0)
     st.add_argument("--out", help="write the report here instead of stdout")
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
+def _emit(text: str, out: str | None) -> int:
+    """Write the report to out, or to stdout; the exit code."""
+    if not out:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: the report cannot be written: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -81,8 +98,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "selftest":
         report = run_selftest(seed=args.seed)
-        _emit(render_report_json(report), args.out)
-        return 0
+        return _emit(render_report_json(report), args.out)
 
     allowed = None
     if args.command != "verify":
@@ -104,8 +120,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # a value finite input still drove to NaN or infinity
         print(f"error: the report cannot be rendered: {exc}", file=sys.stderr)
         return 1
-    _emit(text, args.out)
-    return 0
+    return _emit(text, args.out)
 
 
 if __name__ == "__main__":

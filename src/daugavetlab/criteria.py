@@ -43,11 +43,11 @@ from .circle import (
     modulus,
     modulus_constancy,
     preimage_nowhere_dense_at_resolution,
-    shared_points,
     symbol_codes,
     tabulate,
 )
 from .errors import InvariantViolation, agree, at_most
+from .measures import total_variation
 from .operators import (
     FiniteRankOperator,
     OperatorExpr,
@@ -416,12 +416,14 @@ def refinement_convergence(u: ScalarField, phi: SymbolMap, T: SupportsMeasureAt,
 
 @dataclass(frozen=True)
 class ConvexCheckResult:
+    """The arrays are read-only and indexed like the grid, as a profile's."""
+
     holds: bool
     gap: float
-    norm: float            # ||t C_phi + (1-t) C_psi + T||
-    upper: float           # 1 + ||T||
-    delta: tuple[tuple[Fraction, float], ...]        # on {phi(s) != psi(s)}
-    delta_tilde: tuple[tuple[Fraction, float], ...]  # on {phi(s) == psi(s)}
+    norm: float              # ||t C_phi + (1-t) C_psi + T||
+    upper: float             # 1 + ||T||
+    deficiency: np.ndarray   # real: delta off same_symbol, delta_tilde on it
+    same_symbol: np.ndarray  # bool: phi(s) == psi(s)
 
 
 @compiles
@@ -435,7 +437,9 @@ def convex_center_check(t: float, phi: SymbolMap, psi: SymbolMap, T: SupportsMea
         delta(s) = |t + m_phi| + |1-t + m_psi| - (1 + |m_phi| + |m_psi|),
 
     and |1 + m_phi| - (1 + |m_phi|) where they agree; both are <= 0, and
-    additivity means they climb to 0 along the relevant points.
+    additivity means they climb to 0 along the relevant points.  The norm,
+    read off the compiled family of cc + T, is held to the total variation
+    of the measure at the point that attains it.
     """
     cc = convex_combination(t, phi, psi)
     combo_norm = operator_norm(cc, grid)
@@ -444,7 +448,14 @@ def convex_center_check(t: float, phi: SymbolMap, psi: SymbolMap, T: SupportsMea
     t_norm = operator_norm(T, grid)
     # cc + T as two terms: flattening T's terms into cc's would change the
     # order of summation
-    norm = operator_norm(OperatorExpr(((1.0, cc), (1.0, T))), grid)
+    perturbed = OperatorExpr(((1.0, cc), (1.0, T)))
+    rows = compiled_family(perturbed, grid.n).tv
+    k = int(np.argmax(rows))
+    norm, p = float(rows[k]), grid.coord(k)
+    direct = total_variation(perturbed.measure_at(p))
+    agree(norm, direct, lambda: f"compiled norm {norm!r} of the perturbed combination "
+                                f"disagrees with the measure's total variation "
+                                f"{direct!r} at s={p}")
     upper = combo_norm + t_norm
     at_most(norm, upper, f"norm {norm!r} exceeds the bound {upper!r}")
     gap = upper - norm
@@ -458,12 +469,10 @@ def convex_center_check(t: float, phi: SymbolMap, psi: SymbolMap, T: SupportsMea
         modulus(1.0 + m_phi) - (1.0 + modulus(m_phi)),
         (modulus(t + m_phi) + modulus(1.0 - t + m_psi))
         - (1.0 + modulus(m_phi) + modulus(m_psi)))
-    delta: list[tuple[Fraction, float]] = []
-    delta_tilde: list[tuple[Fraction, float]] = []
-    for p, same_symbol, value in zip(shared_points(grid.n), same.tolist(), values.tolist()):
-        (delta_tilde if same_symbol else delta).append((p, value))
-        if value > 0.0:  # at_most never raises on a value <= 0
-            at_most(value, 0.0, f"positive deficiency {value!r} at s={p}; bounded by zero",
-                    scale=max(combo_norm, t_norm))
+    for k in np.flatnonzero(values > 0.0).tolist():  # at_most never raises on a value <= 0
+        value = float(values[k])
+        at_most(value, 0.0, f"positive deficiency {value!r} at s={grid.coord(k)}; "
+                            "bounded by zero", scale=max(combo_norm, t_norm))
+    values.flags.writeable = same.flags.writeable = False
     return ConvexCheckResult(holds=gap <= tol, gap=gap, norm=norm, upper=upper,
-                             delta=tuple(delta), delta_tilde=tuple(delta_tilde))
+                             deficiency=values, same_symbol=same)

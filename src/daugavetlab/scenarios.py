@@ -517,17 +517,16 @@ def _run_convex(sc: Scenario, tol: float) -> dict:
                               _need(sc, "symbol2", "symbol2"), sc.operator,
                               sc.grid(), tol=tol)
 
-    def summary(pairs):
-        values = [v for _, v in pairs]
-        if not values:
+    def summary(a):
+        if not a.size:
             return {"count": 0}
-        return {"count": len(values), "max": max(values), "min": min(values)}
+        return {"count": int(a.size), "max": float(a.max()), "min": float(a.min())}
 
     return {"params": {"t": sc.t, "n": sc.n},
             "verdict": "holds" if res.holds else "fails",
             "values": {"norm": res.norm, "upper": res.upper, "gap": res.gap,
-                       "delta": summary(res.delta),
-                       "delta_tilde": summary(res.delta_tilde)}}
+                       "delta": summary(res.deficiency[~res.same_symbol]),
+                       "delta_tilde": summary(res.deficiency[res.same_symbol])}}
 
 
 def _run_s_epsilon(sc: Scenario, epsilon: float) -> dict:

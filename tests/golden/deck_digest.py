@@ -7,7 +7,11 @@ Renders, in order, the circle-large and disk-ladder decks of seeds 1-3
 ``daugavetlab verify`` would, and ``run_selftest(0..3)``, then prints the
 sha256 of all those reports together and how many there are.  A change
 that means to keep every report byte prints the same digest before and
-after it.  The program is imported from this checkout's ``src/``.
+after it; ``deck.sha256`` beside this script holds that line, and
+``tests/test_golden.py`` recomputes it.  A change that means to alter
+report bytes rewrites it (``python3 tests/golden/deck_digest.py >
+tests/golden/deck.sha256``) and names the change.  The program is
+imported from this checkout's ``src/``.
 """
 
 from __future__ import annotations
@@ -54,14 +58,19 @@ def reports():
         yield render_report_json(run_selftest(seed)).encode("utf-8")
 
 
-def main() -> int:
-    digest, count = hashlib.sha256(), 0
+def digest() -> str:
+    """The sha256 of every report and how many there are, as one line."""
+    sha, count = hashlib.sha256(), 0
     for out in reports():
         # each report's length first, so no two lists of reports hash alike
-        digest.update(len(out).to_bytes(8, "little"))
-        digest.update(out)
+        sha.update(len(out).to_bytes(8, "little"))
+        sha.update(out)
         count += 1
-    print(f"{digest.hexdigest()}  {count} reports")
+    return f"{sha.hexdigest()}  {count} reports"
+
+
+def main() -> int:
+    print(digest())
     return 0
 
 

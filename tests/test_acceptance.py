@@ -143,8 +143,7 @@ def test_05_convex_combinations():
         res = convex_center_check(t, SymbolMap.doubling(),
                                   SymbolMap.rotation(Fraction(1, n)), T, grid)
         worst_gap = max(worst_gap, res.gap)
-        for _, v in list(res.delta) + list(res.delta_tilde):
-            worst_delta = max(worst_delta, v)
+        worst_delta = max(worst_delta, float(res.deficiency.max()))
 
     noncvx = counterexample_nonconstant_modulus(
         ScalarField.cosine(amplitude=1.0, offset=0.0, frequency=1),

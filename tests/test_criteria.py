@@ -5,6 +5,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from daugavetlab.circle import Arc, GridCircle, ScalarField, SymbolMap, modulus_constancy
@@ -127,6 +128,18 @@ class TestCriterion:
         assert len(sw.results) == 23
         assert finest.epsilon < operator_norm(T, g) * 2.0 ** -20
         assert finest.active_set_size == 1 and not finest.holds
+
+    def test_data_level_one_rounding_step_below_the_norm(self):
+        # the only gap is 2^-53: its half rounds back to ||T|| = 1 and would
+        # leave the level's active set empty, so the level sits at the gap
+        g = GridCircle(8)
+        wc = WeightedComposition(ScalarField.constant(1.0), SymbolMap.identity())
+        samples = [1.0, 1.0 - 2.0 ** -53] + [0.0] * 6
+        T = rank_one(ScalarField.from_samples(samples, 8), at=Fraction(0))
+        sw = criterion_sweep(wc, T, g, tol=0.0)
+        assert len(sw.results) == 23
+        finest = sw.results[-1]
+        assert finest.epsilon == 2.0 ** -53 and finest.active_set_size == 1
 
     def test_zero_operator_sweep_is_single_level(self):
         g = GridCircle(16)
@@ -291,8 +304,11 @@ class TestConvexCenter:
                                   SymbolMap.rotation(Fraction(1, 64)), T, g)
         assert res.holds
         assert res.norm == 2.0
-        assert all(v <= 1e-12 for _, v in res.delta)
-        assert all(v <= 1e-12 for _, v in res.delta_tilde)
+        assert (res.deficiency <= 1e-12).all()
+        # one read-only value per grid point; 2s = s + 1/64 at s = 1/64 only
+        assert res.deficiency.shape == res.same_symbol.shape == (g.n,)
+        assert np.flatnonzero(res.same_symbol).tolist() == [1]
+        assert not (res.deficiency.flags.writeable or res.same_symbol.flags.writeable)
 
     def test_endpoints_reduce_to_single_composition(self):
         g = GridCircle(64)
@@ -364,18 +380,22 @@ class TestSharedProfiles:
         assert [r["verdict"] for r in report["checks"]] == [
             "holds", "holds", "holds", "computed", "holds", "gap-certified", "computed"]
         # three profiles: the scenario's at n = 32 and n = 16, the
-        # counterexample's operator at n = 32; one measure per point each
-        expected = Counter(GridCircle(32).points() * 2 + GridCircle(16).points())
+        # counterexample's operator at n = 32; one measure per point each.
+        # The convex check measures cc + T once, at s = 0, where its norm is
+        expected = Counter(GridCircle(32).points() * 2 + GridCircle(16).points()
+                           + [Fraction(0)])
         assert calls == expected
         # u and phi once per point per grid: the counterexample's profile
         # shares the scenario's (u, phi) at n = 32.  Besides, the
         # counterexample's operator has the coefficient g * u, whose
-        # measure_at evaluates u once per point, and refinement samples phi
-        # at TARGET_SAMPLES points k/8 of each of its two grids
+        # measure_at evaluates u once per point, refinement samples phi
+        # at TARGET_SAMPLES points k/8 of each of its two grids, and the
+        # convex check's measure of cc + T evaluates phi at s = 0
         once = Counter(GridCircle(32).points() + GridCircle(16).points())
         assert weights == once + Counter(GridCircle(32).points())
         assert images == once + Counter([Fraction(k, TARGET_SAMPLES)
-                                         for k in range(TARGET_SAMPLES)] * 2)
+                                         for k in range(TARGET_SAMPLES)] * 2
+                                        + [Fraction(0)])
 
     def test_arc_scan_names_the_first_point_off_target(self):
         g = GridCircle(64)

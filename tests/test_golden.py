@@ -6,6 +6,9 @@ would, to exactly the bytes stored under golden/reports, and so does
 compiled to index space; a change that means to alter them reruns
 golden/regenerate.py and names every changed value in CHANGES.md.
 
+The reports of the benchmark decks and of run_selftest(0..3) hash to the
+line frozen in golden/deck.sha256 (see golden/deck_digest.py).
+
 Schema version 2 changed three things only: the echo pins each samples or
 table list by its length and sha256, ladder checks no longer echo
 phase_grid, and the version reads "2".  Undoing those three on each
@@ -29,6 +32,11 @@ regenerate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regenerate)
 
 
+_spec = importlib.util.spec_from_file_location("deck_digest", GOLDEN / "deck_digest.py")
+deck_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(deck_digest)
+
+
 def golden(name: str) -> str:
     return (GOLDEN / "reports" / name).read_text(encoding="utf-8")
 
@@ -46,6 +54,10 @@ def test_scenario_report_matches_golden_bytes(name):
 
 def test_selftest_report_matches_golden_bytes():
     assert regenerate.render_selftest() == golden(f"selftest-{regenerate.SELFTEST_SEED}.json")
+
+
+def test_deck_reports_match_the_frozen_digest():
+    assert deck_digest.digest() == (GOLDEN / "deck.sha256").read_text(encoding="utf-8").strip()
 
 
 #: sha256 of each golden report as schema version 1 wrote it.

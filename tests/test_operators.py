@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from daugavetlab import circle, operators
+from daugavetlab import circle, operators, selftest
 from daugavetlab.circle import (
     Arc,
     GridCircle,
@@ -446,10 +446,9 @@ class TestCompiledRoute:
                                            for p in g.points())
         delta, delta_tilde = reference_deficiencies(t, phi, psi, T, g)
         res = convex_center_check(t, phi, psi, T, g, tol=1e-9)
-        assert [p for p, _ in res.delta] == [p for p, _ in delta]
-        assert bits([v for _, v in res.delta], float) == bits([v for _, v in delta], float)
-        assert bits([v for _, v in res.delta_tilde], float) == bits(
-            [v for _, v in delta_tilde], float)
+        for mask, want in ((~res.same_symbol, delta), (res.same_symbol, delta_tilde)):
+            assert [g.coord(k) for k in np.flatnonzero(mask)] == [p for p, _ in want]
+            assert bits(res.deficiency[mask], float) == bits([v for _, v in want], float)
 
     def test_operator_of_its_own_is_rejected(self):
         # the operators are a closed set: a type of the caller's own is named
@@ -553,3 +552,35 @@ class TestCrossCheckFires:
         monkeypatch.setattr(operators, "compile_family", corrupted)
         with pytest.raises(InvariantViolation, match="compiled total variation .* at s=5/16$"):
             perturbation_profile(wc, T, g)
+
+    def test_corrupt_convex_norm_row_is_caught(self, monkeypatch):
+        # the rows of cc + T peak at s = 1/16 with 1.96..., below 1 + ||T|| = 2,
+        # so a raised row there still passes the additivity bound
+        g = GridCircle(16)
+        phi, psi = SymbolMap.doubling(), SymbolMap.rotation(Fraction(1, 16))
+        T = rank_one(ScalarField.cosine(offset=0.5, amplitude=0.5), at=Fraction(0), scale=-1.0)
+        assert convex_center_check(0.5, phi, psi, T, g).gap > 0.02
+        original = operators.compile_family
+
+        def corrupted(op, space):
+            fam = original(op, space)
+            if not (isinstance(op, OperatorExpr) and op.terms[-1][1] == T):
+                return fam
+            assert int(np.argmax(fam.tv)) == 1
+            tv = fam.tv.copy()
+            tv[1] += 0.01
+            return operators.CompiledFamily(fam.codes, fam.weights, fam.present, tv)
+
+        monkeypatch.setattr(operators, "compile_family", corrupted)
+        with pytest.raises(InvariantViolation, match="compiled norm .* at s=1/16$"):
+            convex_center_check(0.5, phi, psi, T, g)
+
+    def test_selftest_convex_instance_measures_its_norm_point(self, monkeypatch):
+        calls = []
+        for cls in (WeightedComposition, FiniteRankOperator, OperatorExpr):
+            def spy(self, s, original=cls.measure_at):
+                calls.append(s)
+                return original(self, s)
+            monkeypatch.setattr(cls, "measure_at", spy)
+        assert selftest._convex_stage()["passed"]
+        assert calls

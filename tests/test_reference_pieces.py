@@ -569,6 +569,7 @@ class TestConvexCombination:
                 res = convex_center_check(t, phi, psi, T, grid)
                 norm, gap, delta, delta_tilde = parent_convex_center(t, phi, psi, T, grid)
                 assert bits(res.norm) == bits(norm) and bits(res.gap) == bits(gap)
-                for got, want in ((res.delta, delta), (res.delta_tilde, delta_tilde)):
-                    assert [p for p, _ in got] == [p for p, _ in want]
-                    assert [bits(v) for _, v in got] == [bits(v) for _, v in want]
+                for mask, want in ((~res.same_symbol, delta), (res.same_symbol, delta_tilde)):
+                    assert [grid.coord(k) for k in np.flatnonzero(mask)] == [p for p, _ in want]
+                    assert ([bits(v) for v in res.deficiency[mask].tolist()]
+                            == [bits(v) for _, v in want])

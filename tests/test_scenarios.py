@@ -303,6 +303,54 @@ class TestDiskParameters:
         assert rec["values"]["family_size"] == 803
 
 
+class TestRunnerGuards:
+    """Each missing piece a check needs gives an error record naming it."""
+
+    @staticmethod
+    def error(obj):
+        record = run_scenario(parse_scenario(obj))["checks"][0]
+        assert record["verdict"] == "error"
+        return record["error"]
+
+    def test_equation_needs_a_weight(self):
+        obj = scenario()
+        del obj["weight"]
+        assert self.error(obj) == "scenario.weight: required by this check"
+
+    def test_circle_check_needs_a_single_grid_size(self):
+        obj = scenario(space={"kind": "circle", "sizes": [8, 16]})
+        assert self.error(obj) == "space.n: this check needs a single grid size"
+
+    def test_convex_needs_t(self):
+        obj = scenario(symbol2={"kind": "identity"}, checks=[{"name": "convex"}])
+        assert self.error(obj) == "scenario.t: required by the convex check"
+
+    def test_refinement_needs_sizes(self):
+        obj = scenario(checks=[{"name": "refinement"}])
+        assert self.error(obj) == "check.sizes: refinement needs sizes here or in space.sizes"
+
+    def test_ladder_radius_must_lie_inside_the_disk(self):
+        obj = dict(DISK, checks=[{"name": "disk-lower-bound", "radii": [1.0]}])
+        assert self.error(obj) == "check.radii: ladder radius 1.0 must lie in (0, 1)"
+
+    def test_refinement_of_a_sampled_operator_subsamples_it(self):
+        # the README window with g given by its 64 samples: at sizes that
+        # divide 64 the samples are g's values, so the gaps are the closed
+        # form (1 - cos(2 pi/m))/2
+        values = [{"re": 0.5 + 0.5 * math.cos(2.0 * math.pi * k / 64), "im": 0.0}
+                  for k in range(64)]
+        obj = scenario(operator={"kind": "finite_rank", "terms": [
+            {"g": {"kind": "samples", "values": values}, "atoms": [{"pos": "0", "re": -1.0}]}]},
+            checks=[{"name": "refinement", "sizes": [8, 16, 64]}])
+        record = run_scenario(parse_scenario(obj))["checks"][0]
+        assert record["verdict"] == "computed"
+        gaps = record["values"]["gaps"]
+        assert [gp["n"] for gp in gaps] == [8, 16, 64]
+        for gp in gaps:
+            want = (1.0 - math.cos(2.0 * math.pi / gp["n"])) / 2.0
+            assert gp["gap"] == pytest.approx(want, abs=1e-15)
+
+
 class TestCli:
     def run_cli(self, tmp_path, args, scenario_obj=None):
         argv = list(args)
@@ -341,6 +389,26 @@ class TestCli:
         out = tmp_path / "st.json"
         assert main(["selftest", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["passed"] is True
+
+    @pytest.mark.parametrize("command", ["verify", "selftest"])
+    @pytest.mark.parametrize("where", ["missing/r.json", "."])
+    def test_unwritable_out_exits_one_naming_the_path(self, tmp_path, capsys, command, where):
+        out = tmp_path / where
+        args = [command, "--out", str(out)]
+        if command == "verify":
+            args += ["--scenario", str(write(tmp_path, scenario()))]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "cannot be written" in lines[0] and str(out) in lines[0]
+
+    @pytest.mark.parametrize("seed", ["-1", "abc", "1.5"])
+    def test_selftest_seed_is_a_nonnegative_integer(self, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--seed", seed])
+        err = capsys.readouterr().err
+        assert exc.value.code == 1 and "argument --seed: expected a non-negative integer" in err
 
     def test_module_entrypoint(self, tmp_path):
         p = tmp_path / "scenario.json"
