@@ -42,13 +42,10 @@ from .disk import (
 from .errors import InvariantViolation
 from .measures import (
     AtomicMeasure,
-    dirac,
     integrate,
     linear_combine,
     norm_oracle,
-    point_mass,
     total_variation,
-    tv_excluding,
 )
 from .operators import (
     FiniteRankOperator,
@@ -84,8 +81,8 @@ __all__ = [
     "frac_mod1", "sup_norm", "modulus_constancy",
     "preimage_nowhere_dense_at_resolution",
     # measures
-    "AtomicMeasure", "dirac", "linear_combine", "total_variation",
-    "point_mass", "tv_excluding", "integrate", "norm_oracle",
+    "AtomicMeasure", "linear_combine", "total_variation", "integrate",
+    "norm_oracle",
     # operators
     "WeightedComposition", "FiniteRankOperator", "OperatorExpr",
     "rank_one", "convex_combination", "as_expr", "scaled", "zero_operator",

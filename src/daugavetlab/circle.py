@@ -40,6 +40,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import agree
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -259,9 +261,6 @@ class Arc:
         G, D = _gap(p, self.center)
         return G * self.half_width.denominator <= self.half_width.numerator * D
 
-    def grid_points(self, grid: GridCircle) -> list[Fraction]:
-        return [Fraction(k, grid.n) for k in np.flatnonzero(arc_mask(self, grid.n)).tolist()]
-
 
 # ---------------------------------------------------------------------------
 # scalar fields
@@ -396,8 +395,14 @@ class ModulusReport:
 
 
 def modulus_constancy(u: ScalarField, grid: GridCircle, tol: float = 1e-9) -> ModulusReport:
-    """Check whether |u| is constant on the grid within tol."""
+    """Check whether |u| is constant on the grid within tol.  The spread
+    reads only the largest and the smallest tabulated modulus, so both are
+    held to |u| evaluated at their points."""
     mods = modulus(tabulate(u, grid.n))
+    for k in (int(mods.argmax()), int(mods.argmin())):
+        p, tabulated = grid.coord(k), float(mods[k])
+        agree(tabulated, abs(u(p)), lambda: f"tabulated |u| {tabulated!r} disagrees with "
+                                            f"|u(s)| {abs(u(p))!r} at s={p}")
     hi, lo = float(mods.max()), float(mods.min())
     return ModulusReport(constant=(hi - lo) <= tol, value=hi, spread=hi - lo)
 

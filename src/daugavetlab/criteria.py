@@ -26,6 +26,7 @@ combination from breaking additivity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,6 +98,15 @@ def _deficiency(prof: PerturbationProfile, weight_sup: float) -> np.ndarray:
             - (weight_sup + np.abs(prof.aligned_mass)))
 
 
+def _attained_norm(tv: np.ndarray) -> float:
+    """||T|| = max tv; ValueError when it is not finite, since then no point
+    attains it and every active set is empty."""
+    t_norm = float(tv.max())
+    if not math.isfinite(t_norm):
+        raise ValueError(f"||T|| = {t_norm!r} is not finite, so no point attains it")
+    return t_norm
+
+
 @dataclass(frozen=True)
 class CriterionResult:
     epsilon: float
@@ -134,8 +144,9 @@ def criterion_sup(wc: WeightedComposition, T: SupportsMeasureAt, epsilon: float,
     prof = perturbation_profile(wc, T, grid)
     weight_sup = float(np.abs(prof.weight).max())
     tv = np.abs(prof.aligned_mass) + prof.off_mass
+    t_norm = _attained_norm(tv)
     return _criterion_level(tv, _deficiency(prof, weight_sup), weight_sup,
-                            float(tv.max()), epsilon, tol)
+                            t_norm, epsilon, tol)
 
 
 @dataclass(frozen=True)
@@ -203,7 +214,7 @@ def criterion_sweep(wc: WeightedComposition, T: SupportsMeasureAt,
     prof = perturbation_profile(wc, T, grid)
     weight_sup = float(np.abs(prof.weight).max())
     tv = np.abs(prof.aligned_mass) + prof.off_mass
-    t_norm = float(tv.max())
+    t_norm = _attained_norm(tv)
     epsilons = [t_norm * 2.0 ** -k for k in range(21) if t_norm > 0.0]
     epsilons.append(t_norm + 1.0)
     floor = max(tol, 0.0)
@@ -261,13 +272,13 @@ def counterexample_nonconstant_modulus(u: ScalarField, phi: SymbolMap,
     point can then contribute at most |u(s)| + v(s) < sup|u| + 1 to the
     perturbed norm, pinning the gap at spread/2 or better.
     """
-    mods = modulus(tabulate(u, grid.n)).tolist()
-    weight_sup = max(mods)
-    spread = weight_sup - min(mods)
-    if spread <= tol:
+    report = modulus_constancy(u, grid, tol=tol)
+    weight_sup, spread = report.value, report.spread
+    if report.constant:
         raise ValueError(
             f"|u| is constant within {tol} (spread {spread:.3e}); "
             "this constructor needs a modulus dip")
+    mods = modulus(tabulate(u, grid.n)).tolist()
     s0_idx = mods.index(min(mods))
     s0 = grid.coord(s0_idx)
     threshold = weight_sup - spread / 2.0
@@ -333,11 +344,12 @@ def _certify(wc: WeightedComposition, T: FiniteRankOperator, grid: GridCircle,
     weight_sup = wc.weight_sup(grid)
     t_norm = operator_norm(T, grid)
     upper = weight_sup + t_norm
+    at_most(perturbed, upper, f"norm {perturbed!r} exceeds the additivity bound {upper!r}")
     gap = upper - perturbed
-    if gap <= 0:
-        raise InvariantViolation(
-            f"constructed counterexample has no gap ({gap!r}); "
-            "the construction guarantees one")
+    if not gap > 0:
+        raise ValueError(
+            f"constructed counterexample has no positive gap ({gap!r}) in floating "
+            f"point: ||uC_phi + T|| = {perturbed!r}, sup|u| + ||T|| = {upper!r}")
     return CounterexampleResult(operator=T, certified_gap=gap, perturbed=perturbed,
                                 upper=upper, weight_sup=weight_sup, t_norm=t_norm,
                                 detail=detail)

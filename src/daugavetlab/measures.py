@@ -39,14 +39,11 @@ from .circle import GridCircle, frac_mod1
 __all__ = [
     "AtomicMeasure",
     "MergePlan",
-    "dirac",
     "merge_plan",
     "apply_plan",
     "linear_combine",
     "total_variation",
     "direct_norms",
-    "point_mass",
-    "tv_excluding",
     "integrate",
     "norm_oracle",
 ]
@@ -146,11 +143,6 @@ def merge_plan(atom_lists: Sequence[Sequence[tuple[Fraction, complex]]]) -> Merg
     return MergePlan(tuple(entries))
 
 
-def dirac(t: Fraction) -> AtomicMeasure:
-    """Unit point mass at t."""
-    return AtomicMeasure.from_atoms([(t, 1 + 0j)])
-
-
 def apply_plan(plan: MergePlan, coeffs: Sequence[complex]) -> AtomicMeasure:
     """sum_i coeffs[i] * measures[i] for the measures the plan was made of:
     a zero coefficient skips its measure, the others scale each weight
@@ -203,19 +195,6 @@ def direct_norms(mu: AtomicMeasure, t: Fraction, w: complex) -> tuple[float, flo
         moduli[at], w = abs(mu.atoms[at][1] + w), 0j
     moduli.append(abs(w))
     return tv, math.fsum(moduli)
-
-
-def point_mass(mu: AtomicMeasure, t: Fraction) -> complex:
-    """Weight carried at t, reduced mod 1 (0 if no atom there)."""
-    t = frac_mod1(t)
-    return next((w for pos, w in mu.atoms if pos == t), 0j)
-
-
-def tv_excluding(mu: AtomicMeasure, points: Iterable[Fraction]) -> float:
-    """Total variation of the restriction away from the given points,
-    reduced mod 1."""
-    excluded = [frac_mod1(p) for p in points]
-    return math.fsum(abs(w) for pos, w in mu.atoms if pos not in excluded)
 
 
 def integrate(f: Callable[[Fraction], complex], mu: AtomicMeasure) -> complex:

@@ -310,8 +310,8 @@ def compiled_family(T: SupportsMeasureAt, n: int) -> CompiledFamily:
 
 
 def point_masses(fam: CompiledFamily, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """point_mass at every point, targets given as codes: (mass, the slot
-    that holds it or -1)."""
+    """The weight each point's measure carries at its target, targets given
+    as codes (0 if no atom there): (mass, the slot that holds it or -1)."""
     if not len(fam.codes):
         return np.zeros(targets.size, dtype=complex), np.full(targets.size, -1)
     hit = fam.present & (fam.codes == targets)
@@ -434,7 +434,7 @@ def perturbed_norm(wc: WeightedComposition, T: SupportsMeasureAt,
     sup_s ( |u(s) + mu_s({phi(s)})| + |mu_s|(S - {phi(s)}) ), each point
     cross-checked against the direct total variation of the merged family.
     """
-    return max(0.0, float(_split(perturbation_profile(wc, T, grid)).max()))
+    return float(_split(perturbation_profile(wc, T, grid)).max())
 
 
 @dataclass(frozen=True)

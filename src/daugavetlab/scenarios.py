@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
@@ -473,6 +474,18 @@ def _wc(sc: Scenario) -> WeightedComposition:
                                _need(sc, "symbol", "symbol"))
 
 
+@contextmanager
+def _epsilon_at_fault():
+    """Name check.epsilon in a ValueError whose message opens with
+    "epsilon ", as the epsilon rules of the checks' functions do."""
+    try:
+        yield
+    except ValueError as exc:
+        if not str(exc).startswith("epsilon "):
+            raise
+        raise ScenarioError("check.epsilon", str(exc)) from None
+
+
 def _run_equation(sc: Scenario, tol: float) -> dict:
     res = equation_holds(_wc(sc), sc.operator, sc.grid(), tol=tol)
     return {"params": {"n": sc.n},
@@ -530,7 +543,8 @@ def _run_convex(sc: Scenario, tol: float) -> dict:
 
 
 def _run_s_epsilon(sc: Scenario, epsilon: float) -> dict:
-    fraction = s_epsilon_fraction(_wc(sc), sc.operator, epsilon, sc.grid())
+    with _epsilon_at_fault():
+        fraction = s_epsilon_fraction(_wc(sc), sc.operator, epsilon, sc.grid())
     return {"params": {"n": sc.n},
             "verdict": "computed",
             "values": {"fraction": fraction}}
@@ -627,10 +641,11 @@ def _run_disk_certified(sc: Scenario, omega: complex, epsilon: float,
         arc = dsk.ArcNeighborhood(omega, half_angle)
     except ValueError as exc:  # the message opens with the field at fault
         raise ScenarioError(f"check.{str(exc).split()[0]}", str(exc)) from None
-    res = dsk.certified_counterexample_bound(
-        _need(sc, "disk_weight", "disk.weight"),
-        _need(sc, "disk_symbol", "disk.symbol"),
-        omega, epsilon, arc, samples=samples)
+    with _epsilon_at_fault():
+        res = dsk.certified_counterexample_bound(
+            _need(sc, "disk_weight", "disk.weight"),
+            _need(sc, "disk_symbol", "disk.symbol"),
+            omega, epsilon, arc, samples=samples)
     certified = res.valid and res.margin > 0
     return {"verdict": "certified" if certified else "not-certified",
             "values": {"bound": res.bound, "margin": res.margin,

@@ -26,7 +26,7 @@ from daugavetlab.circle import (
     tabulate,
 )
 from daugavetlab.criteria import counterexample_fat_preimage
-from daugavetlab.measures import AtomicMeasure, dirac, point_mass, tv_excluding
+from daugavetlab.measures import AtomicMeasure
 from daugavetlab.operators import rank_one
 
 FULL = Arc(Fraction(0), Fraction(1, 2))
@@ -50,9 +50,6 @@ class TestGeometry:
         assert not Arc(0, Fraction(1, 8)).contains(far)
         assert ScalarField.tent(0, Fraction(1, 8))(far) == 0j
         assert ScalarField.tent(0, Fraction(1, 2))(far) == 0.5 + 0j
-        mu = dirac(Fraction(1, 4))
-        assert point_mass(mu, Fraction(5, 4)) == point_mass(mu, Fraction(-3, 4)) == 1 + 0j
-        assert tv_excluding(mu, [Fraction(5, 4)]) == 0.0
 
     def test_distance_exact_for_rationals(self):
         G, D = _gap(Fraction(1, 3), Fraction(2, 3))
@@ -86,7 +83,6 @@ class TestGeometry:
         lambda: SymbolMap.rotation(0.125),
         lambda: SymbolMap.constant_on_arc(0.5, Arc(Fraction(0), Fraction(1, 4))),
         lambda: AtomicMeasure.from_atoms([(0.25, 1.0)]),
-        lambda: dirac(0.25),
         lambda: rank_one(ScalarField.constant(1.0), at=0.25),
         lambda: preimage_nowhere_dense_at_resolution(
             SymbolMap.doubling(), 0.5, Fraction(1, 4), GridCircle(16)),
@@ -94,7 +90,7 @@ class TestGeometry:
             ScalarField.constant(1.0), SymbolMap.constant_on_arc(Fraction(0), FULL),
             0.0, FULL, GridCircle(16)),
     ], ids=["arc-center", "arc-half-width", "tent", "tent-dip", "rotation",
-            "constant-on-arc", "from-atoms", "dirac", "rank-one", "preimage",
+            "constant-on-arc", "from-atoms", "rank-one", "preimage",
             "fat-preimage"])
     def test_float_coordinate_is_rejected(self, build):
         with pytest.raises(TypeError, match="exact rationals"):
@@ -142,13 +138,6 @@ class TestGeometry:
         assert arc.contains(Fraction(15, 16))
         assert arc.contains(Fraction(1, 16))
         assert not arc.contains(Fraction(1, 4))
-
-    def test_arc_grid_points(self):
-        g = GridCircle(16)
-        arc = Arc(Fraction(0), Fraction(1, 8))
-        pts = arc.grid_points(g)
-        assert set(pts) == {Fraction(14, 16), Fraction(15, 16), Fraction(0),
-                            Fraction(1, 16), Fraction(2, 16)}
 
 
 class TestScalarFields:

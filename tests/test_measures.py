@@ -10,13 +10,11 @@ from hypothesis import given, strategies as st
 from daugavetlab.circle import GridCircle
 from daugavetlab.measures import (
     AtomicMeasure,
-    dirac,
+    direct_norms,
     integrate,
     linear_combine,
     norm_oracle,
-    point_mass,
     total_variation,
-    tv_excluding,
 )
 
 positions = st.integers(min_value=0, max_value=15).map(lambda k: Fraction(k, 16))
@@ -52,9 +50,6 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             AtomicMeasure(atoms)
 
-    def test_dirac(self):
-        assert dirac(Fraction(1, 4)).atoms == ((Fraction(1, 4), 1 + 0j),)
-
 
 class TestTotalVariation:
     def test_three_atom_example(self):
@@ -77,15 +72,12 @@ class TestTotalVariation:
 
     @given(atom_lists)
     def test_decomposes_at_every_point(self, atoms):
-        # |mu| = |mu({p})| + |mu|(S - {p}) for any single point p
+        # |mu| = |mu({p})| + |mu|(S - {p}) for any single point p; cancelling
+        # the atom at p leaves the variation away from p
         mu = AtomicMeasure.from_atoms(atoms)
-        for p, _ in mu.atoms:
-            split = abs(point_mass(mu, p)) + tv_excluding(mu, [p])
+        for p, m in mu.atoms:
+            split = abs(m) + direct_norms(mu, p, -m)[1]
             assert split == pytest.approx(total_variation(mu), rel=1e-12, abs=1e-12)
-
-    def test_point_mass_off_support_is_zero(self):
-        mu = dirac(Fraction(0))
-        assert point_mass(mu, Fraction(1, 2)) == 0
 
 
 class TestDualityOracle:
@@ -98,7 +90,7 @@ class TestDualityOracle:
     def test_oracle_rejects_off_grid_atoms(self):
         g = GridCircle(8)
         with pytest.raises(ValueError):
-            norm_oracle(dirac(Fraction(1, 3)), g)
+            norm_oracle(AtomicMeasure.from_atoms([(Fraction(1, 3), 1 + 0j)]), g)
 
     def test_random_phases_never_beat_the_norm(self):
         # 10^4 random unit-modulus test vectors stay below the aligned value
@@ -129,9 +121,11 @@ class TestDualityOracle:
 
 class TestLinearCombine:
     def test_zero_coefficients_are_skipped(self):
-        mu = linear_combine([0.0, 2.0], [dirac(Fraction(0)), dirac(Fraction(1, 2))])
+        mu = linear_combine([0.0, 2.0], [AtomicMeasure.from_atoms([(Fraction(0), 1 + 0j)]),
+                                         AtomicMeasure.from_atoms([(Fraction(1, 2), 1 + 0j)])])
         assert mu.atoms == ((Fraction(1, 2), 2 + 0j),)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
-            linear_combine([1.0], [dirac(Fraction(0)), dirac(Fraction(1, 2))])
+            linear_combine([1.0], [AtomicMeasure.from_atoms([(Fraction(0), 1 + 0j)]),
+                                   AtomicMeasure.from_atoms([(Fraction(1, 2), 1 + 0j)])])

@@ -25,14 +25,7 @@ from daugavetlab.circle import (
 )
 from daugavetlab.criteria import convex_center_check
 from daugavetlab.errors import InvariantViolation
-from daugavetlab.measures import (
-    AtomicMeasure,
-    dirac,
-    linear_combine,
-    point_mass,
-    total_variation,
-    tv_excluding,
-)
+from daugavetlab.measures import AtomicMeasure, linear_combine, total_variation
 from daugavetlab.operators import (
     FiniteRankOperator,
     OperatorExpr,
@@ -85,8 +78,8 @@ class TestMeasureFamilies:
     def test_finite_rank_combines_terms(self):
         g1 = ScalarField.constant(2.0)
         g2 = ScalarField.constant(1j)
-        T = FiniteRankOperator(((g1, dirac(Fraction(0))),
-                                (g2, dirac(Fraction(0)))))
+        T = FiniteRankOperator(((g1, AtomicMeasure.from_atoms([(Fraction(0), 1 + 0j)])),
+                                (g2, AtomicMeasure.from_atoms([(Fraction(0), 1 + 0j)]))))
         mu = T.measure_at(Fraction(1, 8))
         assert mu.atoms == ((Fraction(0), 2 + 1j),)
 
@@ -121,7 +114,8 @@ class TestPerturbedNorm:
             for _ in range(rng.integers(1, 3)):
                 vals = 0.5 * (rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
                 atom_pos = Fraction(int(rng.integers(0, g.n)), g.n)
-                terms.append((ScalarField.from_samples(vals, g.n), dirac(atom_pos)))
+                terms.append((ScalarField.from_samples(vals, g.n),
+                              AtomicMeasure.from_atoms([(atom_pos, 1 + 0j)])))
             T = FiniteRankOperator(tuple(terms))
             wc = WeightedComposition(u, phi)
 
@@ -157,6 +151,13 @@ class TestPerturbedNorm:
         wc = WeightedComposition(ScalarField.constant(1.0), SymbolMap.doubling())
         T = scaled(wc, -1.0)
         assert perturbed_norm(wc, T, g) == 0.0
+
+    def test_nan_weight_gives_a_nan_norm(self):
+        # as equation_holds's rhs does, not 0.0 from max(0.0, nan)
+        u = ScalarField.from_samples([math.nan] + [1.0] * 7, 8)
+        wc = WeightedComposition(u, SymbolMap.identity())
+        T = rank_one(ScalarField.constant(1.0), at=Fraction(0))
+        assert math.isnan(perturbed_norm(wc, T, GridCircle(8)))
 
     def test_unreduced_rational_is_the_same_point(self):
         # 5/4 and -3/4 are 1/4 on the circle: same norm, arc and tent
@@ -265,15 +266,21 @@ def bits(values, dtype):
     return np.asarray(values, dtype=dtype).tobytes()
 
 
+def mass_at(mu, t):
+    """The weight mu carries at the reduced point t (0 if no atom there)."""
+    return dict(mu.atoms).get(t, 0j)
+
+
 def reference_profile(wc, T, grid):
-    """The per-point profile: one measure per point, point_mass and tv_excluding."""
+    """The per-point profile: one measure per point, its mass at phi(s) and
+    its variation away from phi(s)."""
     weight, aligned, off, tv = [], [], [], []
     for p in grid.points():
         mu = T.measure_at(p)
         target = wc.phi(p)
         weight.append(wc.u(p))
-        aligned.append(point_mass(mu, target))
-        off.append(tv_excluding(mu, [target]))
+        aligned.append(mass_at(mu, target))
+        off.append(math.fsum(abs(w) for pos, w in mu.atoms if pos != target))
         tv.append(total_variation(mu))
     return weight, aligned, off, tv
 
@@ -289,11 +296,11 @@ def reference_deficiencies(t, phi, psi, T, grid):
     for p in grid.points():
         mu = T.measure_at(p)
         fp, gp = phi(p), psi(p)
-        m_phi = point_mass(mu, fp)
+        m_phi = mass_at(mu, fp)
         if fp == gp:
             delta_tilde.append((p, abs(1.0 + m_phi) - (1.0 + abs(m_phi))))
         else:
-            m_psi = point_mass(mu, gp)
+            m_psi = mass_at(mu, gp)
             delta.append((p, abs(t + m_phi) + abs(1.0 - t + m_psi)
                           - (1.0 + abs(m_phi) + abs(m_psi))))
     return delta, delta_tilde
@@ -524,7 +531,7 @@ class TestCrossCheckFires:
         wc = WeightedComposition(ScalarField.constant(1.0), SymbolMap.identity())
         T = rank_one(ScalarField.constant(-1.0), at=Fraction(0))
         p = Fraction(k, 16)
-        assert point_mass(T.measure_at(p), wc.phi(p)) == (-1 if k == 0 else 0)
+        assert mass_at(T.measure_at(p), wc.phi(p)) == (-1 if k == 0 else 0)
         original = operators._compiled_profile
 
         def corrupted(wc, T, grid):
@@ -552,6 +559,23 @@ class TestCrossCheckFires:
         monkeypatch.setattr(operators, "compile_family", corrupted)
         with pytest.raises(InvariantViolation, match="compiled total variation .* at s=5/16$"):
             perturbation_profile(wc, T, g)
+
+    @pytest.mark.parametrize("factor", [1 + 1e-6, 1 - 1e-6], ids=["raised", "lowered"])
+    def test_corrupt_tabulated_modulus_is_caught_at_its_point(self, monkeypatch, factor):
+        # |u| = 1 everywhere, so the corrupted value becomes the largest or
+        # the smallest modulus, and the spread alone would read a dip
+        original = circle.tabulate
+
+        def corrupted(u, n):
+            values = original(u, n).copy()
+            values[23] *= factor
+            return values
+
+        monkeypatch.setattr(circle, "tabulate", corrupted)
+        wc = WeightedComposition(ScalarField.unimodular_exp(1), SymbolMap.doubling())
+        T = rank_one(ScalarField.constant(1.0), at=Fraction(0))
+        with pytest.raises(InvariantViolation, match=r"tabulated \|u\| .* at s=23/64$"):
+            rotation_max_norm(wc, T, GridCircle(64))
 
     def test_corrupt_convex_norm_row_is_caught(self, monkeypatch):
         # the rows of cc + T peak at s = 1/16 with 1.96..., below 1 + ||T|| = 2,

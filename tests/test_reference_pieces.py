@@ -44,7 +44,6 @@ from daugavetlab.criteria import convex_center_check
 from daugavetlab.measures import (
     AtomicMeasure,
     MergePlan,
-    dirac,
     direct_norms,
     linear_combine,
     merge_plan,
@@ -171,7 +170,8 @@ def parent_convex_family(t, phi, psi, n):
 
 def parent_convex_measure(t, phi, psi, s):
     """ConvexCombination.measure_at."""
-    return linear_combine([t, 1.0 - t], [dirac(phi(s)), dirac(psi(s))])
+    return linear_combine([t, 1.0 - t], [AtomicMeasure.from_atoms([(phi(s), 1 + 0j)]),
+                                         AtomicMeasure.from_atoms([(psi(s), 1 + 0j)])])
 
 
 def parent_convex_center(t, phi, psi, T, grid):

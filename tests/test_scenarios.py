@@ -114,6 +114,19 @@ class TestRunning:
         assert rec["verdict"] == "error"
         assert "constant" in rec["error"]
 
+    @pytest.mark.parametrize("obj, message", [
+        (scenario(checks=[{"name": "s-epsilon", "epsilon": -1}]),
+         "epsilon must be positive, got -1.0"),
+        ({"disk": {"weight": {"kind": "constant", "re": 1.0},
+                   "symbol": {"kind": "scaled_identity", "re": 0.5}},
+          "checks": [{"name": "disk-certified", "omega": {"re": 1.0}, "epsilon": 0.9,
+                      "half_angle": 0.1, "samples": 64}]},
+         "epsilon must lie in (0, min(1 - 0.5, 1.0/3)), got 0.9"),
+    ], ids=["s-epsilon", "disk-certified"])
+    def test_epsilon_error_names_the_key(self, obj, message):
+        rec = run_scenario(parse_scenario(obj))["checks"][0]
+        assert rec["verdict"] == "error" and rec["error"] == f"check.epsilon: {message}"
+
     def test_reports_are_byte_identical(self):
         sc = parse_scenario(scenario(checks=[
             {"name": "equation"}, {"name": "criterion-sweep"},
@@ -434,6 +447,34 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stderr == ""
         assert json.loads(proc.stdout)["checks"][0]["verdict"] == "computed"
+
+    @pytest.mark.parametrize("obj, message", [
+        # the gap ||T|| = 1 is below one ulp of sup|u| = 1e16
+        (scenario(weight={"kind": "tent_dip", "center": "0", "half_width": "1/4",
+                          "depth": 5e15, "top": 1e16},
+                  checks=[{"name": "counterexample-modulus"}]),
+         "constructed counterexample has no positive gap (0.0)"),
+        # every atom weighs 1e300 * 1e10 = inf, so no active set is ever nonempty
+        (scenario(operator={"kind": "finite_rank", "terms": [
+            {"g": {"kind": "constant", "re": 1e300},
+             "atoms": [{"pos": "0", "re": 1e10}, {"pos": "1/2", "re": 1e10}]}]},
+                  checks=[{"name": "criterion-sweep"}]),
+         "||T|| = inf is not finite"),
+    ], ids=["gap-below-rounding", "infinite-operator-norm"])
+    def test_valid_input_beyond_float_reach_is_an_error_record(self, tmp_path, obj, message):
+        code, out, err = verify(write(tmp_path, obj))
+        assert code == 0 and err == ""
+        rec = strict_json(out)["checks"][0]
+        assert rec["verdict"] == "error" and rec["error"].startswith(message)
+
+    def test_gap_above_rounding_is_still_certified(self, tmp_path):
+        obj = scenario(weight={"kind": "tent_dip", "center": "0", "half_width": "1/4",
+                               "depth": 5e14, "top": 1e15},
+                       checks=[{"name": "counterexample-modulus"}])
+        code, out, _ = verify(write(tmp_path, obj))
+        rec = strict_json(out)["checks"][0]
+        assert code == 0 and rec["verdict"] == "gap-certified"
+        assert rec["values"]["certified_gap"] == 1.0
 
 
 def verify(path, *flags):
