@@ -14,7 +14,6 @@ from .circle import (
     frac_mod1,
     modulus_constancy,
     preimage_nowhere_dense_at_resolution,
-    sup_norm,
 )
 from .criteria import (
     convex_center_check,
@@ -78,7 +77,7 @@ __all__ = [
     "__version__",
     # circle model
     "GridCircle", "Arc", "ScalarField", "SymbolMap",
-    "frac_mod1", "sup_norm", "modulus_constancy",
+    "frac_mod1", "modulus_constancy",
     "preimage_nowhere_dense_at_resolution",
     # measures
     "AtomicMeasure", "linear_combine", "total_variation", "integrate",

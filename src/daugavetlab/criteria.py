@@ -48,7 +48,6 @@ from .circle import (
     tabulate,
 )
 from .errors import InvariantViolation, agree, at_most
-from .measures import total_variation
 from .operators import (
     FiniteRankOperator,
     OperatorExpr,
@@ -426,6 +425,17 @@ def refinement_convergence(u: ScalarField, phi: SymbolMap, T: SupportsMeasureAt,
     return out
 
 
+def _direct_deficiency(t: float, phi: SymbolMap, psi: SymbolMap, T: SupportsMeasureAt,
+                       p: Fraction) -> tuple[bool, float]:
+    """(phi(p) == psi(p), the deficiency at p) from T.measure_at(p), in the compiled order."""
+    a, b = phi(p), psi(p)
+    masses = dict.fromkeys((a, b), 0j) | dict(T.measure_at(p).atoms)
+    m, q = masses[a], masses[b]
+    if a == b:
+        return True, abs(1.0 + m) - (1.0 + abs(m))
+    return False, (abs(t + m) + abs(1.0 - t + q)) - (1.0 + abs(m) + abs(q))
+
+
 @dataclass(frozen=True)
 class ConvexCheckResult:
     """The arrays are read-only and indexed like the grid, as a profile's."""
@@ -449,9 +459,9 @@ def convex_center_check(t: float, phi: SymbolMap, psi: SymbolMap, T: SupportsMea
         delta(s) = |t + m_phi| + |1-t + m_psi| - (1 + |m_phi| + |m_psi|),
 
     and |1 + m_phi| - (1 + |m_phi|) where they agree; both are <= 0, and
-    additivity means they climb to 0 along the relevant points.  The norm,
-    read off the compiled family of cc + T, is held to the total variation
-    of the measure at the point that attains it.
+    additivity means they climb to 0 along the relevant points.  Each norm
+    is operator_norm's, held to the measure where it is attained, and each
+    part's largest and smallest deficiency to _direct_deficiency.
     """
     cc = convex_combination(t, phi, psi)
     combo_norm = operator_norm(cc, grid)
@@ -460,14 +470,7 @@ def convex_center_check(t: float, phi: SymbolMap, psi: SymbolMap, T: SupportsMea
     t_norm = operator_norm(T, grid)
     # cc + T as two terms: flattening T's terms into cc's would change the
     # order of summation
-    perturbed = OperatorExpr(((1.0, cc), (1.0, T)))
-    rows = compiled_family(perturbed, grid.n).tv
-    k = int(np.argmax(rows))
-    norm, p = float(rows[k]), grid.coord(k)
-    direct = total_variation(perturbed.measure_at(p))
-    agree(norm, direct, lambda: f"compiled norm {norm!r} of the perturbed combination "
-                                f"disagrees with the measure's total variation "
-                                f"{direct!r} at s={p}")
+    norm = operator_norm(OperatorExpr(((1.0, cc), (1.0, T))), grid)
     upper = combo_norm + t_norm
     at_most(norm, upper, f"norm {norm!r} exceeds the bound {upper!r}")
     gap = upper - norm
@@ -485,6 +488,15 @@ def convex_center_check(t: float, phi: SymbolMap, psi: SymbolMap, T: SupportsMea
         value = float(values[k])
         at_most(value, 0.0, f"positive deficiency {value!r} at s={grid.coord(k)}; "
                             "bounded by zero", scale=max(combo_norm, t_norm))
+    for ks in map(np.flatnonzero, (same, ~same)):  # the extremes the report shows
+        for k in ks[[values[ks].argmax(), values[ks].argmin()]] if ks.size else ():
+            p, value = grid.coord(int(k)), float(values[k])
+            same_p, direct = _direct_deficiency(t, phi, psi, T, p)
+            if same_p != same[k]:
+                raise InvariantViolation(f"phi(s) == psi(s) is {same_p}, but the symbol "
+                                         f"codes say {not same_p} at s={p}")
+            agree(value, direct, lambda: f"deficiency {value!r} disagrees with the direct "
+                                         f"deficiency {direct!r} at s={p}")
     values.flags.writeable = same.flags.writeable = False
     return ConvexCheckResult(holds=gap <= tol, gap=gap, norm=norm, upper=upper,
                              deficiency=values, same_symbol=same)

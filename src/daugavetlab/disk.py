@@ -268,7 +268,7 @@ class SearchLadder:
         pool = {0.0}
         for r in self.radii:
             if not (0.0 < r < 1.0):
-                raise ValueError(f"ladder radius {r!r} must lie in (0, 1)")
+                raise ValueError(f"radii must lie in (0, 1), got {r!r}")
             pool.add(r)
             pool.add(-r)
         return sorted(pool)

@@ -71,7 +71,6 @@ from .circle import (
     modulus,
     modulus_constancy,
     shared_points,
-    sup_norm,
     symbol_codes,
     tabulate,
 )
@@ -83,6 +82,7 @@ from .measures import (
     direct_norms,
     linear_combine,
     merge_plan,
+    total_variation,
 )
 
 __all__ = [
@@ -114,8 +114,9 @@ class WeightedComposition:
         return AtomicMeasure.from_atoms([(self.phi(s), self.u(s))])
 
     def weight_sup(self, grid: GridCircle) -> float:
-        """Operator norm: sup |u| over the grid."""
-        return sup_norm(self.u, grid)
+        """Operator norm: sup |u| over the grid, held to |u(s)| where it is
+        attained (modulus_constancy)."""
+        return modulus_constancy(self.u, grid).value
 
 
 @dataclass(frozen=True)
@@ -327,8 +328,18 @@ def point_masses(fam: CompiledFamily, targets: np.ndarray) -> tuple[np.ndarray, 
 
 @compiles
 def operator_norm(T: SupportsMeasureAt, grid: GridCircle) -> float:
-    """sup over grid points of the total variation of the measure family."""
-    return float(compiled_family(T, grid.n).tv.max())
+    """sup over grid points of the total variation of the measure family,
+    held to total_variation(mu_s) at the first point that attains it.
+    ValueError when it is not finite."""
+    tv = compiled_family(T, grid.n).tv
+    k = int(np.argmax(tv))
+    norm, p = float(tv[k]), grid.coord(k)
+    if not math.isfinite(norm):
+        raise ValueError(f"||T|| = {norm!r} is not finite")
+    direct = total_variation(T.measure_at(p))
+    agree(norm, direct, lambda: f"compiled norm {norm!r} disagrees with the measure's "
+                                f"total variation {direct!r} at s={p}")
+    return norm
 
 
 @dataclass(frozen=True)
@@ -467,29 +478,26 @@ def rotation_max_norm(wc: WeightedComposition, T: SupportsMeasureAt,
     prof = perturbation_profile(wc, T, grid)
     analytic = float(np.max(np.abs(prof.weight) + np.abs(prof.aligned_mass)
                             + prof.off_mass))
-    t_norm = float(np.max(np.abs(prof.aligned_mass) + prof.off_mass))
+    t_norm = operator_norm(T, grid)
 
     lam = np.exp(2j * np.pi * np.arange(lambda_grid) / lambda_grid)
     searched = -np.inf
     arg_idx = 0
     # a point without aligned mass gives |u(s)| + off(s) whatever lambda is,
-    # so only the others enter the search; blocks of 2^16 values bound the
-    # temporaries
+    # so only the others enter the search, a block of lambdas at a time
     moving = prof.aligned_mass != 0
     still = np.abs(prof.weight[~moving]) + prof.off_mass[~moving]
     floor = still.max(initial=-np.inf)
     weight, aligned = prof.weight[moving], prof.aligned_mass[moving]
     off = prof.off_mass[moving]
-    block = max(1, (1 << 16) // max(1, weight.size))
-    for start in range(0, lambda_grid, block):
-        chunk = lam[start:start + block]
-        vals = np.abs(weight[None, :] + chunk[:, None] * aligned[None, :])
+    for cols in _blocks(lambda_grid, weight.size):
+        vals = np.abs(weight[None, :] + lam[cols, None] * aligned[None, :])
         vals += off[None, :]
         per_lambda = np.maximum(vals.max(axis=1, initial=-np.inf), floor)
-        k = int(np.argmax(per_lambda))  # first maximizer within the chunk
+        k = int(np.argmax(per_lambda))  # first maximizer within the block
         if float(per_lambda[k]) > searched:
             searched = float(per_lambda[k])
-            arg_idx = start + k
+            arg_idx = cols.start + k
     at_most(searched, analytic,
             f"lambda search {searched!r} exceeded the analytic maximum {analytic!r}")
     slack = (2.0 * math.pi / lambda_grid) * t_norm

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
@@ -59,6 +58,7 @@ from .operators import (
     OperatorExpr,
     SupportsMeasureAt,
     WeightedComposition,
+    _blocks,
     operator_norm,
     rotation_max_norm,
     scaled,
@@ -188,10 +188,19 @@ class ListOf:
         return [self.item(v, f"{path}[{i}]", n, depth) for i, v in enumerate(value)]
 
 
+def _key_at_fault(exc: Exception, keys) -> str | None:
+    """The key in keys that exc's message opens with, as the library's rules
+    on one value do ("epsilon must be positive, ..."); None if there is
+    none, or if exc is a ScenarioError, which names its path already."""
+    word = str(exc).split(" ", 1)[0]
+    return word if word in keys and not isinstance(exc, ScenarioError) else None
+
+
 @dataclass(frozen=True)
 class Obj:
     """A JSON object read by spec and built by build(**values).  A
-    ValueError from build breaks a rule across keys and names the object."""
+    ValueError from build names the key its message opens with (see
+    _key_at_fault), or else the object, as breaking a rule across keys."""
 
     spec: dict
     build: Callable
@@ -202,7 +211,8 @@ class Obj:
         try:
             return self.build(**args)
         except ValueError as exc:
-            raise ScenarioError(path, str(exc)) from None
+            key = _key_at_fault(exc, self.spec)
+            raise ScenarioError(f"{path}.{key}" if key else path, str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -378,7 +388,7 @@ class Scenario:
 
     def grid(self) -> GridCircle:
         if self.n is None:
-            raise ScenarioError("space.n", "this check needs a single grid size")
+            raise ScenarioError("scenario.space.n", "this check needs a single grid size")
         return GridCircle(self.n)
 
 
@@ -474,18 +484,6 @@ def _wc(sc: Scenario) -> WeightedComposition:
                                _need(sc, "symbol", "symbol"))
 
 
-@contextmanager
-def _epsilon_at_fault():
-    """Name check.epsilon in a ValueError whose message opens with
-    "epsilon ", as the epsilon rules of the checks' functions do."""
-    try:
-        yield
-    except ValueError as exc:
-        if not str(exc).startswith("epsilon "):
-            raise
-        raise ScenarioError("check.epsilon", str(exc)) from None
-
-
 def _run_equation(sc: Scenario, tol: float) -> dict:
     res = equation_holds(_wc(sc), sc.operator, sc.grid(), tol=tol)
     return {"params": {"n": sc.n},
@@ -524,9 +522,7 @@ def _run_rotation_max(sc: Scenario, tol: float, lambda_grid: int) -> dict:
 
 
 def _run_convex(sc: Scenario, tol: float) -> dict:
-    if sc.t is None:
-        raise ScenarioError("scenario.t", "required by the convex check")
-    res = convex_center_check(sc.t, _need(sc, "symbol", "symbol"),
+    res = convex_center_check(_need(sc, "t", "t"), _need(sc, "symbol", "symbol"),
                               _need(sc, "symbol2", "symbol2"), sc.operator,
                               sc.grid(), tol=tol)
 
@@ -543,8 +539,7 @@ def _run_convex(sc: Scenario, tol: float) -> dict:
 
 
 def _run_s_epsilon(sc: Scenario, epsilon: float) -> dict:
-    with _epsilon_at_fault():
-        fraction = s_epsilon_fraction(_wc(sc), sc.operator, epsilon, sc.grid())
+    fraction = s_epsilon_fraction(_wc(sc), sc.operator, epsilon, sc.grid())
     return {"params": {"n": sc.n},
             "verdict": "computed",
             "values": {"fraction": fraction}}
@@ -584,22 +579,15 @@ def _run_cex_modulus(sc: Scenario, tol: float) -> dict:
 
 def _run_cex_preimage(sc: Scenario, target: Fraction, center: Fraction,
                       half_width: Fraction, tol: float) -> dict:
-    try:
-        arc = Arc(center, half_width)
-    except ValueError as exc:
-        raise ScenarioError("check.half_width", str(exc)) from None
     res = counterexample_fat_preimage(_need(sc, "weight", "weight"),
                                       _need(sc, "symbol", "symbol"),
-                                      target, arc, sc.grid(), tol=tol)
+                                      target, Arc(center, half_width), sc.grid(), tol=tol)
     return _cex_record(res, sc.n)
 
 
 def _ladder(radii: list[float], **counts: int) -> dsk.SearchLadder:
-    try:
-        ladder = dsk.SearchLadder(radii=tuple(radii), **counts)
-        pool = len(ladder.zero_pool())  # validates radii
-    except ValueError as exc:
-        raise ScenarioError("check.radii", str(exc)) from None
+    ladder = dsk.SearchLadder(radii=tuple(radii), **counts)
+    pool = len(ladder.zero_pool())  # validates radii
     # C(pool + d - 1, d) zero multisets at each depth d, summed until past
     # the cap, plus the monomials beyond max_depth
     blaschke = term = 1
@@ -637,15 +625,10 @@ def _run_disk_lower_bound(sc: Scenario, **ladder: Any) -> dict:
 
 def _run_disk_certified(sc: Scenario, omega: complex, epsilon: float,
                         half_angle: float, samples: int) -> dict:
-    try:
-        arc = dsk.ArcNeighborhood(omega, half_angle)
-    except ValueError as exc:  # the message opens with the field at fault
-        raise ScenarioError(f"check.{str(exc).split()[0]}", str(exc)) from None
-    with _epsilon_at_fault():
-        res = dsk.certified_counterexample_bound(
-            _need(sc, "disk_weight", "disk.weight"),
-            _need(sc, "disk_symbol", "disk.symbol"),
-            omega, epsilon, arc, samples=samples)
+    arc = dsk.ArcNeighborhood(omega, half_angle)
+    res = dsk.certified_counterexample_bound(_need(sc, "disk_weight", "disk.weight"),
+                                             _need(sc, "disk_symbol", "disk.symbol"),
+                                             omega, epsilon, arc, samples=samples)
     certified = res.valid and res.margin > 0
     return {"verdict": "certified" if certified else "not-certified",
             "values": {"bound": res.bound, "margin": res.margin,
@@ -739,7 +722,9 @@ def _run_one(sc: Scenario, entry: dict, tol: float, timings: bool) -> dict:
         out = check.run(sc, **args)
         record.update(out, params={**args, **out.get("params", {})})
     except (ValueError, OverflowError) as exc:
-        record.update({"params": given, "verdict": "error", "error": str(exc)})
+        key = _key_at_fault(exc, check.params)
+        record.update({"params": given, "verdict": "error",
+                       "error": f"check.{key}: {exc}" if key else str(exc)})
     if timings:
         record["runtime_ms"] = (time.perf_counter() - start) * 1000.0
     return record
@@ -762,21 +747,17 @@ def _pinned(component: Any) -> Any:
     return {k: _digest(v) if k == bulk else _pinned(v) for k, v in component.items()}
 
 
-#: Items of a pinned list serialised at a time: the sha256 reads its
-#: canonical JSON block by block, never the whole text at once.
-_DIGEST_BLOCK = 1 << 12
-
-
 def _digest(values: list) -> dict:
     """{length, sha256} of json.dumps(values, sort_keys=True,
-    separators=(",", ":")), fed to the hash one block of items at a time:
-    the text of a list is "[", its items' texts joined by ",", then "]"."""
+    separators=(",", ":")), fed to the hash one block of items at a time
+    (_blocks), never the whole text at once: the text of a list is "[", its
+    items' texts joined by ",", then "]"."""
     import hashlib
     h = hashlib.sha256(b"[")
-    for a in range(0, len(values), _DIGEST_BLOCK):
-        if a:
+    for items in _blocks(len(values)):
+        if items.start:
             h.update(b",")
-        text = json.dumps(values[a:a + _DIGEST_BLOCK], sort_keys=True, separators=(",", ":"))
+        text = json.dumps(values[items], sort_keys=True, separators=(",", ":"))
         h.update(text[1:-1].encode())
     h.update(b"]")
     return {"length": len(values), "sha256": h.hexdigest()}

@@ -21,6 +21,7 @@ from daugavetlab.criteria import (
     refinement_convergence,
     s_epsilon_fraction,
 )
+from daugavetlab.measures import total_variation
 from daugavetlab.operators import (
     FiniteRankOperator,
     WeightedComposition,
@@ -361,14 +362,40 @@ class TestSharedProfiles:
     def test_each_profile_is_cross_checked_once_per_run(self, monkeypatch):
         sc = parse_scenario(self.SCENARIO)
         calls, weights, images = Counter(), Counter(), Counter()
-        # each |u|-constancy test evaluates u at the first largest and the
-        # first smallest |u(s)| of its grid: rotation-max and
-        # counterexample-preimage at n = 32, refinement at n = 16 and 32
+        # each sup|u| evaluates u at the first largest and the first smallest
+        # |u(s)| of its grid: the |u|-constancy tests of rotation-max and
+        # counterexample-preimage at n = 32 and refinement at n = 16 and 32,
+        # and weight_sup in equation, criterion-sweep, rotation-max's
+        # expected value and the counterexample's certificate at n = 32 and
+        # refinement's equations at n = 16 and 32
         witnesses = Counter()
-        for n in (32, 32, 16, 32):
+        for n in (32,) * 8 + (16,) * 2:
             mods = [abs(sc.weight(p)) for p in GridCircle(n).points()]
             witnesses[Fraction(mods.index(max(mods)), n)] += 1
             witnesses[Fraction(mods.index(min(mods)), n)] += 1
+
+        def norm_point(op, n):
+            """Where operator_norm measures op: the first point attaining it."""
+            tvs = [total_variation(op.measure_at(p)) for p in GridCircle(n).points()]
+            return Fraction(tvs.index(max(tvs)), n)
+
+        # operator_norm measures T in equation, criterion-sweep, rotation-max
+        # (twice), convex and refinement (at n = 16 and 32), and the
+        # counterexample's operator once
+        cex = counterexample_fat_preimage(sc.weight, sc.symbol, Fraction(1, 4),
+                                          Arc(Fraction(1, 2), Fraction(1, 8)),
+                                          GridCircle(32)).operator
+        cex_point = norm_point(cex, 32)
+        norms = ([norm_point(sc.operator, 32)] * 6 + [norm_point(sc.operator, 16)]
+                 + [cex_point])
+        # the convex check measures T at the largest and the smallest
+        # deficiency on each side of phi(s) == psi(s)
+        convex = convex_center_check(sc.t, sc.symbol, sc.symbol2, sc.operator, GridCircle(32))
+        extremes = []
+        for part in (convex.same_symbol, ~convex.same_symbol):
+            ks, values = np.flatnonzero(part), convex.deficiency[part]
+            extremes += [Fraction(int(ks[values.argmax()]), 32),
+                         Fraction(int(ks[values.argmin()]), 32)]
 
         def counting(cls, method, counter, of=None):
             original = getattr(cls, method)
@@ -388,21 +415,25 @@ class TestSharedProfiles:
             "holds", "holds", "holds", "computed", "holds", "gap-certified", "computed"]
         # three profiles: the scenario's at n = 32 and n = 16, the
         # counterexample's operator at n = 32; one measure per point each.
-        # The convex check measures cc + T once, at s = 0, where its norm is
+        # Besides, the witnesses above, and the convex check measures cc + T
+        # once, at s = 0, where its norm is
         expected = Counter(GridCircle(32).points() * 2 + GridCircle(16).points()
-                           + [Fraction(0)])
+                           + [Fraction(0)] + norms + extremes)
         assert calls == expected
         # u and phi once per point per grid: the counterexample's profile
         # shares the scenario's (u, phi) at n = 32.  Besides, the
         # counterexample's operator has the coefficient g * u, whose
         # measure_at evaluates u once per point, refinement samples phi
         # at TARGET_SAMPLES points k/8 of each of its two grids, and the
-        # convex check's measure of cc + T evaluates phi at s = 0
+        # convex check evaluates phi at s = 0 in its measures of cc and of
+        # cc + T, whose norms are attained there, and at its deficiency
+        # extremes
         once = Counter(GridCircle(32).points() + GridCircle(16).points())
-        assert weights == once + Counter(GridCircle(32).points()) + witnesses
+        assert weights == (once + Counter(GridCircle(32).points()) + witnesses
+                           + Counter([cex_point]))
         assert images == once + Counter([Fraction(k, TARGET_SAMPLES)
                                          for k in range(TARGET_SAMPLES)] * 2
-                                        + [Fraction(0)])
+                                        + [Fraction(0)] * 2 + extremes)
 
     def test_arc_scan_names_the_first_point_off_target(self):
         g = GridCircle(64)

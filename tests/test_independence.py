@@ -1,13 +1,13 @@
 """The per-point reference route shares no code with the compiled route.
 
 Every profile is held to the per-point route once at each grid point, so
-that route must stay an independent witness: measures.py and every
-measure_at method (with the field and symbol evaluations they call, every
-function of circle.py or measures.py and every method of circle.py,
-measures.py or operators.py that any of these names, to any depth) may not
-name any part of the compiled route.  The methods include properties such
-as FiniteRankOperator.plan and SymbolMap.table_images.  Checked on the
-source, without importing it.
+that route must stay an independent witness: measures.py, every
+measure_at method and PER_POINT_HELPERS (with the field and symbol
+evaluations they call, every function of circle.py or measures.py and
+every method of circle.py, measures.py or operators.py that any of these
+names, to any depth) may not name any part of the compiled route.  The
+methods include properties such as FiniteRankOperator.plan and
+SymbolMap.table_images.  Checked on the source, without importing it.
 """
 
 import ast
@@ -28,6 +28,10 @@ HELPER_MODULES = ("circle.py", "measures.py")
 
 #: Modules whose methods (properties too) the route is followed into.
 METHOD_MODULES = ("circle.py", "measures.py", "operators.py")
+
+#: Module-level functions outside measures.py that witness compiled values
+#: point by point.
+PER_POINT_HELPERS = {("criteria.py", "_direct_deficiency")}
 
 #: Methods of circle.py that measure_at evaluates at each point.
 POINT_EVALUATIONS = {("ScalarField", "__call__"), ("SymbolMap", "__call__"),
@@ -76,6 +80,8 @@ def reference_route() -> list[tuple[str, ast.AST]]:
             if fn.name == "measure_at" or (path.name == "circle.py"
                                            and (cls, fn.name) in POINT_EVALUATIONS):
                 parts.append((f"{path.name}:{cls}.{fn.name}", fn))
+        parts += [(f"{path.name}:{fn.name}", fn) for fn in tree.body
+                  if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) in PER_POINT_HELPERS]
     # follow every name of a helper function or method, called, passed or
     # read as a property, to any depth
     table, seen = helpers(), {where for where, _ in parts}
@@ -100,7 +106,7 @@ def test_the_reference_route_is_found():
             "circle.py:_gap", "circle.py:_grid_index", "circle.py:frac_mod1",
             "circle.py:_as_fraction", "circle.py:SymbolMap.table_images",
             "operators.py:FiniteRankOperator.plan", "measures.py:merge_plan",
-            "measures.py:apply_plan"} <= found
+            "measures.py:apply_plan", "criteria.py:_direct_deficiency"} <= found
 
 
 @pytest.mark.parametrize("node", [pytest.param(node, id=where)

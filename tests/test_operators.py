@@ -7,14 +7,16 @@ pointwise values, so agreement is evidence rather than tautology.
 
 import cmath
 import dataclasses
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from daugavetlab import circle, operators, selftest
+from daugavetlab import circle, criteria, operators, selftest
 from daugavetlab.circle import (
     Arc,
     GridCircle,
@@ -41,6 +43,9 @@ from daugavetlab.operators import (
     scaled,
     zero_operator,
 )
+from daugavetlab.scenarios import parse_scenario, run_scenario
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "scenarios"
 
 
 def apply_via_measures(T, f, s):
@@ -203,7 +208,8 @@ class TestRotationMax:
 
     def test_first_maximiser_wins_across_blocks(self):
         # |T| is tiny next to the weight, so every lambda attains the same
-        # maximum; over 2^17 lambdas, in two blocks, the first one is reported
+        # maximum; over 2^17 lambdas, in blocks of operators.BLOCK, the first
+        # one is reported
         g = GridCircle(16)
         wc = WeightedComposition(ScalarField.constant(1.0), SymbolMap.identity())
         T = rank_one(ScalarField.tent(Fraction(1, 2), Fraction(1, 4), peak=2.0, base=1e-3),
@@ -597,6 +603,66 @@ class TestCrossCheckFires:
 
         monkeypatch.setattr(operators, "compile_family", corrupted)
         with pytest.raises(InvariantViolation, match="compiled norm .* at s=1/16$"):
+            convex_center_check(0.5, phi, psi, T, g)
+
+    @pytest.mark.parametrize("norm", [
+        operator_norm,
+        lambda T, g: convex_center_check(0.5, SymbolMap.doubling(),
+                                         SymbolMap.rotation(Fraction(1, 16)), T, g)],
+        ids=["operator-norm", "convex"])
+    def test_corrupt_norm_is_caught_where_it_is_attained(self, monkeypatch, norm):
+        g = GridCircle(16)
+        T = rank_one(ScalarField.tent(Fraction(5, 16), Fraction(1, 4), peak=2.0, base=0.5),
+                     at=Fraction(0))
+        original = operators.compile_family
+
+        def corrupted(op, space):
+            fam = original(op, space)
+            if op != T:
+                return fam
+            tv = fam.tv.copy()
+            tv[int(np.argmax(tv))] *= 1 + 1e-6
+            return operators.CompiledFamily(fam.codes, fam.weights, fam.present, tv)
+
+        monkeypatch.setattr(operators, "compile_family", corrupted)
+        with pytest.raises(InvariantViolation, match="compiled norm .* at s=5/16$"):
+            norm(T, g)
+
+    @pytest.mark.parametrize("name, s", [("off-grid-rational", "0"),
+                                         ("circle-dip-256", "35/256")])
+    def test_corrupt_convex_deficiency_is_caught_at_its_point(self, monkeypatch, name, s):
+        # one point mass off by 1e-6 relative moves only the min of a part,
+        # which the report shows
+        obj = json.loads((GOLDEN / f"{name}.json").read_text())
+        sc = parse_scenario(dict(obj, checks=[{"name": "convex"}]))
+        original = criteria.point_masses
+
+        def corrupted(fam, targets):
+            mass, slot = original(fam, targets)
+            mass = mass.copy()
+            mass[np.flatnonzero(mass)[0]] *= 1 + 1e-6
+            return mass, slot
+
+        monkeypatch.setattr(criteria, "point_masses", corrupted)
+        with pytest.raises(InvariantViolation, match=f"deficiency .* at s={s}$"):
+            run_scenario(sc)
+
+    def test_corrupt_symbol_code_is_caught_at_its_point(self, monkeypatch):
+        # phi and psi never agree on the grid, so a psi code set to phi's
+        # makes a one-point same_symbol part, which is its own extreme
+        g = GridCircle(16)
+        phi, psi = SymbolMap.doubling(), SymbolMap.rotation(Fraction(1, 32))
+        T = rank_one(ScalarField.constant(0.5), at=Fraction(0))
+        original = criteria.symbol_codes
+
+        def corrupted(symbol, n):
+            codes = original(symbol, n).copy()
+            if symbol == psi:
+                codes[3] = original(phi, n)[3]
+            return codes
+
+        monkeypatch.setattr(criteria, "symbol_codes", corrupted)
+        with pytest.raises(InvariantViolation, match=r"phi\(s\) == psi\(s\) is False.* at s=3/16$"):
             convex_center_check(0.5, phi, psi, T, g)
 
     def test_selftest_convex_instance_measures_its_norm_point(self, monkeypatch):

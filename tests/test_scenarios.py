@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from daugavetlab import scenarios
+from daugavetlab import operators, scenarios
 from daugavetlab.cli import main
 from daugavetlab.scenarios import (
     CHECKS,
@@ -242,9 +242,9 @@ class TestEcho:
     @pytest.mark.parametrize("values", [
         [], [{"re": 1.0}], [{"re": 0.5, "im": -0.25}, {"im": 1e-320, "re": -0.0}],
         [3, -0.0, 1e-320, 2.5, -7], [-0.0], [1e-320],
-        [{"re": i / 7, "im": -i} for i in range(3 * scenarios._DIGEST_BLOCK + 5)],
-        list(range(2 * scenarios._DIGEST_BLOCK)),
-        list(range(scenarios._DIGEST_BLOCK + 1))])
+        [{"re": i / 7, "im": -i} for i in range(3 * operators.BLOCK + 5)],
+        list(range(2 * operators.BLOCK)),
+        list(range(operators.BLOCK + 1))])
     def test_streamed_digest_is_the_one_shot_digest(self, values):
         assert scenarios._digest(values) == pin(values)
 
@@ -332,11 +332,11 @@ class TestRunnerGuards:
 
     def test_circle_check_needs_a_single_grid_size(self):
         obj = scenario(space={"kind": "circle", "sizes": [8, 16]})
-        assert self.error(obj) == "space.n: this check needs a single grid size"
+        assert self.error(obj) == "scenario.space.n: this check needs a single grid size"
 
     def test_convex_needs_t(self):
         obj = scenario(symbol2={"kind": "identity"}, checks=[{"name": "convex"}])
-        assert self.error(obj) == "scenario.t: required by the convex check"
+        assert self.error(obj) == "scenario.t: required by this check"
 
     def test_refinement_needs_sizes(self):
         obj = scenario(checks=[{"name": "refinement"}])
@@ -344,7 +344,7 @@ class TestRunnerGuards:
 
     def test_ladder_radius_must_lie_inside_the_disk(self):
         obj = dict(DISK, checks=[{"name": "disk-lower-bound", "radii": [1.0]}])
-        assert self.error(obj) == "check.radii: ladder radius 1.0 must lie in (0, 1)"
+        assert self.error(obj) == "check.radii: radii must lie in (0, 1), got 1.0"
 
     def test_refinement_of_a_sampled_operator_subsamples_it(self):
         # the README window with g given by its 64 samples: at sizes that
@@ -362,6 +362,16 @@ class TestRunnerGuards:
         for gp in gaps:
             want = (1.0 - math.cos(2.0 * math.pi / gp["n"])) / 2.0
             assert gp["gap"] == pytest.approx(want, abs=1e-15)
+
+
+def overflowing(check):
+    """The README window with symbol2 and t, and a T whose every atom weighs
+    1e300 * 1e10 = inf."""
+    return scenario(symbol2={"kind": "rotation", "shift": "1/64"}, t=0.5,
+                    operator={"kind": "finite_rank", "terms": [
+                        {"g": {"kind": "constant", "re": 1e300},
+                         "atoms": [{"pos": "0", "re": 1e10}, {"pos": "1/2", "re": 1e10}]}]},
+                    checks=[check])
 
 
 class TestCli:
@@ -460,12 +470,32 @@ class TestCli:
              "atoms": [{"pos": "0", "re": 1e10}, {"pos": "1/2", "re": 1e10}]}]},
                   checks=[{"name": "criterion-sweep"}]),
          "||T|| = inf is not finite"),
-    ], ids=["gap-below-rounding", "infinite-operator-norm"])
+        *[(overflowing(check), "||T|| = inf is not finite") for check in (
+            {"name": "equation"}, {"name": "rotation-max"}, {"name": "convex"},
+            {"name": "refinement", "sizes": [8, 16]})],
+    ], ids=["gap-below-rounding", "infinite-operator-norm", "infinite-norm-equation",
+            "infinite-norm-rotation-max", "infinite-norm-convex", "infinite-norm-refinement"])
     def test_valid_input_beyond_float_reach_is_an_error_record(self, tmp_path, obj, message):
-        code, out, err = verify(write(tmp_path, obj))
-        assert code == 0 and err == ""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = verify(write(tmp_path, obj))
+        assert code == 0 and err == "" and not caught
         rec = strict_json(out)["checks"][0]
         assert rec["verdict"] == "error" and rec["error"].startswith(message)
+
+    @pytest.mark.parametrize("obj, message", [
+        (scenario(weight={"kind": "tent", "center": "0", "half_width": "0"}),
+         "scenario.weight.half_width: half_width must lie in (0, 1/2], got 0"),
+        ({"disk": {"weight": {"kind": "constant", "re": 1.0},
+                   "symbol": {"kind": "scaled_identity", "re": 0.5},
+                   "operator": {"kind": "point_eval", "tau": {"re": 0.3}, "c": {"re": 1.0},
+                                "g": {"kind": "half_plus", "omega": {"re": 2.0}}}},
+          "checks": [{"name": "disk-c-conditions"}]},
+         "scenario.disk.operator.g.omega: omega must be on the circle"),
+    ], ids=["tent-half-width", "half-plus-omega"])
+    def test_constructor_error_exits_one_naming_the_key(self, tmp_path, obj, message):
+        code, out, err = verify(write(tmp_path, obj))
+        assert code == 1 and out == "" and err.startswith(f"error: {message}")
 
     def test_gap_above_rounding_is_still_certified(self, tmp_path):
         obj = scenario(weight={"kind": "tent_dip", "center": "0", "half_width": "1/4",
@@ -705,7 +735,7 @@ class TestSchemaRegressions:
 
     def test_constructor_error_names_the_component(self):
         bad = scenario(weight={"kind": "tent", "center": "0", "half_width": "0"})
-        with pytest.raises(ScenarioError, match=r"scenario\.weight: tent half_width"):
+        with pytest.raises(ScenarioError, match=r"scenario\.weight\.half_width: half_width"):
             parse_scenario(bad)
 
 
