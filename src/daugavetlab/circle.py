@@ -25,7 +25,12 @@ mean equal coordinates.  Float products and moduli go through ``cmul`` and
 ``modulus``, which repeat CPython's complex ``*`` and ``abs()`` bit for
 bit.  numpy's own complex multiply and ``np.abs`` do not: on numpy 2.4.6
 (x86-64) they differ from them in the last bit for about 44% and 35% of
-10^6 random complex values.
+10^6 random complex values.  So every modulus that feeds a reported value
+goes through ``modulus``.  The one exception is the lambda search of
+``operators.rotation_max_norm``: it is a search, held to the analytic
+maximum (which takes ``modulus``) only within its Lipschitz slack, and on a
+256 x 64 complex block ``np.abs`` takes about 31 us against 321 us for
+``modulus`` (numpy 2.4.6, Python 3.11, 2-core x86-64).
 """
 
 from __future__ import annotations

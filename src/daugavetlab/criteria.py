@@ -11,6 +11,8 @@ the active set of points whose measure nearly attains ||T||, the phase
 deficiency |u(s) + m_s| - (sup|u| + |m_s|) must reach zero (m_s is the mass
 the perturbation places exactly on phi(s)).  Sweeping epsilon downward
 through a dyadic ladder makes the two routes comparable on finite grids.
+Both routes read one sup|u| (WeightedComposition.weight_sup) and one ||T||
+(operator_norm), and take every modulus through circle.modulus.
 
 The two counterexample constructors certify strict failure: one exploits a
 non-constant |u| by hanging a rank-one tent on the modulus minimum, the
@@ -26,7 +28,6 @@ combination from breaking additivity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,17 +94,8 @@ TARGET_SAMPLES = 8
 
 def _deficiency(prof: PerturbationProfile, weight_sup: float) -> np.ndarray:
     """|u(s) + m_s| - (sup|u| + |m_s|), always <= 0 up to rounding."""
-    return (np.abs(prof.weight + prof.aligned_mass)
-            - (weight_sup + np.abs(prof.aligned_mass)))
-
-
-def _attained_norm(tv: np.ndarray) -> float:
-    """||T|| = max tv; ValueError when it is not finite, since then no point
-    attains it and every active set is empty."""
-    t_norm = float(tv.max())
-    if not math.isfinite(t_norm):
-        raise ValueError(f"||T|| = {t_norm!r} is not finite, so no point attains it")
-    return t_norm
+    return (modulus(prof.weight + prof.aligned_mass)
+            - (weight_sup + modulus(prof.aligned_mass)))
 
 
 @dataclass(frozen=True)
@@ -130,6 +122,7 @@ def _criterion_level(tv: np.ndarray, deficiency: np.ndarray, weight_sup: float,
                            sup_value=sup_value, holds=sup_value >= -tol)
 
 
+@compiles
 def criterion_sup(wc: WeightedComposition, T: SupportsMeasureAt, epsilon: float,
                   grid: GridCircle, tol: float = 1e-9) -> CriterionResult:
     """Pointwise additivity test at one active-set level epsilon > 0.
@@ -138,14 +131,12 @@ def criterion_sup(wc: WeightedComposition, T: SupportsMeasureAt, epsilon: float,
     ||T|| - epsilon.  The reported supremum of the phase deficiency over it
     is always <= 0; additivity at this level means it reaches 0 within tol.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     prof = perturbation_profile(wc, T, grid)
-    weight_sup = float(np.abs(prof.weight).max())
-    tv = np.abs(prof.aligned_mass) + prof.off_mass
-    t_norm = _attained_norm(tv)
-    return _criterion_level(tv, _deficiency(prof, weight_sup), weight_sup,
-                            t_norm, epsilon, tol)
+    weight_sup, t_norm = wc.weight_sup(grid), operator_norm(T, grid)
+    return _criterion_level(prof.total_variation, _deficiency(prof, weight_sup),
+                            weight_sup, t_norm, epsilon, tol)
 
 
 @dataclass(frozen=True)
@@ -155,12 +146,11 @@ class OpenSetCriterionResult:
     holds: bool
 
 
+@compiles
 def open_set_criterion(wc: WeightedComposition, T: SupportsMeasureAt, U: Arc,
                        grid: GridCircle, tol: float = 1e-9) -> OpenSetCriterionResult:
     """Same deficiency supremum, restricted to the grid points of an arc."""
-    prof = perturbation_profile(wc, T, grid)
-    weight_sup = float(np.abs(prof.weight).max())
-    deficiency = _deficiency(prof, weight_sup)
+    deficiency = _deficiency(perturbation_profile(wc, T, grid), wc.weight_sup(grid))
     mask = arc_mask(U, grid.n)
     if not mask.any():
         raise ValueError("arc contains no grid point")
@@ -175,6 +165,8 @@ class EquationResult:
     lhs: float   # ||uC_phi + T||
     rhs: float   # sup|u| + ||T||
     gap: float   # rhs - lhs, >= 0 up to rounding
+    weight_sup: float
+    t_norm: float
 
 
 @compiles
@@ -182,10 +174,12 @@ def equation_holds(wc: WeightedComposition, T: SupportsMeasureAt,
                    grid: GridCircle, tol: float = 1e-9) -> EquationResult:
     """Does ||uC_phi + T|| equal sup|u| + ||T|| on the grid, within tol?"""
     lhs = perturbed_norm(wc, T, grid)
-    rhs = wc.weight_sup(grid) + operator_norm(T, grid)
+    weight_sup, t_norm = wc.weight_sup(grid), operator_norm(T, grid)
+    rhs = weight_sup + t_norm
     at_most(lhs, rhs, f"norm {lhs!r} exceeds the additivity bound {rhs!r}")
     gap = rhs - lhs
-    return EquationResult(holds=gap <= tol, lhs=lhs, rhs=rhs, gap=gap)
+    return EquationResult(holds=gap <= tol, lhs=lhs, rhs=rhs, gap=gap,
+                          weight_sup=weight_sup, t_norm=t_norm)
 
 
 @dataclass(frozen=True)
@@ -194,6 +188,7 @@ class SweepResult:
     results: tuple[CriterionResult, ...]
 
 
+@compiles
 def criterion_sweep(wc: WeightedComposition, T: SupportsMeasureAt,
                     grid: GridCircle, tol: float = 1e-9) -> SweepResult:
     """Run criterion_sup over the dyadic ladder ||T|| * 2^-k, k = 0..20,
@@ -211,9 +206,8 @@ def criterion_sweep(wc: WeightedComposition, T: SupportsMeasureAt,
     never turns an agreement into a disagreement.
     """
     prof = perturbation_profile(wc, T, grid)
-    weight_sup = float(np.abs(prof.weight).max())
-    tv = np.abs(prof.aligned_mass) + prof.off_mass
-    t_norm = _attained_norm(tv)
+    weight_sup, t_norm = wc.weight_sup(grid), operator_norm(T, grid)
+    tv = prof.total_variation
     epsilons = [t_norm * 2.0 ** -k for k in range(21) if t_norm > 0.0]
     epsilons.append(t_norm + 1.0)
     floor = max(tol, 0.0)
@@ -238,10 +232,10 @@ def s_epsilon_fraction(wc: WeightedComposition, T: SupportsMeasureAt,
     When additivity holds for every unimodular rescaling of T, this set is
     dense in the limit; the exact count-over-n ratio quantifies it at finite n.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     prof = perturbation_profile(wc, T, grid)
-    small = np.abs(prof.aligned_mass) < epsilon
+    small = modulus(prof.aligned_mass) < epsilon
     return Fraction(int(small.sum()), grid.n)
 
 
@@ -339,18 +333,13 @@ def counterexample_fat_preimage(u: ScalarField, phi: SymbolMap, t: Fraction,
 
 def _certify(wc: WeightedComposition, T: FiniteRankOperator, grid: GridCircle,
              detail: dict) -> CounterexampleResult:
-    perturbed = perturbed_norm(wc, T, grid)
-    weight_sup = wc.weight_sup(grid)
-    t_norm = operator_norm(T, grid)
-    upper = weight_sup + t_norm
-    at_most(perturbed, upper, f"norm {perturbed!r} exceeds the additivity bound {upper!r}")
-    gap = upper - perturbed
-    if not gap > 0:
+    eq = equation_holds(wc, T, grid)
+    if not eq.gap > 0:
         raise ValueError(
-            f"constructed counterexample has no positive gap ({gap!r}) in floating "
-            f"point: ||uC_phi + T|| = {perturbed!r}, sup|u| + ||T|| = {upper!r}")
-    return CounterexampleResult(operator=T, certified_gap=gap, perturbed=perturbed,
-                                upper=upper, weight_sup=weight_sup, t_norm=t_norm,
+            f"constructed counterexample has no positive gap ({eq.gap!r}) in floating "
+            f"point: ||uC_phi + T|| = {eq.lhs!r}, sup|u| + ||T|| = {eq.rhs!r}")
+    return CounterexampleResult(operator=T, certified_gap=eq.gap, perturbed=eq.lhs,
+                                upper=eq.rhs, weight_sup=eq.weight_sup, t_norm=eq.t_norm,
                                 detail=detail)
 
 

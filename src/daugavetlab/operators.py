@@ -451,6 +451,7 @@ def perturbed_norm(wc: WeightedComposition, T: SupportsMeasureAt,
 @dataclass(frozen=True)
 class RotationMaxResult:
     max: float               # analytic maximum over unimodular scalings
+    expected: float          # sup|u| + ||T||, which max must equal
     searched: float          # best value found on the lambda grid
     argmax_lambda: complex   # first grid maximizer, smallest argument in [0, 2pi)
     lambda_grid: int
@@ -476,7 +477,7 @@ def rotation_max_norm(wc: WeightedComposition, T: SupportsMeasureAt,
             f"|u| must be constant within {tol} for the rotation maximum "
             f"(spread {report.spread:.3e})")
     prof = perturbation_profile(wc, T, grid)
-    analytic = float(np.max(np.abs(prof.weight) + np.abs(prof.aligned_mass)
+    analytic = float(np.max(modulus(prof.weight) + modulus(prof.aligned_mass)
                             + prof.off_mass))
     t_norm = operator_norm(T, grid)
 
@@ -485,6 +486,7 @@ def rotation_max_norm(wc: WeightedComposition, T: SupportsMeasureAt,
     arg_idx = 0
     # a point without aligned mass gives |u(s)| + off(s) whatever lambda is,
     # so only the others enter the search, a block of lambdas at a time
+    # (with np.abs, the one exception to modulus: see circle.py)
     moving = prof.aligned_mass != 0
     still = np.abs(prof.weight[~moving]) + prof.off_mass[~moving]
     floor = still.max(initial=-np.inf)
@@ -504,7 +506,7 @@ def rotation_max_norm(wc: WeightedComposition, T: SupportsMeasureAt,
     at_most(analytic - searched, slack,
             f"lambda search {searched!r} missed the analytic maximum {analytic!r} "
             f"by more than {slack!r}", scale=analytic)
-    return RotationMaxResult(max=analytic, searched=searched,
-                             argmax_lambda=complex(lam[arg_idx]),
+    return RotationMaxResult(max=analytic, expected=report.value + t_norm,
+                             searched=searched, argmax_lambda=complex(lam[arg_idx]),
                              lambda_grid=lambda_grid)
 

@@ -59,7 +59,6 @@ from .operators import (
     SupportsMeasureAt,
     WeightedComposition,
     _blocks,
-    operator_norm,
     rotation_max_norm,
     scaled,
     zero_operator,
@@ -509,14 +508,11 @@ def _run_criterion_sweep(sc: Scenario, tol: float) -> dict:
 
 
 def _run_rotation_max(sc: Scenario, tol: float, lambda_grid: int) -> dict:
-    grid = sc.grid()
-    wc = _wc(sc)
-    res = rotation_max_norm(wc, sc.operator, grid, lambda_grid=lambda_grid, tol=tol)
-    expected = wc.weight_sup(grid) + operator_norm(sc.operator, grid)
-    deviation = abs(res.max - expected)
+    res = rotation_max_norm(_wc(sc), sc.operator, sc.grid(), lambda_grid=lambda_grid, tol=tol)
+    deviation = abs(res.max - res.expected)
     return {"params": {"n": sc.n},
             "verdict": "holds" if deviation <= tol else "fails",
-            "values": {"max": res.max, "expected": expected,
+            "values": {"max": res.max, "expected": res.expected,
                        "deviation": deviation, "searched": res.searched,
                        "argmax_lambda": res.argmax_lambda}}
 

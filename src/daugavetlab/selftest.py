@@ -26,7 +26,6 @@ from .criteria import (
 from .measures import norm_oracle, total_variation
 from .operators import (
     WeightedComposition,
-    operator_norm,
     rank_one,
     rotation_max_norm,
 )
@@ -84,10 +83,8 @@ def _rotation_batch(seed: int, rounds: int) -> dict:
         u = random_unimodular_field(rng, grid.n)
         phi = random_symbol(rng, grid)
         T = random_finite_rank(rng, grid)
-        wc = WeightedComposition(u, phi)
-        res = rotation_max_norm(wc, T, grid)
-        expected = wc.weight_sup(grid) + operator_norm(T, grid)
-        worst = max(worst, abs(res.max - expected))
+        res = rotation_max_norm(WeightedComposition(u, phi), T, grid)
+        worst = max(worst, abs(res.max - res.expected))
     return _stage("rotation-max", worst <= 1e-12, rounds=rounds, worst=worst)
 
 

@@ -8,7 +8,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from daugavetlab.circle import Arc, GridCircle, ScalarField, SymbolMap, modulus_constancy
+from daugavetlab import operators
+from daugavetlab.circle import (
+    Arc,
+    GridCircle,
+    ScalarField,
+    SymbolMap,
+    modulus,
+    modulus_constancy,
+)
 from daugavetlab.criteria import (
     TARGET_SAMPLES,
     convex_center_check,
@@ -26,8 +34,10 @@ from daugavetlab.operators import (
     FiniteRankOperator,
     WeightedComposition,
     operator_norm,
+    perturbation_profile,
     perturbed_norm,
     rank_one,
+    rotation_max_norm,
     zero_operator,
 )
 from daugavetlab.scenarios import parse_scenario, run_scenario
@@ -172,9 +182,87 @@ class TestSEpsilon:
         assert Fraction(count, g.n) == s_epsilon_fraction(wc, T, 0.01, g)
 
     def test_epsilon_must_be_positive(self):
+        # NaN fails every comparison, so the test is "not epsilon > 0"
         wc, T, g = canonical_window_instance(16)
-        with pytest.raises(ValueError):
-            s_epsilon_fraction(wc, T, 0.0, g)
+        for check in (s_epsilon_fraction, criterion_sup):
+            for epsilon in (0.0, float("nan")):
+                with pytest.raises(ValueError, match="epsilon must be positive"):
+                    check(wc, T, epsilon, g)
+
+
+def sampled_instance(seed, n=64):
+    """The selftest's criterion instance: unimodular u, random phi and T."""
+    rng = default_rng(seed)
+    g = GridCircle(n)
+    u = random_unimodular_field(rng, g.n)
+    phi = random_symbol(rng, g)
+    return WeightedComposition(u, phi), random_finite_rank(rng, g), g
+
+
+class TestOneSupAndOneNorm:
+    """Every reader takes sup|u| from weight_sup, ||T|| from operator_norm,
+    per-point total variations from the profile and moduli through
+    circle.modulus, so its values follow from those bit for bit."""
+
+    @staticmethod
+    def deficiency(wc, T, g):
+        prof = perturbation_profile(wc, T, g)
+        return prof, (modulus(prof.weight + prof.aligned_mass)
+                      - (wc.weight_sup(g) + modulus(prof.aligned_mass)))
+
+    def test_sweep_levels_follow_from_the_verified_norms(self):
+        differ = []
+        for seed in range(50):
+            wc, T, g = sampled_instance(seed)
+            prof, deficiency = self.deficiency(wc, T, g)
+            t_norm = operator_norm(T, g)
+            for r in criterion_sweep(wc, T, g).results:
+                active = prof.total_variation > t_norm - r.epsilon
+                if (r.sup_value, r.active_set_size) != (float(deficiency[active].max()),
+                                                         int(active.sum())):
+                    differ.append(seed)
+                    break
+        assert differ == []
+
+    def test_criterion_sup_and_open_set_follow_from_the_verified_norms(self):
+        arc = Arc(Fraction(1, 8), Fraction(1, 8))
+        on_arc = np.array([arc.contains(p) for p in GridCircle(64).points()])
+        for seed in range(10):
+            wc, T, g = sampled_instance(seed)
+            prof, deficiency = self.deficiency(wc, T, g)
+            t_norm = operator_norm(T, g)
+            active = prof.total_variation > t_norm - t_norm / 4
+            res = criterion_sup(wc, T, t_norm / 4, g)
+            assert (res.sup_value, res.active_set_size) == (float(deficiency[active].max()),
+                                                            int(active.sum()))
+            res = open_set_criterion(wc, T, arc, g)
+            assert (res.sup_value, res.points) == (float(deficiency[on_arc].max()),
+                                                   int(on_arc.sum()))
+
+    def test_results_return_the_norms_they_read(self):
+        for seed in range(10):
+            wc, T, g = sampled_instance(seed)
+            weight_sup, t_norm = wc.weight_sup(g), operator_norm(T, g)
+            eq = equation_holds(wc, T, g)
+            assert (eq.weight_sup, eq.t_norm, eq.rhs) == (weight_sup, t_norm,
+                                                          weight_sup + t_norm)
+            assert rotation_max_norm(wc, T, g).expected == weight_sup + t_norm
+
+    @pytest.mark.parametrize("read", [
+        pytest.param(lambda wc, T, g: criterion_sweep(wc, T, g), id="criterion_sweep"),
+        pytest.param(lambda wc, T, g: criterion_sup(wc, T, 0.5, g), id="criterion_sup")])
+    def test_a_bare_call_compiles_the_family_once(self, monkeypatch, read):
+        wc, T, g = sampled_instance(0)
+        calls = []
+        original = operators.compile_family
+
+        def spy(op, space):
+            calls.append(op)
+            return original(op, space)
+
+        monkeypatch.setattr(operators, "compile_family", spy)
+        read(wc, T, g)
+        assert calls.count(T) == 1
 
 
 class TestModulusDipCounterexample:
@@ -365,8 +453,8 @@ class TestSharedProfiles:
         # each sup|u| evaluates u at the first largest and the first smallest
         # |u(s)| of its grid: the |u|-constancy tests of rotation-max and
         # counterexample-preimage at n = 32 and refinement at n = 16 and 32,
-        # and weight_sup in equation, criterion-sweep, rotation-max's
-        # expected value and the counterexample's certificate at n = 32 and
+        # and weight_sup in equation, criterion-sweep (the sweep and its
+        # equation) and the counterexample's certificate at n = 32 and
         # refinement's equations at n = 16 and 32
         witnesses = Counter()
         for n in (32,) * 8 + (16,) * 2:
@@ -379,9 +467,9 @@ class TestSharedProfiles:
             tvs = [total_variation(op.measure_at(p)) for p in GridCircle(n).points()]
             return Fraction(tvs.index(max(tvs)), n)
 
-        # operator_norm measures T in equation, criterion-sweep, rotation-max
-        # (twice), convex and refinement (at n = 16 and 32), and the
-        # counterexample's operator once
+        # operator_norm measures T in equation, criterion-sweep (the sweep
+        # and its equation), rotation-max, convex and refinement (at n = 16
+        # and 32), and the counterexample's operator once
         cex = counterexample_fat_preimage(sc.weight, sc.symbol, Fraction(1, 4),
                                           Arc(Fraction(1, 2), Fraction(1, 8)),
                                           GridCircle(32)).operator
