@@ -109,8 +109,11 @@ class CriterionResult:
 def _criterion_level(tv: np.ndarray, deficiency: np.ndarray, weight_sup: float,
                      t_norm: float, epsilon: float, tol: float) -> CriterionResult:
     """criterion_sup at one level, from the profile's per-point total
-    variation tv and its _deficiency."""
-    active = tv > t_norm - epsilon
+    variation tv and its _deficiency.  Below one rounding step of ||T||
+    (t_norm - epsilon == t_norm) the active set is the points that attain
+    ||T||, as the sweep's one-rounding-step level picks them."""
+    level = t_norm - epsilon
+    active = tv >= t_norm if level == t_norm else tv > level
     if not active.any():
         raise InvariantViolation(
             "empty active set; the norm supremum must belong to it")

@@ -33,20 +33,20 @@ convex combination t*C_phi + (1-t)*C_psi is such a sum
 (convex_combination).
 
 Reference pass.  The first time a profile is built, the per-point route
-runs once at every grid point: T.measure_at gives mu_s (a finite-rank T
-applies the merge plan of its measures, built once per operator and
-validated then, to the coefficients g_i(s)), and measures.direct_norms,
-from one list of atom moduli, both its total variation and the norm of
-mu_s + u(s) delta_{phi(s)}, with u's atom added in place rather than
-merged as a second measure.  phi(s) and u(s) come from the per-point calls
-wc.phi(s) and wc.u(s), made once per (u, phi, grid) in a
-shared_compilation() block and read by every profile of that weighted
-composition; the grid points are one list per grid size.  The direct norm
-must match the compiled split |u + m| + off, and total_variation(mu_s) the
-compiled row total variation, to errors.agree's relative tolerance, else
-InvariantViolation names the point.  The per-point route is a check only:
-it builds nothing the checks read and names nothing of the compiled route,
-so it stays an independent witness.
+runs once over every grid point, in columns: measures.column_norms gives,
+bit for bit as direct_norms(T.measure_at(s), phi(s), u(s)) would, both
+the total variation of mu_s and the norm of mu_s + u(s) delta_{phi(s)},
+with u's atom added in place rather than merged as a second measure.  It
+reads the per-point calls wc.u(s), wc.phi(s) (as its exact numerator and
+denominator) and each coefficient g_i(s) of T, each made once per
+(field or symbol, grid) in a shared_compilation() block and read by every
+profile there, and a finite-rank T's merge plan, built once per operator
+and validated then.  The direct norm must match the compiled split
+|u + m| + off, and the total variation of mu_s the compiled row total
+variation, to errors.agree's relative tolerance, else InvariantViolation
+names the point.  The reference pass is a check only: it builds nothing
+the checks read and names nothing of the compiled route, so it stays an
+independent witness.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from .circle import (
     SymbolMap,
     cmul,
     compiles,
+    frac_mod1,
     index_space,
     memoized,
     modulus,
@@ -76,10 +77,16 @@ from .circle import (
 )
 from .errors import agree, at_most
 from .measures import (
+    BLOCK,
     AtomicMeasure,
+    ColumnFamily,
+    ColumnSum,
     MergePlan,
+    MovingAtom,
+    PlannedColumns,
+    _blocks,
     apply_plan,
-    direct_norms,
+    column_norms,
     linear_combine,
     merge_plan,
     total_variation,
@@ -196,20 +203,6 @@ class CompiledFamily:
     weights: np.ndarray   # (m, n) complex, 0 where absent
     present: np.ndarray   # (m, n) bool
     tv: np.ndarray        # (n,) total variation, exactly rounded
-
-
-#: Values per block where a pass over every point would otherwise hold
-#: Python objects or temporaries for the whole grid: _row_fsum's columns,
-#: the profile's off-target rows and the reference pass read blocks of at
-#: most about this many values.
-BLOCK = 1 << 14
-
-
-def _blocks(k: int, m: int = 1) -> list[slice]:
-    """Slices over k columns of an (m, k) array, each of at most about
-    BLOCK values (one column at least)."""
-    step = max(1, BLOCK // max(1, m))
-    return [slice(a, a + step) for a in range(0, k, step)]
 
 
 def _row_fsum(values: np.ndarray) -> np.ndarray:
@@ -375,54 +368,71 @@ def _compiled_profile(wc: WeightedComposition, T: SupportsMeasureAt,
     return PerturbationProfile(tabulate(wc.u, n), aligned, off, fam.tv)
 
 
-def _pointwise(wc: WeightedComposition, n: int) -> tuple[list[Fraction], np.ndarray]:
+def _values(g: ScalarField, n: int) -> np.ndarray:
+    """g(s) at every point of shared_points(n), by the per-point calls,
+    once per (g, n) in the current block (the values exactly, complex)."""
+    return memoized("values", n, (g,), lambda: np.fromiter(
+        (g(p) for p in shared_points(n)), dtype=complex, count=n))
+
+
+def _pointwise(wc: WeightedComposition, n: int) -> MovingAtom:
     """phi(s) and u(s) at every point of shared_points(n), by the per-point
-    calls, once per (u, phi, n) in the current block.  They stay in the
-    block's memo, so they are kept small: an image on the grid is the equal
-    shared point rather than a copy, and the u(s) are a complex array (the
-    values exactly, at 16 bytes a point)."""
-    points = shared_points(n)
+    calls: phi(s) as its exact numerator and denominator (int64 arrays, or
+    object arrays once one does not fit), once per (phi, n) in the current
+    block and made a block of points at a time, and u(s) from _values."""
+    def images():
+        points = shared_points(n)
+        num, den = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        for cols in _blocks(n):
+            parts = tuple(zip(*(frac_mod1(wc.phi(p)).as_integer_ratio()
+                                for p in points[cols])))
+            try:
+                num[cols], den[cols] = parts
+            except OverflowError:
+                num, den = num.astype(object), den.astype(object)
+                num[cols], den[cols] = parts
+        return num, den
 
-    def build():
-        images = []
-        for p in points:
-            t = wc.phi(p)
-            q, r = divmod(n, t.denominator)
-            images.append(t if r else points[t.numerator * q])
-        return images, np.array([wc.u(p) for p in points], dtype=complex)
+    return MovingAtom(*memoized("images", n, (wc.phi,), images), _values(wc.u, n))
 
-    return memoized("pointwise", n, (wc.u, wc.phi), build)
+
+def _columns(T: SupportsMeasureAt, n: int) -> ColumnFamily:
+    """T's family on the n-point grid as column_norms reads it, from the
+    per-point calls (_pointwise, _values) and T's merge plans."""
+    if isinstance(T, WeightedComposition):
+        return _pointwise(T, n)
+    if isinstance(T, FiniteRankOperator):
+        return PlannedColumns(T.plan, tuple(_values(g, n) for g, _ in T.terms))
+    # the compiled profile has rejected every other type already
+    return ColumnSum(tuple((c, _columns(op, n)) for c, op in T.terms))
 
 
 def _checked_profile(wc: WeightedComposition, T: SupportsMeasureAt,
                      grid: GridCircle) -> PerturbationProfile:
-    """The compiled profile, after one pass of the per-point route over
-    every point.
+    """The compiled profile, after one reference pass over every point.
 
-    That pass computes total_variation(mu_s) and the direct norm of
-    mu_s + u(s) delta_{phi(s)} (direct_norms) and holds the profile's row
-    total variation and split to them.  phi(s) and u(s) come from
-    _pointwise, so profiles that share u and phi evaluate them once.  The
-    compiled values become Python numbers one block of points at a time
-    (_blocks), so the pass holds a bounded number of them whatever n is.
+    That pass (column_norms) computes total_variation(mu_s) and the direct
+    norm of mu_s + u(s) delta_{phi(s)} at every point, and the profile's
+    row total variation and split are held to them.  The columns it reads
+    are made once per field, symbol and grid in the block, so profiles
+    that share u, phi or a coefficient evaluate it once.
     """
     prof = _compiled_profile(wc, T, grid)
-    points = shared_points(grid.n)
-    images, weights = _pointwise(wc, grid.n)
+    ref_tv, ref = column_norms(_columns(T, grid.n), _pointwise(wc, grid.n))
     split = _split(prof)
-    for block in _blocks(grid.n):
-        # the two routes usually agree bit for bit, and equal values always
-        # pass, so only a differing pair goes through the tolerance rule
-        for p, t, w, s, tv in zip(points[block], images[block], weights[block].tolist(),
-                                  split[block].tolist(), prof.total_variation[block].tolist()):
-            direct_tv, direct = direct_norms(T.measure_at(p), t, w)
-            if direct_tv != tv:
-                agree(tv, direct_tv, lambda: f"compiled total variation {tv!r} disagrees "
-                                             f"with the measure's total variation "
-                                             f"{direct_tv!r} at s={p}")
-            if direct != s:
-                agree(s, direct, lambda: f"aligned/off-target split {s!r} disagrees with "
-                                         f"direct total variation {direct!r} at s={p}")
+    # the two routes usually agree bit for bit, and equal values always
+    # pass, so only a differing point goes through the tolerance rule
+    for k in np.flatnonzero((ref_tv != prof.total_variation) | (ref != split)).tolist():
+        p = grid.coord(k)
+        tv, direct_tv = float(prof.total_variation[k]), float(ref_tv[k])
+        if direct_tv != tv:
+            agree(tv, direct_tv, lambda: f"compiled total variation {tv!r} disagrees "
+                                         f"with the measure's total variation "
+                                         f"{direct_tv!r} at s={p}")
+        s, direct = float(split[k]), float(ref[k])
+        if direct != s:
+            agree(s, direct, lambda: f"aligned/off-target split {s!r} disagrees with "
+                                     f"direct total variation {direct!r} at s={p}")
     for a in (prof.weight, prof.aligned_mass, prof.off_mass, prof.total_variation):
         a.flags.writeable = False
     return prof

@@ -229,6 +229,35 @@ class TestProfileBlocks:
                            match=f"compiled total variation .* at s={Fraction(k, n)}$"):
             perturbation_profile(wc, T, GridCircle(n))
 
+    @pytest.mark.parametrize("fault", ["tv", "weight"])
+    @pytest.mark.parametrize("kind", ["composition", "sum"])
+    def test_reference_pass_catches_a_later_block_beyond_rank_one(self, monkeypatch,
+                                                                   kind, fault):
+        n, k = 2 * BLOCK, BLOCK + 5
+        wc = WeightedComposition(ScalarField.constant(1.0), SymbolMap.doubling())
+        if kind == "composition":
+            T = WeightedComposition(ScalarField.constant(0.5 - 0.25j), SymbolMap.identity())
+        else:
+            T = (convex_combination(0.4, SymbolMap.identity(), SymbolMap.doubling())
+                 + rank_one(ScalarField.constant(0.5), at=Fraction(1, 2)))
+        original = operators.compile_family
+
+        def corrupted(op, space):
+            fam = original(op, space)
+            if op != T:  # T's parts compile as they are
+                return fam
+            weights, tv = fam.weights.copy(), fam.tv.copy()
+            if fault == "tv":
+                tv[k] *= 1.5
+            else:  # a present weight, and the row total variation that follows it
+                weights[np.flatnonzero(fam.present[:, k])[0], k] += 0.25
+                tv[k] = math.fsum(abs(complex(w)) for w in weights[fam.present[:, k], k])
+            return CompiledFamily(fam.codes, weights, fam.present, tv)
+
+        monkeypatch.setattr(operators, "compile_family", corrupted)
+        with pytest.raises(InvariantViolation, match=f"at s={Fraction(k, n)}$"):
+            perturbation_profile(wc, T, GridCircle(n))
+
 
 def test_compiling_and_profiling_ten_slots_stays_near_the_family_size():
     """Peak traced memory of compiling cc + T (10 slots) and reading its

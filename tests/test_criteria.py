@@ -151,6 +151,22 @@ class TestCriterion:
         finest = sw.results[-1]
         assert finest.epsilon == 2.0 ** -53 and finest.active_set_size == 1
 
+    def test_an_epsilon_below_one_rounding_step_keeps_the_points_at_the_norm(self):
+        # ||T|| - 1e-12 rounds back to ||T|| = 1e6, so the level is the
+        # points that attain ||T||: all 16 here, as at epsilon = 1e-9, and
+        # the 8 points of the larger coefficient below
+        g = GridCircle(16)
+        wc = WeightedComposition(ScalarField.constant(1.0), SymbolMap.identity())
+        T = rank_one(ScalarField.constant(1e6), at=Fraction(0))
+        assert 1e6 - 1e-12 == 1e6
+        res = criterion_sup(wc, T, 1e-12, g)
+        assert res.active_set_size == 16 and res.holds
+        coarser = criterion_sup(wc, T, 1e-9, g)
+        assert (res.active_set_size, res.sup_value) == (coarser.active_set_size,
+                                                        coarser.sup_value)
+        T = rank_one(ScalarField.from_samples([1e6] * 8 + [1e6 - 1.0] * 8, 16), at=Fraction(0))
+        assert criterion_sup(wc, T, 1e-12, g).active_set_size == 8
+
     def test_zero_operator_sweep_is_single_level(self):
         g = GridCircle(16)
         wc = WeightedComposition(ScalarField.constant(1.0), SymbolMap.identity())
@@ -495,23 +511,31 @@ class TestSharedProfiles:
 
             monkeypatch.setattr(cls, method, call)
 
+        (g, _), = sc.operator.terms
+        coefficients = Counter()
         counting(FiniteRankOperator, "measure_at", calls)
         counting(ScalarField, "__call__", weights, of=sc.weight)
+        counting(ScalarField, "__call__", coefficients, of=g)
         counting(SymbolMap, "__call__", images, of=sc.symbol)
         report = run_scenario(sc)
         assert [r["verdict"] for r in report["checks"]] == [
             "holds", "holds", "holds", "computed", "holds", "gap-certified", "computed"]
         # three profiles: the scenario's at n = 32 and n = 16, the
-        # counterexample's operator at n = 32; one measure per point each.
-        # Besides, the witnesses above, and the convex check measures cc + T
-        # once, at s = 0, where its norm is
-        expected = Counter(GridCircle(32).points() * 2 + GridCircle(16).points()
-                           + [Fraction(0)] + norms + extremes)
+        # counterexample's operator at n = 32, whose reference passes
+        # measure no point one at a time.  Only the witnesses above measure
+        # T, and the convex check measures cc + T once, at s = 0, where its
+        # norm is
+        expected = Counter([Fraction(0)] + norms + extremes)
         assert calls == expected
+        # each profile's pass reads g(s) at every point of its grid, and
+        # every measure of the scenario's operator above evaluates g once
+        assert coefficients == (Counter(GridCircle(32).points() + GridCircle(16).points())
+                                + expected - Counter([cex_point]))
         # u and phi once per point per grid: the counterexample's profile
         # shares the scenario's (u, phi) at n = 32.  Besides, the
-        # counterexample's operator has the coefficient g * u, whose
-        # measure_at evaluates u once per point, refinement samples phi
+        # counterexample's operator has the coefficient g * u, which its
+        # profile evaluates once per point and its measure at cex_point
+        # once, and which evaluates u each time, refinement samples phi
         # at TARGET_SAMPLES points k/8 of each of its two grids, and the
         # convex check evaluates phi at s = 0 in its measures of cc and of
         # cc + T, whose norms are attained there, and at its deficiency

@@ -1,13 +1,14 @@
 """The per-point reference route shares no code with the compiled route.
 
-Every profile is held to the per-point route once at each grid point, so
-that route must stay an independent witness: measures.py, every
-measure_at method and PER_POINT_HELPERS (with the field and symbol
-evaluations they call, every function of circle.py or measures.py and
-every method of circle.py, measures.py or operators.py that any of these
-names, to any depth) may not name any part of the compiled route.  The
-methods include properties such as FiniteRankOperator.plan and
-SymbolMap.table_images.  Checked on the source, without importing it.
+Every profile is held to the per-point route once at each grid point, in
+columns (measures.column_norms), so that route must stay an independent
+witness: measures.py, every measure_at method and PER_POINT_HELPERS (with
+the field and symbol evaluations they call, every function of circle.py
+or measures.py and every method of circle.py, measures.py or operators.py
+that any of these names, to any depth) may not name any part of the
+compiled route.  The methods include properties such as
+FiniteRankOperator.plan and SymbolMap.table_images.  Checked on the
+source, without importing it.
 """
 
 import ast
@@ -29,9 +30,9 @@ HELPER_MODULES = ("circle.py", "measures.py")
 #: Modules whose methods (properties too) the route is followed into.
 METHOD_MODULES = ("circle.py", "measures.py", "operators.py")
 
-#: Module-level functions outside measures.py that witness compiled values
-#: point by point.
-PER_POINT_HELPERS = {("criteria.py", "_direct_deficiency")}
+#: Module-level functions that witness compiled values point by point or,
+#: as the reference pass's entry point does, in columns.
+PER_POINT_HELPERS = {("criteria.py", "_direct_deficiency"), ("measures.py", "column_norms")}
 
 #: Methods of circle.py that measure_at evaluates at each point.
 POINT_EVALUATIONS = {("ScalarField", "__call__"), ("SymbolMap", "__call__"),
@@ -106,7 +107,9 @@ def test_the_reference_route_is_found():
             "circle.py:_gap", "circle.py:_grid_index", "circle.py:frac_mod1",
             "circle.py:_as_fraction", "circle.py:SymbolMap.table_images",
             "operators.py:FiniteRankOperator.plan", "measures.py:merge_plan",
-            "measures.py:apply_plan", "criteria.py:_direct_deficiency"} <= found
+            "measures.py:apply_plan", "criteria.py:_direct_deficiency",
+            "measures.py:column_norms", "measures.py:_block_norms", "measures.py:_slots",
+            "measures.py:_rows", "measures.py:_blocks"} <= found
 
 
 @pytest.mark.parametrize("node", [pytest.param(node, id=where)

@@ -14,18 +14,21 @@ is held here to the algorithm it replaced, copied below as the oracle:
 the Fraction route to the circle distance and to rotations and doubling,
 a full from_atoms pass, the sort-and-merge linear_combine, and the
 ConvexCombination operator with its own compiled family, per-point
-measure and perturbed norm.
+measure and perturbed norm.  The reference pass in columns
+(measures.column_norms) is held in turn to the per-point route it
+batches: direct_norms of measure_at at every grid point.
 """
 
 import itertools
 import math
 import numbers
 import struct
+from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import numpy as np
 
@@ -44,6 +47,7 @@ from daugavetlab.criteria import convex_center_check
 from daugavetlab.measures import (
     AtomicMeasure,
     MergePlan,
+    column_norms,
     direct_norms,
     linear_combine,
     merge_plan,
@@ -51,6 +55,7 @@ from daugavetlab.measures import (
 )
 from daugavetlab.operators import (
     FiniteRankOperator,
+    OperatorExpr,
     WeightedComposition,
     as_expr,
     compiled_family,
@@ -312,20 +317,29 @@ class TestMergePlan:
         self.check(cs, [old_from_atoms(a) for a in atoms])
 
     def test_the_plan_is_built_once_per_operator(self, monkeypatch):
-        builds, points = [], []
+        # the reference pass reads the plan and the coefficients' columns:
+        # each g_i(s) made by its per-point call once per grid point and
+        # grid, and no measure made one point at a time
+        builds, points, evaluated = [], [], Counter()
         plan, measure_at = operators.merge_plan, FiniteRankOperator.measure_at
+        call = ScalarField.__call__
         monkeypatch.setattr(operators, "merge_plan",
                             lambda lists: builds.append(1) or plan(lists))
         monkeypatch.setattr(FiniteRankOperator, "measure_at",
                             lambda self, s: points.append(s) or measure_at(self, s))
+        monkeypatch.setattr(ScalarField, "__call__",
+                            lambda self, s: evaluated.update([(self, s)]) or call(self, s))
         T = self.operator([0.5, 1j], [old_from_atoms([(Fraction(1, 4), 1.0)]),
                                       old_from_atoms([(Fraction(1, 4), 2.0),
                                                       (Fraction(1, 2), 1.0)])])
         wc = WeightedComposition(ScalarField.constant(1.0), SymbolMap.doubling())
         perturbation_profile(wc, T, GridCircle(64))
         perturbation_profile(wc, T, GridCircle(32))
-        assert len(points) == 64 + 32
         assert len(builds) == 1
+        assert points == []
+        every = GridCircle(64).points() + GridCircle(32).points()
+        assert evaluated == Counter([(g, s) for g in (wc.u, *(g for g, _ in T.terms))
+                                     for s in every])
 
 
 class TestPlanTimeValidation:
@@ -447,6 +461,102 @@ class TestDirectNorm:
     def test_empty_measure(self):
         assert direct_norms(AtomicMeasure(), Fraction(1, 3), 3 - 4j) == (0.0, 5.0)
         assert direct_norms(AtomicMeasure(), Fraction(1, 3), 0j) == (0.0, 0.0)
+
+
+class TestColumnNorms:
+    """column_norms, the reference pass in columns, held bit for bit to
+    direct_norms(T.measure_at(s), phi(s), u(s)) at every grid point, for
+    every kind of operator: the same two norms, or the same exception."""
+
+    fields = st.one_of(
+        st.one_of(coeffs, st.sampled_from([-0.0, complex(-0.0, 0.0), complex(0.0, -0.0)]))
+        .map(ScalarField.constant),
+        st.sampled_from([ScalarField.cosine(amplitude=0.5, offset=0.5, frequency=2),
+                         ScalarField.unimodular_exp(winding=-1, scale=0.3 - 0.4j),
+                         ScalarField.tent(Fraction(1, 4), Fraction(1, 8), peak=-1.0),
+                         ScalarField.tent(Fraction(0), Fraction(1, 2), peak=-0.5, base=0.5)]))
+    symbols = st.sampled_from([
+        SymbolMap.identity(), SymbolMap.doubling(), SymbolMap.rotation(Fraction(1, 3)),
+        SymbolMap.rotation(Fraction(1, 10 ** 40 + 1)),
+        SymbolMap.constant_on_arc(Fraction(1, 2), Arc(Fraction(0), Fraction(1, 4))),
+        SymbolMap.constant_on_arc(Fraction(1, 3), Arc(Fraction(1, 2), Fraction(1, 8)))])
+    compositions = st.builds(WeightedComposition, fields, symbols)
+    finite_ranks = st.lists(st.tuples(fields, measures), max_size=3).map(
+        lambda terms: FiniteRankOperator(tuple(terms)))
+    operators_ = st.recursive(
+        st.one_of(compositions, finite_ranks),
+        lambda parts: st.lists(st.tuples(coeffs, parts), max_size=3).map(
+            lambda terms: OperatorExpr(tuple(terms))),
+        max_leaves=5)
+
+    @staticmethod
+    def per_point(wc, T, n):
+        """direct_norms at every point, or the first exception raised."""
+        try:
+            return [direct_norms(T.measure_at(p), wc.phi(p), wc.u(p))
+                    for p in GridCircle(n).points()]
+        except OverflowError as exc:
+            return type(exc), str(exc)
+
+    @staticmethod
+    def columns(wc, T, n):
+        try:
+            with shared_compilation():
+                tv, direct = column_norms(operators._columns(T, n),
+                                          operators._pointwise(wc, n))
+        except OverflowError as exc:
+            return type(exc), str(exc)
+        return list(zip(tv.tolist(), direct.tolist()))
+
+    @staticmethod
+    def same(a, b):
+        """Equal bits, or both NaN (whose sign and payload no route fixes)."""
+        if isinstance(a, tuple) or isinstance(b, tuple):  # an exception
+            return a == b
+        return len(a) == len(b) and all(
+            (math.isnan(x) and math.isnan(y)) or struct.pack("<d", x) == struct.pack("<d", y)
+            for pair_a, pair_b in zip(a, b) for x, y in zip(pair_a, pair_b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(compositions, operators_, st.sampled_from([2, 5, 8, 64]))
+    # atoms that cancel at 1/2, the target at every point
+    @example(WeightedComposition(ScalarField.constant(2.0),
+                                 SymbolMap.constant_on_arc(Fraction(1, 2), Arc(Fraction(0),
+                                                                               Fraction(1, 2)))),
+             as_expr(rank_one(ScalarField.cosine(), Fraction(1, 2), 0.3))
+             + rank_one(ScalarField.cosine(), Fraction(1, 2), -0.3), 8)
+    # nested sums with zero coefficients and -0.0 parts, off-grid atoms
+    @example(WeightedComposition(ScalarField.constant(1j), SymbolMap.rotation(Fraction(1, 3))),
+             OperatorExpr(((0, rank_one(ScalarField.constant(1.0), Fraction(1, 3))),
+                           (1.0, as_expr(rank_one(ScalarField.constant(complex(-0.0, 1.0)),
+                                                  Fraction(1, 3), -1.0))
+                            + scaled(WeightedComposition(ScalarField.constant(1j),
+                                                         SymbolMap.rotation(Fraction(1, 3))),
+                                     complex(0.0, -0.0))))), 5)
+    # a finite-rank sum that cancels to zero at 1/4 and an operator sum that
+    # cancels at 1/2, each scaled by inf: the dropped atoms give no inf * 0
+    @example(WeightedComposition(ScalarField.constant(1.0), SymbolMap.identity()),
+             OperatorExpr((
+                 (math.inf, FiniteRankOperator(((ScalarField.constant(1.0),
+                                                 old_from_atoms([(Fraction(1, 4), 0.5)])),
+                                                (ScalarField.constant(-1.0),
+                                                 old_from_atoms([(Fraction(1, 4), 0.5)]))))),
+                 (math.inf, as_expr(rank_one(ScalarField.constant(1.0), Fraction(1, 2), 0.5))
+                  + rank_one(ScalarField.constant(1.0), Fraction(1, 2), -0.5)))), 8)
+    # an infinite weight, the same inf from both routes
+    @example(WeightedComposition(ScalarField.constant(1.0), SymbolMap.identity()),
+             rank_one(ScalarField.constant(math.inf), Fraction(0)), 8)
+    # weights whose abs() overflows, and moduli whose sum overflows in fsum
+    @example(WeightedComposition(ScalarField.constant(1.5e308 + 1.5e308j), SymbolMap.doubling()),
+             rank_one(ScalarField.constant(1.0), Fraction(0)), 8)
+    @example(WeightedComposition(ScalarField.constant(1e308), SymbolMap.doubling()),
+             FiniteRankOperator(((ScalarField.constant(1e308),
+                                  old_from_atoms([(Fraction(1, 4), 1.0), (Fraction(1, 2), 1.0)])),
+                                 )), 8)
+    def test_matches_direct_norms_at_every_point(self, wc, T, n):
+        with np.errstate(all="ignore"):
+            want, got = self.per_point(wc, T, n), self.columns(wc, T, n)
+        assert self.same(got, want), (got, want)
 
 
 class TestIntegerDistances:
