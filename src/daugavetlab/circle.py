@@ -9,6 +9,19 @@ TypeError.  The model works on the n equispaced points k/n, so symbol
 evaluation (rotations by rational shifts, angle doubling, arc membership)
 never rounds and two points are equal exactly when they compare equal.
 
+Per-point evaluation on integers.  Each field and symbol kind has one
+per-point implementation, on a point given as integers num/den (den > 0,
+in lowest terms or not): ScalarField.value_at(num, den) and
+SymbolMap.image_at(num, den), the image as (num, den) in lowest terms in
+[0, 1).  Calling a field or symbol on a coordinate checks it (an int or a
+Fraction, else TypeError) and delegates there, so the public calls and the
+per-point reference pass of operators.py, which evaluates at (k, n) for
+each grid point, share that one implementation and build no Fraction per
+point.  The results do not depend on the reduction: int / int is
+correctly rounded, so num / den is float(Fraction(num, den)); circle
+distances (tents, arcs) are compared as ratios of integers; grid indices
+come from one divmod; images are reduced with math.gcd.
+
 Topological notions that make no sense on a finite set are rendered at a
 resolution: a preimage is "nowhere dense at resolution delta" when every
 closed arc of length delta contains a grid point mapped elsewhere.
@@ -71,27 +84,31 @@ def frac_mod1(x) -> Fraction:
     return x if 0 <= x.numerator < x.denominator else x % 1
 
 
-def _gap(s, c: Fraction) -> tuple[int, int]:
-    """The distance d(s, c) as integers (G, D), exactly G / D: s an int or
-    a Fraction, reduced mod 1 or not, and c in [0, 1).  With s = a/b and
-    D = b den(c), |s - c| is |a den(c) - num(c) b| / D, and taking that
-    numerator mod D reduces it mod 1."""
-    s = _as_fraction(s)
-    D = s.denominator * c.denominator
-    A = abs(s.numerator * c.denominator - c.numerator * s.denominator) % D
+def _gap(num: int, den: int, c: Fraction) -> tuple[int, int]:
+    """The distance d(num/den, c) as integers (G, D), exactly G / D: den > 0,
+    num/den reduced (mod 1 or to lowest terms) or not, and c in [0, 1).
+    With D = den den(c), |num/den - c| is |num den(c) - num(c) den| / D,
+    and taking that numerator mod D reduces it mod 1."""
+    D = den * c.denominator
+    A = abs(num * c.denominator - c.numerator * den) % D
     return min(A, D - A), D
 
 
-def _grid_index(p, n: int) -> int:
-    """Grid index of p on the n-point grid: p an int or a Fraction with
-    n p an integer, else ValueError (TypeError on a float)."""
+def _grid_index(num: int, den: int, n: int) -> int:
+    """Grid index of num/den (den > 0) on the n-point grid: n num/den must
+    be an integer, else ValueError."""
     if n < 2:
         raise ValueError(f"grid needs at least 2 points, got n={n}")
-    x = _as_fraction(p)
-    j, rem = divmod(x.numerator * n, x.denominator)
+    j, rem = divmod(num * n, den)
     if rem:
-        raise ValueError(f"{p!r} is not a grid point of the {n}-point grid")
+        raise ValueError(f"{Fraction(num, den)!r} is not a grid point of the {n}-point grid")
     return j % n
+
+
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num/den (0 <= num < den) in lowest terms."""
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +247,8 @@ class GridCircle:
 
     def index_of(self, p: Fraction) -> int:
         """Grid index of an on-grid coordinate; rejects off-grid points."""
-        return _grid_index(p, self.n)
+        p = _as_fraction(p)
+        return _grid_index(p.numerator, p.denominator, self.n)
 
     def contains(self, p: Fraction) -> bool:
         try:
@@ -238,12 +256,6 @@ class GridCircle:
         except ValueError:
             return False
         return True
-
-
-def shared_points(n: int) -> list[Fraction]:
-    """GridCircle(n).points(), built once per n and shared by every call in
-    the current block (do not modify it)."""
-    return memoized("points", n, (), lambda: GridCircle(n).points())
 
 
 def _half_width(h) -> Fraction:
@@ -265,7 +277,12 @@ class Arc:
         object.__setattr__(self, "half_width", _half_width(self.half_width))
 
     def contains(self, p: Fraction) -> bool:
-        G, D = _gap(p, self.center)
+        p = _as_fraction(p)
+        return self.covers(p.numerator, p.denominator)
+
+    def covers(self, num: int, den: int) -> bool:
+        """contains(num/den) for den > 0, in integers."""
+        G, D = _gap(num, den, self.center)
         return G * self.half_width.denominator <= self.half_width.numerator * D
 
 
@@ -347,29 +364,33 @@ class ScalarField:
 
     def __call__(self, s: Fraction) -> complex:
         s = _as_fraction(s)
+        return self.value_at(s.numerator, s.denominator)
+
+    def value_at(self, num: int, den: int) -> complex:
+        """The value at num/den (den > 0, reduced or not), bit for bit as at
+        Fraction(num, den)."""
         k = self.kind
         if k == "constant":
             return self.value
         if k == "unimodular_exp":
-            num, den = s.as_integer_ratio()  # num / den rounds as float(s) does
+            # int / int is correctly rounded: float(Fraction(num, den))
             theta = TWO_PI * self.winding * (num / den)
             return self.value * complex(math.cos(theta), math.sin(theta))
         if k == "cosine":
-            num, den = s.as_integer_ratio()
             return complex(self.offset
                            + self.amplitude * math.cos(TWO_PI * self.frequency * (num / den)))
         if k == "tent":
             # d(s, c) / h = G den(h) / (D num(h)); int / int rounds once,
             # as float(Fraction) does
-            G, D = _gap(s, self.center)
+            G, D = _gap(num, den, self.center)
             h = self.half_width
             bump = max(0.0, 1.0 - G * h.denominator / (D * h.numerator))
             return complex(self.base + (self.peak - self.base) * bump)
         if k == "samples":
-            return self.samples[_grid_index(s, self.n)]
+            return self.samples[_grid_index(num, den, self.n)]
         if k == "product":
             left, right = self.factors
-            return left(s) * right(s)
+            return left.value_at(num, den) * right.value_at(num, den)
         raise ValueError(f"unknown field kind {k!r}")
 
 
@@ -463,33 +484,33 @@ class SymbolMap:
             raise ValueError("symbol table entries must be grid indices in [0, n)")
         return cls(kind="table", table=mapping, n=n)
 
-    @functools.cached_property
-    def table_images(self) -> tuple[Fraction, ...]:
-        """The table's images k/n, built once."""
-        return tuple(Fraction(k, self.n) for k in self.table)
-
     def __call__(self, s: Fraction) -> Fraction:
         s = _as_fraction(s)
+        return Fraction(*self.image_at(s.numerator, s.denominator))
+
+    def image_at(self, num: int, den: int) -> tuple[int, int]:
+        """The image of num/den (den > 0, reduced or not) as (num, den) in
+        lowest terms, in [0, 1)."""
         k = self.kind
         if k == "identity":
-            return frac_mod1(s)
+            return _lowest(num % den, den)
         if k == "rotation":
             # a/b + c/d = (a d + c b) / (b d), reduced mod 1 in integers
-            a, b = s.as_integer_ratio()
-            c, d = self.shift.as_integer_ratio()
-            return Fraction((a * d + c * b) % (b * d), b * d)
+            c, d = self.shift.numerator, self.shift.denominator
+            return _lowest((num * d + c * den) % (den * d), den * d)
         if k == "doubling":
-            a, b = s.as_integer_ratio()
-            return Fraction(2 * a % b, b)
+            return _lowest(2 * num % den, den)
         if k == "constant_on_arc":
-            return self.value if self.arc.contains(s) else self.base(s)
+            if self.arc.covers(num, den):
+                return self.value.numerator, self.value.denominator
+            return self.base.image_at(num, den)
         if k == "table":
-            j = _grid_index(s, self.n)  # first: it rejects a grid below 2 points
+            j = _grid_index(num, den, self.n)  # first: it rejects a grid below 2 points
             # a table built by hand can point off its grid
             if not 0 <= self.table[j] < self.n:
                 raise ValueError(f"symbol produced {Fraction(self.table[j], self.n)!r}, "
                                  "outside [0, 1)")
-            return self.table_images[j]
+            return _lowest(self.table[j], self.n)
         raise ValueError(f"unknown symbol kind {k!r}")
 
 

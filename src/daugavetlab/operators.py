@@ -37,16 +37,19 @@ runs once over every grid point, in columns: measures.column_norms gives,
 bit for bit as direct_norms(T.measure_at(s), phi(s), u(s)) would, both
 the total variation of mu_s and the norm of mu_s + u(s) delta_{phi(s)},
 with u's atom added in place rather than merged as a second measure.  It
-reads the per-point calls wc.u(s), wc.phi(s) (as its exact numerator and
-denominator) and each coefficient g_i(s) of T, each made once per
-(field or symbol, grid) in a shared_compilation() block and read by every
-profile there, and a finite-rank T's merge plan, built once per operator
-and validated then.  The direct norm must match the compiled split
-|u + m| + off, and the total variation of mu_s the compiled row total
-variation, to errors.agree's relative tolerance, else InvariantViolation
-names the point.  The reference pass is a check only: it builds nothing
-the checks read and names nothing of the compiled route, so it stays an
-independent witness.
+reads the per-point evaluations of wc.u, wc.phi and each coefficient g_i
+of T at every grid point k/n, given as the integers (k, n):
+ScalarField.value_at(k, n) and SymbolMap.image_at(k, n), phi's image as
+its exact numerator and denominator.  These are the implementations that
+u(s), phi(s) and g_i(s) delegate to, so no Fraction is built per point.
+Each is made once per (field or symbol, grid) in a shared_compilation()
+block and read by every profile there.  The pass also reads a finite-rank
+T's merge plan, built once per operator and validated then.  The direct
+norm must match the compiled split |u + m| + off, and the total variation
+of mu_s the compiled row total variation, to errors.agree's relative
+tolerance, else InvariantViolation names the point.  The reference pass
+is a check only: it builds nothing the checks read and names nothing of
+the compiled route, so it stays an independent witness.
 """
 
 from __future__ import annotations
@@ -66,12 +69,10 @@ from .circle import (
     SymbolMap,
     cmul,
     compiles,
-    frac_mod1,
     index_space,
     memoized,
     modulus,
     modulus_constancy,
-    shared_points,
     symbol_codes,
     tabulate,
 )
@@ -369,23 +370,22 @@ def _compiled_profile(wc: WeightedComposition, T: SupportsMeasureAt,
 
 
 def _values(g: ScalarField, n: int) -> np.ndarray:
-    """g(s) at every point of shared_points(n), by the per-point calls,
-    once per (g, n) in the current block (the values exactly, complex)."""
+    """g(k/n) at every grid point, by the per-point g.value_at(k, n), once
+    per (g, n) in the current block (the values exactly, complex)."""
     return memoized("values", n, (g,), lambda: np.fromiter(
-        (g(p) for p in shared_points(n)), dtype=complex, count=n))
+        (g.value_at(k, n) for k in range(n)), dtype=complex, count=n))
 
 
 def _pointwise(wc: WeightedComposition, n: int) -> MovingAtom:
-    """phi(s) and u(s) at every point of shared_points(n), by the per-point
-    calls: phi(s) as its exact numerator and denominator (int64 arrays, or
-    object arrays once one does not fit), once per (phi, n) in the current
-    block and made a block of points at a time, and u(s) from _values."""
+    """phi(k/n) and u(k/n) at every grid point, by the per-point
+    evaluations: phi's image_at(k, n), its exact numerator and denominator
+    (int64 arrays, or object arrays once one does not fit), once per
+    (phi, n) in the current block and made a block of points at a time,
+    and u(s) from _values."""
     def images():
-        points = shared_points(n)
         num, den = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
         for cols in _blocks(n):
-            parts = tuple(zip(*(frac_mod1(wc.phi(p)).as_integer_ratio()
-                                for p in points[cols])))
+            parts = tuple(zip(*(wc.phi.image_at(k, n) for k in range(n)[cols])))
             try:
                 num[cols], den[cols] = parts
             except OverflowError:

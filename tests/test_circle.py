@@ -33,7 +33,8 @@ FULL = Arc(Fraction(0), Fraction(1, 2))
 
 def distance(a, b) -> Fraction:
     """d(a, b) as the exact ratio G / D that _gap gives, b reduced first."""
-    G, D = _gap(a, frac_mod1(b))
+    a = Fraction(a)
+    G, D = _gap(a.numerator, a.denominator, frac_mod1(b))
     return Fraction(G, D)
 
 
@@ -51,8 +52,10 @@ class TestGeometry:
         assert ScalarField.tent(0, Fraction(1, 2))(far) == 0.5 + 0j
 
     def test_distance_exact_for_rationals(self):
-        G, D = _gap(Fraction(1, 3), Fraction(2, 3))
+        G, D = _gap(1, 3, Fraction(2, 3))
         assert type(G) is int and type(D) is int and Fraction(G, D) == Fraction(1, 3)
+        G, D = _gap(-14, 6, Fraction(2, 3))  # -7/3, unreduced: the point 2/3
+        assert Fraction(G, D) == 0
 
     @given(st.fractions(min_value=0, max_value=1), st.fractions(min_value=0, max_value=1))
     def test_distance_is_a_metric(self, a, b):

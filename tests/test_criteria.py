@@ -501,22 +501,33 @@ class TestSharedProfiles:
             extremes += [Fraction(int(ks[values.argmax()]), 32),
                          Fraction(int(ks[values.argmin()]), 32)]
 
-        def counting(cls, method, counter, of=None):
+        def counting(cls, method, counter):
             original = getattr(cls, method)
 
             def call(self, s):
-                if of is None or self == of:
-                    counter[s] += 1
+                counter[s] += 1
                 return original(self, s)
+
+            monkeypatch.setattr(cls, method, call)
+
+        def counting_at(cls, method, counter, of):
+            """Count the per-point evaluations on integers, the ones the
+            calls delegate to, at Fraction(num, den)."""
+            original = getattr(cls, method)
+
+            def call(self, num, den):
+                if self == of:
+                    counter[Fraction(num, den)] += 1
+                return original(self, num, den)
 
             monkeypatch.setattr(cls, method, call)
 
         (g, _), = sc.operator.terms
         coefficients = Counter()
         counting(FiniteRankOperator, "measure_at", calls)
-        counting(ScalarField, "__call__", weights, of=sc.weight)
-        counting(ScalarField, "__call__", coefficients, of=g)
-        counting(SymbolMap, "__call__", images, of=sc.symbol)
+        counting_at(ScalarField, "value_at", weights, of=sc.weight)
+        counting_at(ScalarField, "value_at", coefficients, of=g)
+        counting_at(SymbolMap, "image_at", images, of=sc.symbol)
         report = run_scenario(sc)
         assert [r["verdict"] for r in report["checks"]] == [
             "holds", "holds", "holds", "computed", "holds", "gap-certified", "computed"]

@@ -7,8 +7,7 @@ the field and symbol evaluations they call, every function of circle.py
 or measures.py and every method of circle.py, measures.py or operators.py
 that any of these names, to any depth) may not name any part of the
 compiled route.  The methods include properties such as
-FiniteRankOperator.plan and SymbolMap.table_images.  Checked on the
-source, without importing it.
+FiniteRankOperator.plan.  Checked on the source, without importing it.
 """
 
 import ast
@@ -34,9 +33,12 @@ METHOD_MODULES = ("circle.py", "measures.py", "operators.py")
 #: as the reference pass's entry point does, in columns.
 PER_POINT_HELPERS = {("criteria.py", "_direct_deficiency"), ("measures.py", "column_norms")}
 
-#: Methods of circle.py that measure_at evaluates at each point.
+#: Methods of circle.py that measure_at evaluates at each point, and the
+#: evaluations on integers that they delegate to and the reference pass
+#: calls at (k, n).
 POINT_EVALUATIONS = {("ScalarField", "__call__"), ("SymbolMap", "__call__"),
-                     ("Arc", "contains")}
+                     ("Arc", "contains"), ("ScalarField", "value_at"),
+                     ("SymbolMap", "image_at")}
 
 
 def names(node: ast.AST) -> set[str]:
@@ -103,9 +105,10 @@ def test_the_reference_route_is_found():
             "operators.py:FiniteRankOperator.measure_at",
             "operators.py:OperatorExpr.measure_at",
             "circle.py:ScalarField.__call__", "circle.py:SymbolMap.__call__",
-            "circle.py:Arc.contains",
+            "circle.py:ScalarField.value_at", "circle.py:SymbolMap.image_at",
+            "circle.py:Arc.contains", "circle.py:Arc.covers", "circle.py:_lowest",
             "circle.py:_gap", "circle.py:_grid_index", "circle.py:frac_mod1",
-            "circle.py:_as_fraction", "circle.py:SymbolMap.table_images",
+            "circle.py:_as_fraction",
             "operators.py:FiniteRankOperator.plan", "measures.py:merge_plan",
             "measures.py:apply_plan", "criteria.py:_direct_deficiency",
             "measures.py:column_norms", "measures.py:_block_norms", "measures.py:_slots",

@@ -16,7 +16,10 @@ a full from_atoms pass, the sort-and-merge linear_combine, and the
 ConvexCombination operator with its own compiled family, per-point
 measure and perturbed norm.  The reference pass in columns
 (measures.column_norms) is held in turn to the per-point route it
-batches: direct_norms of measure_at at every grid point.
+batches: direct_norms of measure_at at every grid point.  Each field and
+symbol kind has one per-point implementation on integers (value_at,
+image_at), held here to the call at the Fraction it names, at every
+reduction of the point; the columns of the pass build no Fraction.
 """
 
 import itertools
@@ -318,17 +321,17 @@ class TestMergePlan:
 
     def test_the_plan_is_built_once_per_operator(self, monkeypatch):
         # the reference pass reads the plan and the coefficients' columns:
-        # each g_i(s) made by its per-point call once per grid point and
-        # grid, and no measure made one point at a time
+        # each g_i(s) made by its per-point evaluation once per grid point
+        # and grid, and no measure made one point at a time
         builds, points, evaluated = [], [], Counter()
         plan, measure_at = operators.merge_plan, FiniteRankOperator.measure_at
-        call = ScalarField.__call__
+        value_at = ScalarField.value_at
         monkeypatch.setattr(operators, "merge_plan",
                             lambda lists: builds.append(1) or plan(lists))
         monkeypatch.setattr(FiniteRankOperator, "measure_at",
                             lambda self, s: points.append(s) or measure_at(self, s))
-        monkeypatch.setattr(ScalarField, "__call__",
-                            lambda self, s: evaluated.update([(self, s)]) or call(self, s))
+        monkeypatch.setattr(ScalarField, "value_at", lambda self, num, den: evaluated.update(
+            [(self, Fraction(num, den))]) or value_at(self, num, den))
         T = self.operator([0.5, 1j], [old_from_atoms([(Fraction(1, 4), 1.0)]),
                                       old_from_atoms([(Fraction(1, 4), 2.0),
                                                       (Fraction(1, 2), 1.0)])])
@@ -631,6 +634,156 @@ class TestGridIndex:
         with pytest.raises(ValueError, match=r"symbol produced Fraction\(9, 2\), outside"):
             phi(Fraction(1, 2))
         assert phi(Fraction(0)) == 0
+
+
+def evaluated(fn, *args):
+    """fn(*args) as ("value", its bits or pair), or the exception's type and
+    message."""
+    try:
+        out = fn(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, complex):
+        return "value", bits(out)
+    return "value", (out.numerator, out.denominator) if isinstance(out, Fraction) else out
+
+
+def table_field(n):
+    return ScalarField.from_samples([complex(k, -k) for k in range(n)], n)
+
+
+def table_symbol(n):
+    return SymbolMap.from_table([(5 * k + 3) % n for k in range(n)], n)
+
+
+class TestEvaluationsOnIntegers:
+    """ScalarField.value_at(a, b) and SymbolMap.image_at(a, b), the one
+    per-point implementation of each kind, held to the calls at
+    Fraction(a, b): the same bits, the same lowest-terms image in [0, 1),
+    or the same exception, whether a/b is reduced or not."""
+
+    closed_fields = [
+        ScalarField.constant(0.3 - 2j), ScalarField.unimodular_exp(3, 0.6 + 0.8j),
+        ScalarField.unimodular_exp(-2), ScalarField.cosine(0.7, -0.2, 5),
+        ScalarField.tent(Fraction(1, 4), Fraction(1, 8), peak=1.3, base=-0.4),
+        ScalarField.tent(Fraction(1, 10 ** 40 + 1), Fraction(1, 10 ** 20 + 3)),
+        ScalarField.tent_dip(Fraction(5, 7), Fraction(1, 3), depth=0.6),
+        ScalarField.tent(Fraction(0), Fraction(1, 2))]
+    bad_fields = [ScalarField(kind="samples", samples=(1j,), n=1),
+                  ScalarField(kind="samples", n=0), ScalarField(kind="bogus")]
+    closed_symbols = [
+        SymbolMap.identity(), SymbolMap.doubling(), SymbolMap.rotation(Fraction(1, 3)),
+        SymbolMap.rotation(Fraction(-1, 10 ** 30)), SymbolMap.rotation(Fraction(7, 64))]
+    bad_symbols = [SymbolMap(kind="table", table=(0, 9, 1), n=3),
+                   SymbolMap(kind="table", table=(0,), n=1), SymbolMap(kind="bogus")]
+
+    fields = st.recursive(
+        st.one_of(st.sampled_from(closed_fields + bad_fields),
+                  st.integers(2, 64).map(table_field)),
+        lambda parts: st.tuples(parts, parts).map(lambda lr: ScalarField.product(*lr)),
+        max_leaves=4)
+    symbols = st.recursive(
+        st.one_of(st.sampled_from(closed_symbols + bad_symbols),
+                  st.integers(2, 64).map(table_symbol)),
+        lambda bases: st.builds(
+            lambda base, value, center, h: SymbolMap.constant_on_arc(value, Arc(center, h),
+                                                                     base),
+            bases, st.fractions(), st.fractions(),
+            st.fractions(min_value=0, max_value=Fraction(1, 2)).filter(bool)),
+        max_leaves=3)
+    # points k/n, n <= 64, inside [0, 1) and out of it, unreduced by m, and
+    # off-grid rationals with huge denominators
+    points = st.one_of(
+        st.builds(lambda a, b, m: (a * m, b * m), st.integers(-130, 130), st.integers(1, 64),
+                  st.sampled_from([1, 2, 3, 64])),
+        st.tuples(st.integers(-10 ** 45, 10 ** 45),
+                  st.sampled_from([10 ** 40 + 1, 2 ** 70, 3 ** 50])))
+
+    @settings(max_examples=150, deadline=None)
+    @given(fields, points)
+    @example(ScalarField.product(table_field(8), ScalarField.product(
+        ScalarField.cosine(), table_field(8))), (6, 16))
+    @example(table_field(8), (1, 3))
+    @example(table_field(8), (2, 3))
+    @example(ScalarField(kind="samples", samples=(1j,), n=1), (0, 1))
+    def test_a_field_is_the_same_at_every_reduction(self, u, point):
+        a, b = point
+        assert evaluated(u.value_at, a, b) == evaluated(u, Fraction(a, b))
+
+    @settings(max_examples=150, deadline=None)
+    @given(symbols, points)
+    @example(SymbolMap(kind="table", table=(0, 9, 1), n=3), (2, 6))
+    @example(SymbolMap.constant_on_arc(Fraction(1, 3), Arc(0, Fraction(1, 8)),
+                                       table_symbol(8)), (1, 3))
+    @example(SymbolMap(kind="table", table=(0,), n=1), (0, 2))
+    def test_a_symbol_is_the_same_at_every_reduction(self, phi, point):
+        a, b = point
+        got = evaluated(phi.image_at, a, b)
+        assert got == evaluated(phi, Fraction(a, b))
+        if got[0] == "value":
+            num, den = got[1]
+            assert type(num) is int and type(den) is int
+            assert 0 <= num < den and math.gcd(num, den) == 1
+
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_every_grid_point_reduced_or_not(self, n):
+        fields = self.closed_fields + [table_field(n),
+                                       ScalarField.product(table_field(n),
+                                                           self.closed_fields[1])]
+        symbols = self.closed_symbols + [
+            table_symbol(n),
+            SymbolMap.constant_on_arc(Fraction(1, 3), Arc(Fraction(1, 2), Fraction(1, 8)),
+                                      SymbolMap.rotation(Fraction(1, 10 ** 40 + 1)))]
+        for k in range(n):
+            for m in (1, 2):
+                for u in fields:
+                    assert evaluated(u.value_at, m * k, m * n) == evaluated(u, Fraction(k, n))
+                for phi in symbols:
+                    assert evaluated(phi.image_at, m * k, m * n) == evaluated(phi, Fraction(k, n))
+
+    def test_errors_come_in_the_same_order(self):
+        below = ScalarField(kind="samples", samples=(1j,), n=1)
+        assert evaluated(below.value_at, 1, 3) == (ValueError,
+                                                   "grid needs at least 2 points, got n=1")
+        assert evaluated(table_field(8).value_at, 2, 6) == (
+            ValueError, "Fraction(1, 3) is not a grid point of the 8-point grid")
+        off = SymbolMap(kind="table", table=(0, 9, 1), n=3)
+        assert evaluated(off.image_at, 2, 6) == (ValueError, "symbol produced "
+                                                 "Fraction(3, 1), outside [0, 1)")
+
+
+class TestNoFractionPerPoint:
+    """The reference pass's columns evaluate every field and symbol at the
+    integers (k, n) and build no Fraction at all."""
+
+    @pytest.mark.parametrize("n", [256, 2048])
+    def test_the_columns_construct_no_fraction(self, n, monkeypatch):
+        table = SymbolMap.from_table([(3 * k + 1) % n for k in range(n)], n)
+        T = FiniteRankOperator((
+            (ScalarField.from_samples([complex(k % 7, -1) for k in range(n)], n),
+             old_from_atoms([(Fraction(1, 4), 1.0), (Fraction(1, 3), -0.5j)])),
+            (ScalarField.tent(Fraction(1, 5), Fraction(1, 8), peak=2.0),
+             old_from_atoms([(Fraction(1, 4), 0.5)])),
+            (ScalarField.cosine(0.5, 0.5, 3), old_from_atoms([(Fraction(0), 1.0)]))))
+        compositions = [
+            WeightedComposition(ScalarField.from_samples([1j ** k for k in range(n)], n), table),
+            WeightedComposition(ScalarField.unimodular_exp(2, 0.6 + 0.8j),
+                                SymbolMap.constant_on_arc(Fraction(1, 2),
+                                                          Arc(Fraction(1, 8), Fraction(1, 16)),
+                                                          SymbolMap.rotation(Fraction(1, 3))))]
+        T.plan  # built once, before the count
+        made = []
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__",
+                            lambda cls, *args, **kwargs: made.append(args)
+                            or new(cls, *args, **kwargs))
+        with shared_compilation():
+            columns = [operators._columns(T, n)] + [operators._pointwise(wc, n)
+                                                    for wc in compositions]
+        monkeypatch.undo()
+        assert made == []
+        assert [c.size for c in columns[0].coeffs] == [n] * 3
+        assert all(atom.num.size == atom.weight.size == n for atom in columns[1:])
 
 
 class TestConvexCombination:
