@@ -323,6 +323,9 @@ class ScalarField:
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", frac_mod1(self.center))
         object.__setattr__(self, "half_width", _half_width(self.half_width))
+        if self.kind == "samples" and len(self.samples) != self.n:
+            raise ValueError(f"sample table has {len(self.samples)} entries "
+                             f"for an n={self.n} grid")
 
     @classmethod
     def constant(cls, value: complex) -> "ScalarField":
@@ -353,10 +356,7 @@ class ScalarField:
 
     @classmethod
     def from_samples(cls, values, n: int) -> "ScalarField":
-        values = tuple(complex(v) for v in values)
-        if len(values) != n:
-            raise ValueError(f"sample table has {len(values)} entries for an n={n} grid")
-        return cls(kind="samples", samples=values, n=n)
+        return cls(kind="samples", samples=tuple(complex(v) for v in values), n=n)
 
     @classmethod
     def product(cls, left: "ScalarField", right: "ScalarField") -> "ScalarField":
@@ -394,20 +394,28 @@ class ScalarField:
         raise ValueError(f"unknown field kind {k!r}")
 
 
-def arc_mask(arc: Arc, n: int) -> np.ndarray:
-    """Which points k/n of the n-point grid lie on the arc, exactly.
+def _arc_distances(c: Fraction, h: Fraction, n: int) -> tuple[np.ndarray, int]:
+    """d(k/n, c) / h at every point k/n of the n-point grid, exactly, as
+    integers G_k / H.
 
-    With center c and half-width h, and D = n * den(c), the distance
-    |k/n - c| is A_k / D where A_k = |k den(c) - num(c) n|, so
-    d(k/n, c) <= h reads min(A_k, D - A_k) den(h) <= num(h) D.  Python
-    integers take over from int64 when the products could overflow.
+    With D = n * den(c), the distance |k/n - c| is A_k / D where
+    A_k = |k den(c) - num(c) n|, so G_k = min(A_k, D - A_k) den(h) and
+    H = num(h) D.  G is int64 while every product stays below 2^53, so
+    that G / H rounds once in float64 as float(Fraction) does, and an
+    array of Python ints beyond.
     """
-    c, h = arc.center, arc.half_width
     D = n * c.denominator
-    big = (2 * D + abs(c.numerator) * n) * h.denominator + h.numerator * D
-    k = np.arange(n, dtype=np.int64 if big < 2 ** 62 else object)
+    big = max((2 * D + abs(c.numerator) * n) * h.denominator, D * h.numerator)
+    k = np.arange(n, dtype=np.int64 if big < 2 ** 53 else object)
     a = abs(k * c.denominator - c.numerator * n)
-    return (np.minimum(a, D - a) * h.denominator <= h.numerator * D).astype(bool)
+    return np.minimum(a, D - a) * h.denominator, h.numerator * D
+
+
+def arc_mask(arc: Arc, n: int) -> np.ndarray:
+    """Which points k/n of the n-point grid lie on the arc, exactly:
+    d(k/n, c) <= h."""
+    G, H = _arc_distances(arc.center, arc.half_width, n)
+    return (G <= H).astype(bool)
 
 
 @dataclass(frozen=True)
@@ -456,6 +464,9 @@ class SymbolMap:
         object.__setattr__(self, "shift", frac_mod1(self.shift))
         if self.value is not None:
             object.__setattr__(self, "value", frac_mod1(self.value))
+        if self.kind == "table" and len(self.table) != self.n:
+            raise ValueError(f"symbol table has {len(self.table)} entries "
+                             f"for an n={self.n} grid")
 
     @classmethod
     def identity(cls) -> "SymbolMap":
@@ -477,12 +488,10 @@ class SymbolMap:
 
     @classmethod
     def from_table(cls, mapping, n: int) -> "SymbolMap":
-        mapping = tuple(int(k) for k in mapping)
-        if len(mapping) != n:
-            raise ValueError(f"symbol table has {len(mapping)} entries for an n={n} grid")
-        if any(not (0 <= k < n) for k in mapping):
+        phi = cls(kind="table", table=tuple(int(k) for k in mapping), n=n)
+        if any(not (0 <= k < n) for k in phi.table):
             raise ValueError("symbol table entries must be grid indices in [0, n)")
-        return cls(kind="table", table=mapping, n=n)
+        return phi
 
     def __call__(self, s: Fraction) -> Fraction:
         s = _as_fraction(s)
@@ -568,20 +577,14 @@ def _tabulate(u: ScalarField, n: int) -> np.ndarray:
         cos = np.array([math.cos(t) for t in theta])
         return (u.offset + u.amplitude * cos).astype(complex)
     if k == "tent":
-        c, h = u.center, u.half_width
-        D = n * c.denominator
-        # ratio = d(k/n, c) / h = min(A_k, D - A_k) den(h) / (D num(h)), rounded
-        # once as float(Fraction) does; float64 division of operands below
-        # 2^53 is that rounding
-        big = max((2 * D + abs(c.numerator) * n) * h.denominator, D * h.numerator)
-        idx = np.arange(n, dtype=np.int64 if big < 2 ** 53 else object)
-        a = abs(idx * c.denominator - c.numerator * n)
-        ratio = (np.minimum(a, D - a) * h.denominator / (D * h.numerator)).astype(float)
-        left = 1.0 - ratio
+        # d(k/n, c) / h rounded once, as float(Fraction) does
+        G, H = _arc_distances(u.center, u.half_width, n)
+        left = 1.0 - (G / H).astype(float)
         bump = np.where(left > 0.0, left, 0.0)
         return (u.base + (u.peak - u.base) * bump).astype(complex)
-    if k == "samples" and u.n == n:
-        return np.array(u.samples, dtype=complex)
+    if k == "samples" and 1 <= n <= u.n and u.n % n == 0:
+        # every (u.n // n)-th sample: the values at k/n, read off the table
+        return np.array(u.samples[::u.n // n], dtype=complex)
     if k == "product":
         left, right = u.factors
         return cmul(tabulate(left, n), tabulate(right, n))

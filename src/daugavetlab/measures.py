@@ -8,21 +8,17 @@ rounded, makes the reductions order-independent anyway).  Positions are
 exact rationals in [0, 1), so two atoms coincide exactly when their
 positions compare equal.
 
-The merge plan.  A merge plan lists the ascending distinct positions of
-some atom lists, each with the (list index, weight) pairs found there in
-list order: merge_plan is the one sort-and-group routine, from_atoms sums
-a plan's weights as they stand, and apply_plan sums coefficient times
-weight.  linear_combine plans its canonical measures at each call; a
-FiniteRankOperator plans its fixed measures once and applies the plan to
-the coefficients g_i(s), so no point sorts anything.  A plan's positions
-are validated once, when the plan is made (Fractions in [0, 1), strictly
-ascending), and apply_plan drops zero sums, so the measures it builds are
-canonical without a second pass of AtomicMeasure's validation.
-from_atoms builds its measure from a plan in the same way; a hand-built
-AtomicMeasure is validated in full.  direct_norms takes the moduli of
-mu_s's atoms once and returns both the total variation of mu_s and that
-of mu_s + u(s) delta_{phi(s)}, adding u's atom in place, with no second
-merge.
+The merge plan.  A merge plan is the ascending tuple of the distinct
+positions of some atom lists, each with the (list index, weight) pairs
+found there in list order: merge_plan is the one sort-and-group routine,
+from_atoms sums a plan's weights as they stand, and apply_plan sums
+coefficient times weight.  linear_combine plans its canonical measures at
+each call; a FiniteRankOperator plans its fixed measures once and applies
+the plan to the coefficients g_i(s), so no point sorts anything.  Every
+measure, these included, is validated once, when it is made, by
+AtomicMeasure itself.  direct_norms takes the moduli of mu_s's atoms once
+and returns both the total variation of mu_s and that of mu_s + u(s)
+delta_{phi(s)}, adding u's atom in place, with no second merge.
 
 Reference pass.  column_norms is the reference pass of operators.py: the
 same two norms as direct_norms(T.measure_at(s), phi(s), u(s)), bit for
@@ -56,9 +52,6 @@ from .circle import GridCircle, frac_mod1
 
 __all__ = [
     "AtomicMeasure",
-    "MergePlan",
-    "merge_plan",
-    "apply_plan",
     "linear_combine",
     "total_variation",
     "direct_norms",
@@ -74,85 +67,58 @@ __all__ = [
 @dataclass(frozen=True)
 class AtomicMeasure:
     """Canonical finite atom list: Fraction positions in [0, 1), strictly
-    ascending, and nonzero weights.  Build one with from_atoms; a
-    hand-built atom list that is not canonical raises ValueError."""
+    ascending, and nonzero weights.  Every measure is validated here, once,
+    when it is made: an atom list that is not canonical raises ValueError.
+    from_atoms makes one of any atom list."""
 
     atoms: tuple[tuple[Fraction, complex], ...] = ()
 
     def __post_init__(self) -> None:
-        _check_positions(self.atoms, nonzero=True)
+        last_num, last_den = -1, 1
+        for pos, w in self.atoms:
+            if not isinstance(pos, Fraction):
+                raise ValueError(f"atom position {pos!r} is not a Fraction")
+            num, den = pos.as_integer_ratio()
+            if not (0 <= num < den):
+                raise ValueError(f"atom position {pos} lies outside [0, 1)")
+            if num * last_den <= last_num * den:
+                raise ValueError(f"atom positions are not strictly ascending at {pos}")
+            if w == 0:
+                raise ValueError(f"atom at {pos} has weight zero")
+            last_num, last_den = num, den
 
     @classmethod
     def from_atoms(cls, pairs: Iterable[tuple[Fraction, complex]]) -> "AtomicMeasure":
         """Reduce every position into [0, 1), merge coinciding atoms in the
-        given order and drop zero weights.  The plan validated the
-        positions, so the measure is not validated again."""
-        plan = merge_plan([[(frac_mod1(pos), complex(w)) for pos, w in pairs]])
+        given order and drop zero weights."""
         atoms = []
-        for pos, parts in plan.entries:
+        for pos, parts in merge_plan([[(frac_mod1(pos), complex(w)) for pos, w in pairs]]):
             total = parts[0][1]
             for _, w in parts[1:]:
                 total = total + w
             if total != 0:
                 atoms.append((pos, total))
-        return _trusted(tuple(atoms))
+        return cls(tuple(atoms))
 
     def __len__(self) -> int:
         return len(self.atoms)
 
 
-def _check_positions(pairs, nonzero: bool) -> None:
-    """ValueError unless the first items of pairs are Fractions in [0, 1),
-    strictly ascending, and (with nonzero) no second item is zero."""
-    last_num, last_den = -1, 1
-    for pos, w in pairs:
-        if not isinstance(pos, Fraction):
-            raise ValueError(f"atom position {pos!r} is not a Fraction")
-        num, den = pos.as_integer_ratio()
-        if not (0 <= num < den):
-            raise ValueError(f"atom position {pos} lies outside [0, 1)")
-        if num * last_den <= last_num * den:
-            raise ValueError(f"atom positions are not strictly ascending at {pos}")
-        if nonzero and w == 0:
-            raise ValueError(f"atom at {pos} has weight zero")
-        last_num, last_den = num, den
-
-
-def _trusted(atoms: tuple[tuple[Fraction, complex], ...]) -> AtomicMeasure:
-    """The AtomicMeasure of atoms already known canonical, without a second
-    validation: positions from a MergePlan and nonzero weights."""
-    mu = object.__new__(AtomicMeasure)
-    object.__setattr__(mu, "atoms", atoms)
-    return mu
-
-
-@dataclass(frozen=True)
-class MergePlan:
-    """Ascending distinct positions, each with the (list index, weight)
-    pairs that sit there, in list order.  The positions are validated when
-    the plan is made: Fractions in [0, 1), strictly ascending."""
-
-    entries: tuple[tuple[Fraction, list[tuple[int, complex]]], ...]
-
-    def __post_init__(self) -> None:
-        _check_positions(self.entries, nonzero=False)
+#: Ascending distinct positions, each with the (list index, weight) pairs
+#: that sit there, in list order.
+MergePlan = tuple[tuple[Fraction, list[tuple[int, complex]]], ...]
 
 
 def merge_plan(atom_lists: Sequence[Sequence[tuple[Fraction, complex]]]) -> MergePlan:
-    """The merge plan of atom lists with positions in [0, 1): a stable sort
-    by position, then the atoms of each position gathered in that order.
-    The plan checks its positions as it is made (see MergePlan)."""
+    """The merge plan of atom lists whose positions are Fractions in
+    [0, 1): a stable sort by position, then the atoms of each position
+    gathered in that order."""
     # the key is the position exactly: its correctly rounded float first
     # (rounding is monotone), then the Fraction to break ties.  Different
     # positions nearly always differ in their float, so few Fractions are
     # compared, and equal keys are equal positions.
-    try:
-        keyed = [((pos.numerator / pos.denominator, pos), pos, i, w)
-                 for i, atoms in enumerate(atom_lists) for pos, w in atoms]
-    except AttributeError:  # a position without numerator and denominator
-        bad = next(pos for atoms in atom_lists for pos, _ in atoms
-                   if not isinstance(pos, Fraction))
-        raise ValueError(f"atom position {bad!r} is not a Fraction") from None
+    keyed = [((pos.numerator / pos.denominator, pos), pos, i, w)
+             for i, atoms in enumerate(atom_lists) for pos, w in atoms]
     keyed.sort(key=itemgetter(0))
     entries: list[tuple[Fraction, list[tuple[int, complex]]]] = []
     last = None
@@ -162,18 +128,17 @@ def merge_plan(atom_lists: Sequence[Sequence[tuple[Fraction, complex]]]) -> Merg
         else:
             entries.append((pos, [(i, w)]))
             last = key
-    return MergePlan(tuple(entries))
+    return tuple(entries)
 
 
 def apply_plan(plan: MergePlan, coeffs: Sequence[complex]) -> AtomicMeasure:
     """sum_i coeffs[i] * measures[i] for the measures the plan was made of:
     a zero coefficient skips its measure, the others scale each weight
     (complex(c) * w), each position sums its terms in measure order, and
-    zero sums are dropped.  The plan validated its positions, so the
-    measure is not validated again."""
+    zero sums are dropped."""
     cs = [complex(c) for c in coeffs]
     atoms = []
-    for pos, parts in plan.entries:
+    for pos, parts in plan:
         total = None
         for i, w in parts:
             c = cs[i]
@@ -182,7 +147,7 @@ def apply_plan(plan: MergePlan, coeffs: Sequence[complex]) -> AtomicMeasure:
             total = c * w if total is None else total + c * w
         if total is not None and total != 0:
             atoms.append((pos, total))
-    return _trusted(tuple(atoms))
+    return AtomicMeasure(tuple(atoms))
 
 
 def linear_combine(coeffs: Sequence[complex],
@@ -269,7 +234,7 @@ def _rows(fam: ColumnFamily) -> int:
     if isinstance(fam, MovingAtom):
         return 1
     if isinstance(fam, PlannedColumns):
-        return len(fam.plan.entries)
+        return len(fam.plan)
     return sum(_rows(part) for c, part in fam.terms if complex(c) != 0)
 
 
@@ -285,7 +250,7 @@ def _slots(fam: ColumnFamily, cols: slice) -> list[list]:
     if isinstance(fam, PlannedColumns):
         cs = [(c.real, c.imag, c != 0) for c in (c[cols] for c in fam.coeffs)]
         slots = []
-        for pos, parts in fam.plan.entries:
+        for pos, parts in fam.plan:
             started = None
             for i, w in parts:
                 (cr, ci, nz), w = cs[i], complex(w)

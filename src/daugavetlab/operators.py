@@ -44,10 +44,11 @@ its exact numerator and denominator.  These are the implementations that
 u(s), phi(s) and g_i(s) delegate to, so no Fraction is built per point.
 Each is made once per (field or symbol, grid) in a shared_compilation()
 block and read by every profile there.  The pass also reads a finite-rank
-T's merge plan, built once per operator and validated then.  The direct
-norm must match the compiled split |u + m| + off, and the total variation
-of mu_s the compiled row total variation, to errors.agree's relative
-tolerance, else InvariantViolation names the point.  The reference pass
+T's merge plan, built once per operator from measures that validated
+themselves when they were made.  The direct norm must match the compiled
+split |u + m| + off, and the total variation of mu_s the compiled row
+total variation, to errors.agree's relative tolerance, else
+InvariantViolation names the point.  The reference pass
 is a check only: it builds nothing the checks read and names nothing of
 the compiled route, so it stays an independent witness.
 """
@@ -135,8 +136,9 @@ class FiniteRankOperator:
 
     @functools.cached_property
     def plan(self) -> MergePlan:
-        """The merge plan of the mu_i, built once: only the coefficients
-        g_i(s) change from point to point."""
+        """The merge plan of the mu_i, built once from measures that
+        validated themselves: only the coefficients g_i(s) change from
+        point to point."""
         return merge_plan([mu.atoms for _, mu in self.terms])
 
     def measure_at(self, s: Fraction) -> AtomicMeasure:

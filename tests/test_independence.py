@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "daugavetlab"
 
 COMPILED_ROUTE = {
     "IndexSpace", "index_space", "symbol_codes", "_symbol_codes", "_closed_form_codes",
-    "tabulate", "_tabulate", "arc_mask", "cmul", "modulus",
+    "tabulate", "_tabulate", "arc_mask", "_arc_distances", "cmul", "modulus",
     "CompiledFamily", "compile_family", "compiled_family", "memoized",
 }
 

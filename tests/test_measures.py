@@ -1,6 +1,7 @@
 """Atomic measures: canonical form, total variation, the duality oracle."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -39,15 +40,21 @@ class TestCanonicalForm:
                                        (Fraction(-1, 4), 1j), (Fraction(3, 4), 1.0)])
         assert mu.atoms == ((Fraction(0), 2 + 0j), (Fraction(3, 4), 1 + 1j))
 
-    @pytest.mark.parametrize("atoms", [
-        ((Fraction(1, 4), 1 + 0j), (Fraction(1, 4), -1 + 0j)),   # cancelling duplicates
-        ((Fraction(1, 2), 1 + 0j), (Fraction(1, 4), 1 + 0j)),    # descending
-        ((Fraction(1, 4), 0j),),                                 # zero weight
-        ((0.25, 1 + 0j),),                                       # float position
-        ((Fraction(5, 4), 1 + 0j),),                             # outside [0, 1)
-    ], ids=["duplicate", "descending", "zero-weight", "float", "unreduced"])
-    def test_non_canonical_measure_is_rejected(self, atoms):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("atoms, message", [
+        # cancelling duplicates
+        (((Fraction(1, 4), 1 + 0j), (Fraction(1, 4), -1 + 0j)),
+         "atom positions are not strictly ascending at 1/4"),
+        (((Fraction(1, 2), 1 + 0j), (Fraction(1, 4), 1 + 0j)),
+         "atom positions are not strictly ascending at 1/4"),
+        (((Fraction(1, 4), 0j),), "atom at 1/4 has weight zero"),
+        (((0.25, 1 + 0j),), "atom position 0.25 is not a Fraction"),
+        (((0, 1 + 0j),), "atom position 0 is not a Fraction"),
+        (((Fraction(5, 4), 1 + 0j),), "atom position 5/4 lies outside [0, 1)"),
+        (((Fraction(-1, 4), 1 + 0j),), "atom position -1/4 lies outside [0, 1)"),
+    ], ids=["duplicate", "descending", "zero-weight", "float", "int", "unreduced",
+            "negative"])
+    def test_non_canonical_measure_is_rejected(self, atoms, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             AtomicMeasure(atoms)
 
 

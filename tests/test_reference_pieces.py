@@ -7,24 +7,25 @@ plan once), direct_norms adds u's atom in place of a second merge, tents
 and arcs measure distances in integers, tables and sample fields find
 grid indices with one divmod, and rotations, doubling and the
 trigonometric fields evaluate a point from its integer numerator and
-denominator.  A merge plan validates its positions once, so the measures
-applied from it skip a second validation and must still pass it.  A
-convex combination is an operator sum of two weighted compositions.  Each
-is held here to the algorithm it replaced, copied below as the oracle:
-the Fraction route to the circle distance and to rotations and doubling,
-a full from_atoms pass, the sort-and-merge linear_combine, and the
-ConvexCombination operator with its own compiled family, per-point
-measure and perturbed norm.  The reference pass in columns
-(measures.column_norms) is held in turn to the per-point route it
-batches: direct_norms of measure_at at every grid point.  Each field and
-symbol kind has one per-point implementation on integers (value_at,
-image_at), held here to the call at the Fraction it names, at every
-reduction of the point; the columns of the pass build no Fraction.
+denominator.  AtomicMeasure validates every measure once, when it is
+made, those applied from a merge plan included.  A convex combination is
+an operator sum of two weighted compositions.  Each is held here to the
+algorithm it replaced, copied below as the oracle: the Fraction route to
+the circle distance and to rotations and doubling, a full from_atoms
+pass, the sort-and-merge linear_combine, and the ConvexCombination
+operator with its own compiled family, per-point measure and perturbed
+norm.  The reference pass in columns (measures.column_norms) is held in
+turn to the per-point route it batches: direct_norms of measure_at at
+every grid point.  Each field and symbol kind has one per-point
+implementation on integers (value_at, image_at), held here to the call at
+the Fraction it names, at every reduction of the point; the columns of
+the pass build no Fraction.
 """
 
 import itertools
 import math
 import numbers
+import re
 import struct
 from collections import Counter
 from fractions import Fraction
@@ -45,11 +46,12 @@ from daugavetlab.circle import (
     modulus,
     shared_compilation,
     symbol_codes,
+    tabulate,
 )
 from daugavetlab.criteria import convex_center_check
 from daugavetlab.measures import (
     AtomicMeasure,
-    MergePlan,
+    apply_plan,
     column_norms,
     direct_norms,
     linear_combine,
@@ -345,9 +347,10 @@ class TestMergePlan:
                                      for s in every])
 
 
-class TestPlanTimeValidation:
-    """A plan validates its positions once, when it is made; the measures
-    applied from it are canonical without a second validation."""
+class TestValidationAtConstruction:
+    """AtomicMeasure validates every measure once, when it is made: the
+    measures applied from a merge plan and those of from_atoms pass the
+    same check as a hand-built one."""
 
     fields = st.one_of(
         coeffs.map(ScalarField.constant),
@@ -375,43 +378,31 @@ class TestPlanTimeValidation:
         assert AtomicMeasure(mu.atoms) == mu
         assert measure_bits(mu) == measure_bits(old_from_atoms(pairs))
 
-    @pytest.mark.parametrize("entries, message", [
-        (((Fraction(1, 2), [(0, 1.0)]), (Fraction(1, 4), [(0, 1.0)])),
-         "not strictly ascending at 1/4"),
-        (((Fraction(1, 4), [(0, 1.0)]), (Fraction(1, 4), [(1, 1.0)])),
-         "not strictly ascending at 1/4"),
-        (((Fraction(1, 4), [(0, 1.0)]), (Fraction(5, 4), [(0, 1.0)])),
-         "outside"),
-        (((Fraction(-1, 4), [(0, 1.0)]),), "outside"),
-        (((0, [(0, 1.0)]),), "is not a Fraction"),
-    ], ids=["descending", "repeated", "above-one", "negative", "int"])
-    def test_a_plan_over_bad_positions_is_rejected(self, entries, message):
-        with pytest.raises(ValueError, match=message):
-            MergePlan(entries)
+    @pytest.mark.parametrize("position, message", [
+        (Fraction(5, 4), "atom position 5/4 lies outside [0, 1)"),
+        (Fraction(-1, 4), "atom position -1/4 lies outside [0, 1)"),
+        (0, "atom position 0 is not a Fraction"),
+    ], ids=["above-one", "negative", "int"])
+    def test_a_plan_over_bad_positions_makes_no_measure(self, position, message):
+        plan = merge_plan([[(Fraction(1, 4), 1.0)], [(position, 1.0)]])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            apply_plan(plan, [1.0, 1.0])
 
-    def test_merge_plan_rejects_positions_outside_the_circle(self):
-        with pytest.raises(ValueError, match="outside"):
-            merge_plan([[(Fraction(1, 4), 1.0)], [(Fraction(5, 4), 1.0)]])
-        with pytest.raises(ValueError, match="is not a Fraction"):
-            merge_plan([[(0, 1.0)]])
-        with pytest.raises(ValueError, match="atom position 0.25 is not a Fraction"):
-            merge_plan([[(Fraction(1, 2), 1.0)], [(0.25, 1.0)]])
-
-    def test_measures_are_validated_at_the_plan_not_at_each_point(self, monkeypatch):
-        checks = []
+    def test_every_measure_is_validated_when_it_is_made(self, monkeypatch):
+        made = []
         post_init = AtomicMeasure.__post_init__
         monkeypatch.setattr(AtomicMeasure, "__post_init__",
-                            lambda self: checks.append(1) or post_init(self))
+                            lambda self: made.append(self) or post_init(self))
         mu = old_from_atoms([(Fraction(1, 8), 1.0), (Fraction(1, 2), -1j)])
         T = FiniteRankOperator(((ScalarField.cosine(), mu), (ScalarField.constant(2j), mu)))
-        checks.clear()
-        for k in range(8):
-            T.measure_at(Fraction(k, 8))
-        assert checks == []
-        AtomicMeasure.from_atoms([(Fraction(1, 8), 1.0)])
-        assert checks == []
-        AtomicMeasure(((Fraction(1, 8), 1 + 0j),))
-        assert checks == [1]
+        wc = WeightedComposition(ScalarField.cosine(), SymbolMap.doubling())
+        made.clear()
+        want = [T.measure_at(Fraction(k, 8)) for k in range(8)]
+        want += [wc.measure_at(Fraction(k, 8)) for k in range(8)]
+        want.append(AtomicMeasure.from_atoms([(Fraction(9, 8), 1.0), (Fraction(1, 8), 1.0)]))
+        want.append(linear_combine([1.0, 0.5j], [mu, want[-1]]))
+        assert len(made) == len(want)
+        assert all(got is measure for got, measure in zip(made, want))
 
 
 class TestIntegerPoints:
@@ -634,6 +625,34 @@ class TestGridIndex:
         with pytest.raises(ValueError, match=r"symbol produced Fraction\(9, 2\), outside"):
             phi(Fraction(1, 2))
         assert phi(Fraction(0)) == 0
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ScalarField(kind="samples", samples=(1 + 0j, 2 + 0j, 3 + 0j), n=4),
+         "sample table has 3 entries for an n=4 grid"),
+        (lambda: SymbolMap(kind="table", table=(0, 1, 2), n=4),
+         "symbol table has 3 entries for an n=4 grid"),
+        (lambda: ScalarField.from_samples([1, 2], 3), "sample table has 2 entries for an n=3 grid"),
+        # the length is checked before the entries
+        (lambda: SymbolMap.from_table([0, 1, 5], 2), "symbol table has 3 entries for an n=2 grid"),
+        (lambda: SymbolMap.from_table([0, 1, 5], 3),
+         r"symbol table entries must be grid indices in \[0, n\)"),
+    ], ids=["samples", "table", "from-samples", "from-table", "from-table-entries"])
+    def test_a_table_is_checked_when_it_is_made(self, make, message):
+        # else tabulate reads fewer values than the grid has points, and the
+        # equation raises IndexError
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+    def test_a_coarser_grid_reads_the_samples_off_the_table(self, monkeypatch):
+        u = ScalarField.from_samples([complex(k, -k) for k in range(64)], 64)
+        want = [bits(u(Fraction(k, 8))) for k in range(8)]
+        calls = []
+        value_at = ScalarField.value_at
+        monkeypatch.setattr(ScalarField, "value_at", lambda self, num, den: calls.append(
+            (num, den)) or value_at(self, num, den))
+        values = tabulate(u, 8)
+        assert calls == []
+        assert [bits(v) for v in values] == want
 
 
 def evaluated(fn, *args):

@@ -142,7 +142,8 @@ class TestRunning:
         assert "runtime_ms" in rep2["checks"][0]
 
     def test_csv_rendering_of_gap_sequences(self):
-        obj = scenario(checks=[{"name": "refinement", "sizes": [8, 16]}])
+        # the equation record holds no gaps and adds no line
+        obj = scenario(checks=[{"name": "equation"}, {"name": "refinement", "sizes": [8, 16]}])
         rep = run_scenario(parse_scenario(obj))
         csv = render_report_csv(rep)
         lines = csv.strip().splitlines()
@@ -238,6 +239,11 @@ class TestEcho:
     def test_a_version_1_scenario_exits_one(self, tmp_path):
         code, out, err = verify(write(tmp_path, scenario(schema_version="1")))
         assert code == 1 and out == "" and "scenario.schema_version" in err
+
+    def test_a_version_2_scenario_is_verified(self, tmp_path):
+        code, out, err = verify(write(tmp_path, scenario(schema_version="2")))
+        assert code == 0 and err == ""
+        assert json.loads(out)["scenario"]["schema_version"] == "2"
 
     @pytest.mark.parametrize("values", [
         [], [{"re": 1.0}], [{"re": 0.5, "im": -0.25}, {"im": 1e-320, "re": -0.0}],
