@@ -540,17 +540,13 @@ def preimage_nowhere_dense_at_resolution(phi: SymbolMap, t: Fraction,
     if min_pts < 2:
         raise ValueError(
             f"grid too coarse: a delta={delta} arc can contain {min_pts} < 2 grid points")
-    hits = (symbol_codes(phi, grid.n) == index_space(grid.n).code(t)).tolist()
-    if all(hits):
+    misses = np.flatnonzero(symbol_codes(phi, grid.n) != index_space(grid.n).code(t))
+    if not misses.size:
         return False
-    # longest circular run of consecutive hits
-    doubled = hits + hits
-    longest = run = 0
-    for h in doubled[:-1]:  # stop before double-counting the full wrap
-        run = run + 1 if h else 0
-        longest = max(longest, run)
-    longest = min(longest, grid.n)
-    return longest < min_pts
+    # the longest circular run of hits is the widest gap between two
+    # consecutive misses, less one; the last gap wraps round to the first
+    widest = int(np.diff(misses, append=misses[0] + grid.n).max())
+    return widest - 1 < min_pts
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,19 @@ def criterion_sup(wc: WeightedComposition, T: SupportsMeasureAt, epsilon: float,
                             weight_sup, t_norm, epsilon, tol)
 
 
+def _arc_points(U: Arc, grid: GridCircle) -> np.ndarray:
+    """arc_mask(U, grid.n), which must hold a grid point.  An empty mask is
+    confirmed with Arc.covers at every grid point before it is reported."""
+    mask = arc_mask(U, grid.n)
+    if not mask.any():
+        covered = sum(U.covers(k, grid.n) for k in range(grid.n))
+        if covered:
+            raise InvariantViolation(f"arc_mask finds no grid point on {U}, but Arc.covers "
+                                     f"finds {covered} at n={grid.n}")
+        raise ValueError("arc contains no grid point")
+    return mask
+
+
 @dataclass(frozen=True)
 class OpenSetCriterionResult:
     sup_value: float
@@ -154,9 +167,7 @@ def open_set_criterion(wc: WeightedComposition, T: SupportsMeasureAt, U: Arc,
                        grid: GridCircle, tol: float = 1e-9) -> OpenSetCriterionResult:
     """Same deficiency supremum, restricted to the grid points of an arc."""
     deficiency = _deficiency(perturbation_profile(wc, T, grid), wc.weight_sup(grid))
-    mask = arc_mask(U, grid.n)
-    if not mask.any():
-        raise ValueError("arc contains no grid point")
+    mask = _arc_points(U, grid)
     sup_value = float(deficiency[mask].max())
     return OpenSetCriterionResult(sup_value=sup_value, points=int(mask.sum()),
                                   holds=sup_value >= -tol)
@@ -317,14 +328,17 @@ def counterexample_fat_preimage(u: ScalarField, phi: SymbolMap, t: Fraction,
             f"|u| must be constant within {tol} here (spread {report.spread:.3e})")
     if report.value <= tol:
         raise ValueError("the weight must be nonzero")
-    on_arc = arc_mask(U, grid.n)
-    if not on_arc.any():
-        raise ValueError("arc contains no grid point")
+    on_arc = _arc_points(U, grid)
     misses = np.flatnonzero(on_arc & (symbol_codes(phi, grid.n) != index_space(grid.n).code(t)))
-    if misses.size:
-        p = grid.coord(int(misses[0]))
-        raise ValueError(
-            f"arc is not inside the preimage of {t!r}: phi({p}) = {phi(p)!r}")
+    if misses.size:  # the compiled route's first miss, confirmed at its point
+        k = int(misses[0])
+        p, covers = grid.coord(k), U.covers(k, grid.n)
+        image = phi(p)
+        if not covers or image == t:
+            raise InvariantViolation(
+                f"the symbol codes put phi({p}) off {t!r} on the arc, but U.covers({k}, "
+                f"{grid.n}) is {covers} and phi({p}) = {image!r}")
+        raise ValueError(f"arc is not inside the preimage of {t!r}: phi({p}) = {image!r}")
 
     g = ScalarField.tent(center=U.center, half_width=U.half_width,
                          peak=-1.0, base=-0.5)
@@ -380,11 +394,12 @@ def refinement_convergence(u: ScalarField, phi: SymbolMap, T: SupportsMeasureAt,
                            sizes, tol: float = 1e-9) -> list[GapPoint]:
     """Additivity gap of uC_phi + T across grid sizes.
 
-    Requires closed-form u and phi (shared across grids) with |u| constant.
-    For symbols whose preimages are thin at resolution 4/n the gap decays
-    like the weight field's modulus of continuity; the per-size diagnostic
-    flag records whether that thinness held, and a failing flag (e.g. a
-    symbol constant on an arc) is exactly the case where the gap persists.
+    Requires closed-form u and phi (shared across grids) with |u| constant,
+    and sizes of at least 8.  For symbols whose preimages are thin at
+    resolution 4/n the gap decays like the weight field's modulus of
+    continuity; the per-size diagnostic flag records whether that thinness
+    held, and a failing flag (e.g. a symbol constant on an arc) is exactly
+    the case where the gap persists.
     """
     if not _field_closed_form(u):
         raise ValueError("refinement needs a closed-form weight, not samples")
@@ -393,6 +408,9 @@ def refinement_convergence(u: ScalarField, phi: SymbolMap, T: SupportsMeasureAt,
     sizes = [int(n) for n in sizes]
     if not sizes:
         raise ValueError("no grid sizes given")
+    if min(sizes) < 8:  # the diagnostic's resolution 4/n must be at most 1/2
+        raise ValueError(f"sizes must be at least 8 for the preimage diagnostic "
+                         f"at resolution 4/n, got {min(sizes)}")
     out: list[GapPoint] = []
     for n in sizes:
         grid = GridCircle(n)
@@ -403,11 +421,8 @@ def refinement_convergence(u: ScalarField, phi: SymbolMap, T: SupportsMeasureAt,
                 f"(spread {report.spread:.3e} at n={n})")
         eq = equation_holds(WeightedComposition(u, phi), T, grid, tol=tol)
         delta = Fraction(4, n)
-        targets = []
-        for k in range(TARGET_SAMPLES):
-            tval = phi(grid.coord(k * n // TARGET_SAMPLES))
-            if tval not in targets:
-                targets.append(tval)
+        targets = dict.fromkeys(phi(grid.coord(k * n // TARGET_SAMPLES))
+                                for k in range(TARGET_SAMPLES))
         ok = all(
             preimage_nowhere_dense_at_resolution(phi, tval, delta, grid)
             for tval in targets

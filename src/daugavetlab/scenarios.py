@@ -16,7 +16,8 @@ for continuous quantities.
 Reports echo the scenario, the effective parameters of every check, the
 verdicts and the witnesses.  The echo pins each grid-sized list (a samples
 field's values, a table symbol's map) by its length and the sha256 of its
-canonical JSON, so a report's size follows its checks, not the grid.
+canonical JSON, serialised with one json.dumps(sort_keys=True,
+separators=(",", ":")), so a report's size follows its checks, not the grid.
 Given the same scenario and seed the rendered report is byte-identical
 across reruns: render_report_json is json.dumps(indent=2, sort_keys=True,
 allow_nan=False) of plain JSON values, and no wall-clock data is embedded
@@ -58,7 +59,6 @@ from .operators import (
     OperatorExpr,
     SupportsMeasureAt,
     WeightedComposition,
-    _blocks,
     rotation_max_norm,
     scaled,
     zero_operator,
@@ -639,7 +639,7 @@ def _run_disk_automorphism(sc: Scenario, **ladder: Any) -> dict:
     if symbol.kind != "blaschke":
         raise ScenarioError("scenario.disk.symbol",
                             "automorphism check needs a blaschke symbol")
-    if abs(abs(symbol.scale) - 1.0) > 1e-12:
+    if abs(abs(symbol.scale) - 1.0) > dsk.UNIMODULAR_TOL:
         raise ScenarioError("scenario.disk.symbol",
                             "automorphism scale must be unimodular")
     B = dsk.BlaschkeProduct(
@@ -744,19 +744,11 @@ def _pinned(component: Any) -> Any:
 
 
 def _digest(values: list) -> dict:
-    """{length, sha256} of json.dumps(values, sort_keys=True,
-    separators=(",", ":")), fed to the hash one block of items at a time
-    (_blocks), never the whole text at once: the text of a list is "[", its
-    items' texts joined by ",", then "]"."""
+    """{length, sha256} of one json.dumps(values, sort_keys=True,
+    separators=(",", ":"))."""
     import hashlib
-    h = hashlib.sha256(b"[")
-    for items in _blocks(len(values)):
-        if items.start:
-            h.update(b",")
-        text = json.dumps(values[items], sort_keys=True, separators=(",", ":"))
-        h.update(text[1:-1].encode())
-    h.update(b"]")
-    return {"length": len(values), "sha256": h.hexdigest()}
+    text = json.dumps(values, sort_keys=True, separators=(",", ":"))
+    return {"length": len(values), "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
 def run_scenario(sc: Scenario, tol: float = 1e-9, timings: bool = False,
@@ -779,15 +771,15 @@ def run_scenario(sc: Scenario, tol: float = 1e-9, timings: bool = False,
                     f"allowed: {sorted(allowed)}")
     with shared_compilation():  # every check reads the same compiled profiles
         records = [_run_one(sc, entry, tol, timings) for entry in sc.checks]
-    from . import __version__
     echo = {k: _pinned(v) if k in _COMPONENTS else v for k, v in sc.raw.items()}
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "generator": {"name": "daugavetlab", "version": __version__},
-        "seed": sc.seed,
-        "scenario": echo,
-        "checks": records,
-    }
+    return {**report_envelope(sc.seed), "scenario": echo, "checks": records}
+
+
+def report_envelope(seed: int) -> dict:
+    """The keys every report opens with: schema version, generator and seed."""
+    from . import __version__
+    return {"schema_version": SCHEMA_VERSION,
+            "generator": {"name": "daugavetlab", "version": __version__}, "seed": seed}
 
 
 # ---------------------------------------------------------------------------

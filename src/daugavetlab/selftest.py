@@ -25,6 +25,7 @@ from .criteria import (
 )
 from .measures import norm_oracle, total_variation
 from .operators import (
+    FiniteRankOperator,
     WeightedComposition,
     rank_one,
     rotation_max_norm,
@@ -37,7 +38,7 @@ from .sampling import (
     random_symbol,
     random_unimodular_field,
 )
-from .scenarios import SCHEMA_VERSION
+from .scenarios import report_envelope
 
 __all__ = ["run_selftest"]
 
@@ -59,15 +60,19 @@ def _measure_batch(seed: int, rounds: int) -> dict:
     return _stage("measure-norms", worst <= 1e-12, rounds=rounds, worst=worst)
 
 
+def _random_instance(rng, grid: GridCircle) -> tuple[WeightedComposition, FiniteRankOperator]:
+    """uC_phi with a unimodular u and T, drawn in that order: u, phi, T."""
+    u = random_unimodular_field(rng, grid.n)
+    phi = random_symbol(rng, grid)
+    return WeightedComposition(u, phi), random_finite_rank(rng, grid)
+
+
 def _criterion_batch(seed: int, rounds: int) -> dict:
     rng = default_rng(seed)
     grid = GridCircle(64)
     agreements = 0
     for _ in range(rounds):
-        u = random_unimodular_field(rng, grid.n)
-        phi = random_symbol(rng, grid)
-        T = random_finite_rank(rng, grid)
-        wc = WeightedComposition(u, phi)
+        wc, T = _random_instance(rng, grid)
         eq = equation_holds(wc, T, grid)
         sweep = criterion_sweep(wc, T, grid)
         agreements += eq.holds == sweep.holds
@@ -80,10 +85,7 @@ def _rotation_batch(seed: int, rounds: int) -> dict:
     grid = GridCircle(64)
     worst = 0.0
     for _ in range(rounds):
-        u = random_unimodular_field(rng, grid.n)
-        phi = random_symbol(rng, grid)
-        T = random_finite_rank(rng, grid)
-        res = rotation_max_norm(WeightedComposition(u, phi), T, grid)
+        res = rotation_max_norm(*_random_instance(rng, grid), grid)
         worst = max(worst, abs(res.max - res.expected))
     return _stage("rotation-max", worst <= 1e-12, rounds=rounds, worst=worst)
 
@@ -96,14 +98,9 @@ def _canonical_counterexamples() -> list[dict]:
     arc = Arc(Fraction(0), Fraction(1, 4))
     phi = SymbolMap.constant_on_arc(Fraction(0), arc)
     fat = counterexample_fat_preimage(one, phi, Fraction(0), arc, grid)
-    return [
-        _stage("counterexample-modulus",
-               abs(dip.perturbed - 1.5) <= 1e-9 and abs(dip.certified_gap - 0.5) <= 1e-9,
-               perturbed=dip.perturbed, gap=dip.certified_gap),
-        _stage("counterexample-preimage",
-               abs(fat.perturbed - 1.5) <= 1e-9 and abs(fat.certified_gap - 0.5) <= 1e-9,
-               perturbed=fat.perturbed, gap=fat.certified_gap),
-    ]
+    return [_stage(name, abs(res.perturbed - 1.5) <= 1e-9 and abs(res.certified_gap - 0.5) <= 1e-9,
+                   perturbed=res.perturbed, gap=res.certified_gap)
+            for name, res in (("counterexample-modulus", dip), ("counterexample-preimage", fat))]
 
 
 def _random_counterexamples(seed: int, rounds: int) -> dict:
@@ -121,13 +118,17 @@ def _random_counterexamples(seed: int, rounds: int) -> dict:
                   rounds=rounds, smallest_gap=minimum)
 
 
-def _refinement_stage() -> dict:
-    u = ScalarField.constant(1.0)
-    phi = SymbolMap.doubling()
+def _readme_window() -> tuple[ScalarField, SymbolMap, FiniteRankOperator]:
+    """The README window case: u = 1, phi doubling and T f = -f(0) g with
+    g = (1 + cos 2 pi s) / 2."""
     g = ScalarField.cosine(amplitude=0.5, offset=0.5, frequency=1)
-    T = rank_one(g, scale=-1.0, at=Fraction(0))
+    return (ScalarField.constant(1.0), SymbolMap.doubling(),
+            rank_one(g, scale=-1.0, at=Fraction(0)))
+
+
+def _refinement_stage() -> dict:
     sizes = [2 ** k for k in range(3, 11)]
-    seq = refinement_convergence(u, phi, T, sizes)
+    seq = refinement_convergence(*_readme_window(), sizes)
     gaps = [gp.gap for gp in seq]
     decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
     return _stage("refinement", decreasing and gaps[-1] < 1e-5,
@@ -145,12 +146,8 @@ def _convex_stage() -> dict:
 
 
 def _s_epsilon_stage() -> dict:
-    grid = GridCircle(64)
-    u = ScalarField.constant(1.0)
-    phi = SymbolMap.doubling()
-    g = ScalarField.cosine(amplitude=0.5, offset=0.5, frequency=1)
-    T = rank_one(g, scale=-1.0, at=Fraction(0))
-    frac = s_epsilon_fraction(WeightedComposition(u, phi), T, 0.01, grid)
+    u, phi, T = _readme_window()
+    frac = s_epsilon_fraction(WeightedComposition(u, phi), T, 0.01, GridCircle(64))
     return _stage("s-epsilon", frac == Fraction(63, 64), fraction=str(frac))
 
 
@@ -192,12 +189,5 @@ def run_selftest(seed: int = 0) -> dict:
         _s_epsilon_stage(),
         *_disk_stages(),
     ]
-    from . import __version__
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "generator": {"name": "daugavetlab", "version": __version__},
-        "seed": seed,
-        "kind": "selftest",
-        "passed": all(stage["passed"] for stage in stages),
-        "stages": stages,
-    }
+    return {**report_envelope(seed), "kind": "selftest",
+            "passed": all(stage["passed"] for stage in stages), "stages": stages}

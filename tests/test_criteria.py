@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from daugavetlab import operators
+from daugavetlab import criteria, operators
 from daugavetlab.circle import (
     Arc,
     GridCircle,
@@ -29,6 +29,7 @@ from daugavetlab.criteria import (
     refinement_convergence,
     s_epsilon_fraction,
 )
+from daugavetlab.errors import InvariantViolation
 from daugavetlab.measures import total_variation
 from daugavetlab.operators import (
     FiniteRankOperator,
@@ -362,6 +363,66 @@ class TestFatPreimageCounterexample:
             counterexample_fat_preimage(u, phi, Fraction(0), arc, g)
 
 
+class TestFatPreimagePrecondition:
+    """The precondition's errors are read off arc_mask and symbol_codes,
+    and each is confirmed point by point before it is reported."""
+
+    def setup_method(self):
+        self.g = GridCircle(64)
+        self.arc = Arc(Fraction(0), Fraction(1, 4))  # the points -16/64..16/64
+        self.phi = SymbolMap.constant_on_arc(Fraction(0), self.arc)
+        self.one = ScalarField.constant(1.0)
+
+    def test_a_code_off_by_one_on_the_arc_is_caught(self, monkeypatch):
+        original = criteria.symbol_codes
+
+        def corrupted(phi, n):
+            codes = original(phi, n).copy()
+            codes[3] += 1
+            return codes
+
+        monkeypatch.setattr(criteria, "symbol_codes", corrupted)
+        with pytest.raises(InvariantViolation, match=re.escape(
+                "the symbol codes put phi(3/64) off Fraction(0, 1) on the arc, but "
+                "U.covers(3, 64) is True and phi(3/64) = Fraction(0, 1)")):
+            counterexample_fat_preimage(self.one, self.phi, Fraction(0), self.arc, self.g)
+
+    def test_a_mask_past_the_arc_is_caught(self, monkeypatch):
+        original = criteria.arc_mask
+
+        def widened(U, n):
+            mask = original(U, n).copy()
+            mask[n // 2] = True
+            return mask
+
+        monkeypatch.setattr(criteria, "arc_mask", widened)
+        with pytest.raises(InvariantViolation, match=re.escape(
+                "U.covers(32, 64) is False and phi(1/2) = Fraction(1, 2)")):
+            counterexample_fat_preimage(self.one, self.phi, Fraction(0), self.arc, self.g)
+
+    def test_an_empty_mask_over_grid_points_is_caught(self, monkeypatch):
+        monkeypatch.setattr(criteria, "arc_mask", lambda U, n: np.zeros(n, dtype=bool))
+        message = "arc_mask finds no grid point on .*, but Arc.covers finds 33 at n=64$"
+        with pytest.raises(InvariantViolation, match=message):
+            counterexample_fat_preimage(self.one, self.phi, Fraction(0), self.arc, self.g)
+        wc, T, g = canonical_window_instance()
+        with pytest.raises(InvariantViolation, match=message):  # the same rule, shared
+            open_set_criterion(wc, T, self.arc, g)
+
+    def test_true_failures_keep_their_messages(self):
+        between = Arc(Fraction(1, 128), Fraction(1, 512))  # no point of the 64-point grid
+        with pytest.raises(ValueError, match="^arc contains no grid point$"):
+            counterexample_fat_preimage(self.one, self.phi, Fraction(0), between, self.g)
+        wc, T, g = canonical_window_instance()
+        with pytest.raises(ValueError, match="^arc contains no grid point$"):
+            open_set_criterion(wc, T, between, g)
+        with pytest.raises(ValueError, match=re.escape(
+                "arc is not inside the preimage of Fraction(0, 1): "
+                "phi(1/64) = Fraction(1, 64)")):
+            counterexample_fat_preimage(self.one, SymbolMap.identity(), Fraction(0),
+                                        self.arc, self.g)
+
+
 class TestRefinement:
     def test_gap_law_for_the_cosine_window(self):
         u = ScalarField.constant(1.0)
@@ -398,6 +459,13 @@ class TestRefinement:
         T = rank_one(ScalarField.constant(1.0), at=Fraction(0))
         with pytest.raises(ValueError):
             refinement_convergence(u, SymbolMap.doubling(), T, [8, 16])
+
+    @pytest.mark.parametrize("sizes, bad", [([4, 8], 4), ([16, 7], 7), ([2], 2)])
+    def test_rejects_sizes_below_8_up_front(self, sizes, bad):
+        # the preimage diagnostic's resolution 4/n exceeds 1/2 below n = 8
+        wc, T, _ = canonical_window_instance()
+        with pytest.raises(ValueError, match=f"^sizes must be at least 8 .*, got {bad}$"):
+            refinement_convergence(wc.u, wc.phi, T, sizes)
 
 
 class TestConvexCenter:

@@ -348,6 +348,18 @@ class TestRunnerGuards:
         obj = scenario(checks=[{"name": "refinement"}])
         assert self.error(obj) == "check.sizes: refinement needs sizes here or in space.sizes"
 
+    @pytest.mark.parametrize("where", ["check", "space"])
+    def test_refinement_sizes_below_8_are_named(self, where):
+        # the preimage diagnostic runs at resolution 4/n, which needs n >= 8;
+        # the library's rule names the size, not the diagnostic's delta
+        check = {"name": "refinement", "sizes": [8, 4]}
+        obj = scenario(checks=[check])
+        if where == "space":
+            del check["sizes"]
+            obj["space"] = {"kind": "circle", "n": 64, "sizes": [8, 4]}
+        assert self.error(obj) == ("check.sizes: sizes must be at least 8 for the "
+                                   "preimage diagnostic at resolution 4/n, got 4")
+
     def test_ladder_radius_must_lie_inside_the_disk(self):
         obj = dict(DISK, checks=[{"name": "disk-lower-bound", "radii": [1.0]}])
         assert self.error(obj) == "check.radii: radii must lie in (0, 1), got 1.0"
@@ -813,6 +825,54 @@ def test_readme_lists_every_check_parameter():
     declared = [[f"| `{name}`", check.group, f"`{key}`"]
                 for name, check in CHECKS.items() for key in check.params]
     assert sorted(rows) == sorted(declared)
+
+
+#: Cells of the README check table that state a range the library enforces
+#: when the check runs, on top of the schema's reader.
+LIBRARY_RANGES = {
+    ("refinement", "sizes"): "non-empty list of integers in `[8, 2^20]`",
+}
+
+
+def _int_range(reader):
+    """The README's words for an Int reader's range, or for a list of them."""
+    if isinstance(reader, scenarios.ListOf):
+        assert reader.least == 1 and reader.most == math.inf
+        return "non-empty list of " + _int_range(reader.item).replace("integer", "integers", 1)
+    if reader.hi == math.inf:
+        return f"integer >= {reader.lo}"
+    hi = "2^20" if reader.hi == 2 ** 20 else reader.hi
+    return f"integer in `[{reader.lo}, {hi}]`"
+
+
+def _default_cell(default):
+    if default is scenarios.RUN_TOL:
+        return "`--tol`"
+    if default is ...:
+        return "required"
+    if default is None:
+        return "`space.sizes`"
+    if isinstance(default, (list, tuple)):
+        return f"`{json.dumps(list(default))}`"
+    return str(default)
+
+
+def test_readme_check_table_defaults_and_integer_ranges_follow_the_schema():
+    """The README check table's default column is each parameter's declared
+    default, and its range column is each integer reader's range, except
+    where LIBRARY_RANGES names a range the library enforces."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cells = {(row[0][3:-1], row[2][1:-1]): row[3:5] for row in
+             (line.split(" | ") for line in readme.splitlines() if line.startswith("| `"))}
+    for name, check in CHECKS.items():
+        for key, (reader, default) in check.params.items():
+            rng, dflt = cells[name, key]
+            assert dflt.removesuffix(" |") == _default_cell(default), (name, key)
+            item = reader.item if isinstance(reader, scenarios.ListOf) else reader
+            if (name, key) in LIBRARY_RANGES:
+                assert rng == LIBRARY_RANGES[name, key]
+            elif isinstance(item, scenarios.Int):
+                assert rng == _int_range(reader), (name, key)
 
 
 # --- fuzzing the command line ----------------------------------------------
