@@ -130,7 +130,8 @@ def cmul(a, b) -> np.ndarray:
 def modulus(z) -> np.ndarray:
     """Elementwise |z| through hypot, as CPython's abs() of a complex."""
     z = np.asarray(z, dtype=complex)
-    return np.hypot(z.real, z.imag)
+    with np.errstate(over="ignore"):  # inf where CPython's abs() raises OverflowError
+        return np.hypot(z.real, z.imag)
 
 
 class IndexSpace:

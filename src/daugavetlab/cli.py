@@ -19,7 +19,6 @@ import sys
 
 from .errors import InvariantViolation
 from .scenarios import (
-    CHECKS,
     ScenarioError,
     parse_scenario_file,
     render_report_csv,
@@ -100,13 +99,10 @@ def main(argv: list[str] | None = None) -> int:
         report = run_selftest(seed=args.seed)
         return _emit(render_report_json(report), args.out)
 
-    allowed = None
-    if args.command != "verify":
-        allowed = tuple(name for name, c in CHECKS.items() if c.group == args.command)
     try:
         scenario = parse_scenario_file(args.scenario)
         report = run_scenario(scenario, tol=args.tol, timings=args.timings,
-                              allowed=allowed)
+                              subcommand=args.command)
     except (OSError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,10 +22,10 @@ circle.symbol_codes, products and moduli through circle.cmul and
 circle.modulus, and row sums through math.fsum, so every array is bit for
 bit what the per-point route computes.  The slots are merged in place in
 preallocated (m, n) arrays, and every pass that makes Python numbers or
-(m, k) temporaries walks blocks of about BLOCK values, so a family costs
-little more than its own arrays.  Families and profiles are kept in
-the block's memo, keyed by value, so every check of a scenario reads the
-same profile.
+(m, k) temporaries walks blocks of about measures.BLOCK values, so a
+family costs little more than its own arrays.  Families and profiles are
+kept in the block's memo, keyed by value, so every check of a scenario
+reads the same profile.
 
 The operators are the three classes below and their nested sums; the
 compiler covers all of them, and any other type raises TypeError.  A
@@ -79,7 +79,6 @@ from .circle import (
 )
 from .errors import agree, at_most
 from .measures import (
-    BLOCK,
     AtomicMeasure,
     ColumnFamily,
     ColumnSum,
@@ -253,7 +252,8 @@ def _canonical(codes: list, weights, present: list, n: int) -> CompiledFamily:
             same &= P[j]
             same &= P[i]
             if same.any():
-                np.add(W[j], W[i], out=W[j], where=same)
+                with np.errstate(over="ignore"):  # inf, as from_atoms's merge gives
+                    np.add(W[j], W[i], out=W[j], where=same)
                 P[i] &= ~same
     for i in range(m):
         P[i] &= W[i] != 0

@@ -371,19 +371,20 @@ SPACE = Kinds("space", {"circle": Obj(
 
 @dataclass
 class Scenario:
+    """The decoded JSON, space's n and sizes, then one field per _SCENARIO key."""
+
     raw: dict
-    seed: int
     n: int | None
     sizes: list[int] | None
+    schema_version: str
+    seed: int
     weight: ScalarField | None
     symbol: SymbolMap | None
     symbol2: SymbolMap | None
     t: float | None
     operator: SupportsMeasureAt
-    disk_weight: dsk.DiskFunction | None
-    disk_symbol: dsk.DiskFunction | None
-    disk_operator: dsk.RankOneDiskOperator | None
-    checks: list[dict] = field(default_factory=list)
+    disk: dict
+    checks: list[dict]
 
     def grid(self) -> GridCircle:
         if self.n is None:
@@ -439,13 +440,8 @@ def parse_scenario(obj: Any) -> Scenario:
     space = {"n": None, "sizes": None}
     if isinstance(obj, dict) and "space" in obj:
         space = SPACE(obj["space"], "scenario.space")
-    a = _read(obj, "scenario", _SCENARIO, space["n"], fixed=("space",))
-    disk = a["disk"]
-    return Scenario(raw=obj, seed=a["seed"], n=space["n"], sizes=space["sizes"],
-                    weight=a["weight"], symbol=a["symbol"], symbol2=a["symbol2"],
-                    t=a["t"], operator=a["operator"],
-                    disk_weight=disk.get("weight"), disk_symbol=disk.get("symbol"),
-                    disk_operator=disk.get("operator"), checks=a["checks"])
+    return Scenario(raw=obj, **space,
+                    **_read(obj, "scenario", _SCENARIO, space["n"], fixed=("space",)))
 
 
 def _finite_float(token: str) -> float:
@@ -471,16 +467,14 @@ def parse_scenario_file(path: str) -> Scenario:
 # "params" the echo adds to the declared ones
 # ---------------------------------------------------------------------------
 
-def _need(sc: Scenario, attr: str, where: str):
-    value = getattr(sc, attr)
+def _need(value: Any, where: str):
     if value is None:
         raise ScenarioError(f"scenario.{where}", "required by this check")
     return value
 
 
 def _wc(sc: Scenario) -> WeightedComposition:
-    return WeightedComposition(_need(sc, "weight", "weight"),
-                               _need(sc, "symbol", "symbol"))
+    return WeightedComposition(_need(sc.weight, "weight"), _need(sc.symbol, "symbol"))
 
 
 def _run_equation(sc: Scenario, tol: float) -> dict:
@@ -518,8 +512,8 @@ def _run_rotation_max(sc: Scenario, tol: float, lambda_grid: int) -> dict:
 
 
 def _run_convex(sc: Scenario, tol: float) -> dict:
-    res = convex_center_check(_need(sc, "t", "t"), _need(sc, "symbol", "symbol"),
-                              _need(sc, "symbol2", "symbol2"), sc.operator,
+    res = convex_center_check(_need(sc.t, "t"), _need(sc.symbol, "symbol"),
+                              _need(sc.symbol2, "symbol2"), sc.operator,
                               sc.grid(), tol=tol)
 
     def summary(a):
@@ -542,13 +536,18 @@ def _run_s_epsilon(sc: Scenario, epsilon: float) -> dict:
 
 
 def _run_refinement(sc: Scenario, sizes: list[int] | None, tol: float) -> dict:
+    where = "check.sizes" if sizes else "scenario.space.sizes"
     sizes = sizes or sc.sizes
     if not sizes:
         raise ScenarioError("check.sizes",
                             "refinement needs sizes here or in space.sizes")
-    seq = refinement_convergence(_need(sc, "weight", "weight"),
-                                 _need(sc, "symbol", "symbol"),
-                                 sc.operator, sizes, tol=tol)
+    wc = _wc(sc)
+    try:
+        seq = refinement_convergence(wc.u, wc.phi, sc.operator, sizes, tol=tol)
+    except ValueError as exc:  # a rule on the sizes names the key they came from
+        if _key_at_fault(exc, ("sizes",)):
+            raise ScenarioError(where, str(exc)) from None
+        raise
     return {"params": {"sizes": list(sizes)},
             "verdict": "computed",
             "values": {"gaps": [
@@ -567,17 +566,16 @@ def _cex_record(res, n: int) -> dict:
 
 
 def _run_cex_modulus(sc: Scenario, tol: float) -> dict:
-    res = counterexample_nonconstant_modulus(_need(sc, "weight", "weight"),
-                                             _need(sc, "symbol", "symbol"),
-                                             sc.grid(), tol=tol)
+    wc = _wc(sc)
+    res = counterexample_nonconstant_modulus(wc.u, wc.phi, sc.grid(), tol=tol)
     return _cex_record(res, sc.n)
 
 
 def _run_cex_preimage(sc: Scenario, target: Fraction, center: Fraction,
                       half_width: Fraction, tol: float) -> dict:
-    res = counterexample_fat_preimage(_need(sc, "weight", "weight"),
-                                      _need(sc, "symbol", "symbol"),
-                                      target, Arc(center, half_width), sc.grid(), tol=tol)
+    wc = _wc(sc)
+    res = counterexample_fat_preimage(wc.u, wc.phi, target, Arc(center, half_width),
+                                      sc.grid(), tol=tol)
     return _cex_record(res, sc.n)
 
 
@@ -600,8 +598,8 @@ def _ladder(radii: list[float], **counts: int) -> dsk.SearchLadder:
 
 
 def _run_disk_c_conditions(sc: Scenario, samples: int, tol: float) -> dict:
-    res = dsk.check_c_conditions(_need(sc, "disk_weight", "disk.weight"),
-                                 _need(sc, "disk_symbol", "disk.symbol"),
+    res = dsk.check_c_conditions(_need(sc.disk.get("weight"), "disk.weight"),
+                                 _need(sc.disk.get("symbol"), "disk.symbol"),
                                  samples=samples, tol=tol)
     return {"verdict": "all-hold" if res.all_hold else "violated",
             "values": {"weight_modulus_constant": res.weight_modulus_constant,
@@ -611,9 +609,9 @@ def _run_disk_c_conditions(sc: Scenario, samples: int, tol: float) -> dict:
 
 
 def _run_disk_lower_bound(sc: Scenario, **ladder: Any) -> dict:
-    res = dsk.disk_norm_lower_bound(_need(sc, "disk_weight", "disk.weight"),
-                                    _need(sc, "disk_symbol", "disk.symbol"),
-                                    sc.disk_operator, ladder=_ladder(**ladder))
+    res = dsk.disk_norm_lower_bound(_need(sc.disk.get("weight"), "disk.weight"),
+                                    _need(sc.disk.get("symbol"), "disk.symbol"),
+                                    sc.disk.get("operator"), ladder=_ladder(**ladder))
     return {"verdict": "computed",
             "values": {"lower_bound": res.bound, "family_size": res.family_size},
             "witness": dict(res.witness)}
@@ -622,8 +620,8 @@ def _run_disk_lower_bound(sc: Scenario, **ladder: Any) -> dict:
 def _run_disk_certified(sc: Scenario, omega: complex, epsilon: float,
                         half_angle: float, samples: int) -> dict:
     arc = dsk.ArcNeighborhood(omega, half_angle)
-    res = dsk.certified_counterexample_bound(_need(sc, "disk_weight", "disk.weight"),
-                                             _need(sc, "disk_symbol", "disk.symbol"),
+    res = dsk.certified_counterexample_bound(_need(sc.disk.get("weight"), "disk.weight"),
+                                             _need(sc.disk.get("symbol"), "disk.symbol"),
                                              omega, epsilon, arc, samples=samples)
     certified = res.valid and res.margin > 0
     return {"verdict": "certified" if certified else "not-certified",
@@ -635,7 +633,7 @@ def _run_disk_certified(sc: Scenario, omega: complex, epsilon: float,
 
 def _run_disk_automorphism(sc: Scenario, **ladder: Any) -> dict:
     ladder = _ladder(**ladder)
-    symbol = _need(sc, "disk_symbol", "disk.symbol")
+    symbol = _need(sc.disk.get("symbol"), "disk.symbol")
     if symbol.kind != "blaschke":
         raise ScenarioError("scenario.disk.symbol",
                             "automorphism check needs a blaschke symbol")
@@ -645,7 +643,7 @@ def _run_disk_automorphism(sc: Scenario, **ladder: Any) -> dict:
     B = dsk.BlaschkeProduct(
         unimodular_constant=symbol.scale * symbol.blaschke.unimodular_constant,
         zeros=symbol.blaschke.zeros)
-    operator = _need(sc, "disk_operator", "disk.operator")
+    operator = _need(sc.disk.get("operator"), "disk.operator")
     res = dsk.automorphism_identity_check(B, operator, ladder=ladder)
     return {"verdict": "computed",
             "values": {"lower_bound": res.lower, "target": res.target,
@@ -752,23 +750,25 @@ def _digest(values: list) -> dict:
 
 
 def run_scenario(sc: Scenario, tol: float = 1e-9, timings: bool = False,
-                 allowed: tuple[str, ...] | None = None) -> dict:
+                 subcommand: str = "verify") -> dict:
     """Run every check of a scenario and assemble the report dict.
 
-    Individual check failures (bad parameter values or preconditions,
-    missing pieces, float overflow) are recorded with verdict "error" and
-    never abort the run; a tol that is not a finite real >= 0 raises
-    ScenarioError, and an
-    InvariantViolation does abort, since it means the tool itself is wrong.
+    A subcommand other than verify runs only its Check.group's checks, and
+    a scenario with any other check raises ScenarioError, as does a tol that
+    is not a finite real >= 0; a subcommand that is neither verify nor a
+    group raises ValueError.  Individual check failures (bad parameter
+    values or preconditions, missing pieces, float overflow) are recorded
+    with verdict "error" and never abort the run; an InvariantViolation
+    does abort, since it means the tool itself is wrong.
     """
     tol = _tol(tol, "tol")
-    if allowed is not None:
-        for entry in sc.checks:
-            if entry["name"] not in allowed:
-                raise ScenarioError(
-                    "scenario.checks",
-                    f"check {entry['name']!r} is not valid here; "
-                    f"allowed: {sorted(allowed)}")
+    if subcommand != "verify" and subcommand not in {c.group for c in CHECKS.values()}:
+        raise ValueError(f"unknown subcommand {subcommand!r}")
+    allowed = sorted(name for name, c in CHECKS.items() if subcommand in ("verify", c.group))
+    refused = [entry["name"] for entry in sc.checks if entry["name"] not in allowed]
+    if refused:
+        raise ScenarioError("scenario.checks", f"check {refused[0]!r} is not valid here; "
+                                               f"allowed: {allowed}")
     with shared_compilation():  # every check reads the same compiled profiles
         records = [_run_one(sc, entry, tol, timings) for entry in sc.checks]
     echo = {k: _pinned(v) if k in _COMPONENTS else v for k, v in sc.raw.items()}

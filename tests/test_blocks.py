@@ -2,7 +2,7 @@
 
 _canonical fills preallocated slot arrays and merges coinciding slots in
 place; _row_fsum, the profile's off-target rows and the reference pass
-walk blocks of about operators.BLOCK values.  pairwise_canonical and
+walk blocks of about measures.BLOCK values.  pairwise_canonical and
 oneshot_row_fsum below are the pairwise merge and the whole-array fsum
 that came before, frozen here as references: every array must match them
 bit for bit, and every exception must be the same.
@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from daugavetlab import operators
+from daugavetlab import measures, operators
 from daugavetlab.circle import (
     GridCircle,
     ScalarField,
@@ -40,7 +40,7 @@ from daugavetlab.operators import (
     rank_one,
 )
 
-BLOCK = operators.BLOCK
+BLOCK = measures.BLOCK
 
 
 def oneshot_row_fsum(values):

@@ -208,7 +208,7 @@ class TestRotationMax:
 
     def test_first_maximiser_wins_across_blocks(self):
         # |T| is tiny next to the weight, so every lambda attains the same
-        # maximum; over 2^17 lambdas, in blocks of operators.BLOCK, the first
+        # maximum; over 2^17 lambdas, in blocks of measures.BLOCK, the first
         # one is reported
         g = GridCircle(16)
         wc = WeightedComposition(ScalarField.constant(1.0), SymbolMap.identity())

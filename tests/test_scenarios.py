@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from daugavetlab import operators, scenarios
+from daugavetlab import measures, scenarios
 from daugavetlab.cli import main
 from daugavetlab.scenarios import (
     CHECKS,
@@ -248,10 +248,10 @@ class TestEcho:
     @pytest.mark.parametrize("values", [
         [], [{"re": 1.0}], [{"re": 0.5, "im": -0.25}, {"im": 1e-320, "re": -0.0}],
         [3, -0.0, 1e-320, 2.5, -7], [-0.0], [1e-320],
-        [{"re": i / 7, "im": -i} for i in range(3 * operators.BLOCK + 5)],
-        list(range(2 * operators.BLOCK)),
-        list(range(operators.BLOCK + 1))])
-    def test_streamed_digest_is_the_one_shot_digest(self, values):
+        [{"re": i / 7, "im": -i} for i in range(3 * measures.BLOCK + 5)],
+        list(range(2 * measures.BLOCK)),
+        list(range(measures.BLOCK + 1))])
+    def test_digest_is_length_and_sha256_of_one_compact_dump(self, values):
         assert scenarios._digest(values) == pin(values)
 
 
@@ -357,7 +357,8 @@ class TestRunnerGuards:
         if where == "space":
             del check["sizes"]
             obj["space"] = {"kind": "circle", "n": 64, "sizes": [8, 4]}
-        assert self.error(obj) == ("check.sizes: sizes must be at least 8 for the "
+        key = "check.sizes" if where == "check" else "scenario.space.sizes"
+        assert self.error(obj) == (f"{key}: sizes must be at least 8 for the "
                                    "preimage diagnostic at resolution 4/n, got 4")
 
     def test_ladder_radius_must_lie_inside_the_disk(self):
@@ -392,6 +393,12 @@ def overflowing(check):
                     checks=[check])
 
 
+def rank_one_at_0(coeff):
+    """A finite-rank T with g = 1 and one atom of weight coeff at 0."""
+    return {"kind": "finite_rank", "terms": [
+        {"g": {"kind": "constant", "re": 1.0}, "atoms": [{"pos": "0", **coeff}]}]}
+
+
 class TestCli:
     def run_cli(self, tmp_path, args, scenario_obj=None):
         argv = list(args)
@@ -416,6 +423,23 @@ class TestCli:
     def test_subcommand_restricts_checks(self, tmp_path, capsys):
         assert self.run_cli(tmp_path, ["sweep"], scenario()) == 1
         assert "not valid here" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand,allowed", [
+        ("sweep", "['refinement']"),
+        ("disk", "['disk-automorphism', 'disk-c-conditions', 'disk-certified', "
+                 "'disk-lower-bound']")])
+    def test_a_subcommand_runs_only_its_group(self, subcommand, allowed):
+        sc = parse_scenario(scenario())
+        with pytest.raises(ScenarioError) as exc:
+            run_scenario(sc, subcommand=subcommand)
+        assert str(exc.value) == ("scenario.checks: check 'equation' is not valid "
+                                  f"here; allowed: {allowed}")
+        assert run_scenario(sc, subcommand="verify") == run_scenario(sc)
+
+    @pytest.mark.parametrize("subcommand", ["sweeps", "Verify", "selftest"])
+    def test_an_unknown_subcommand_is_a_bad_argument(self, subcommand):
+        with pytest.raises(ValueError, match=f"unknown subcommand '{subcommand}'"):
+            run_scenario(parse_scenario(scenario()), subcommand=subcommand)
 
     def test_out_file_and_reproducibility(self, tmp_path):
         obj = scenario(checks=[{"name": "equation"}, {"name": "s-epsilon", "epsilon": 0.01}])
@@ -702,6 +726,27 @@ class TestSchemaRegressions:
             {"g": big, "atoms": [{"pos": "0", "re": 1.0}]}]})
         rec = run_scenario(parse_scenario(obj))["checks"][0]
         assert rec["verdict"] == "error" and "overflow" in rec["error"]
+
+    @pytest.mark.parametrize("overrides,sha256", [
+        ({"operator": rank_one_at_0({"re": 1.5e308, "im": 1.5e308}),
+          "checks": [{"name": "equation"}, {"name": "s-epsilon", "epsilon": 0.5}]},
+         "b5d5876941ede9132a7498d2e985eb29f5cd5ed811ed4dac902f3a3229ce0d68"),
+        ({"operator": {"kind": "sum", "terms": [rank_one_at_0({"re": 1e308})] * 2}},
+         "9cd8363410f9d9ebabc7c4db5cbac3f4e5264f31ed540b96a1c49d2b6b5f4846"),
+        ({"weight": {"kind": "constant", "re": 1.5e308, "im": 1.5e308},
+          "checks": [{"name": "equation"}, {"name": "rotation-max"}]},
+         "6dd6744c6115b3b32c51bd04316e59f92aef3a0d90518cf87a93359f2a407cc8")],
+        ids=["atom-modulus", "sum-of-weights", "weight-modulus"])
+    def test_overflow_inside_numpy_warns_of_nothing(self, tmp_path, overrides, sha256):
+        # every check records an error, in the bytes frozen before numpy's
+        # warnings were silenced; "always", since Python otherwise shows a
+        # warning once per line and one an earlier test raised would hide
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = verify(write(tmp_path, scenario(**overrides)))
+        assert code == 0 and err == "" and caught == []
+        assert all(r["verdict"] == "error" for r in json.loads(out)["checks"])
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     @pytest.mark.parametrize("value", [10 ** 12, 2 ** 20 + 1])
     def test_point_counts_are_bounded(self, value):
