@@ -572,13 +572,15 @@ def _tabulate(u: ScalarField, n: int) -> np.ndarray:
     if k == "cosine":
         theta = (TWO_PI * u.frequency * x).tolist()
         cos = np.array([math.cos(t) for t in theta])
-        return (u.offset + u.amplitude * cos).astype(complex)
+        with np.errstate(over="ignore"):  # inf, as the per-point float sum gives
+            return (u.offset + u.amplitude * cos).astype(complex)
     if k == "tent":
         # d(k/n, c) / h rounded once, as float(Fraction) does
         G, H = _arc_distances(u.center, u.half_width, n)
         left = 1.0 - (G / H).astype(float)
         bump = np.where(left > 0.0, left, 0.0)
-        return (u.base + (u.peak - u.base) * bump).astype(complex)
+        with np.errstate(invalid="ignore"):  # nan at inf * 0, as the per-point product gives
+            return (u.base + (u.peak - u.base) * bump).astype(complex)
     if k == "samples" and 1 <= n <= u.n and u.n % n == 0:
         # every (u.n // n)-th sample: the values at k/n, read off the table
         return np.array(u.samples[::u.n // n], dtype=complex)

@@ -113,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         text = (render_report_csv(report) if args.format == "csv"
                 else render_report_json(report))
-    except ValueError as exc:  # a value finite input still drove to NaN or infinity
+    except ValueError as exc:  # a NaN or infinity past _run_one's check of each record
         print(f"error: the report cannot be rendered: {exc}", file=sys.stderr)
         return 1
     return _emit(text, args.out)

@@ -77,7 +77,12 @@ class BlaschkeProduct:
 
 
 def blaschke_eval(B: BlaschkeProduct, z):
-    """Evaluate on the closed disk (scalar or ndarray); rejects |z| > 1."""
+    """Evaluate on the closed disk (scalar or ndarray); rejects |z| > 1.
+
+    The product is formed factor by factor in tuple order, each factor
+    (z - a) / (1 - conj(a) z) divided out before it multiplies the product
+    so far, so a ladder walk that forms each factor once and multiplies
+    by it gets the same bits."""
     arr = np.asarray(z, dtype=complex)
     if arr.size and float(np.max(np.abs(arr))) > 1.0 + BOUNDARY_SLACK:
         raise ValueError("evaluation point outside the closed unit disk")
@@ -86,7 +91,7 @@ def blaschke_eval(B: BlaschkeProduct, z):
         den = 1.0 - np.conj(a) * arr
         if arr.size and float(np.min(np.abs(den))) < 1e-300:
             raise ValueError(f"evaluation too close to the pole of the {a!r} factor")
-        out = out * (arr - a) / den
+        out = out * ((arr - a) / den)
     if arr.shape == ():
         return complex(out)
     return out
@@ -246,10 +251,11 @@ class SearchLadder:
 
     test_functions() is the one definition of the family, its order and its
     size.  disk_norm_lower_bound walks it depth first over shared zero
-    prefixes, one factor per evaluated function, skips every subtree whose
-    certified cap stays below the best value so far, and still reports the
-    first maximiser in test_functions() order; blaschke_eval on each member
-    is the reference route the walk is tested against.
+    prefixes, one complex multiply by a once-formed factor per evaluated
+    function, skips every subtree whose certified cap stays below the best
+    value so far, and still reports the first maximiser in test_functions()
+    order; blaschke_eval on each member is the reference route the walk is
+    tested against.
 
     Every member has phase 0: the searched operators are linear, so a
     unimodular prefactor never changes the sampled modulus.
@@ -315,6 +321,12 @@ def _ladder_tree(ladder: SearchLadder) -> tuple[list, int, list[complex]]:
     return root, size, list(zeros)
 
 
+def _factor(arr: np.ndarray, a: complex, den):
+    """The factor (arr - a) / den at each point of arr, with
+    den = 1 - conj(a) arr, as blaschke_eval forms it."""
+    return (arr - a) / den
+
+
 def _ladder_walk(root: list, zeros: list[complex], uz: np.ndarray, phiz: np.ndarray,
                  T: RankOneDiskOperator | None, gz: np.ndarray | None, scale: float
                  ) -> tuple[float, int, int, dict | None, int]:
@@ -324,12 +336,15 @@ def _ladder_walk(root: list, zeros: list[complex], uz: np.ndarray, phiz: np.ndar
     sample index and (shared, uncopied) description, and how many members
     were evaluated.
 
-    A child is its parent times one factor, formed as blaschke_eval forms
-    it (out * (arr - a) / den, factors in tuple order), so every value is
-    bit-identical to the per-function route; f(tau) rides along as a 0-d
-    chain.  The closed-disk and pole checks run once per point array and
-    pool zero, with blaschke_eval's messages.  Ties go to the smallest
-    ladder index.
+    A child is its parent times one factor, associated as blaschke_eval
+    associates it (out * ((arr - a) / den), factors in tuple order), so
+    every value is bit-identical to the per-function route; f(tau) rides
+    along as a 0-d chain.  Each pool zero's factor at phiz is formed once,
+    when the first scored member needs it, so a scored member costs one
+    complex multiply per sample; its 0-d factor at tau, which each child's
+    cap reads, is formed up front.  The closed-disk and pole checks run
+    once per point array and pool zero, before any factor is formed, with
+    blaschke_eval's messages.  Ties go to the smallest ladder index.
 
     Branch and bound: a factor has modulus at most 1 on the closed disk, so
     below a node |f(phi(z_k))| <= M, the least max_k |f(phi(z_k))| on the
@@ -342,12 +357,13 @@ def _ladder_walk(root: list, zeros: list[complex], uz: np.ndarray, phiz: np.ndar
     below the best so far.  A skipped member can then neither win nor tie,
     so the result is that of the full walk; a NaN cap never skips.
 
-    Memory: the walk allocates nothing per member.  A node's f goes into
-    the one buffer of its depth, which the next node of that depth
-    overwrites only after the node's whole subtree has been walked (the
-    stack pops depth first); the scores, the c f(tau) g term and the
-    moduli reuse one buffer each, through the same operations in the same
-    order, so every value stays bit-identical.
+    Memory: the walk allocates nothing per member.  Each pool zero holds
+    one array at phiz, its den until the factor is formed in its place.  A
+    node's f goes into the one buffer of its depth, which the next node of
+    that depth overwrites only after the node's whole subtree has been
+    walked (the stack pops depth first); the scores, the c f(tau) g term
+    and the moduli reuse one buffer each, through the same operations in
+    the same order, so every value stays bit-identical.
     """
     points = [phiz] if T is None else [phiz, np.asarray(complex(T.tau), dtype=complex)]
     for arr in points:
@@ -360,7 +376,11 @@ def _ladder_walk(root: list, zeros: list[complex], uz: np.ndarray, phiz: np.ndar
             den = 1.0 - np.conj(a) * arr
             if arr.size and float(np.min(np.abs(den))) < 1e-300:
                 raise ValueError(f"evaluation too close to the pole of the {a!r} factor")
-            factors[a].append((arr - a, den))
+            factors[a].append(den)
+    if T is not None:  # 0-d, so forming them up front costs next to nothing
+        for a in zeros:
+            factors[a][1] = _factor(points[1], a, factors[a][1])
+    formed = set()  # pool zeros whose factor at phiz replaced its den
     u_sup = float(np.max(np.abs(uz)))
     t_sup = 0.0 if T is None else abs(T.c) * float(np.max(np.abs(gz)))
 
@@ -375,17 +395,17 @@ def _ladder_walk(root: list, zeros: list[complex], uz: np.ndarray, phiz: np.ndar
         if a is not None:
             cap = u_sup * f_sup
             if T is not None:
-                num, den = factors[a][1]
-                f_tau = values[1] * num / den
+                f_tau = values[1] * factors[a][1]
                 cap += t_sup * abs(complex(f_tau))
             # at best = inf a skipped member could still tie
             if cap + 2.0 * REL_TOL * max(1.0, scale * cap) < best < math.inf:
                 continue
             if depth == len(f_at):
                 f_at.append(np.empty_like(values[0]))
-            num, den = factors[a][0]
-            f = np.multiply(values[0], num, out=f_at[depth])
-            f /= den
+            if a not in formed:
+                formed.add(a)
+                factors[a][0] = _factor(phiz, a, factors[a][0])
+            f = np.multiply(values[0], factors[a][0], out=f_at[depth])
             values = [f] if T is None else [f, f_tau]
         index, desc, children = node
         if index is not None:
@@ -435,12 +455,13 @@ def disk_norm_lower_bound(u: DiskFunction, phi: DiskFunction,
     ladder order.  Requires phi to map into the closed disk.
 
     _ladder_walk evaluates the ladder depth first over shared zero
-    prefixes, one complex multiply and divide per sample for each evaluated
-    test function on top of its parent, and skips every subtree whose
-    certified cap cannot reach the best value so far.  Values are
-    bit-identical to blaschke_eval per function (the reference route), and
-    ties go to the smallest test_functions() index, so bound and witness
-    depend neither on the walk order nor on what was skipped.
+    prefixes, one complex multiply per sample for each evaluated test
+    function on top of its parent (each factor is formed once per call),
+    and skips every subtree whose certified cap cannot reach the best value
+    so far.  Values are bit-identical to blaschke_eval per function (the
+    reference route), and ties go to the smallest test_functions() index,
+    so bound and witness depend neither on the walk order nor on what was
+    skipped.
     family_size counts the whole ladder, evaluated only what was scored.
     """
     m = ladder.samples

@@ -26,6 +26,7 @@ allow_nan=False) of plain JSON values, and no wall-clock data is embedded
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import sys
@@ -714,6 +715,9 @@ def _run_one(sc: Scenario, entry: dict, tol: float, timings: bool) -> dict:
         args = {k: tol if v is RUN_TOL else v
                 for k, v in _read(given, "check", check.params, sc.n).items()}
         out = check.run(sc, **args)
+        at = _non_finite(out)
+        if at is not None:
+            raise ValueError(f"{at[0]} = {at[1]!r} is not finite")
         record.update(out, params={**args, **out.get("params", {})})
     except (ValueError, OverflowError) as exc:
         key = _key_at_fault(exc, check.params)
@@ -722,6 +726,21 @@ def _run_one(sc: Scenario, entry: dict, tol: float, timings: bool) -> dict:
     if timings:
         record["runtime_ms"] = (time.perf_counter() - start) * 1000.0
     return record
+
+
+def _non_finite(value: Any, path: str = "") -> tuple[str, Any] | None:
+    """The dotted path and value of the first NaN or infinity in a check's
+    output, in the order the check built it; None if every number is
+    finite."""
+    if isinstance(value, dict):
+        items = ((f"{path}.{k}" if path else str(k), v) for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    elif isinstance(value, (float, complex, np.inexact)) and not cmath.isfinite(value):
+        return path, value
+    else:
+        return None
+    return next(filter(None, (_non_finite(v, p) for p, v in items)), None)
 
 
 #: The scenario keys that hold components, and the grid-sized list of each
@@ -757,9 +776,10 @@ def run_scenario(sc: Scenario, tol: float = 1e-9, timings: bool = False,
     a scenario with any other check raises ScenarioError, as does a tol that
     is not a finite real >= 0; a subcommand that is neither verify nor a
     group raises ValueError.  Individual check failures (bad parameter
-    values or preconditions, missing pieces, float overflow) are recorded
-    with verdict "error" and never abort the run; an InvariantViolation
-    does abort, since it means the tool itself is wrong.
+    values or preconditions, missing pieces, float overflow, a NaN or
+    infinity in a check's values) are recorded with verdict "error" and
+    never abort the run; an InvariantViolation does abort, since it means
+    the tool itself is wrong.
     """
     tol = _tol(tol, "tol")
     if subcommand != "verify" and subcommand not in {c.group for c in CHECKS.values()}:

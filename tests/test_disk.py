@@ -23,7 +23,7 @@ from daugavetlab.disk import (
     disk_counterexample_operator,
     disk_norm_lower_bound,
 )
-from daugavetlab.errors import InvariantViolation
+from daugavetlab.errors import REL_TOL, InvariantViolation
 
 
 class TestBlaschke:
@@ -421,6 +421,99 @@ class TestLadderWalk:
         disk_norm_lower_bound(DiskFunction.constant(1.0), DiskFunction.scaled_identity(1.0),
                               None, SearchLadder(max_depth=1, max_monomial=0, samples=8))
         self.test_pole_still_raises()
+
+
+def divided_last(B, z):
+    """blaschke_eval as it associated each factor before the ladder walk
+    formed each factor once, out * (z - a) / den, kept to bound what that
+    change moved."""
+    arr = np.asarray(z, dtype=complex)
+    out = np.full(arr.shape, B.unimodular_constant, dtype=complex)
+    for a in B.zeros:
+        out = out * (arr - a) / (1.0 - np.conj(a) * arr)
+    return out
+
+
+def member_scores(u, phi, T, ladder, evaluate):
+    """(max_k |u f(phi) + c f(tau) g|, its first k) of every test_functions()
+    member, each f evaluated by evaluate, as reference_lower_bound scores it."""
+    m = ladder.samples
+    z = np.exp(2j * np.pi * np.arange(m) / m)
+    uz = np.asarray(u(z))
+    phiz = np.asarray(phi(z))
+    phiz = np.where(np.abs(phiz) > 1.0, phiz / np.abs(phiz), phiz)
+    scores = []
+    for _, f in ladder.test_functions():
+        values = uz * evaluate(f, phiz)
+        if T is not None:
+            values = values + T.c * evaluate(f, complex(T.tau)) * np.asarray(T.g(z))
+        values = np.abs(values)
+        k = int(np.argmax(values))
+        scores.append((float(values[k]), k))
+    return scores
+
+
+class TestFactorAssociation:
+    """Dividing out each factor before multiplying by it moved ladder values
+    in their last bits, never by more than the walk's skip slack, and the
+    walk forms each factor once, only when a scored member needs it."""
+
+    @pytest.mark.parametrize("case", [inner_case, certified_case])
+    def test_moved_values_stay_inside_the_skip_slack(self, case):
+        rng = np.random.default_rng(25)
+        for trial in range(4):
+            ladder = SearchLadder(radii=(0.5, 0.9, 0.99, 0.999)[trial:], max_depth=4 + trial % 2,
+                                  samples=int(rng.integers(256, 1024)))
+            u, phi, T = case(rng)
+            scale = disk._ladder_scale(ladder, 1.0)
+
+            def within_slack(new, old):
+                return abs(new - old) <= 2.0 * REL_TOL * max(1.0, scale * max(new, old))
+
+            now = member_scores(u, phi, T, ladder, blaschke_eval)
+            before = member_scores(u, phi, T, ladder, divided_last)
+            assert all(within_slack(a, b) for (a, _), (b, _) in zip(now, before))
+            best = max(value for value, _ in before)
+            first = next(i for i, (value, _) in enumerate(before) if value == best)
+            res = disk_norm_lower_bound(u, phi, T, ladder)
+            assert within_slack(res.bound, best)
+            desc = list(ladder.test_functions())[first][0]
+            assert {k: v for k, v in res.witness.items() if k != "z"} == {
+                **desc, "sample_index": before[first][1]}
+
+    def formed(self, monkeypatch, u, phi, T, ladder):
+        """The walk's result and the pool zeros whose factor it formed at
+        the samples (0-d factors at tau apart), in order."""
+        factor, calls = disk._factor, []
+
+        def spy(arr, a, den):
+            calls.append((a, np.ndim(arr)))
+            return factor(arr, a, den)
+
+        monkeypatch.setattr(disk, "_factor", spy)
+        res = disk_norm_lower_bound(u, phi, T, ladder)
+        assert [a for a, ndim in calls if not ndim] == (
+            [] if T is None else [complex(a) for a in ladder.zero_pool()])
+        return res, [a for a, ndim in calls if ndim]
+
+    @pytest.mark.parametrize("case", [certified_case, contraction_case])
+    def test_each_factor_is_formed_at_most_once(self, monkeypatch, case):
+        rng = np.random.default_rng(11)
+        for trial in range(4):
+            ladder = SearchLadder(max_depth=2 + trial % 2, samples=int(rng.integers(64, 512)))
+            res, formed = self.formed(monkeypatch, *case(rng), ladder)
+            assert res.evaluated > 1
+            assert 1 <= len(formed) == len(set(formed)) <= len(ladder.zero_pool())
+
+    def test_a_walk_that_scores_only_the_root_forms_none(self, monkeypatch):
+        # the deck's inner entries: at f = 1 the dense samples score nearly
+        # max|u| + |c| max|g|, and every child's cap falls short of that by
+        # |c| max|g| (1 - |f(tau)|), since no factor is unimodular at tau
+        rng = np.random.default_rng(11)
+        for trial in range(4):
+            ladder = SearchLadder(max_depth=4 + trial % 2, samples=int(rng.integers(1024, 4096)))
+            res, formed = self.formed(monkeypatch, *inner_case(rng), ladder)
+            assert (res.evaluated, formed) == (1, [])
 
 
 class TestCertifiedBound:

@@ -15,11 +15,12 @@ phase_grid, and the version reads "2".  Undoing those three on each
 golden report gives back, byte for byte, the version 1 report whose
 sha256 is frozen below.
 
-Within version 2, some values later moved in their last bits, when the
+Within version 2, some values later moved in their last bits: when the
 criterion sweep and rotation-max began to read the one verified sup|u|
-and ||T|| and to take every reported modulus through circle.modulus.
-MOVED holds each such value as it was before; putting them back gives
-the earlier version 2 report, whose sha256 is frozen too.
+and ||T|| and to take every reported modulus through circle.modulus, and
+when blaschke_eval began to divide out each factor before multiplying by
+it.  MOVED holds each such value as it was before; putting them back
+gives the earlier version 2 report, whose sha256 is frozen too.
 """
 
 import hashlib
@@ -70,7 +71,8 @@ def test_deck_reports_match_the_frozen_digest():
 SWEEP = ("checks", 1, "values", "levels")
 
 #: The values that moved when the readers took one sup|u|, one ||T|| and
-#: circle.modulus: the earlier value, by golden report and JSON path.
+#: circle.modulus, and when blaschke_eval's factors were associated as
+#: out * ((z - a) / den): the earlier value, by golden report and JSON path.
 MOVED = {
     "circle-closed-256.json": {(*SWEEP, 3, "sup_value"): 0.0},
     "circle-tabulated-256.json": {
@@ -84,6 +86,11 @@ MOVED = {
         ("checks", 2, "values", "max"): 3.1534601281551966,
         ("checks", 2, "values", "deviation"): 0.0},
     "selftest-0.json": {("stages", 2, "values", "worst"): 1.7763568394002505e-15},
+    "disk-automorphism-256.json": {
+        ("checks", 0, "values", "detail", "symbol_spread"): 1.9999103816591992,
+        ("checks", 1, "values", "lower_bound"): 1.758890472575364,
+        ("checks", 2, "values", "deficit"): 0.02373331954956237,
+        ("checks", 2, "values", "lower_bound"): 1.758890472575364},
 }
 
 #: sha256 of each golden report before the values in MOVED moved.
@@ -120,7 +127,8 @@ def version_2(name: str) -> dict:
 def test_only_last_bit_value_keys_moved():
     assert set(MOVED) <= set(V2_SHA256) == set(V1_SHA256)
     keys = {path[-1] for table in MOVED.values() for path in table}
-    assert keys <= {"sup_value", "max", "deviation", "worst"}
+    assert keys <= {"sup_value", "max", "deviation", "worst",
+                    "symbol_spread", "lower_bound", "deficit"}
 
 
 @pytest.mark.parametrize("name", sorted(V2_SHA256))

@@ -696,7 +696,7 @@ class TestSchemaRegressions:
         assert code == 0, err
         assert strict_json(out)["checks"][0]["error"].startswith("check.tol:")
 
-    def test_non_finite_result_from_finite_input_exit_one(self, tmp_path):
+    def test_non_finite_result_from_finite_input_is_a_check_error(self, tmp_path):
         big = {"kind": "constant", "re": 1e308}
         obj = {"disk": {"weight": big, "symbol": {"kind": "scaled_identity", "re": 1.0},
                         "operator": {"kind": "point_eval", "tau": {"re": 0.0}, "g": big,
@@ -705,9 +705,31 @@ class TestSchemaRegressions:
                            "max_monomial": 1, "samples": 4}]}
         with pytest.warns(RuntimeWarning):
             code, out, err = verify(write(tmp_path, obj))
-        assert code == 1 and out == "" and "cannot be rendered" in err
-        with pytest.raises(ValueError), pytest.warns(RuntimeWarning):
-            render_report_json(run_scenario(parse_scenario(obj)))
+        assert code == 0 and err == ""
+        rec = strict_json(out)["checks"][0]
+        assert rec["verdict"] == "error"
+        assert rec["error"] == "values.lower_bound = inf is not finite"
+
+    @pytest.mark.parametrize("overrides,error", [
+        ({"weight": {"kind": "tent", "center": "1/2", "half_width": "1/8",
+                     "peak": 1.7e308, "base": -1.7e308}}, "values.lhs = nan is not finite"),
+        ({"weight": {"kind": "cosine", "amplitude": 1.7e308, "offset": 1.7e308}},
+         "values.lhs = inf is not finite"),
+        ({"weight": {"kind": "constant", "re": 1e308},
+          "symbol": {"kind": "constant_on_arc", "value": "0", "center": "1/2",
+                     "half_width": "1/8"},
+          "checks": [{"name": "counterexample-preimage", "target": "0", "center": "1/2",
+                      "half_width": "1/16"}]},
+         "values.certified_gap = inf is not finite")],
+        ids=["tent", "cosine", "preimage"])
+    def test_non_finite_check_value_is_a_check_error(self, tmp_path, overrides, error):
+        # the whole report once failed to render: exit 1, naming no path
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = verify(write(tmp_path, scenario(**overrides)))
+        assert code == 0 and err == "" and caught == []
+        rec = strict_json(out)["checks"][0]
+        assert rec["verdict"] == "error" and rec["error"] == error
 
     @pytest.mark.parametrize("flags", [["--tol", "abc"], ["--format", "xml"], ["--bogus"]])
     def test_rejected_flag_exits_one(self, tmp_path, capsys, flags):
