@@ -16,7 +16,7 @@ from daugavetlab import (
     SymbolMap,
     WeightedComposition,
     norm_oracle,
-    operator_norm,
+    perturbation_profile,
     perturbed_norm,
     rank_one,
     total_variation,
@@ -37,10 +37,11 @@ print("A weighted composition and a rank-one perturbation")
 u = ScalarField.cosine(amplitude=0.25, offset=0.75, frequency=1)
 wc = WeightedComposition(u, SymbolMap.doubling())
 T = rank_one(ScalarField.constant(0.5), at=Fraction(0), scale=1.0)
-print(f"  sup|u| over the grid      {wc.weight_sup(grid)}")
-print(f"  ||T||                     {operator_norm(T, grid)}")
+prof = perturbation_profile(wc, T, grid)  # it holds sup|u| and ||T||
+print(f"  sup|u| over the grid      {prof.weight_sup}")
+print(f"  ||T||                     {prof.t_norm}")
 print(f"  ||uC_phi + T||            {perturbed_norm(wc, T, grid)}")
-print(f"  triangle bound            {wc.weight_sup(grid) + operator_norm(T, grid)}")
+print(f"  triangle bound            {prof.weight_sup + prof.t_norm}")
 print()
 
 print("Where the norm comes from, point by point")

@@ -13,7 +13,7 @@ from daugavetlab import (
     ScalarField,
     SymbolMap,
     WeightedComposition,
-    operator_norm,
+    perturbation_profile,
     perturbed_norm,
     rank_one,
     rotation_max_norm,
@@ -27,7 +27,8 @@ T = rank_one(ScalarField.cosine(amplitude=0.5, offset=0.5, frequency=1),
              at=Fraction(0), scale=-1.0)
 
 plain = perturbed_norm(wc, T, grid)
-upper = wc.weight_sup(grid) + operator_norm(T, grid)
+prof = perturbation_profile(wc, T, grid)
+upper = prof.weight_sup + prof.t_norm
 print(f"||uC_phi + T||  = {plain:.12f}   (lambda = 1, short of the bound)")
 print(f"sup|u| + ||T||  = {upper:.12f}")
 print()

@@ -11,8 +11,8 @@ the active set of points whose measure nearly attains ||T||, the phase
 deficiency |u(s) + m_s| - (sup|u| + |m_s|) must reach zero (m_s is the mass
 the perturbation places exactly on phi(s)).  Sweeping epsilon downward
 through a dyadic ladder makes the two routes comparable on finite grids.
-Both routes read one sup|u| (WeightedComposition.weight_sup) and one ||T||
-(operator_norm), and take every modulus through circle.modulus.
+Both routes read sup|u| and ||T|| off their shared, verified profile and
+take every modulus through circle.modulus.
 
 The two counterexample constructors certify strict failure: one exploits a
 non-constant |u| by hanging a rank-one tent on the modulus minimum, the
@@ -92,10 +92,10 @@ TARGET_SAMPLES = 8
 # pointwise criterion and the norm equation
 # ---------------------------------------------------------------------------
 
-def _deficiency(prof: PerturbationProfile, weight_sup: float) -> np.ndarray:
+def _deficiency(prof: PerturbationProfile) -> np.ndarray:
     """|u(s) + m_s| - (sup|u| + |m_s|), always <= 0 up to rounding."""
     return (modulus(prof.weight + prof.aligned_mass)
-            - (weight_sup + modulus(prof.aligned_mass)))
+            - (prof.weight_sup + modulus(prof.aligned_mass)))
 
 
 @dataclass(frozen=True)
@@ -106,12 +106,13 @@ class CriterionResult:
     holds: bool
 
 
-def _criterion_level(tv: np.ndarray, deficiency: np.ndarray, weight_sup: float,
-                     t_norm: float, epsilon: float, tol: float) -> CriterionResult:
-    """criterion_sup at one level, from the profile's per-point total
-    variation tv and its _deficiency.  Below one rounding step of ||T||
-    (t_norm - epsilon == t_norm) the active set is the points that attain
-    ||T||, as the sweep's one-rounding-step level picks them."""
+def _criterion_level(prof: PerturbationProfile, deficiency: np.ndarray,
+                     epsilon: float, tol: float) -> CriterionResult:
+    """criterion_sup at one level, from the profile and its _deficiency.
+    Below one rounding step of ||T|| (t_norm - epsilon == t_norm) the
+    active set is the points that attain ||T||, as the sweep's
+    one-rounding-step level picks them."""
+    tv, t_norm = prof.total_variation, prof.t_norm
     level = t_norm - epsilon
     active = tv >= t_norm if level == t_norm else tv > level
     if not active.any():
@@ -120,7 +121,7 @@ def _criterion_level(tv: np.ndarray, deficiency: np.ndarray, weight_sup: float,
     sup_value = float(deficiency[active].max())
     at_most(sup_value, 0.0, f"criterion supremum {sup_value!r} is positive; "
                             "the deficiency is bounded by zero",
-            scale=max(weight_sup, t_norm))
+            scale=max(prof.weight_sup, t_norm))
     return CriterionResult(epsilon=float(epsilon), active_set_size=int(active.sum()),
                            sup_value=sup_value, holds=sup_value >= -tol)
 
@@ -137,9 +138,7 @@ def criterion_sup(wc: WeightedComposition, T: SupportsMeasureAt, epsilon: float,
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     prof = perturbation_profile(wc, T, grid)
-    weight_sup, t_norm = wc.weight_sup(grid), operator_norm(T, grid)
-    return _criterion_level(prof.total_variation, _deficiency(prof, weight_sup),
-                            weight_sup, t_norm, epsilon, tol)
+    return _criterion_level(prof, _deficiency(prof), epsilon, tol)
 
 
 def _arc_points(U: Arc, grid: GridCircle) -> np.ndarray:
@@ -166,7 +165,7 @@ class OpenSetCriterionResult:
 def open_set_criterion(wc: WeightedComposition, T: SupportsMeasureAt, U: Arc,
                        grid: GridCircle, tol: float = 1e-9) -> OpenSetCriterionResult:
     """Same deficiency supremum, restricted to the grid points of an arc."""
-    deficiency = _deficiency(perturbation_profile(wc, T, grid), wc.weight_sup(grid))
+    deficiency = _deficiency(perturbation_profile(wc, T, grid))
     mask = _arc_points(U, grid)
     sup_value = float(deficiency[mask].max())
     return OpenSetCriterionResult(sup_value=sup_value, points=int(mask.sum()),
@@ -187,13 +186,13 @@ class EquationResult:
 def equation_holds(wc: WeightedComposition, T: SupportsMeasureAt,
                    grid: GridCircle, tol: float = 1e-9) -> EquationResult:
     """Does ||uC_phi + T|| equal sup|u| + ||T|| on the grid, within tol?"""
+    prof = perturbation_profile(wc, T, grid)
     lhs = perturbed_norm(wc, T, grid)
-    weight_sup, t_norm = wc.weight_sup(grid), operator_norm(T, grid)
-    rhs = weight_sup + t_norm
+    rhs = prof.weight_sup + prof.t_norm
     at_most(lhs, rhs, f"norm {lhs!r} exceeds the additivity bound {rhs!r}")
     gap = rhs - lhs
     return EquationResult(holds=gap <= tol, lhs=lhs, rhs=rhs, gap=gap,
-                          weight_sup=weight_sup, t_norm=t_norm)
+                          weight_sup=prof.weight_sup, t_norm=prof.t_norm)
 
 
 @dataclass(frozen=True)
@@ -220,8 +219,7 @@ def criterion_sweep(wc: WeightedComposition, T: SupportsMeasureAt,
     never turns an agreement into a disagreement.
     """
     prof = perturbation_profile(wc, T, grid)
-    weight_sup, t_norm = wc.weight_sup(grid), operator_norm(T, grid)
-    tv = prof.total_variation
+    tv, t_norm = prof.total_variation, prof.t_norm
     epsilons = [t_norm * 2.0 ** -k for k in range(21) if t_norm > 0.0]
     epsilons.append(t_norm + 1.0)
     floor = max(tol, 0.0)
@@ -233,9 +231,8 @@ def criterion_sweep(wc: WeightedComposition, T: SupportsMeasureAt,
         if t_norm - eps == t_norm:
             eps = gap  # one rounding step: the half would round back to ||T||
         epsilons.append(eps)
-    deficiency = _deficiency(prof, weight_sup)
-    results = tuple(_criterion_level(tv, deficiency, weight_sup, t_norm, eps, tol)
-                    for eps in epsilons)
+    deficiency = _deficiency(prof)
+    results = tuple(_criterion_level(prof, deficiency, eps, tol) for eps in epsilons)
     return SweepResult(holds=all(r.holds for r in results), results=results)
 
 

@@ -410,10 +410,11 @@ def _ladder_walk(root: list, zeros: list[complex], uz: np.ndarray, phiz: np.ndar
         index, desc, children = node
         if index is not None:
             evaluated += 1
-            np.multiply(uz, values[0], out=scores)
-            if T is not None:
-                scores += np.multiply(T.c * complex(values[1]), gz, out=term)
-            np.abs(scores, out=moduli)
+            with np.errstate(over="ignore"):  # an inf score is reported as not finite
+                np.multiply(uz, values[0], out=scores)
+                if T is not None:
+                    scores += np.multiply(T.c * complex(values[1]), gz, out=term)
+                np.abs(scores, out=moduli)
             k = int(np.argmax(moduli))
             value = float(moduli[k])
             if value > best or (value == best and index < best_index):

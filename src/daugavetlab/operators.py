@@ -8,9 +8,9 @@ finite-rank perturbations contribute finitely many moving atoms.
 
 The perturbed norm of uC_phi + T splits at each point into the aligned part
 |u(s) + mu_s({phi(s)})| plus the off-target variation.  perturbation_profile
-holds the split's parts at every grid point, plus each point's total
-variation |mu_s|; the norms, the criterion sweep, the lambda search and the
-s-epsilon count all read it.
+holds the split and its parts at every grid point, each point's total
+variation |mu_s|, sup|u| and ||T||: every circle check but the convex one
+reads its norms there, and operator_norm serves operators without a profile.
 
 Compiled route.  Inside a shared_compilation() block (see circle.py) an
 operator compiles once per grid to a family of atom slots: for each slot
@@ -50,7 +50,9 @@ split |u + m| + off, and the total variation of mu_s the compiled row
 total variation, to errors.agree's relative tolerance, else
 InvariantViolation names the point.  The reference pass
 is a check only: it builds nothing the checks read and names nothing of
-the compiled route, so it stays an independent witness.
+the compiled route, so it stays an independent witness.  Once it passes,
+the profile takes ||T||, its largest row (ValueError when it is not
+finite), and sup|u|, held to the pass's u(s) where it is attained.
 """
 
 from __future__ import annotations
@@ -120,11 +122,6 @@ class WeightedComposition:
 
     def measure_at(self, s: Fraction) -> AtomicMeasure:
         return AtomicMeasure.from_atoms([(self.phi(s), self.u(s))])
-
-    def weight_sup(self, grid: GridCircle) -> float:
-        """Operator norm: sup |u| over the grid, held to |u(s)| where it is
-        attained (modulus_constancy)."""
-        return modulus_constancy(self.u, grid).value
 
 
 @dataclass(frozen=True)
@@ -217,7 +214,8 @@ def _row_fsum(values: np.ndarray) -> np.ndarray:
     """
     m, k = values.shape
     if m <= 2:  # a single rounding of the exact sum, as fsum gives
-        out = values.sum(axis=0) if m else np.zeros(k)
+        with np.errstate(over="ignore"):  # an inf goes on to fsum, which raises
+            out = values.sum(axis=0) if m else np.zeros(k)
         if np.isfinite(out).all():
             return out
     out = np.empty(k)
@@ -341,23 +339,22 @@ def operator_norm(T: SupportsMeasureAt, grid: GridCircle) -> float:
 @dataclass(frozen=True)
 class PerturbationProfile:
     """Per-point data of uC_phi + T: weight u(s), aligned mass mu_s({phi(s)}),
-    off-target variation |mu_s|(S - {phi(s)}) and total variation |mu_s|(S)."""
+    off-target variation |mu_s|(S - {phi(s)}), total variation |mu_s|(S) and
+    the split |u(s) + mu_s({phi(s)})| + off; and sup|u| and ||T||."""
 
     weight: np.ndarray           # complex
     aligned_mass: np.ndarray     # complex
     off_mass: np.ndarray         # real
     total_variation: np.ndarray  # real
-
-
-def _split(prof: PerturbationProfile) -> np.ndarray:
-    """|u(s) + mu_s({phi(s)})| + |mu_s|(S - {phi(s)}) at every point."""
-    with np.errstate(over="ignore"):  # inf, as the per-point sum gives
-        return modulus(prof.weight + prof.aligned_mass) + prof.off_mass
+    split: np.ndarray            # real
+    weight_sup: float
+    t_norm: float
 
 
 def _compiled_profile(wc: WeightedComposition, T: SupportsMeasureAt,
-                      grid: GridCircle) -> PerturbationProfile:
-    """The profile read off T's compiled family at phi's codes."""
+                      grid: GridCircle) -> tuple[np.ndarray, ...]:
+    """Weight, aligned mass, off-target and total variation, read off T's
+    compiled family at phi's codes."""
     n = grid.n
     fam = compiled_family(T, n)
     aligned, slot = point_masses(fam, symbol_codes(wc.phi, n))
@@ -368,7 +365,7 @@ def _compiled_profile(wc: WeightedComposition, T: SupportsMeasureAt,
         at = rows[block]
         rest = fam.present[:, at] & (np.arange(m)[:, None] != slot[at])
         off[at] = _row_fsum(np.where(rest, modulus(fam.weights[:, at]), 0.0))
-    return PerturbationProfile(tabulate(wc.u, n), aligned, off, fam.tv)
+    return tabulate(wc.u, n), aligned, off, fam.tv
 
 
 def _values(g: ScalarField, n: int) -> np.ndarray:
@@ -411,7 +408,8 @@ def _columns(T: SupportsMeasureAt, n: int) -> ColumnFamily:
 
 def _checked_profile(wc: WeightedComposition, T: SupportsMeasureAt,
                      grid: GridCircle) -> PerturbationProfile:
-    """The compiled profile, after one reference pass over every point.
+    """The compiled profile and its norms, after one reference pass over
+    every point.
 
     That pass (column_norms) computes total_variation(mu_s) and the direct
     norm of mu_s + u(s) delta_{phi(s)} at every point, and the profile's
@@ -419,25 +417,33 @@ def _checked_profile(wc: WeightedComposition, T: SupportsMeasureAt,
     are made once per field, symbol and grid in the block, so profiles
     that share u, phi or a coefficient evaluate it once.
     """
-    prof = _compiled_profile(wc, T, grid)
+    weight, aligned, off, tv = _compiled_profile(wc, T, grid)
+    with np.errstate(over="ignore"):  # inf, as the per-point sum gives
+        split = modulus(weight + aligned) + off
     ref_tv, ref = column_norms(_columns(T, grid.n), _pointwise(wc, grid.n))
-    split = _split(prof)
     # the two routes usually agree bit for bit, and equal values always
     # pass, so only a differing point goes through the tolerance rule
-    for k in np.flatnonzero((ref_tv != prof.total_variation) | (ref != split)).tolist():
+    for k in np.flatnonzero((ref_tv != tv) | (ref != split)).tolist():
         p = grid.coord(k)
-        tv, direct_tv = float(prof.total_variation[k]), float(ref_tv[k])
-        if direct_tv != tv:
-            agree(tv, direct_tv, lambda: f"compiled total variation {tv!r} disagrees "
-                                         f"with the measure's total variation "
-                                         f"{direct_tv!r} at s={p}")
+        row, direct_tv = float(tv[k]), float(ref_tv[k])
+        if direct_tv != row:
+            agree(row, direct_tv, lambda: f"compiled total variation {row!r} disagrees "
+                                          f"with the measure's total variation "
+                                          f"{direct_tv!r} at s={p}")
         s, direct = float(split[k]), float(ref[k])
         if direct != s:
             agree(s, direct, lambda: f"aligned/off-target split {s!r} disagrees with "
                                      f"direct total variation {direct!r} at s={p}")
-    for a in (prof.weight, prof.aligned_mass, prof.off_mass, prof.total_variation):
+    k = int(np.argmax(modulus(weight)))
+    weight_sup, u_k = float(modulus(weight[k])), abs(complex(_values(wc.u, grid.n)[k]))
+    agree(weight_sup, u_k, lambda: f"tabulated |u| {weight_sup!r} disagrees with "
+                                   f"|u(s)| {u_k!r} at s={grid.coord(k)}")
+    t_norm = float(tv.max())
+    if not math.isfinite(t_norm):
+        raise ValueError(f"||T|| = {t_norm!r} is not finite")
+    for a in (weight, aligned, off, tv, split):
         a.flags.writeable = False
-    return prof
+    return PerturbationProfile(weight, aligned, off, tv, split, weight_sup, t_norm)
 
 
 @compiles
@@ -445,19 +451,15 @@ def perturbation_profile(wc: WeightedComposition, T: SupportsMeasureAt,
                          grid: GridCircle) -> PerturbationProfile:
     """The profile of uC_phi + T on the grid, cross-checked point by point
     the first time it is built in a shared_compilation() block (read-only
-    arrays)."""
+    arrays).  ValueError when ||T|| is not finite."""
     return memoized("profile", grid.n, (wc.u, wc.phi, T),
                     lambda: _checked_profile(wc, T, grid))
 
 
 def perturbed_norm(wc: WeightedComposition, T: SupportsMeasureAt,
                    grid: GridCircle) -> float:
-    """Exact norm of uC_phi + T on the grid model.
-
-    sup_s ( |u(s) + mu_s({phi(s)})| + |mu_s|(S - {phi(s)}) ), each point
-    cross-checked against the direct total variation of the merged family.
-    """
-    return float(_split(perturbation_profile(wc, T, grid)).max())
+    """Exact norm of uC_phi + T on the grid model: its profile's largest split."""
+    return float(perturbation_profile(wc, T, grid).split.max())
 
 
 @dataclass(frozen=True)
@@ -491,7 +493,6 @@ def rotation_max_norm(wc: WeightedComposition, T: SupportsMeasureAt,
     prof = perturbation_profile(wc, T, grid)
     analytic = float(np.max(modulus(prof.weight) + modulus(prof.aligned_mass)
                             + prof.off_mass))
-    t_norm = operator_norm(T, grid)
 
     lam = np.exp(2j * np.pi * np.arange(lambda_grid) / lambda_grid)
     searched = -np.inf
@@ -514,11 +515,11 @@ def rotation_max_norm(wc: WeightedComposition, T: SupportsMeasureAt,
             arg_idx = cols.start + k
     at_most(searched, analytic,
             f"lambda search {searched!r} exceeded the analytic maximum {analytic!r}")
-    slack = (2.0 * math.pi / lambda_grid) * t_norm
+    slack = (2.0 * math.pi / lambda_grid) * prof.t_norm
     at_most(analytic - searched, slack,
             f"lambda search {searched!r} missed the analytic maximum {analytic!r} "
             f"by more than {slack!r}", scale=analytic)
-    return RotationMaxResult(max=analytic, expected=report.value + t_norm,
+    return RotationMaxResult(max=analytic, expected=prof.weight_sup + prof.t_norm,
                              searched=searched, argmax_lambda=complex(lam[arg_idx]),
                              lambda_grid=lambda_grid)
 

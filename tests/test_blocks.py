@@ -203,14 +203,14 @@ class TestProfileBlocks:
         with shared_compilation():
             fam = compiled_family(T, n)
             assert len(operators._blocks(n, len(fam.codes))) > 2
-            prof = operators._compiled_profile(wc, T, GridCircle(n))
+            _, _, off_mass, _ = operators._compiled_profile(wc, T, GridCircle(n))
             _, slot = point_masses(fam, symbol_codes(phi, n))
         rows = np.flatnonzero(slot >= 0)
         assert rows.size == n
         rest = fam.present[:, rows] & (np.arange(len(fam.codes))[:, None] != slot[rows])
         off = fam.tv.copy()
         off[rows] = oneshot_row_fsum(np.where(rest, modulus(fam.weights[:, rows]), 0.0))
-        assert prof.off_mass.tobytes() == off.tobytes()
+        assert off_mass.tobytes() == off.tobytes()
 
     def test_reference_pass_catches_a_point_in_a_later_block(self, monkeypatch):
         n, k = 2 * BLOCK, BLOCK + 5

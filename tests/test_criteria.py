@@ -217,15 +217,25 @@ def sampled_instance(seed, n=64):
 
 
 class TestOneSupAndOneNorm:
-    """Every reader takes sup|u| from weight_sup, ||T|| from operator_norm,
-    per-point total variations from the profile and moduli through
-    circle.modulus, so its values follow from those bit for bit."""
+    """Every reader takes sup|u|, ||T|| and the per-point total variations
+    from its profile, and moduli through circle.modulus.  The profile's
+    norms are modulus_constancy's sup|u| and operator_norm's ||T||, so a
+    reader's values follow from those bit for bit."""
 
     @staticmethod
     def deficiency(wc, T, g):
         prof = perturbation_profile(wc, T, g)
         return prof, (modulus(prof.weight + prof.aligned_mass)
-                      - (wc.weight_sup(g) + modulus(prof.aligned_mass)))
+                      - (modulus_constancy(wc.u, g).value + modulus(prof.aligned_mass)))
+
+    def test_the_profile_holds_the_standalone_norms(self):
+        for seed in range(10):
+            wc, T, g = sampled_instance(seed)
+            prof = perturbation_profile(wc, T, g)
+            assert (prof.weight_sup, prof.t_norm) == (modulus_constancy(wc.u, g).value,
+                                                      operator_norm(T, g))
+            assert np.array_equal(prof.split, modulus(prof.weight + prof.aligned_mass)
+                                  + prof.off_mass)
 
     def test_sweep_levels_follow_from_the_verified_norms(self):
         differ = []
@@ -259,7 +269,7 @@ class TestOneSupAndOneNorm:
     def test_results_return_the_norms_they_read(self):
         for seed in range(10):
             wc, T, g = sampled_instance(seed)
-            weight_sup, t_norm = wc.weight_sup(g), operator_norm(T, g)
+            weight_sup, t_norm = modulus_constancy(wc.u, g).value, operator_norm(T, g)
             eq = equation_holds(wc, T, g)
             assert (eq.weight_sup, eq.t_norm, eq.rhs) == (weight_sup, t_norm,
                                                           weight_sup + t_norm)
@@ -297,7 +307,7 @@ class TestModulusDipCounterexample:
         res = counterexample_nonconstant_modulus(u, SymbolMap.identity(), g)
         wc = WeightedComposition(u, SymbolMap.identity())
         assert perturbed_norm(wc, res.operator, g) == pytest.approx(res.perturbed, abs=1e-15)
-        assert (wc.weight_sup(g) + operator_norm(res.operator, g)
+        assert (modulus_constancy(u, g).value + operator_norm(res.operator, g)
                 == pytest.approx(res.upper, abs=1e-15))
 
     def test_gap_beats_half_spread_on_random_instances(self):
@@ -534,14 +544,12 @@ class TestSharedProfiles:
     def test_each_profile_is_cross_checked_once_per_run(self, monkeypatch):
         sc = parse_scenario(self.SCENARIO)
         calls, weights, images = Counter(), Counter(), Counter()
-        # each sup|u| evaluates u at the first largest and the first smallest
-        # |u(s)| of its grid: the |u|-constancy tests of rotation-max and
-        # counterexample-preimage at n = 32 and refinement at n = 16 and 32,
-        # and weight_sup in equation, criterion-sweep (the sweep and its
-        # equation) and the counterexample's certificate at n = 32 and
-        # refinement's equations at n = 16 and 32
+        # each |u|-constancy test evaluates u at the first largest and the
+        # first smallest |u(s)| of its grid: rotation-max's and
+        # counterexample-preimage's at n = 32 and refinement's at n = 16
+        # and 32.  A profile's sup|u| reads its reference pass's u(s)
         witnesses = Counter()
-        for n in (32,) * 8 + (16,) * 2:
+        for n in (32,) * 3 + (16,):
             mods = [abs(sc.weight(p)) for p in GridCircle(n).points()]
             witnesses[Fraction(mods.index(max(mods)), n)] += 1
             witnesses[Fraction(mods.index(min(mods)), n)] += 1
@@ -551,15 +559,9 @@ class TestSharedProfiles:
             tvs = [total_variation(op.measure_at(p)) for p in GridCircle(n).points()]
             return Fraction(tvs.index(max(tvs)), n)
 
-        # operator_norm measures T in equation, criterion-sweep (the sweep
-        # and its equation), rotation-max, convex and refinement (at n = 16
-        # and 32), and the counterexample's operator once
-        cex = counterexample_fat_preimage(sc.weight, sc.symbol, Fraction(1, 4),
-                                          Arc(Fraction(1, 2), Fraction(1, 8)),
-                                          GridCircle(32)).operator
-        cex_point = norm_point(cex, 32)
-        norms = ([norm_point(sc.operator, 32)] * 6 + [norm_point(sc.operator, 16)]
-                 + [cex_point])
+        # operator_norm measures T in convex alone: every other check reads
+        # ||T|| off its profile, whose reference pass held every row
+        norms = [norm_point(sc.operator, 32)]
         # the convex check measures T at the largest and the smallest
         # deficiency on each side of phi(s) == psi(s)
         convex = convex_center_check(sc.t, sc.symbol, sc.symbol2, sc.operator, GridCircle(32))
@@ -609,19 +611,18 @@ class TestSharedProfiles:
         # each profile's pass reads g(s) at every point of its grid, and
         # every measure of the scenario's operator above evaluates g once
         assert coefficients == (Counter(GridCircle(32).points() + GridCircle(16).points())
-                                + expected - Counter([cex_point]))
+                                + expected)
         # u and phi once per point per grid: the counterexample's profile
         # shares the scenario's (u, phi) at n = 32.  Besides, the
         # counterexample's operator has the coefficient g * u, which its
-        # profile evaluates once per point and its measure at cex_point
-        # once, and which evaluates u each time, refinement samples phi
+        # profile evaluates once per point, and which evaluates u each
+        # time, refinement samples phi
         # at TARGET_SAMPLES points k/8 of each of its two grids, and the
         # convex check evaluates phi at s = 0 in its measures of cc and of
         # cc + T, whose norms are attained there, and at its deficiency
         # extremes
         once = Counter(GridCircle(32).points() + GridCircle(16).points())
-        assert weights == (once + Counter(GridCircle(32).points()) + witnesses
-                           + Counter([cex_point]))
+        assert weights == once + Counter(GridCircle(32).points()) + witnesses
         assert images == once + Counter([Fraction(k, TARGET_SAMPLES)
                                          for k in range(TARGET_SAMPLES)] * 2
                                         + [Fraction(0)] * 2 + extremes)

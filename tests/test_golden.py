@@ -31,6 +31,8 @@ from pathlib import Path
 import pytest
 from test_render import two_pass
 
+from daugavetlab.scenarios import parse_scenario, render_report_json, run_scenario
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCENARIOS = sorted(p.name for p in (GOLDEN / "scenarios").glob("*.json"))
 
@@ -65,6 +67,19 @@ def test_selftest_report_matches_golden_bytes():
 
 def test_deck_reports_match_the_frozen_digest():
     assert deck_digest.digest() == (GOLDEN / "deck.sha256").read_text(encoding="utf-8").strip()
+
+
+@pytest.mark.parametrize("name", [name for name in SCENARIOS if not name.startswith("disk-")])
+def test_check_order_changes_no_record(name):
+    # the checks of a run share its profiles, each with the norms it took
+    # when it was built, so no record depends on which check built it
+    obj = json.loads((GOLDEN / "scenarios" / name).read_text(encoding="utf-8"))
+
+    def records(checks):
+        report = run_scenario(parse_scenario(dict(obj, checks=checks)))
+        return [render_report_json(record) for record in report["checks"]]
+
+    assert records(obj["checks"][::-1]) == records(obj["checks"])[::-1]
 
 
 #: JSON path of the criterion sweep's levels in the scenario reports.

@@ -6,7 +6,6 @@ pointwise values, so agreement is evidence rather than tautology.
 """
 
 import cmath
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -541,13 +540,31 @@ class TestCrossCheckFires:
         original = operators._compiled_profile
 
         def corrupted(wc, T, grid):
-            prof = original(wc, T, grid)
-            weight = prof.weight.copy()
+            weight, *rest = original(wc, T, grid)
+            weight = weight.copy()
             weight[k] += 0.25
-            return dataclasses.replace(prof, weight=weight)
+            return (weight, *rest)
 
         monkeypatch.setattr(operators, "_compiled_profile", corrupted)
         with pytest.raises(InvariantViolation, match=f"aligned/off-target split .* at s={p}$"):
+            perturbation_profile(wc, T, g)
+
+    def test_corrupt_weight_that_keeps_the_split_is_caught_at_its_point(self, monkeypatch):
+        # at s = 0 the aligned mass is 1, so u = -3 there keeps |u + m| = 2,
+        # and the split with it, but makes |u| the largest: sup|u| catches it
+        g = GridCircle(16)
+        wc = WeightedComposition(ScalarField.constant(1.0), SymbolMap.identity())
+        T = rank_one(ScalarField.constant(1.0), at=Fraction(0))
+        original = operators._compiled_profile
+
+        def corrupted(wc, T, grid):
+            weight, *rest = original(wc, T, grid)
+            weight = weight.copy()
+            weight[0] = -3.0
+            return (weight, *rest)
+
+        monkeypatch.setattr(operators, "_compiled_profile", corrupted)
+        with pytest.raises(InvariantViolation, match=r"tabulated \|u\| 3\.0 .* at s=0$"):
             perturbation_profile(wc, T, g)
 
     def test_corrupt_row_total_variation_is_caught(self, monkeypatch):

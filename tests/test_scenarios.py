@@ -393,10 +393,16 @@ def overflowing(check):
                     checks=[check])
 
 
-def rank_one_at_0(coeff):
-    """A finite-rank T with g = 1 and one atom of weight coeff at 0."""
+def rank_one_at(coeff, pos="0"):
+    """A finite-rank T with g = 1 and one atom of weight coeff at pos."""
     return {"kind": "finite_rank", "terms": [
-        {"g": {"kind": "constant", "re": 1.0}, "atoms": [{"pos": "0", **coeff}]}]}
+        {"g": {"kind": "constant", "re": 1.0}, "atoms": [{"pos": pos, **coeff}]}]}
+
+
+#: Every check of the circle that needs no further input.
+CIRCLE_CHECKS = [{"name": "equation"}, {"name": "criterion-sweep"}, {"name": "rotation-max"},
+                 {"name": "convex"}, {"name": "s-epsilon", "epsilon": 0.5},
+                 {"name": "refinement", "sizes": [8, 16]}]
 
 
 class TestCli:
@@ -514,9 +520,10 @@ class TestCli:
          "||T|| = inf is not finite"),
         *[(overflowing(check), "||T|| = inf is not finite") for check in (
             {"name": "equation"}, {"name": "rotation-max"}, {"name": "convex"},
-            {"name": "refinement", "sizes": [8, 16]})],
+            {"name": "refinement", "sizes": [8, 16]}, {"name": "s-epsilon", "epsilon": 0.5})],
     ], ids=["gap-below-rounding", "infinite-operator-norm", "infinite-norm-equation",
-            "infinite-norm-rotation-max", "infinite-norm-convex", "infinite-norm-refinement"])
+            "infinite-norm-rotation-max", "infinite-norm-convex", "infinite-norm-refinement",
+            "infinite-norm-s-epsilon"])
     def test_valid_input_beyond_float_reach_is_an_error_record(self, tmp_path, obj, message):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -703,9 +710,10 @@ class TestSchemaRegressions:
                                      "c": {"re": 1.0}}},
                "checks": [{"name": "disk-lower-bound", "max_depth": 0,
                            "max_monomial": 1, "samples": 4}]}
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code, out, err = verify(write(tmp_path, obj))
-        assert code == 0 and err == ""
+        assert code == 0 and err == "" and caught == []
         rec = strict_json(out)["checks"][0]
         assert rec["verdict"] == "error"
         assert rec["error"] == "values.lower_bound = inf is not finite"
@@ -750,15 +758,20 @@ class TestSchemaRegressions:
         assert rec["verdict"] == "error" and "overflow" in rec["error"]
 
     @pytest.mark.parametrize("overrides,sha256", [
-        ({"operator": rank_one_at_0({"re": 1.5e308, "im": 1.5e308}),
+        ({"operator": rank_one_at({"re": 1.5e308, "im": 1.5e308}),
           "checks": [{"name": "equation"}, {"name": "s-epsilon", "epsilon": 0.5}]},
          "b5d5876941ede9132a7498d2e985eb29f5cd5ed811ed4dac902f3a3229ce0d68"),
-        ({"operator": {"kind": "sum", "terms": [rank_one_at_0({"re": 1e308})] * 2}},
+        ({"operator": {"kind": "sum", "terms": [rank_one_at({"re": 1e308})] * 2}},
          "9cd8363410f9d9ebabc7c4db5cbac3f4e5264f31ed540b96a1c49d2b6b5f4846"),
+        # two atoms apart, each of 1e308: the sum of a row overflows
+        ({"symbol2": {"kind": "identity"}, "t": 0.5, "checks": CIRCLE_CHECKS,
+          "operator": {"kind": "sum", "terms": [rank_one_at({"re": 1e308}),
+                                                rank_one_at({"re": 1e308}, pos="1/2")]}},
+         "96074673a9b245a6742e1cdfc76e4fc0e63db7bdcc91ba114597c4bf9ab0f2a6"),
         ({"weight": {"kind": "constant", "re": 1.5e308, "im": 1.5e308},
           "checks": [{"name": "equation"}, {"name": "rotation-max"}]},
          "6dd6744c6115b3b32c51bd04316e59f92aef3a0d90518cf87a93359f2a407cc8")],
-        ids=["atom-modulus", "sum-of-weights", "weight-modulus"])
+        ids=["atom-modulus", "sum-of-weights", "row-sum", "weight-modulus"])
     def test_overflow_inside_numpy_warns_of_nothing(self, tmp_path, overrides, sha256):
         # every check records an error, in the bytes frozen before numpy's
         # warnings were silenced; "always", since Python otherwise shows a
