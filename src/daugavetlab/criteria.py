@@ -10,7 +10,9 @@ computation.  criterion_sup evaluates the equivalent pointwise test: over
 the active set of points whose measure nearly attains ||T||, the phase
 deficiency |u(s) + m_s| - (sup|u| + |m_s|) must reach zero (m_s is the mass
 the perturbation places exactly on phi(s)).  Sweeping epsilon downward
-through a dyadic ladder makes the two routes comparable on finite grids.
+through a dyadic ladder makes the two routes comparable on finite grids;
+every level is read off one pass over the points sorted by total
+variation.
 Both routes read sup|u| and ||T|| off their shared, verified profile and
 take every modulus through circle.modulus.
 
@@ -106,24 +108,36 @@ class CriterionResult:
     holds: bool
 
 
-def _criterion_level(prof: PerturbationProfile, deficiency: np.ndarray,
-                     epsilon: float, tol: float) -> CriterionResult:
-    """criterion_sup at one level, from the profile and its _deficiency.
-    Below one rounding step of ||T|| (t_norm - epsilon == t_norm) the
-    active set is the points that attain ||T||, as the sweep's
-    one-rounding-step level picks them."""
+def _criterion_levels(prof: PerturbationProfile, epsilons,
+                      tol: float) -> tuple[CriterionResult, ...]:
+    """criterion_sup at each level epsilon, in one pass over the profile.
+
+    The points are sorted once by descending total variation, so every
+    active set is a prefix of that order, and its supremum is the running
+    maximum of the _deficiency at the prefix's end; np.searchsorted reads
+    each prefix's length.  Below one rounding step of ||T||
+    (t_norm - epsilon == t_norm) the active set is the points that attain
+    ||T||, as the sweep's one-rounding-step level picks them.
+    """
     tv, t_norm = prof.total_variation, prof.t_norm
-    level = t_norm - epsilon
-    active = tv >= t_norm if level == t_norm else tv > level
-    if not active.any():
-        raise InvariantViolation(
-            "empty active set; the norm supremum must belong to it")
-    sup_value = float(deficiency[active].max())
-    at_most(sup_value, 0.0, f"criterion supremum {sup_value!r} is positive; "
-                            "the deficiency is bounded by zero",
-            scale=max(prof.weight_sup, t_norm))
-    return CriterionResult(epsilon=float(epsilon), active_set_size=int(active.sum()),
-                           sup_value=sup_value, holds=sup_value >= -tol)
+    order = np.argsort(tv)[::-1]
+    descending = -tv[order]  # ascending, as searchsorted reads it
+    running = np.maximum.accumulate(_deficiency(prof)[order])
+    scale = max(prof.weight_sup, t_norm)
+    results = []
+    for epsilon in epsilons:
+        level = t_norm - epsilon
+        size = int(np.searchsorted(descending, -t_norm, side="right") if level == t_norm
+                   else np.searchsorted(descending, -level, side="left"))
+        if not size:
+            raise InvariantViolation(
+                "empty active set; the norm supremum must belong to it")
+        sup_value = float(running[size - 1])
+        at_most(sup_value, 0.0, lambda: f"criterion supremum {sup_value!r} is positive; "
+                                        "the deficiency is bounded by zero", scale=scale)
+        results.append(CriterionResult(epsilon=float(epsilon), active_set_size=size,
+                                       sup_value=sup_value, holds=sup_value >= -tol))
+    return tuple(results)
 
 
 @compiles
@@ -137,8 +151,7 @@ def criterion_sup(wc: WeightedComposition, T: SupportsMeasureAt, epsilon: float,
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    prof = perturbation_profile(wc, T, grid)
-    return _criterion_level(prof, _deficiency(prof), epsilon, tol)
+    return _criterion_levels(perturbation_profile(wc, T, grid), [epsilon], tol)[0]
 
 
 def _arc_points(U: Arc, grid: GridCircle) -> np.ndarray:
@@ -231,8 +244,7 @@ def criterion_sweep(wc: WeightedComposition, T: SupportsMeasureAt,
         if t_norm - eps == t_norm:
             eps = gap  # one rounding step: the half would round back to ||T||
         epsilons.append(eps)
-    deficiency = _deficiency(prof)
-    results = tuple(_criterion_level(prof, deficiency, eps, tol) for eps in epsilons)
+    results = _criterion_levels(prof, epsilons, tol)
     return SweepResult(holds=all(r.holds for r in results), results=results)
 
 

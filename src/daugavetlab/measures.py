@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .circle import GridCircle, frac_mod1
+from .circle import GridCircle, frac_mod1, hash_once
 
 __all__ = [
     "AtomicMeasure",
@@ -72,6 +72,8 @@ class AtomicMeasure:
     from_atoms makes one of any atom list."""
 
     atoms: tuple[tuple[Fraction, complex], ...] = ()
+
+    __hash__ = hash_once
 
     def __post_init__(self) -> None:
         last_num, last_den = -1, 1

@@ -25,7 +25,8 @@ preallocated (m, n) arrays, and every pass that makes Python numbers or
 (m, k) temporaries walks blocks of about measures.BLOCK values, so a
 family costs little more than its own arrays.  Families and profiles are
 kept in the block's memo, keyed by value, so every check of a scenario
-reads the same profile.
+reads the same profile; the operators, fields, symbols and measures in a
+key keep their hash after its first use (circle.hash_once).
 
 The operators are the three classes below and their nested sums; the
 compiler covers all of them, and any other type raises TypeError.  A
@@ -70,8 +71,10 @@ from .circle import (
     IndexSpace,
     ScalarField,
     SymbolMap,
+    _frozen,
     cmul,
     compiles,
+    hash_once,
     index_space,
     memoized,
     modulus,
@@ -79,8 +82,9 @@ from .circle import (
     symbol_codes,
     tabulate,
 )
-from .errors import agree, at_most
+from .errors import REL_TOL, agree, at_most
 from .measures import (
+    BLOCK,
     AtomicMeasure,
     ColumnFamily,
     ColumnSum,
@@ -120,6 +124,8 @@ class WeightedComposition:
     u: ScalarField
     phi: SymbolMap
 
+    __hash__ = hash_once
+
     def measure_at(self, s: Fraction) -> AtomicMeasure:
         return AtomicMeasure.from_atoms([(self.phi(s), self.u(s))])
 
@@ -129,6 +135,8 @@ class FiniteRankOperator:
     """f -> sum_i <f, mu_i> g_i; measure family sum_i g_i(s) * mu_i."""
 
     terms: tuple[tuple[ScalarField, AtomicMeasure], ...]
+
+    __hash__ = hash_once
 
     @functools.cached_property
     def plan(self) -> MergePlan:
@@ -146,6 +154,8 @@ class OperatorExpr:
     """Formal sum of scaled operators, combined at the measure level."""
 
     terms: tuple[tuple[complex, SupportsMeasureAt], ...] = ()
+
+    __hash__ = hash_once
 
     def measure_at(self, s: Fraction) -> AtomicMeasure:
         return linear_combine([c for c, _ in self.terms],
@@ -469,6 +479,7 @@ class RotationMaxResult:
     searched: float          # best value found on the lambda grid
     argmax_lambda: complex   # first grid maximizer, smallest argument in [0, 2pi)
     lambda_grid: int
+    evaluated: int           # moving points whose lambda values were computed
 
 
 @compiles
@@ -482,6 +493,14 @@ def rotation_max_norm(wc: WeightedComposition, T: SupportsMeasureAt,
     (2*pi/lambda_grid) * ||T|| of it (Lipschitz bound) and must not exceed
     it, up to errors.at_most's relative tolerance, else InvariantViolation.
     lambda_grid=2 restricts to real scalars {1, -1}.
+
+    The search takes its own moduli, with np.abs (see circle.py), so it
+    stays a witness of the analytic maximum.  A point without aligned mass
+    gives |u(s)| + off(s) at every lambda.  The others are visited by
+    descending cap |u(s)| + |mu_s({phi(s)})| + off(s), which bounds their
+    values, in tiles of about measures.BLOCK values, until a cap lies more
+    than twice the relative tolerance below the best value found: the rest
+    can move neither that value nor its first maximizer.
     """
     if lambda_grid < 1:
         raise ValueError(f"lambda_grid must be positive, got {lambda_grid}")
@@ -491,35 +510,40 @@ def rotation_max_norm(wc: WeightedComposition, T: SupportsMeasureAt,
             f"|u| must be constant within {tol} for the rotation maximum "
             f"(spread {report.spread:.3e})")
     prof = perturbation_profile(wc, T, grid)
-    analytic = float(np.max(modulus(prof.weight) + modulus(prof.aligned_mass)
-                            + prof.off_mass))
-
-    lam = np.exp(2j * np.pi * np.arange(lambda_grid) / lambda_grid)
-    searched = -np.inf
-    arg_idx = 0
-    # a point without aligned mass gives |u(s)| + off(s) whatever lambda is,
-    # so only the others enter the search, a block of lambdas at a time
-    # (with np.abs, the one exception to modulus: see circle.py)
+    lam = memoized("lambdas", lambda_grid, (), lambda: _frozen(
+        np.exp(2j * np.pi * np.arange(lambda_grid) / lambda_grid)))
     moving = prof.aligned_mass != 0
-    still = np.abs(prof.weight[~moving]) + prof.off_mass[~moving]
-    floor = still.max(initial=-np.inf)
-    weight, aligned = prof.weight[moving], prof.aligned_mass[moving]
-    off = prof.off_mass[moving]
-    for cols in _blocks(lambda_grid, weight.size):
-        vals = np.abs(weight[None, :] + lam[cols, None] * aligned[None, :])
-        vals += off[None, :]
-        per_lambda = np.maximum(vals.max(axis=1, initial=-np.inf), floor)
-        k = int(np.argmax(per_lambda))  # first maximizer within the block
-        if float(per_lambda[k]) > searched:
-            searched = float(per_lambda[k])
-            arg_idx = cols.start + k
+    weight, aligned, off = prof.weight[moving], prof.aligned_mass[moving], prof.off_mass[moving]
+    # |u| + |m| may overflow where no value does: inf, which never stops the search
+    with np.errstate(over="ignore"):
+        analytic = float(np.max(modulus(prof.weight) + modulus(prof.aligned_mass)
+                                + prof.off_mass))
+        still = np.abs(prof.weight[~moving]) + prof.off_mass[~moving]
+        best = float(still.max(initial=-np.inf))
+        per_lambda = np.full(lambda_grid, best)
+        cap = np.abs(weight) + np.abs(aligned) + off
+        order = np.argsort(cap)[::-1]  # descending, a NaN first: it never stops the search
+        step, evaluated = max(1, BLOCK // lambda_grid), 0
+        for start in range(0, order.size, step):
+            pts = order[start:start + step]
+            pts = pts[~(cap[pts] + 2 * REL_TOL * np.maximum(1.0, cap[pts]) < best)]
+            if not pts.size:
+                break
+            w, a, o = weight[pts], aligned[pts], off[pts]
+            for cols in _blocks(lambda_grid, pts.size):
+                vals = np.abs(w[None, :] + lam[cols, None] * a[None, :])
+                vals += o[None, :]
+                np.maximum(per_lambda[cols], vals.max(axis=1), out=per_lambda[cols])
+            evaluated += pts.size
+            best = max(best, float(per_lambda.max()))
+    arg_idx = int(np.argmax(per_lambda))  # the first maximizer
+    searched = float(per_lambda[arg_idx])
     at_most(searched, analytic,
-            f"lambda search {searched!r} exceeded the analytic maximum {analytic!r}")
+            lambda: f"lambda search {searched!r} exceeded the analytic maximum {analytic!r}")
     slack = (2.0 * math.pi / lambda_grid) * prof.t_norm
     at_most(analytic - searched, slack,
-            f"lambda search {searched!r} missed the analytic maximum {analytic!r} "
-            f"by more than {slack!r}", scale=analytic)
+            lambda: f"lambda search {searched!r} missed the analytic maximum {analytic!r} "
+                    f"by more than {slack!r}", scale=analytic)
     return RotationMaxResult(max=analytic, expected=prof.weight_sup + prof.t_norm,
                              searched=searched, argmax_lambda=complex(lam[arg_idx]),
-                             lambda_grid=lambda_grid)
-
+                             lambda_grid=lambda_grid, evaluated=evaluated)

@@ -33,7 +33,7 @@ def default_rng(seed: int) -> np.random.Generator:
 def random_unimodular_field(rng: np.random.Generator, n: int) -> ScalarField:
     """Tabulated field with |u| = 1 at every grid point."""
     phases = rng.random(n)
-    return ScalarField.from_samples(np.exp(2j * np.pi * phases), n)
+    return ScalarField.from_samples(np.exp(2j * np.pi * phases).tolist(), n)
 
 
 def random_nonconstant_weight(rng: np.random.Generator, n: int) -> ScalarField:
@@ -78,7 +78,7 @@ def random_finite_rank(rng: np.random.Generator, grid: GridCircle,
     terms = []
     for _ in range(int(rng.integers(1, max_terms + 1))):
         values = 0.7 * (rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
-        g = ScalarField.from_samples(values, grid.n)
+        g = ScalarField.from_samples(values.tolist(), grid.n)
         terms.append((g, random_measure(rng, grid, max_atoms)))
     return FiniteRankOperator(tuple(terms))
 

@@ -27,6 +27,7 @@ from daugavetlab.circle import (
 from daugavetlab.criteria import counterexample_fat_preimage
 from daugavetlab.measures import AtomicMeasure
 from daugavetlab.operators import rank_one
+from daugavetlab.sampling import random_unimodular_field
 
 FULL = Arc(Fraction(0), Fraction(1, 2))
 
@@ -179,6 +180,27 @@ class TestScalarFields:
         assert u(Fraction(1, 4)) == 2
         with pytest.raises(ValueError):
             u(Fraction(1, 3))
+
+    @pytest.mark.parametrize("values", [
+        np.exp(2j * np.pi * np.random.default_rng(3).random(64)),
+        (0.7 * np.random.default_rng(4).standard_normal(16)),
+        [1.5, -2j, 3 + 4j, 1e-320],
+        [1, -2, 0, 7],
+    ], ids=["complex-array", "real-array", "list", "ints"])
+    def test_samples_convert_each_value_as_complex_does(self, values):
+        # a list from .tolist() converts to the same complex values as the
+        # numpy scalars of its array
+        want = tuple(complex(v) for v in values)
+        for given in (values, list(values), np.asarray(values).tolist()):
+            got = ScalarField.from_samples(given, len(want)).samples
+            assert all(type(z) is complex for z in got)
+            assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+                (z.real.hex(), z.imag.hex()) for z in want]
+
+    def test_generated_samples_are_those_of_the_array(self):
+        values = np.exp(2j * np.pi * np.random.default_rng(9).random(64))
+        u = random_unimodular_field(np.random.default_rng(9), 64)
+        assert u.samples == tuple(complex(v) for v in values)
 
     def test_product_multiplies_pointwise(self):
         u = ScalarField.product(ScalarField.constant(2.0),

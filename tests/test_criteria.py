@@ -1,5 +1,6 @@
 """Norm identities, the active-set criterion and the certified counterexamples."""
 
+import dataclasses
 import math
 import re
 from collections import Counter
@@ -181,6 +182,110 @@ class TestCriterion:
         res = open_set_criterion(wc, T, Arc(Fraction(0), Fraction(1, 8)), g)
         assert res.holds
         assert res.points == 17  # 64/4 + 1 grid points on the closed arc
+
+
+def per_level_criterion(prof, deficiency, epsilon, tol):
+    """criterion_sup at one level by its own pass over the points: the
+    per-level rule, the reference for the one-pass routine."""
+    tv, t_norm = prof.total_variation, prof.t_norm
+    level = t_norm - epsilon
+    active = tv >= t_norm if level == t_norm else tv > level
+    if not active.any():
+        raise InvariantViolation("empty active set; the norm supremum must belong to it")
+    sup_value = float(deficiency[active].max())
+    if sup_value > 1e-12 * max(1.0, prof.weight_sup, t_norm):
+        raise InvariantViolation(f"criterion supremum {sup_value!r} is positive")
+    return criteria.CriterionResult(epsilon=float(epsilon), active_set_size=int(active.sum()),
+                                    sup_value=sup_value, holds=sup_value >= -tol)
+
+
+def levels_of(prof, extra=()):
+    """The sweep's ladder for the profile's ||T||, and extra levels."""
+    t_norm = prof.t_norm
+    return [t_norm * 2.0 ** -k for k in range(21) if t_norm > 0.0] + [t_norm + 1.0, *extra]
+
+
+def profile_with(tv, weight, aligned):
+    """A profile with the given total variations and deficiency parts."""
+    weight, aligned = np.asarray(weight, dtype=complex), np.asarray(aligned, dtype=complex)
+    tv = np.asarray(tv, dtype=float)
+    off = tv - np.abs(aligned)
+    return operators.PerturbationProfile(weight, aligned, off, tv, np.abs(weight + aligned) + off,
+                                         float(np.abs(weight).max()), float(tv.max()))
+
+
+class TestOnePassLevels:
+    """Every level of the one-pass routine is what the per-level rule gives."""
+
+    def assert_levels(self, prof, epsilons, tol=1e-9):
+        got = criteria._criterion_levels(prof, epsilons, tol)
+        want = [per_level_criterion(prof, criteria._deficiency(prof), eps, tol)
+                for eps in epsilons]
+        # repr tells the bits of every float, a nan included
+        assert [repr(r) for r in got] == [repr(r) for r in want]
+        assert all(type(r.active_set_size) is int for r in got)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_instances(self, seed):
+        wc, T, g = sampled_instance(seed)
+        prof = perturbation_profile(wc, T, g)
+        self.assert_levels(prof, levels_of(prof, [1e-300, prof.t_norm / 3]))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_profiles(self, seed):
+        rng = np.random.default_rng(seed)
+        tv = rng.choice([0.5, 1.0, 1.5, 2.0], 64) * rng.random()
+        weight = np.exp(2j * np.pi * rng.random(64))
+        aligned = np.where(rng.random(64) < 0.5, 0.0, tv * np.exp(2j * np.pi * rng.random(64)))
+        prof = profile_with(tv, weight, aligned)
+        self.assert_levels(prof, levels_of(prof, rng.random(8) * prof.t_norm))
+
+    def test_ties_at_the_norm_and_levels_below_one_rounding_step(self):
+        tv = [1e6, 1e6, 1e6 - 1.0, 1e6, 0.0, 1e6 - 1e-10, 2.0, 1e6]
+        aligned = [-1e6, 1e6, 0.0, 1e6j, 0.0, 0.0, -2.0, 0.0]
+        prof = profile_with(tv, np.ones(8), aligned)
+        assert 1e6 - 1e-12 == 1e6
+        self.assert_levels(prof, levels_of(prof, [1e-12, 1e-10, 2e-10, 0.5, 1.0, 2e-300]))
+
+    def test_the_appended_finest_level(self):
+        wc, T, g = canonical_window_instance(4096)
+        prof = perturbation_profile(wc, T, g)
+        sw = criterion_sweep(wc, T, g)
+        assert len(sw.results) == 23
+        want = [per_level_criterion(prof, criteria._deficiency(prof), r.epsilon, 1e-9)
+                for r in sw.results]
+        assert list(sw.results) == want
+
+    def test_zero_operator(self):
+        g = GridCircle(16)
+        wc = WeightedComposition(ScalarField.unimodular_exp(2), SymbolMap.doubling())
+        prof = perturbation_profile(wc, zero_operator(), g)
+        self.assert_levels(prof, levels_of(prof, [1e-300, 0.5]))
+
+    def test_a_nan_deficiency_propagates_as_the_per_level_rule_does(self):
+        prof = profile_with([1.0, 2.0, 2.0, 0.5], [1.0, math.nan, 1.0, 1.0], [0.5, 1.0, 1.0, 0.0])
+        self.assert_levels(prof, levels_of(prof))
+
+    def test_an_empty_active_set_is_an_invariant_violation(self):
+        prof = profile_with([1.0, 0.5], np.ones(2), np.zeros(2))
+        prof = dataclasses.replace(prof, t_norm=2.0)
+        with pytest.raises(InvariantViolation, match="^empty active set"):
+            criteria._criterion_levels(prof, [1e-300], 1e-9)
+
+    def test_a_corrupted_deficiency_is_caught(self, monkeypatch):
+        original = criteria._deficiency
+
+        def corrupted(prof):
+            d = original(prof)
+            d[int(np.argmax(prof.total_variation))] = 0.25
+            return d
+
+        monkeypatch.setattr(criteria, "_deficiency", corrupted)
+        wc, T, g = canonical_window_instance(64)
+        for run in (lambda: criterion_sweep(wc, T, g), lambda: criterion_sup(wc, T, 0.5, g)):
+            with pytest.raises(InvariantViolation,
+                               match=r"^criterion supremum 0\.25 is positive; the deficiency"):
+                run()
 
 
 class TestSEpsilon:

@@ -16,6 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "daugavetlab"
 
 #: (module, function, assigned name) of each np.abs the circle model may take.
 LAMBDA_SEARCH = {("operators.py", "rotation_max_norm", "still"),
+                 ("operators.py", "rotation_max_norm", "cap"),
                  ("operators.py", "rotation_max_norm", "vals")}
 
 

@@ -6,6 +6,7 @@ pointwise values, so agreement is evidence rather than tautology.
 """
 
 import cmath
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -26,7 +27,7 @@ from daugavetlab.circle import (
 )
 from daugavetlab.criteria import convex_center_check
 from daugavetlab.errors import InvariantViolation
-from daugavetlab.measures import AtomicMeasure, linear_combine, total_variation
+from daugavetlab.measures import BLOCK, AtomicMeasure, _blocks, linear_combine, total_variation
 from daugavetlab.operators import (
     FiniteRankOperator,
     OperatorExpr,
@@ -232,6 +233,230 @@ class TestRotationMax:
         n1 = perturbed_norm(wc, scaled(T, lam1), g)
         n2 = perturbed_norm(wc, scaled(T, lam2), g)
         assert abs(n1 - n2) <= t_norm * step + 1e-12
+
+
+def full_lambda_search(prof, lambda_grid):
+    """The unpruned lambda search, the reference: every moving point at
+    every lambda, a block of lambdas at a time.  (searched, the first
+    maximizing lambda.)"""
+    lam = np.exp(2j * np.pi * np.arange(lambda_grid) / lambda_grid)
+    searched = -np.inf
+    arg_idx = 0
+    moving = prof.aligned_mass != 0
+    still = np.abs(prof.weight[~moving]) + prof.off_mass[~moving]
+    floor = still.max(initial=-np.inf)
+    weight, aligned = prof.weight[moving], prof.aligned_mass[moving]
+    off = prof.off_mass[moving]
+    for cols in _blocks(lambda_grid, weight.size):
+        vals = np.abs(weight[None, :] + lam[cols, None] * aligned[None, :])
+        vals += off[None, :]
+        per_lambda = np.maximum(vals.max(axis=1, initial=-np.inf), floor)
+        k = int(np.argmax(per_lambda))
+        if float(per_lambda[k]) > searched:
+            searched = float(per_lambda[k])
+            arg_idx = cols.start + k
+    return searched, complex(lam[arg_idx])
+
+
+def synthetic_profile(weight, aligned, off):
+    """A profile of the given per-point parts, consistent with itself:
+    total variation |m| + off, ||T|| its largest entry."""
+    weight, aligned = np.asarray(weight, dtype=complex), np.asarray(aligned, dtype=complex)
+    off = np.asarray(off, dtype=float)
+    tv = np.abs(aligned) + off
+    split = np.abs(weight + aligned) + off
+    return operators.PerturbationProfile(weight, aligned, off, tv, split,
+                                         float(np.abs(weight).max()), float(tv.max()))
+
+
+def search_on(monkeypatch, prof, lambda_grid):
+    """rotation_max_norm on a synthetic profile: the composition is u = 1 on
+    the profile's grid, so only the profile is read."""
+    monkeypatch.setattr(operators, "perturbation_profile", lambda wc, T, grid: prof)
+    wc = WeightedComposition(ScalarField.constant(1.0), SymbolMap.identity())
+    return rotation_max_norm(wc, zero_operator(), GridCircle(prof.weight.size),
+                             lambda_grid=lambda_grid)
+
+
+def random_profile(rng, n, scale=1.0):
+    weight = np.exp(2j * np.pi * rng.random(n))
+    aligned = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (rng.random(n) < 0.3)
+    off = rng.random(n) * rng.random()
+    return synthetic_profile(scale * weight, scale * aligned, scale * off)
+
+
+LAMBDA_GRIDS = [1, 2, 3, 4096, 2 ** 17]
+
+
+class TestPrunedLambdaSearch:
+    """The lambda search visits moving points by descending cap and stops
+    below the best value found; it reports what the full search does."""
+
+    def assert_same_as_full(self, monkeypatch, prof, lambda_grid):
+        res = search_on(monkeypatch, prof, lambda_grid)
+        searched, argmax = full_lambda_search(prof, lambda_grid)
+        assert res.searched.hex() == searched.hex()
+        assert (res.argmax_lambda.real.hex(), res.argmax_lambda.imag.hex()) == (
+            argmax.real.hex(), argmax.imag.hex())
+        assert 0 <= res.evaluated <= int(np.count_nonzero(prof.aligned_mass))
+        return res
+
+    @pytest.mark.parametrize("lambda_grid", LAMBDA_GRIDS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_profiles(self, monkeypatch, seed, lambda_grid):
+        rng = np.random.default_rng(seed)
+        self.assert_same_as_full(monkeypatch, random_profile(rng, 64), lambda_grid)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    @pytest.mark.parametrize("lambda_grid", LAMBDA_GRIDS)
+    def test_extreme_magnitudes(self, monkeypatch, scale, lambda_grid):
+        prof = random_profile(np.random.default_rng(7), 64, scale=scale)
+        self.assert_same_as_full(monkeypatch, prof, lambda_grid)
+
+    @pytest.mark.parametrize("lambda_grid", LAMBDA_GRIDS)
+    def test_no_moving_point(self, monkeypatch, lambda_grid):
+        prof = synthetic_profile(np.ones(16), np.zeros(16), np.linspace(0.0, 1.0, 16))
+        res = self.assert_same_as_full(monkeypatch, prof, lambda_grid)
+        assert res.evaluated == 0 and res.searched == 2.0
+
+    @pytest.mark.parametrize("lambda_grid", LAMBDA_GRIDS)
+    def test_floor_above_every_cap(self, monkeypatch, lambda_grid):
+        aligned = np.where(np.arange(16) % 2, 0.25, 0.0)
+        off = np.where(np.arange(16) == 4, 3.0, 0.5)
+        res = self.assert_same_as_full(monkeypatch, synthetic_profile(np.ones(16), aligned, off),
+                                       lambda_grid)
+        assert res.evaluated == 0 and res.searched == 4.0
+
+    @pytest.mark.parametrize("lambda_grid", LAMBDA_GRIDS)
+    def test_all_caps_equal(self, monkeypatch, lambda_grid):
+        phases = np.exp(2j * np.pi * np.arange(16) / 7)
+        self.assert_same_as_full(monkeypatch, synthetic_profile(np.ones(16), 0.5 * phases,
+                                                                np.zeros(16)), lambda_grid)
+
+    @pytest.mark.parametrize("lambda_grid", [4, 8, 4096, 2 ** 17])
+    def test_two_points_reach_the_maximum_at_different_lambdas(self, monkeypatch, lambda_grid):
+        # point 0 peaks at lambda = -1, point 1 at lambda = -i and point 2 at
+        # lambda = 1, all at 2; the first of them on the grid, lambda = 1, wins
+        prof = synthetic_profile(np.ones(4), [-1.0, 1j, 1.0, 0.0], np.zeros(4))
+        res = self.assert_same_as_full(monkeypatch, prof, lambda_grid)
+        assert res.searched == 2.0 and res.argmax_lambda == 1 + 0j
+
+    @pytest.mark.parametrize("lambda_grid", [4096, 2 ** 17])
+    def test_only_the_tile_of_a_dominant_point_is_evaluated(self, monkeypatch, lambda_grid):
+        # every point moves, and the first tile's best, 2 at point 37, lies
+        # above every other cap, 1.01
+        aligned = np.full(64, 0.01)
+        aligned[37] = 1.0
+        res = self.assert_same_as_full(monkeypatch, synthetic_profile(
+            np.ones(64), aligned, np.zeros(64)), lambda_grid)
+        assert res.evaluated == max(1, BLOCK // lambda_grid)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_selftest_instances(self, seed):
+        rng = np.random.default_rng(seed)
+        g = GridCircle(64)
+        for _ in range(5):
+            wc, T = selftest._random_instance(rng, g)
+            with shared_compilation():
+                res = rotation_max_norm(wc, T, g)
+                prof = perturbation_profile(wc, T, g)
+            searched, argmax = full_lambda_search(prof, 4096)
+            assert (res.searched, res.argmax_lambda) == (searched, argmax)
+            assert res.evaluated <= int(np.count_nonzero(prof.aligned_mass))
+
+    @pytest.mark.parametrize("lambda_grid", [1, 4096])
+    def test_an_overflowing_cap_warns_of_nothing(self, lambda_grid):
+        # T = -uC_phi with |u| = 1e308: |u| + |m| overflows at every point,
+        # and so do the values near lambda = -1, while the profile stays finite
+        g = GridCircle(8)
+        wc = WeightedComposition(ScalarField.constant(1e308), SymbolMap.identity())
+        T = WeightedComposition(ScalarField.constant(-1e308), SymbolMap.identity())
+        res = rotation_max_norm(wc, T, g, lambda_grid=lambda_grid)
+        with np.errstate(over="ignore"):
+            searched, argmax = full_lambda_search(perturbation_profile(wc, T, g), lambda_grid)
+        assert (res.searched, res.argmax_lambda) == (searched, argmax)
+        assert res.searched == (0.0 if lambda_grid == 1 else math.inf)
+        assert res.max == math.inf and res.evaluated == 8  # an inf cap never stops it
+
+    def test_the_lambda_grid_is_built_once_per_block(self, monkeypatch):
+        builds = []
+        original = circle.CompiledMemo.get
+
+        def spy(memo, key, build):
+            if key[0] != "lambdas":
+                return original(memo, key, build)
+            return original(memo, key, lambda: builds.append(key) or build())
+
+        monkeypatch.setattr(circle.CompiledMemo, "get", spy)
+        selftest.run_selftest(0)
+        assert builds == [("lambdas", 4096)]
+        g = GridCircle(16)
+        wc = WeightedComposition(ScalarField.constant(1.0), SymbolMap.doubling())
+        for _ in range(2):
+            rotation_max_norm(wc, scaled(wc, -1.0), g, lambda_grid=64)
+        assert builds == [("lambdas", 4096), ("lambdas", 64), ("lambdas", 64)]
+
+    def test_the_search_does_not_read_the_analytic_moduli(self, monkeypatch):
+        # the README window case: the one moving point, s = 0, peaks at 2 at
+        # lambda = -1, above every other point.  With the analytic maximum
+        # scaled down, the search must still find 2 and report it exceeded
+        g = GridCircle(64)
+        wc = WeightedComposition(ScalarField.constant(1.0), SymbolMap.doubling())
+        T = rank_one(ScalarField.cosine(amplitude=0.5, offset=0.5, frequency=1),
+                     at=Fraction(0), scale=-1.0)
+        original = operators.modulus
+        with shared_compilation():
+            perturbation_profile(wc, T, g)
+            monkeypatch.setattr(operators, "modulus", lambda z: 0.9 * original(z))
+            with pytest.raises(InvariantViolation,
+                               match=r"^lambda search 2\.0 exceeded the analytic maximum"):
+                rotation_max_norm(wc, T, g)
+
+
+class TestHashOnce:
+    """The memo's keys keep their hash, which is the dataclass's own."""
+
+    def instances(self):
+        u, phi = ScalarField.cosine(0.5, 0.5), SymbolMap.constant_on_arc(
+            Fraction(1, 3), Arc(Fraction(1, 4), Fraction(1, 8)))
+        T = rank_one(u, at=Fraction(1, 5), scale=-0.5j)
+        wc = WeightedComposition(ScalarField.constant(1.0), phi)
+        return [u, phi, phi.arc, T.terms[0][1], T, wc, as_expr(T) + wc]
+
+    def test_the_hash_is_the_hash_of_the_field_tuple(self):
+        for x in self.instances():
+            want = hash(tuple(getattr(x, f.name) for f in dataclasses.fields(x)))
+            first, kept = hash(x), hash(x)
+            assert first == kept == want and x.__dict__["_hash"] == want
+
+    def test_fields_repr_and_equality_are_unchanged(self):
+        for x, y in zip(self.instances(), self.instances()):
+            assert x is not y and x == y and hash(x) == hash(y)
+            assert "_hash" not in repr(x)
+            assert "_hash" not in {f.name for f in dataclasses.fields(x)}
+        assert [f.name for f in dataclasses.fields(WeightedComposition)] == ["u", "phi"]
+        assert [f.name for f in dataclasses.fields(AtomicMeasure)] == ["atoms"]
+        assert ScalarField.constant(1.0) != ScalarField.constant(2.0)
+
+    def test_replace_gives_a_fresh_hash(self):
+        u = ScalarField.constant(1.0)
+        hash(u)
+        v = dataclasses.replace(u, value=2 + 0j)
+        assert v != u
+        assert hash(v) == hash(tuple(getattr(v, f.name) for f in dataclasses.fields(v)))
+        assert hash(dataclasses.replace(v, value=1 + 0j)) == hash(u)
+
+    def test_equal_components_share_one_profile(self, monkeypatch):
+        builds = []
+        original = operators._checked_profile
+        monkeypatch.setattr(operators, "_checked_profile",
+                            lambda *args: builds.append(args) or original(*args))
+        g = GridCircle(32)
+        with shared_compilation():
+            for _ in range(2):
+                wc, T = self.instances()[5:]
+                perturbation_profile(wc, T, g)
+        assert len(builds) == 1
 
 
 class TestConvexCombination:
