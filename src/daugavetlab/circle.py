@@ -161,8 +161,8 @@ class CompiledMemo:
     """Compiled objects of one shared_compilation() block.
 
     Entries are keyed by value (the frozen dataclasses themselves) and
-    evicted least recently used beyond MEMO_SIZE; the index spaces, one per grid size, live as long as the
-    block, so codes compiled at different times stay comparable.
+    evicted least recently used beyond MEMO_SIZE; the index spaces, one per
+    grid size, live as long as the block, so codes stay comparable.
     """
 
     def __init__(self) -> None:
@@ -223,7 +223,9 @@ def index_space(n: int) -> IndexSpace:
     memo = _MEMO.get()
     if memo is None:
         raise RuntimeError("index_space() needs a shared_compilation() block")
-    return memo.spaces.setdefault(n, IndexSpace(n))
+    if n not in memo.spaces:
+        memo.spaces[n] = IndexSpace(n)
+    return memo.spaces[n]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -444,9 +446,9 @@ class ModulusReport:
 
 
 def modulus_constancy(u: ScalarField, grid: GridCircle, tol: float = 1e-9) -> ModulusReport:
-    """Check whether |u| is constant on the grid within tol.  The spread
-    reads only the largest and the smallest tabulated modulus, so both are
-    held to |u| evaluated at their points."""
+    """Whether |u| is constant on the grid within tol, for the modulus-dip
+    counterexample, which has no profile yet.  The largest and the smallest
+    tabulated modulus are held to |u| evaluated at their points."""
     mods = modulus(tabulate(u, grid.n))
     for k in (int(mods.argmax()), int(mods.argmin())):
         p, tabulated = grid.coord(k), float(mods[k])

@@ -13,8 +13,8 @@ the perturbation places exactly on phi(s)).  Sweeping epsilon downward
 through a dyadic ladder makes the two routes comparable on finite grids;
 every level is read off one pass over the points sorted by total
 variation.
-Both routes read sup|u| and ||T|| off their shared, verified profile and
-take every modulus through circle.modulus.
+Both routes read sup|u| and ||T|| off their shared, verified profile, as
+the |u| preconditions below read sup|u| - inf|u|; moduli go by circle.modulus.
 
 The two counterexample constructors certify strict failure: one exploits a
 non-constant |u| by hanging a rank-one tent on the modulus minimum, the
@@ -331,11 +331,14 @@ def counterexample_fat_preimage(u: ScalarField, phi: SymbolMap, t: Fraction,
     values top out at (3/2) sup|u|, leaving a gap of sup|u|/2.
     """
     t = frac_mod1(t)
-    report = modulus_constancy(u, grid, tol=tol)
-    if not report.constant:
-        raise ValueError(
-            f"|u| must be constant within {tol} here (spread {report.spread:.3e})")
-    if report.value <= tol:
+    wc = WeightedComposition(u, phi)
+    g = ScalarField.tent(U.center, U.half_width, peak=-1.0, base=-0.5)
+    T = rank_one(ScalarField.product(g, u), t)
+    prof = perturbation_profile(wc, T, grid)
+    spread = prof.weight_sup - prof.weight_inf
+    if not spread <= tol:
+        raise ValueError(f"|u| must be constant within {tol} here (spread {spread:.3e})")
+    if prof.weight_sup <= tol:
         raise ValueError("the weight must be nonzero")
     on_arc = _arc_points(U, grid)
     misses = np.flatnonzero(on_arc & (symbol_codes(phi, grid.n) != index_space(grid.n).code(t)))
@@ -348,11 +351,7 @@ def counterexample_fat_preimage(u: ScalarField, phi: SymbolMap, t: Fraction,
                 f"the symbol codes put phi({p}) off {t!r} on the arc, but U.covers({k}, "
                 f"{grid.n}) is {covers} and phi({p}) = {image!r}")
         raise ValueError(f"arc is not inside the preimage of {t!r}: phi({p}) = {image!r}")
-
-    g = ScalarField.tent(center=U.center, half_width=U.half_width,
-                         peak=-1.0, base=-0.5)
-    T = rank_one(ScalarField.product(g, u), t)
-    return _certify(WeightedComposition(u, phi), T, grid,
+    return _certify(wc, T, grid,
                     detail={"kind": "fat-preimage", "target": t,
                             "arc_center": U.center, "arc_half_width": U.half_width})
 
@@ -421,14 +420,16 @@ def refinement_convergence(u: ScalarField, phi: SymbolMap, T: SupportsMeasureAt,
         raise ValueError(f"sizes must be at least 8 for the preimage diagnostic "
                          f"at resolution 4/n, got {min(sizes)}")
     out: list[GapPoint] = []
+    wc = WeightedComposition(u, phi)
     for n in sizes:
         grid = GridCircle(n)
-        report = modulus_constancy(u, grid, tol=tol)
-        if not report.constant:
+        prof = perturbation_profile(wc, T, grid)
+        spread = prof.weight_sup - prof.weight_inf
+        if not spread <= tol:
             raise ValueError(
                 f"|u| must be constant for the refinement harness "
-                f"(spread {report.spread:.3e} at n={n})")
-        eq = equation_holds(WeightedComposition(u, phi), T, grid, tol=tol)
+                f"(spread {spread:.3e} at n={n})")
+        eq = equation_holds(wc, T, grid, tol=tol)
         delta = Fraction(4, n)
         targets = dict.fromkeys(phi(grid.coord(k * n // TARGET_SAMPLES))
                                 for k in range(TARGET_SAMPLES))

@@ -9,8 +9,8 @@ finite-rank perturbations contribute finitely many moving atoms.
 The perturbed norm of uC_phi + T splits at each point into the aligned part
 |u(s) + mu_s({phi(s)})| plus the off-target variation.  perturbation_profile
 holds the split and its parts at every grid point, each point's total
-variation |mu_s|, sup|u| and ||T||: every circle check but the convex one
-reads its norms there, and operator_norm serves operators without a profile.
+variation |mu_s|, sup|u|, inf|u| and ||T||: every circle check but the convex
+one reads its norms and |u| there; operator_norm serves the convex check.
 
 Compiled route.  Inside a shared_compilation() block (see circle.py) an
 operator compiles once per grid to a family of atom slots: for each slot
@@ -49,11 +49,11 @@ T's merge plan, built once per operator from measures that validated
 themselves when they were made.  The direct norm must match the compiled
 split |u + m| + off, and the total variation of mu_s the compiled row
 total variation, to errors.agree's relative tolerance, else
-InvariantViolation names the point.  The reference pass
-is a check only: it builds nothing the checks read and names nothing of
-the compiled route, so it stays an independent witness.  Once it passes,
-the profile takes ||T||, its largest row (ValueError when it is not
-finite), and sup|u|, held to the pass's u(s) where it is attained.
+InvariantViolation names the point.  The reference pass is a check only:
+it builds nothing the checks read and names nothing of the compiled route,
+so it stays an independent witness.  Once it passes, the profile takes
+||T||, its largest row (ValueError when it is not finite), and sup|u| and
+inf|u|, each held to the pass's u(s) at the first point attaining it.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ from .circle import (
     index_space,
     memoized,
     modulus,
-    modulus_constancy,
     symbol_codes,
     tabulate,
 )
@@ -350,7 +349,7 @@ def operator_norm(T: SupportsMeasureAt, grid: GridCircle) -> float:
 class PerturbationProfile:
     """Per-point data of uC_phi + T: weight u(s), aligned mass mu_s({phi(s)}),
     off-target variation |mu_s|(S - {phi(s)}), total variation |mu_s|(S) and
-    the split |u(s) + mu_s({phi(s)})| + off; and sup|u| and ||T||."""
+    the split |u(s) + mu_s({phi(s)})| + off; and sup|u|, inf|u| and ||T||."""
 
     weight: np.ndarray           # complex
     aligned_mass: np.ndarray     # complex
@@ -358,6 +357,7 @@ class PerturbationProfile:
     total_variation: np.ndarray  # real
     split: np.ndarray            # real
     weight_sup: float
+    weight_inf: float
     t_norm: float
 
 
@@ -444,16 +444,18 @@ def _checked_profile(wc: WeightedComposition, T: SupportsMeasureAt,
         if direct != s:
             agree(s, direct, lambda: f"aligned/off-target split {s!r} disagrees with "
                                      f"direct total variation {direct!r} at s={p}")
-    k = int(np.argmax(modulus(weight)))
-    weight_sup, u_k = float(modulus(weight[k])), abs(complex(_values(wc.u, grid.n)[k]))
-    agree(weight_sup, u_k, lambda: f"tabulated |u| {weight_sup!r} disagrees with "
-                                   f"|u(s)| {u_k!r} at s={grid.coord(k)}")
+    mods, u = modulus(weight), _values(wc.u, grid.n)
+    for k in (int(mods.argmax()), int(mods.argmin())):
+        tabulated, u_k = float(mods[k]), abs(complex(u[k]))
+        agree(tabulated, u_k, lambda: f"tabulated |u| {tabulated!r} disagrees with "
+                                      f"|u(s)| {u_k!r} at s={grid.coord(k)}")
     t_norm = float(tv.max())
     if not math.isfinite(t_norm):
         raise ValueError(f"||T|| = {t_norm!r} is not finite")
     for a in (weight, aligned, off, tv, split):
         a.flags.writeable = False
-    return PerturbationProfile(weight, aligned, off, tv, split, weight_sup, t_norm)
+    return PerturbationProfile(weight, aligned, off, tv, split, float(mods.max()),
+                               float(mods.min()), t_norm)
 
 
 @compiles
@@ -504,12 +506,12 @@ def rotation_max_norm(wc: WeightedComposition, T: SupportsMeasureAt,
     """
     if lambda_grid < 1:
         raise ValueError(f"lambda_grid must be positive, got {lambda_grid}")
-    report = modulus_constancy(wc.u, grid, tol=tol)
-    if not report.constant:
+    prof = perturbation_profile(wc, T, grid)
+    spread = prof.weight_sup - prof.weight_inf
+    if not spread <= tol:
         raise ValueError(
             f"|u| must be constant within {tol} for the rotation maximum "
-            f"(spread {report.spread:.3e})")
-    prof = perturbation_profile(wc, T, grid)
+            f"(spread {spread:.3e})")
     lam = memoized("lambdas", lambda_grid, (), lambda: _frozen(
         np.exp(2j * np.pi * np.arange(lambda_grid) / lambda_grid)))
     moving = prof.aligned_mass != 0

@@ -1,12 +1,14 @@
 """Grid circle geometry, scalar fields and symbol maps."""
 
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from daugavetlab import circle
 from daugavetlab.circle import (
     Arc,
     GridCircle,
@@ -28,6 +30,7 @@ from daugavetlab.criteria import counterexample_fat_preimage
 from daugavetlab.measures import AtomicMeasure
 from daugavetlab.operators import rank_one
 from daugavetlab.sampling import random_unimodular_field
+from daugavetlab.scenarios import parse_scenario, run_scenario
 
 FULL = Arc(Fraction(0), Fraction(1, 2))
 
@@ -286,6 +289,30 @@ class TestIndexSpace:
                                              Fraction(1, 3))}
             assert len(codes) == 5 and codes.isdisjoint(range(8))
             assert space.code(Fraction(2, 2 * big)) == space.code(Fraction(1, big))
+
+    def test_one_block_makes_one_space_per_grid_size(self, monkeypatch):
+        made = Counter()
+        original = circle.IndexSpace.__init__
+
+        def counting(self, n):
+            made[n] += 1
+            original(self, n)
+
+        monkeypatch.setattr(circle.IndexSpace, "__init__", counting)
+        sc = parse_scenario({
+            "space": {"kind": "circle", "n": 64},
+            "weight": {"kind": "unimodular_exp", "winding": 1},
+            "symbol": {"kind": "doubling"},
+            "operator": {"kind": "finite_rank", "terms": [
+                {"g": {"kind": "cosine", "amplitude": 0.5, "offset": 0.5},
+                 "atoms": [{"pos": "1/4", "re": -1.0}]}]},
+            "checks": [{"name": "equation"}, {"name": "rotation-max"},
+                       {"name": "refinement", "sizes": [16, 32, 64]}]})
+        with shared_compilation():
+            assert index_space(8) is index_space(8)
+            records = run_scenario(sc)["checks"]
+        assert "error" not in [r["verdict"] for r in records]
+        assert made == {8: 1, 16: 1, 32: 1, 64: 1}
 
     @pytest.mark.parametrize("phi", [
         SymbolMap.identity(),

@@ -266,16 +266,18 @@ def synthetic_profile(weight, aligned, off):
     tv = np.abs(aligned) + off
     split = np.abs(weight + aligned) + off
     return operators.PerturbationProfile(weight, aligned, off, tv, split,
-                                         float(np.abs(weight).max()), float(tv.max()))
+                                         float(np.abs(weight).max()), float(np.abs(weight).min()),
+                                         float(tv.max()))
 
 
 def search_on(monkeypatch, prof, lambda_grid):
-    """rotation_max_norm on a synthetic profile: the composition is u = 1 on
-    the profile's grid, so only the profile is read."""
+    """rotation_max_norm on a synthetic profile, which is all it reads.  Its
+    |u| precondition reads the profile too, whose unimodular weights may be
+    scaled far beyond the absolute tol: tol is the profile's own spread."""
     monkeypatch.setattr(operators, "perturbation_profile", lambda wc, T, grid: prof)
     wc = WeightedComposition(ScalarField.constant(1.0), SymbolMap.identity())
     return rotation_max_norm(wc, zero_operator(), GridCircle(prof.weight.size),
-                             lambda_grid=lambda_grid)
+                             lambda_grid=lambda_grid, tol=prof.weight_sup - prof.weight_inf)
 
 
 def random_profile(rng, n, scale=1.0):
@@ -811,15 +813,20 @@ class TestCrossCheckFires:
     @pytest.mark.parametrize("factor", [1 + 1e-6, 1 - 1e-6], ids=["raised", "lowered"])
     def test_corrupt_tabulated_modulus_is_caught_at_its_point(self, monkeypatch, factor):
         # |u| = 1 everywhere, so the corrupted value becomes the largest or
-        # the smallest modulus, and the spread alone would read a dip
-        original = circle.tabulate
+        # the smallest modulus, and the spread alone would read a dip.  No
+        # mass is aligned at s = 23/64, and the off-target variation there
+        # takes up the change, so the split still matches its direct norm
+        original = operators._compiled_profile
 
-        def corrupted(u, n):
-            values = original(u, n).copy()
-            values[23] *= factor
-            return values
+        def corrupted(wc, T, grid):
+            weight, aligned, off, tv = original(wc, T, grid)
+            weight, off = weight.copy(), off.copy()
+            before = abs(complex(weight[23]))
+            weight[23] *= factor
+            off[23] += before - abs(complex(weight[23]))
+            return weight, aligned, off, tv
 
-        monkeypatch.setattr(circle, "tabulate", corrupted)
+        monkeypatch.setattr(operators, "_compiled_profile", corrupted)
         wc = WeightedComposition(ScalarField.unimodular_exp(1), SymbolMap.doubling())
         T = rank_one(ScalarField.constant(1.0), at=Fraction(0))
         with pytest.raises(InvariantViolation, match=r"tabulated \|u\| .* at s=23/64$"):

@@ -405,6 +405,42 @@ CIRCLE_CHECKS = [{"name": "equation"}, {"name": "criterion-sweep"}, {"name": "ro
                  {"name": "refinement", "sizes": [8, 16]}]
 
 
+#: A weight whose |u| runs from 1/2 to 3/2: spread 1.
+DIPPING = {"kind": "cosine", "amplitude": 0.5, "offset": 1.0}
+
+
+class TestModulusPreconditions:
+    """The text of each |u| precondition, as its record reports it."""
+
+    @pytest.mark.parametrize("weight, check, error", [
+        (DIPPING, {"name": "rotation-max"},
+         "|u| must be constant within 1e-09 for the rotation maximum (spread 1.000e+00)"),
+        (DIPPING, {"name": "counterexample-preimage", "target": "0", "center": "1/2",
+                   "half_width": "1/8"},
+         "|u| must be constant within 1e-09 here (spread 1.000e+00)"),
+        ({"kind": "constant", "re": 0.0}, {"name": "counterexample-preimage", "target": "0",
+                                           "center": "1/2", "half_width": "1/8"},
+         "the weight must be nonzero"),
+        (DIPPING, {"name": "refinement", "sizes": [16, 32]},
+         "|u| must be constant for the refinement harness (spread 1.000e+00 at n=16)"),
+        ({"kind": "constant", "re": 1.0}, {"name": "counterexample-modulus"},
+         "|u| is constant within 1e-09 (spread 0.000e+00); this constructor needs a "
+         "modulus dip"),
+    ], ids=["rotation-max", "preimage", "preimage-zero-weight", "refinement", "modulus-dip"])
+    def test_precondition_text(self, weight, check, error):
+        rec = run_scenario(parse_scenario(scenario(weight=weight, checks=[check])))["checks"][0]
+        assert rec["verdict"] == "error" and rec["error"] == error
+
+    def test_an_infinite_operator_norm_comes_before_the_modulus(self):
+        # every check that reads a profile reports its ||T||, whatever |u| is
+        obj = scenario(weight=DIPPING,
+                       operator={"kind": "sum", "terms": [rank_one_at({"re": 1e308})] * 2},
+                       checks=[{"name": "equation"}, {"name": "rotation-max"},
+                               {"name": "refinement", "sizes": [16, 32]}])
+        records = run_scenario(parse_scenario(obj))["checks"]
+        assert [r.get("error") for r in records] == ["||T|| = inf is not finite"] * 3
+
+
 class TestCli:
     def run_cli(self, tmp_path, args, scenario_obj=None):
         argv = list(args)
