@@ -12,7 +12,6 @@ from .circle import (
     ScalarField,
     SymbolMap,
     frac_mod1,
-    modulus_constancy,
     preimage_nowhere_dense_at_resolution,
 )
 from .criteria import (
@@ -77,8 +76,7 @@ __all__ = [
     "__version__",
     # circle model
     "GridCircle", "Arc", "ScalarField", "SymbolMap",
-    "frac_mod1", "modulus_constancy",
-    "preimage_nowhere_dense_at_resolution",
+    "frac_mod1", "preimage_nowhere_dense_at_resolution",
     # measures
     "AtomicMeasure", "linear_combine", "total_variation", "integrate",
     "norm_oracle",

@@ -61,7 +61,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import agree
 
 TWO_PI = 2.0 * math.pi
 
@@ -436,26 +435,6 @@ def arc_mask(arc: Arc, n: int) -> np.ndarray:
     d(k/n, c) <= h."""
     G, H = _arc_distances(arc.center, arc.half_width, n)
     return (G <= H).astype(bool)
-
-
-@dataclass(frozen=True)
-class ModulusReport:
-    constant: bool
-    value: float      # max |u| over the grid
-    spread: float     # max |u| - min |u|
-
-
-def modulus_constancy(u: ScalarField, grid: GridCircle, tol: float = 1e-9) -> ModulusReport:
-    """Whether |u| is constant on the grid within tol, for the modulus-dip
-    counterexample, which has no profile yet.  The largest and the smallest
-    tabulated modulus are held to |u| evaluated at their points."""
-    mods = modulus(tabulate(u, grid.n))
-    for k in (int(mods.argmax()), int(mods.argmin())):
-        p, tabulated = grid.coord(k), float(mods[k])
-        agree(tabulated, abs(u(p)), lambda: f"tabulated |u| {tabulated!r} disagrees with "
-                                            f"|u(s)| {abs(u(p))!r} at s={p}")
-    hi, lo = float(mods.max()), float(mods.min())
-    return ModulusReport(constant=(hi - lo) <= tol, value=hi, spread=hi - lo)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ through a dyadic ladder makes the two routes comparable on finite grids;
 every level is read off one pass over the points sorted by total
 variation.
 Both routes read sup|u| and ||T|| off their shared, verified profile, as
-the |u| preconditions below read sup|u| - inf|u|; moduli go by circle.modulus.
+the |u| preconditions below read sup|u| - inf|u|, the modulus-dip
+constructor's off the profile with the zero operator; moduli go by
+circle.modulus.
 
 The two counterexample constructors certify strict failure: one exploits a
 non-constant |u| by hanging a rank-one tent on the modulus minimum, the
@@ -45,10 +47,8 @@ from .circle import (
     frac_mod1,
     index_space,
     modulus,
-    modulus_constancy,
     preimage_nowhere_dense_at_resolution,
     symbol_codes,
-    tabulate,
 )
 from .errors import InvariantViolation, agree, at_most
 from .operators import (
@@ -64,6 +64,7 @@ from .operators import (
     perturbed_norm,
     point_masses,
     rank_one,
+    zero_operator,
 )
 
 __all__ = [
@@ -286,15 +287,18 @@ def counterexample_nonconstant_modulus(u: ScalarField, phi: SymbolMap,
     Hangs T f = f(s0) * v on the modulus minimum s0, with v a tent peaking
     at 1 there and supported where |u| stays below sup|u| - spread/2.  Any
     point can then contribute at most |u(s)| + v(s) < sup|u| + 1 to the
-    perturbed norm, pinning the gap at spread/2 or better.
+    perturbed norm, pinning the gap at spread/2 or better.  |u| comes from
+    the profile of uC_phi with the zero operator, whose reference pass
+    holds |u(s)| at every point; s0 is the first point where it is smallest.
     """
-    report = modulus_constancy(u, grid, tol=tol)
-    weight_sup, spread = report.value, report.spread
-    if report.constant:
+    wc = WeightedComposition(u, phi)
+    prof = perturbation_profile(wc, zero_operator(), grid)
+    weight_sup, spread = prof.weight_sup, prof.weight_sup - prof.weight_inf
+    if spread <= tol:
         raise ValueError(
             f"|u| is constant within {tol} (spread {spread:.3e}); "
             "this constructor needs a modulus dip")
-    mods = modulus(tabulate(u, grid.n)).tolist()
+    mods = modulus(prof.weight).tolist()
     s0_idx = mods.index(min(mods))
     s0 = grid.coord(s0_idx)
     threshold = weight_sup - spread / 2.0
@@ -313,7 +317,7 @@ def counterexample_nonconstant_modulus(u: ScalarField, phi: SymbolMap,
 
     v = ScalarField.tent(center=s0, half_width=half_width, peak=1.0, base=0.0)
     T = rank_one(v, s0)
-    return _certify(WeightedComposition(u, phi), T, grid,
+    return _certify(wc, T, grid,
                     detail={"kind": "modulus-dip", "s0": s0,
                             "tent_half_width": half_width,
                             "modulus_spread": spread})

@@ -142,8 +142,10 @@ class DiskFunction:
                 return self.value
             return np.full(arr.shape, self.value, dtype=complex)
         if self.kind == "polynomial":
-            res = np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex),
-                                                   np.asarray(self.coeffs))
+            # inf or nan where Horner's sums overflow, reported as not finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                res = np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex),
+                                                       np.asarray(self.coeffs))
             if np.asarray(z).shape == ():
                 return complex(res)
             return res
@@ -229,10 +231,12 @@ def check_c_conditions(u: DiskFunction, phi: DiskFunction, samples: int = 4096,
     z = np.exp(2j * np.pi * np.arange(samples) / samples)
     u_mod = np.abs(u(z))
     phi_vals = np.asarray(phi(z))
-    u_spread = float(u_mod.max() - u_mod.min())
+    # inf or nan where u or phi overflows: the record reports it as not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_spread = float(u_mod.max() - u_mod.min())
+        symbol_spread = float(np.max(np.abs(phi_vals - phi_vals[0])))
     u_min = float(u_mod.min())
     inner_defect = float(np.max(np.abs(np.abs(phi_vals) - 1.0)))
-    symbol_spread = float(np.max(np.abs(phi_vals - phi_vals[0])))
     return CConditions(
         weight_modulus_constant=(u_spread <= tol and u_min > tol),
         symbol_inner=inner_defect <= tol,
@@ -332,9 +336,9 @@ def _ladder_walk(root: list, zeros: list[complex], uz: np.ndarray, phiz: np.ndar
                  ) -> tuple[float, int, int, dict | None, int]:
     """Score the members of a _ladder_tree depth first over its shared zero
     prefixes: max_k |u(z_k) f(phi(z_k)) + c f(tau) g(z_k)|, without the
-    second term when T is None.  Returns the best value, its ladder index,
-    sample index and (shared, uncopied) description, and how many members
-    were evaluated.
+    second term when T is None.  Returns the best value (NaN when no member
+    scored a number), its ladder index, sample index and (shared, uncopied)
+    description, and how many members were evaluated.
 
     A child is its parent times one factor, associated as blaschke_eval
     associates it (out * ((arr - a) / den), factors in tuple order), so
@@ -410,7 +414,8 @@ def _ladder_walk(root: list, zeros: list[complex], uz: np.ndarray, phiz: np.ndar
         index, desc, children = node
         if index is not None:
             evaluated += 1
-            with np.errstate(over="ignore"):  # an inf score is reported as not finite
+            # an inf score, or a nan from an inf weight, is reported as not finite
+            with np.errstate(over="ignore", invalid="ignore"):
                 np.multiply(uz, values[0], out=scores)
                 if T is not None:
                     scores += np.multiply(T.c * complex(values[1]), gz, out=term)
@@ -423,6 +428,8 @@ def _ladder_walk(root: list, zeros: list[complex], uz: np.ndarray, phiz: np.ndar
             f_sup = min(f_sup, float(np.max(np.abs(values[0], out=moduli))))
             stack.extend((child, values, f_sup, b, depth + 1)
                          for b, child in reversed(children.items()))
+    if best_index < 0:  # no member scored a number
+        best = math.nan
     return best, best_index, best_k, best_desc, evaluated
 
 
@@ -563,9 +570,11 @@ def certified_counterexample_bound(u: DiskFunction, phi: DiskFunction,
     g_arc = np.asarray(T.g(z_arc))
     phi_arc = np.asarray(phi(z_arc))
     u_arc = np.asarray(u(z_arc))
-    phi_increment = float(np.max(np.abs(phi_arc - T.tau)))
+    # inf or nan where u or phi overflows: the record reports it as not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi_increment = float(np.max(np.abs(phi_arc - T.tau)))
+        u_increment = float(np.max(np.abs(u_arc - T.c)))
     g_defect = float(np.max(np.abs(1.0 - g_arc)))
-    u_increment = float(np.max(np.abs(u_arc - T.c)))
     arc_ok = (phi_increment <= epsilon and g_defect < 0.5
               and u_increment < epsilon)
 

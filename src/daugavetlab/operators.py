@@ -10,7 +10,9 @@ The perturbed norm of uC_phi + T splits at each point into the aligned part
 |u(s) + mu_s({phi(s)})| plus the off-target variation.  perturbation_profile
 holds the split and its parts at every grid point, each point's total
 variation |mu_s|, sup|u|, inf|u| and ||T||: every circle check but the convex
-one reads its norms and |u| there; operator_norm serves the convex check.
+one reads its norms and |u| there, the modulus-dip constructor off the
+profile of uC_phi with the zero operator.  operator_norm serves the convex
+check.
 
 Compiled route.  Inside a shared_compilation() block (see circle.py) an
 operator compiles once per grid to a family of atom slots: for each slot
@@ -333,13 +335,14 @@ def point_masses(fam: CompiledFamily, targets: np.ndarray) -> tuple[np.ndarray, 
 def operator_norm(T: SupportsMeasureAt, grid: GridCircle) -> float:
     """sup over grid points of the total variation of the measure family,
     held to total_variation(mu_s) at the first point that attains it.
-    ValueError when it is not finite."""
+    ValueError when it is not finite, after the witness, which raises
+    OverflowError on an atom modulus that overflows, as a profile does."""
     tv = compiled_family(T, grid.n).tv
     k = int(np.argmax(tv))
     norm, p = float(tv[k]), grid.coord(k)
+    direct = total_variation(T.measure_at(p))
     if not math.isfinite(norm):
         raise ValueError(f"||T|| = {norm!r} is not finite")
-    direct = total_variation(T.measure_at(p))
     agree(norm, direct, lambda: f"compiled norm {norm!r} disagrees with the measure's "
                                 f"total variation {direct!r} at s={p}")
     return norm

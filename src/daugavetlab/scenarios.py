@@ -583,15 +583,16 @@ def _run_cex_preimage(sc: Scenario, target: Fraction, center: Fraction,
 def _ladder(radii: list[float], **counts: int) -> dsk.SearchLadder:
     ladder = dsk.SearchLadder(radii=tuple(radii), **counts)
     pool = len(ladder.zero_pool())  # validates radii
-    # C(pool + d - 1, d) zero multisets at each depth d, summed until past
-    # the cap, plus the monomials beyond max_depth
-    blaschke = term = 1
-    for d in range(1, ladder.max_depth + 1):
-        term = term * (pool + d - 1) // d
-        blaschke += term
-        if blaschke > MAX_LADDER_FAMILY:
-            raise ScenarioError("check.max_depth",
-                                f"ladder family exceeds {MAX_LADDER_FAMILY} functions")
+    # C(pool + d - 1, d) zero multisets at each depth d <= max_depth sum to
+    # C(pool + max_depth, max_depth), plus the monomials beyond max_depth.
+    # From depth 1 on that exceeds pool and max_depth, so capping both at
+    # MAX_LADDER_FAMILY + 1 decides the bound alike and keeps math.comb small
+    cap = MAX_LADDER_FAMILY + 1
+    depth = min(ladder.max_depth, cap)
+    blaschke = math.comb(min(pool, cap) + depth, depth)
+    if blaschke > MAX_LADDER_FAMILY:
+        raise ScenarioError("check.max_depth",
+                            f"ladder family exceeds {MAX_LADDER_FAMILY} functions")
     if blaschke + max(0, ladder.max_monomial - ladder.max_depth) > MAX_LADDER_FAMILY:
         raise ScenarioError("check.max_monomial",
                             f"ladder family exceeds {MAX_LADDER_FAMILY} functions")

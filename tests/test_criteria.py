@@ -16,7 +16,6 @@ from daugavetlab.circle import (
     ScalarField,
     SymbolMap,
     modulus,
-    modulus_constancy,
 )
 from daugavetlab.criteria import (
     TARGET_SAMPLES,
@@ -313,6 +312,16 @@ class TestSEpsilon:
                     check(wc, T, epsilon, g)
 
 
+def point_moduli(u, g):
+    """|u(s)| at every grid point, by the per-point evaluation."""
+    return [abs(u(p)) for p in g.points()]
+
+
+def point_norm(T, g):
+    """||T||: the largest total variation of mu_s, by the per-point route."""
+    return max(total_variation(T.measure_at(p)) for p in g.points())
+
+
 def sampled_instance(seed, n=64):
     """The selftest's criterion instance: unimodular u, random phi and T."""
     rng = default_rng(seed)
@@ -325,21 +334,21 @@ def sampled_instance(seed, n=64):
 class TestOneSupAndOneNorm:
     """Every reader takes sup|u|, ||T|| and the per-point total variations
     from its profile, and moduli through circle.modulus.  The profile's
-    norms are modulus_constancy's sup|u| and operator_norm's ||T||, so a
-    reader's values follow from those bit for bit."""
+    norms are the per-point max |u(s)| and max |mu_s|, so a reader's values
+    follow from those bit for bit."""
 
     @staticmethod
     def deficiency(wc, T, g):
         prof = perturbation_profile(wc, T, g)
         return prof, (modulus(prof.weight + prof.aligned_mass)
-                      - (modulus_constancy(wc.u, g).value + modulus(prof.aligned_mass)))
+                      - (max(point_moduli(wc.u, g)) + modulus(prof.aligned_mass)))
 
     def test_the_profile_holds_the_standalone_norms(self):
         for seed in range(10):
             wc, T, g = sampled_instance(seed)
             prof = perturbation_profile(wc, T, g)
-            assert (prof.weight_sup, prof.t_norm) == (modulus_constancy(wc.u, g).value,
-                                                      operator_norm(T, g))
+            assert (prof.weight_sup, prof.t_norm) == (max(point_moduli(wc.u, g)),
+                                                      point_norm(T, g))
             assert np.array_equal(prof.split, modulus(prof.weight + prof.aligned_mass)
                                   + prof.off_mass)
 
@@ -375,7 +384,7 @@ class TestOneSupAndOneNorm:
     def test_results_return_the_norms_they_read(self):
         for seed in range(10):
             wc, T, g = sampled_instance(seed)
-            weight_sup, t_norm = modulus_constancy(wc.u, g).value, operator_norm(T, g)
+            weight_sup, t_norm = max(point_moduli(wc.u, g)), operator_norm(T, g)
             eq = equation_holds(wc, T, g)
             assert (eq.weight_sup, eq.t_norm, eq.rhs) == (weight_sup, t_norm,
                                                           weight_sup + t_norm)
@@ -413,7 +422,7 @@ class TestModulusDipCounterexample:
         res = counterexample_nonconstant_modulus(u, SymbolMap.identity(), g)
         wc = WeightedComposition(u, SymbolMap.identity())
         assert perturbed_norm(wc, res.operator, g) == pytest.approx(res.perturbed, abs=1e-15)
-        assert (modulus_constancy(u, g).value + operator_norm(res.operator, g)
+        assert (max(point_moduli(u, g)) + operator_norm(res.operator, g)
                 == pytest.approx(res.upper, abs=1e-15))
 
     def test_gap_beats_half_spread_on_random_instances(self):
@@ -422,7 +431,8 @@ class TestModulusDipCounterexample:
         for _ in range(40):
             u = random_nonconstant_weight(rng, g.n)
             phi = random_symbol(rng, g)
-            spread = modulus_constancy(u, g).spread
+            mods = point_moduli(u, g)
+            spread = max(mods) - min(mods)
             res = counterexample_nonconstant_modulus(u, phi, g)
             assert res.certified_gap >= spread / 2 - 1e-9
 

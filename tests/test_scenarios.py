@@ -262,6 +262,12 @@ DISK = {
 }
 
 
+#: A disk polynomial whose values overflow on the circle, and a symbol
+#: inside the disk.
+BIG_POLYNOMIAL = {"kind": "polynomial", "coeffs": [{"re": 1e308}] * 3}
+HALF_IDENTITY = {"kind": "scaled_identity", "re": 0.5}
+
+
 def disk_record(**params):
     name = params.pop("name", "disk-c-conditions")
     obj = dict(DISK, checks=[{"name": name, **params}])
@@ -307,6 +313,24 @@ class TestDiskParameters:
         assert rec["error"].startswith("check.max_monomial:")
         rec = disk_record(name="disk-lower-bound", max_monomial=-1)
         assert rec["error"].startswith("check.max_monomial:")
+
+    def test_ladder_family_bound_is_the_family_size(self):
+        # radii [0.5] give the pool {0, 0.5, -0.5}: C(3 + 47, 47) = 19600
+        # Blaschke members and 447 - 47 = 400 monomials
+        ladder = scenarios._ladder([0.5], max_depth=47, max_monomial=447)
+        assert sum(1 for _ in ladder.test_functions()) == scenarios.MAX_LADDER_FAMILY
+
+    @pytest.mark.parametrize("radii, max_depth, max_monomial, key", [
+        ([0.5], 47, 448, "max_monomial"),
+        ([0.5], 48, 447, "max_depth"),
+        ([0.5], 10 ** 30, 0, "max_depth"),
+        ([k / 40_001 for k in range(1, 40_001)], 10 ** 30, 0, "max_depth"),
+    ], ids=["monomials", "depth", "huge-depth", "huge-depth-and-pool"])
+    def test_ladder_family_bound_names_its_key(self, radii, max_depth, max_monomial, key):
+        rec = disk_record(name="disk-lower-bound", radii=radii, max_depth=max_depth,
+                          max_monomial=max_monomial)
+        assert rec["verdict"] == "error" and rec["error"] == (
+            f"check.{key}: ladder family exceeds {scenarios.MAX_LADDER_FAMILY} functions")
 
     @pytest.mark.parametrize("omega, half_angle, key", [
         ({"re": 2.0}, 0.1, "omega"), ({"re": 0.6, "im": 0.6}, 4.0, "omega"),
@@ -793,6 +817,14 @@ class TestSchemaRegressions:
         rec = run_scenario(parse_scenario(obj))["checks"][0]
         assert rec["verdict"] == "error" and "overflow" in rec["error"]
 
+    def test_an_overflowing_atom_reads_the_same_in_every_circle_check(self):
+        # convex takes ||T|| from operator_norm, whose witness |mu_s| at the
+        # largest row overflows as the other checks' reference pass does
+        obj = scenario(symbol2={"kind": "identity"}, t=0.5, checks=CIRCLE_CHECKS,
+                       operator=rank_one_at({"re": 1.5e308, "im": 1.5e308}))
+        records = run_scenario(parse_scenario(obj))["checks"]
+        assert [r.get("error") for r in records] == ["absolute value too large"] * 6
+
     @pytest.mark.parametrize("overrides,sha256", [
         ({"operator": rank_one_at({"re": 1.5e308, "im": 1.5e308}),
           "checks": [{"name": "equation"}, {"name": "s-epsilon", "epsilon": 0.5}]},
@@ -818,6 +850,38 @@ class TestSchemaRegressions:
         assert code == 0 and err == "" and caught == []
         assert all(r["verdict"] == "error" for r in json.loads(out)["checks"])
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("weight, symbol, check, error", [
+        # every ladder score is nan, so no member beats the walk's start
+        (BIG_POLYNOMIAL, HALF_IDENTITY,
+         {"name": "disk-lower-bound", "max_depth": 1, "samples": 64},
+         "values.lower_bound = nan is not finite"),
+        (BIG_POLYNOMIAL, HALF_IDENTITY, {"name": "disk-c-conditions", "samples": 64},
+         "values.detail.weight_spread = inf is not finite"),
+        (BIG_POLYNOMIAL, HALF_IDENTITY,
+         {"name": "disk-certified", "omega": {"re": 1.0}, "epsilon": 0.05,
+          "half_angle": 0.1, "samples": 64},
+         "values.bound = inf is not finite"),
+        ({"kind": "constant", "re": 1.0}, BIG_POLYNOMIAL,
+         {"name": "disk-lower-bound", "max_depth": 1, "samples": 64},
+         "symbol leaves the closed disk by inf; test functions cannot be composed with it"),
+        # finite symbol values whose differences overflow
+        ({"kind": "constant", "re": 1.0},
+         {"kind": "polynomial", "coeffs": [{"re": 1e308}, {"re": 1e308, "im": 1e308}]},
+         {"name": "disk-c-conditions", "samples": 64},
+         "values.detail.inner_defect = inf is not finite"),
+    ], ids=["lower-bound", "c-conditions", "certified", "symbol-lower-bound",
+            "symbol-c-conditions"])
+    def test_an_overflowing_disk_polynomial_is_an_error_record(self, tmp_path, weight,
+                                                               symbol, check, error):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = verify(write(tmp_path, {"disk": {"weight": weight,
+                                                              "symbol": symbol},
+                                                     "checks": [check]}))
+        assert code == 0 and err == "" and caught == []
+        rec = strict_json(out)["checks"][0]
+        assert rec["verdict"] == "error" and rec["error"] == error
 
     @pytest.mark.parametrize("value", [10 ** 12, 2 ** 20 + 1])
     def test_point_counts_are_bounded(self, value):
