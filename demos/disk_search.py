@@ -39,9 +39,7 @@ print()
 
 print("certified counterexample at omega = 1 for phi(z) = z/2:")
 half = DiskFunction.scaled_identity(0.5)
-omega = 1 + 0j
-cert = certified_counterexample_bound(one, half, omega, 0.05,
-                                      ArcNeighborhood(omega, 0.1))
+cert = certified_counterexample_bound(one, half, 0.05, ArcNeighborhood(1 + 0j, 0.1))
 print(f"  on-arc chain bound   {cert.on_arc:.12f}")
 print(f"  off-arc bound        {cert.off_arc:.12f}  (1 + cos(1/20) = "
       f"{1 + math.cos(0.05):.12f})")

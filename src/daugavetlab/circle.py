@@ -20,7 +20,8 @@ each grid point, share that one implementation and build no Fraction per
 point.  The results do not depend on the reduction: int / int is
 correctly rounded, so num / den is float(Fraction(num, den)); circle
 distances (tents, arcs) are compared as ratios of integers; grid indices
-come from one divmod; images are reduced with math.gcd.
+come from one divmod; images are reduced with math.gcd.  Grids and tables
+are checked when they are made, so evaluation checks only the point.
 
 Topological notions that make no sense on a finite set are rendered at a
 resolution: a preimage is "nowhere dense at resolution delta" when every
@@ -94,11 +95,15 @@ def _gap(num: int, den: int, c: Fraction) -> tuple[int, int]:
     return min(A, D - A), D
 
 
+def _check_grid_size(n: int) -> None:
+    """The rule on the size of a grid, a sample field or a table symbol."""
+    if n < 2:
+        raise ValueError(f"grid needs at least 2 points, got n={n}")
+
+
 def _grid_index(num: int, den: int, n: int) -> int:
     """Grid index of num/den (den > 0) on the n-point grid: n num/den must
     be an integer, else ValueError."""
-    if n < 2:
-        raise ValueError(f"grid needs at least 2 points, got n={n}")
     j, rem = divmod(num * n, den)
     if rem:
         raise ValueError(f"{Fraction(num, den)!r} is not a grid point of the {n}-point grid")
@@ -251,8 +256,7 @@ class GridCircle:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"grid needs at least 2 points, got n={self.n}")
+        _check_grid_size(self.n)
 
     def points(self) -> list[Fraction]:
         return [Fraction(k, self.n) for k in range(self.n)]
@@ -342,9 +346,11 @@ class ScalarField:
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", frac_mod1(self.center))
         object.__setattr__(self, "half_width", _half_width(self.half_width))
-        if self.kind == "samples" and len(self.samples) != self.n:
-            raise ValueError(f"sample table has {len(self.samples)} entries "
-                             f"for an n={self.n} grid")
+        if self.kind == "samples":
+            if len(self.samples) != self.n:
+                raise ValueError(f"sample table has {len(self.samples)} entries "
+                                 f"for an n={self.n} grid")
+            _check_grid_size(self.n)
 
     @classmethod
     def constant(cls, value: complex) -> "ScalarField":
@@ -465,9 +471,13 @@ class SymbolMap:
         object.__setattr__(self, "shift", frac_mod1(self.shift))
         if self.value is not None:
             object.__setattr__(self, "value", frac_mod1(self.value))
-        if self.kind == "table" and len(self.table) != self.n:
-            raise ValueError(f"symbol table has {len(self.table)} entries "
-                             f"for an n={self.n} grid")
+        if self.kind == "table":
+            if len(self.table) != self.n:
+                raise ValueError(f"symbol table has {len(self.table)} entries "
+                                 f"for an n={self.n} grid")
+            if any(not (0 <= k < self.n) for k in self.table):
+                raise ValueError("symbol table entries must be grid indices in [0, n)")
+            _check_grid_size(self.n)
 
     @classmethod
     def identity(cls) -> "SymbolMap":
@@ -489,10 +499,7 @@ class SymbolMap:
 
     @classmethod
     def from_table(cls, mapping, n: int) -> "SymbolMap":
-        phi = cls(kind="table", table=tuple(int(k) for k in mapping), n=n)
-        if any(not (0 <= k < n) for k in phi.table):
-            raise ValueError("symbol table entries must be grid indices in [0, n)")
-        return phi
+        return cls(kind="table", table=tuple(int(k) for k in mapping), n=n)
 
     def __call__(self, s: Fraction) -> Fraction:
         s = _as_fraction(s)
@@ -515,12 +522,7 @@ class SymbolMap:
                 return self.value.numerator, self.value.denominator
             return self.base.image_at(num, den)
         if k == "table":
-            j = _grid_index(num, den, self.n)  # first: it rejects a grid below 2 points
-            # a table built by hand can point off its grid
-            if not 0 <= self.table[j] < self.n:
-                raise ValueError(f"symbol produced {Fraction(self.table[j], self.n)!r}, "
-                                 "outside [0, 1)")
-            return _lowest(self.table[j], self.n)
+            return _lowest(self.table[_grid_index(num, den, self.n)], self.n)
         raise ValueError(f"unknown symbol kind {k!r}")
 
 
@@ -621,9 +623,7 @@ def _closed_form_codes(phi: SymbolMap, space: IndexSpace) -> np.ndarray | None:
         m = phi.shift.numerator * n // phi.shift.denominator
         return space.code((n * phi.shift - m) / n) + (k + m) % n
     if phi.kind == "table" and phi.n == n:
-        table = np.array(phi.table, dtype=np.int64)
-        if table.size and 0 <= table.min() and table.max() < n:
-            return table
+        return np.array(phi.table, dtype=np.int64)
     if phi.kind == "constant_on_arc" and isinstance(phi.base, SymbolMap):
         base = _closed_form_codes(phi.base, space)
         if base is None:

@@ -97,8 +97,11 @@ TARGET_SAMPLES = 8
 
 def _deficiency(prof: PerturbationProfile) -> np.ndarray:
     """|u(s) + m_s| - (sup|u| + |m_s|), always <= 0 up to rounding."""
-    return (modulus(prof.weight + prof.aligned_mass)
-            - (prof.weight_sup + modulus(prof.aligned_mass)))
+    # a huge finite u(s) and m_s overflow both sums, and inf - inf is nan:
+    # the record reports the supremum as not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (modulus(prof.weight + prof.aligned_mass)
+                - (prof.weight_sup + modulus(prof.aligned_mass)))
 
 
 @dataclass(frozen=True)
@@ -500,11 +503,14 @@ def convex_center_check(t: float, phi: SymbolMap, psi: SymbolMap, T: SupportsMea
     phi_codes, psi_codes = symbol_codes(phi, grid.n), symbol_codes(psi, grid.n)
     m_phi, m_psi = point_masses(fam, phi_codes)[0], point_masses(fam, psi_codes)[0]
     same = phi_codes == psi_codes
-    values = np.where(
-        same,
-        modulus(1.0 + m_phi) - (1.0 + modulus(m_phi)),
-        (modulus(t + m_phi) + modulus(1.0 - t + m_psi))
-        - (1.0 + modulus(m_phi) + modulus(m_psi)))
+    # np.where forms both branches at every point: a huge mass overflows
+    # the sums, and makes inf - inf, in the branch it then drops
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.where(
+            same,
+            modulus(1.0 + m_phi) - (1.0 + modulus(m_phi)),
+            (modulus(t + m_phi) + modulus(1.0 - t + m_psi))
+            - (1.0 + modulus(m_phi) + modulus(m_psi)))
     for k in np.flatnonzero(values > 0.0).tolist():  # at_most never raises on a value <= 0
         value = float(values[k])
         at_most(value, 0.0, f"positive deficiency {value!r} at s={grid.coord(k)}; "

@@ -5,14 +5,15 @@ their modulus on the circle, so norms here are suprema over dense circle
 samples; Blaschke products supply the inner symbols and the test-function
 ladder.  Exact analytic values are used wherever a closed form exists
 (inner parts have modulus 1, an affine a + b z has sup |a| + |b|), sampled
-suprema elsewhere, and every result records which one it got.
+suprema elsewhere, and every result records which one it got.  A ladder's
+radii are checked when it is made; one function holds each Blaschke guard.
 
 Two one-sided tools replace the circle model's exact norms:
 
 * disk_norm_lower_bound certifies ||uC_phi + T|| from below by evaluating
   the operator on a deterministic ladder of sup-norm-1 test functions.
 * certified_counterexample_bound certifies ||uC_phi - T|| from above, for
-  the canonical rank-one T built at a boundary point omega, by a two-arc
+  the canonical rank-one T built at the arc's center omega, by a two-arc
   argument: a difference chain with a Cauchy-type increment bound near
   omega, plain triangle inequality off the arc.  A positive margin below
   sup|u| + ||T|| certifies that additivity fails for -T.
@@ -76,6 +77,23 @@ class BlaschkeProduct:
         return blaschke_eval(self, z)
 
 
+def _in_closed_disk(arr: np.ndarray) -> None:
+    """The closed-disk guard of every Blaschke evaluation: rejects a point
+    array with |z| > 1 (beyond BOUNDARY_SLACK)."""
+    if arr.size and float(np.max(np.abs(arr))) > 1.0 + BOUNDARY_SLACK:
+        raise ValueError("evaluation point outside the closed unit disk")
+
+
+def _denominator(arr: np.ndarray, a: complex) -> np.ndarray:
+    """1 - conj(a) arr, the denominator of the a factor at each point of
+    arr; the pole guard of every Blaschke evaluation rejects one that
+    vanishes."""
+    den = 1.0 - np.conj(a) * arr
+    if arr.size and float(np.min(np.abs(den))) < 1e-300:
+        raise ValueError(f"evaluation too close to the pole of the {a!r} factor")
+    return den
+
+
 def blaschke_eval(B: BlaschkeProduct, z):
     """Evaluate on the closed disk (scalar or ndarray); rejects |z| > 1.
 
@@ -84,14 +102,10 @@ def blaschke_eval(B: BlaschkeProduct, z):
     so far, so a ladder walk that forms each factor once and multiplies
     by it gets the same bits."""
     arr = np.asarray(z, dtype=complex)
-    if arr.size and float(np.max(np.abs(arr))) > 1.0 + BOUNDARY_SLACK:
-        raise ValueError("evaluation point outside the closed unit disk")
+    _in_closed_disk(arr)
     out = np.full(arr.shape, B.unimodular_constant, dtype=complex)
     for a in B.zeros:
-        den = 1.0 - np.conj(a) * arr
-        if arr.size and float(np.min(np.abs(den))) < 1e-300:
-            raise ValueError(f"evaluation too close to the pole of the {a!r} factor")
-        out = out * ((arr - a) / den)
+        out = out * ((arr - a) / _denominator(arr, a))
     if arr.shape == ():
         return complex(out)
     return out
@@ -273,15 +287,12 @@ class SearchLadder:
     def __post_init__(self) -> None:
         # hashable, so the ladder can key _ladder_tree's memo
         object.__setattr__(self, "radii", tuple(self.radii))
-
-    def zero_pool(self) -> list[float]:
-        pool = {0.0}
         for r in self.radii:
             if not (0.0 < r < 1.0):
                 raise ValueError(f"radii must lie in (0, 1), got {r!r}")
-            pool.add(r)
-            pool.add(-r)
-        return sorted(pool)
+
+    def zero_pool(self) -> list[float]:
+        return sorted({0.0, *self.radii, *(-r for r in self.radii)})
 
     def test_functions(self):
         """Yield (description, BlaschkeProduct) in a fixed lexicographic
@@ -327,7 +338,7 @@ def _ladder_tree(ladder: SearchLadder) -> tuple[list, int, list[complex]]:
 
 def _factor(arr: np.ndarray, a: complex, den):
     """The factor (arr - a) / den at each point of arr, with
-    den = 1 - conj(a) arr, as blaschke_eval forms it."""
+    den = _denominator(arr, a), as blaschke_eval forms it."""
     return (arr - a) / den
 
 
@@ -346,9 +357,9 @@ def _ladder_walk(root: list, zeros: list[complex], uz: np.ndarray, phiz: np.ndar
     along as a 0-d chain.  Each pool zero's factor at phiz is formed once,
     when the first scored member needs it, so a scored member costs one
     complex multiply per sample; its 0-d factor at tau, which each child's
-    cap reads, is formed up front.  The closed-disk and pole checks run
-    once per point array and pool zero, before any factor is formed, with
-    blaschke_eval's messages.  Ties go to the smallest ladder index.
+    cap reads, is formed up front.  blaschke_eval's closed-disk and pole
+    guards run once per point array and pool zero, before any factor is
+    formed.  Ties go to the smallest ladder index.
 
     Branch and bound: a factor has modulus at most 1 on the closed disk, so
     below a node |f(phi(z_k))| <= M, the least max_k |f(phi(z_k))| on the
@@ -371,16 +382,8 @@ def _ladder_walk(root: list, zeros: list[complex], uz: np.ndarray, phiz: np.ndar
     """
     points = [phiz] if T is None else [phiz, np.asarray(complex(T.tau), dtype=complex)]
     for arr in points:
-        if arr.size and float(np.max(np.abs(arr))) > 1.0 + BOUNDARY_SLACK:
-            raise ValueError("evaluation point outside the closed unit disk")
-    factors = {}
-    for a in zeros:
-        factors[a] = []
-        for arr in points:
-            den = 1.0 - np.conj(a) * arr
-            if arr.size and float(np.min(np.abs(den))) < 1e-300:
-                raise ValueError(f"evaluation too close to the pole of the {a!r} factor")
-            factors[a].append(den)
+        _in_closed_disk(arr)
+    factors = {a: [_denominator(arr, a) for arr in points] for a in zeros}
     if T is not None:  # 0-d, so forming them up front costs next to nothing
         for a in zeros:
             factors[a][1] = _factor(points[1], a, factors[a][1])
@@ -537,11 +540,10 @@ class CertifiedBound:
 
 
 def certified_counterexample_bound(u: DiskFunction, phi: DiskFunction,
-                                   omega: complex, epsilon: float,
-                                   arc: ArcNeighborhood,
+                                   epsilon: float, arc: ArcNeighborhood,
                                    samples: int = 4096) -> CertifiedBound:
     """Two-arc certified upper bound for ||uC_phi - T||, T the canonical
-    rank-one perturbation at omega.
+    rank-one perturbation at the arc's center omega.
 
     Near omega (on the arc, verified on samples): for any f with sup|f| <= 1,
     |u(z) f(phi(z)) - u(omega) f(phi(omega)) g(z)| chains through three
@@ -554,10 +556,7 @@ def certified_counterexample_bound(u: DiskFunction, phi: DiskFunction,
     The reported bound max(on_arc, off_arc) is certified whenever `valid`;
     a positive margin then witnesses ||uC_phi + (-T)|| < sup|u| + ||-T||.
     """
-    omega = complex(omega)
-    if abs(complex(arc.omega) - omega) > 1e-12:
-        raise ValueError("arc must be centered at omega")
-    T = disk_counterexample_operator(u, phi, omega)
+    T = disk_counterexample_operator(u, phi, arc.omega)
     r = abs(T.tau)
     u_omega = abs(T.c)
     if not (0.0 < epsilon < min(1.0 - r, u_omega / 3.0)):

@@ -54,8 +54,9 @@ total variation, to errors.agree's relative tolerance, else
 InvariantViolation names the point.  The reference pass is a check only:
 it builds nothing the checks read and names nothing of the compiled route,
 so it stays an independent witness.  Once it passes, the profile takes
-||T||, its largest row (ValueError when it is not finite), and sup|u| and
-inf|u|, each held to the pass's u(s) at the first point attaining it.
+||T||, its largest row, and sup|u| and inf|u|, each held to the pass's
+u(s) at the first point attaining it (ValueError when ||T|| or sup|u| is
+not finite).
 """
 
 from __future__ import annotations
@@ -455,9 +456,12 @@ def _checked_profile(wc: WeightedComposition, T: SupportsMeasureAt,
     t_norm = float(tv.max())
     if not math.isfinite(t_norm):
         raise ValueError(f"||T|| = {t_norm!r} is not finite")
+    u_sup = float(mods.max())
+    if not math.isfinite(u_sup):
+        raise ValueError(f"sup|u| = {u_sup!r} is not finite")
     for a in (weight, aligned, off, tv, split):
         a.flags.writeable = False
-    return PerturbationProfile(weight, aligned, off, tv, split, float(mods.max()),
+    return PerturbationProfile(weight, aligned, off, tv, split, u_sup,
                                float(mods.min()), t_norm)
 
 
@@ -466,7 +470,7 @@ def perturbation_profile(wc: WeightedComposition, T: SupportsMeasureAt,
                          grid: GridCircle) -> PerturbationProfile:
     """The profile of uC_phi + T on the grid, cross-checked point by point
     the first time it is built in a shared_compilation() block (read-only
-    arrays).  ValueError when ||T|| is not finite."""
+    arrays).  ValueError when ||T|| or sup|u| is not finite."""
     return memoized("profile", grid.n, (wc.u, wc.phi, T),
                     lambda: _checked_profile(wc, T, grid))
 

@@ -582,7 +582,7 @@ def _run_cex_preimage(sc: Scenario, target: Fraction, center: Fraction,
 
 def _ladder(radii: list[float], **counts: int) -> dsk.SearchLadder:
     ladder = dsk.SearchLadder(radii=tuple(radii), **counts)
-    pool = len(ladder.zero_pool())  # validates radii
+    pool = len(ladder.zero_pool())
     # C(pool + d - 1, d) zero multisets at each depth d <= max_depth sum to
     # C(pool + max_depth, max_depth), plus the monomials beyond max_depth.
     # From depth 1 on that exceeds pool and max_depth, so capping both at
@@ -624,7 +624,7 @@ def _run_disk_certified(sc: Scenario, omega: complex, epsilon: float,
     arc = dsk.ArcNeighborhood(omega, half_angle)
     res = dsk.certified_counterexample_bound(_need(sc.disk.get("weight"), "disk.weight"),
                                              _need(sc.disk.get("symbol"), "disk.symbol"),
-                                             omega, epsilon, arc, samples=samples)
+                                             epsilon, arc, samples=samples)
     certified = res.valid and res.margin > 0
     return {"verdict": "certified" if certified else "not-certified",
             "values": {"bound": res.bound, "margin": res.margin,

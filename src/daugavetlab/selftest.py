@@ -157,10 +157,9 @@ def _disk_stages() -> list[dict]:
     T1 = dsk.RankOneDiskOperator(tau=0.0, g=one, c=-1.0)
     lower = dsk.disk_norm_lower_bound(one, square, T1)
 
-    omega = 1 + 0j
     half = dsk.DiskFunction.scaled_identity(0.5)
-    arc = dsk.ArcNeighborhood(omega, 0.1)
-    cert = dsk.certified_counterexample_bound(one, half, omega, 0.05, arc)
+    arc = dsk.ArcNeighborhood(1 + 0j, 0.1)
+    cert = dsk.certified_counterexample_bound(one, half, 0.05, arc)
 
     auto = dsk.BlaschkeProduct(zeros=(0.5 + 0j,))
     T2 = dsk.RankOneDiskOperator(tau=auto(0.0), g=one, c=1.0)

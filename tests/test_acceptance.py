@@ -194,9 +194,8 @@ def test_07_disk_algebra():
     b_ok = b.bound >= 1.99
 
     half = dsk.DiskFunction.scaled_identity(0.5)
-    omega = 1 + 0j
-    cert = dsk.certified_counterexample_bound(
-        one, half, omega, 0.05, dsk.ArcNeighborhood(omega, 0.1))
+    cert = dsk.certified_counterexample_bound(one, half, 0.05,
+                                              dsk.ArcNeighborhood(1 + 0j, 0.1))
     negated = dsk.RankOneDiskOperator(tau=cert.operator.tau, g=cert.operator.g,
                                       c=-cert.operator.c)
     sampled = dsk.disk_norm_lower_bound(

@@ -520,9 +520,8 @@ class TestCertifiedBound:
     def canonical(self, half_angle=0.1):
         one = DiskFunction.constant(1.0)
         half = DiskFunction.scaled_identity(0.5)
-        omega = 1 + 0j
-        arc = ArcNeighborhood(omega, half_angle)
-        return certified_counterexample_bound(one, half, omega, 0.05, arc)
+        arc = ArcNeighborhood(1 + 0j, half_angle)
+        return certified_counterexample_bound(one, half, 0.05, arc)
 
     def test_canonical_numbers(self):
         res = self.canonical()
@@ -554,14 +553,7 @@ class TestCertifiedBound:
         half = DiskFunction.scaled_identity(0.5)
         arc = ArcNeighborhood(1 + 0j, 0.1)
         with pytest.raises(ValueError):
-            certified_counterexample_bound(one, half, 1 + 0j, 0.6, arc)  # > 1 - r
-
-    def test_arc_must_sit_at_omega(self):
-        one = DiskFunction.constant(1.0)
-        half = DiskFunction.scaled_identity(0.5)
-        with pytest.raises(ValueError):
-            certified_counterexample_bound(one, half, 1 + 0j, 0.05,
-                                           ArcNeighborhood(1j, 0.1))
+            certified_counterexample_bound(one, half, 0.6, arc)  # > 1 - r
 
     def test_operator_requires_interior_target(self):
         one = DiskFunction.constant(1.0)

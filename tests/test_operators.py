@@ -157,12 +157,14 @@ class TestPerturbedNorm:
         T = scaled(wc, -1.0)
         assert perturbed_norm(wc, T, g) == 0.0
 
-    def test_nan_weight_gives_a_nan_norm(self):
-        # as equation_holds's rhs does, not 0.0 from max(0.0, nan)
+    def test_nan_weight_is_refused(self):
+        # the profile refuses a sup|u| that is not finite, as it refuses
+        # ||T||, so no norm reads 0.0 from max(0.0, nan)
         u = ScalarField.from_samples([math.nan] + [1.0] * 7, 8)
         wc = WeightedComposition(u, SymbolMap.identity())
         T = rank_one(ScalarField.constant(1.0), at=Fraction(0))
-        assert math.isnan(perturbed_norm(wc, T, GridCircle(8)))
+        with pytest.raises(ValueError, match=r"^sup\|u\| = nan is not finite$"):
+            perturbed_norm(wc, T, GridCircle(8))
 
     def test_unreduced_rational_is_the_same_point(self):
         # 5/4 and -3/4 are 1/4 on the circle: same norm, arc and tent

@@ -49,6 +49,7 @@ from daugavetlab.circle import (
     tabulate,
 )
 from daugavetlab.criteria import convex_center_check
+from daugavetlab.disk import SearchLadder
 from daugavetlab.measures import (
     AtomicMeasure,
     apply_plan,
@@ -614,18 +615,6 @@ class TestGridIndex:
                                             r"a Fraction\), got float 0\.5$"):
             self.table(0.5)
 
-    @pytest.mark.parametrize("n", [0, 1])
-    def test_a_grid_below_two_points_is_rejected_on_evaluation(self, n):
-        u = ScalarField(kind="samples", samples=(1j,) * n, n=n)
-        assert raised(u, Fraction(0)) == (ValueError,
-                                          f"grid needs at least 2 points, got n={n}")
-
-    def test_a_table_that_points_off_its_grid_is_rejected(self):
-        phi = SymbolMap(kind="table", table=(0, 9), n=2)
-        with pytest.raises(ValueError, match=r"symbol produced Fraction\(9, 2\), outside"):
-            phi(Fraction(1, 2))
-        assert phi(Fraction(0)) == 0
-
     @pytest.mark.parametrize("make, message", [
         (lambda: ScalarField(kind="samples", samples=(1 + 0j, 2 + 0j, 3 + 0j), n=4),
          "sample table has 3 entries for an n=4 grid"),
@@ -636,7 +625,21 @@ class TestGridIndex:
         (lambda: SymbolMap.from_table([0, 1, 5], 2), "symbol table has 3 entries for an n=2 grid"),
         (lambda: SymbolMap.from_table([0, 1, 5], 3),
          r"symbol table entries must be grid indices in \[0, n\)"),
-    ], ids=["samples", "table", "from-samples", "from-table", "from-table-entries"])
+        # a grid below two points
+        (lambda: ScalarField(kind="samples", n=0), "grid needs at least 2 points, got n=0"),
+        (lambda: ScalarField(kind="samples", samples=(1j,), n=1),
+         "grid needs at least 2 points, got n=1"),
+        (lambda: SymbolMap(kind="table", table=(0,), n=1),
+         "grid needs at least 2 points, got n=1"),
+        # a table that points off its grid
+        (lambda: SymbolMap(kind="table", table=(0, 9), n=2),
+         r"symbol table entries must be grid indices in \[0, n\)"),
+        (lambda: SymbolMap(kind="table", table=(0, 9, 1), n=3),
+         r"symbol table entries must be grid indices in \[0, n\)"),
+        (lambda: SearchLadder(radii=(1.5,)), r"radii must lie in \(0, 1\), got 1\.5"),
+    ], ids=["samples", "table", "from-samples", "from-table", "from-table-entries",
+            "samples-n0", "samples-n1", "table-n1", "table-off-grid", "table-off-grid-n3",
+            "ladder-radii"])
     def test_a_table_is_checked_when_it_is_made(self, make, message):
         # else tabulate reads fewer values than the grid has points, and the
         # equation raises IndexError
@@ -688,13 +691,11 @@ class TestEvaluationsOnIntegers:
         ScalarField.tent(Fraction(1, 10 ** 40 + 1), Fraction(1, 10 ** 20 + 3)),
         ScalarField.tent_dip(Fraction(5, 7), Fraction(1, 3), depth=0.6),
         ScalarField.tent(Fraction(0), Fraction(1, 2))]
-    bad_fields = [ScalarField(kind="samples", samples=(1j,), n=1),
-                  ScalarField(kind="samples", n=0), ScalarField(kind="bogus")]
+    bad_fields = [ScalarField(kind="bogus")]
     closed_symbols = [
         SymbolMap.identity(), SymbolMap.doubling(), SymbolMap.rotation(Fraction(1, 3)),
         SymbolMap.rotation(Fraction(-1, 10 ** 30)), SymbolMap.rotation(Fraction(7, 64))]
-    bad_symbols = [SymbolMap(kind="table", table=(0, 9, 1), n=3),
-                   SymbolMap(kind="table", table=(0,), n=1), SymbolMap(kind="bogus")]
+    bad_symbols = [SymbolMap(kind="bogus")]
 
     fields = st.recursive(
         st.one_of(st.sampled_from(closed_fields + bad_fields),
@@ -724,17 +725,14 @@ class TestEvaluationsOnIntegers:
         ScalarField.cosine(), table_field(8))), (6, 16))
     @example(table_field(8), (1, 3))
     @example(table_field(8), (2, 3))
-    @example(ScalarField(kind="samples", samples=(1j,), n=1), (0, 1))
     def test_a_field_is_the_same_at_every_reduction(self, u, point):
         a, b = point
         assert evaluated(u.value_at, a, b) == evaluated(u, Fraction(a, b))
 
     @settings(max_examples=150, deadline=None)
     @given(symbols, points)
-    @example(SymbolMap(kind="table", table=(0, 9, 1), n=3), (2, 6))
     @example(SymbolMap.constant_on_arc(Fraction(1, 3), Arc(0, Fraction(1, 8)),
                                        table_symbol(8)), (1, 3))
-    @example(SymbolMap(kind="table", table=(0,), n=1), (0, 2))
     def test_a_symbol_is_the_same_at_every_reduction(self, phi, point):
         a, b = point
         got = evaluated(phi.image_at, a, b)
@@ -761,14 +759,10 @@ class TestEvaluationsOnIntegers:
                     assert evaluated(phi.image_at, m * k, m * n) == evaluated(phi, Fraction(k, n))
 
     def test_errors_come_in_the_same_order(self):
-        below = ScalarField(kind="samples", samples=(1j,), n=1)
-        assert evaluated(below.value_at, 1, 3) == (ValueError,
-                                                   "grid needs at least 2 points, got n=1")
+        # an invalid table is refused when it is made, see
+        # TestGridIndex.test_a_table_is_checked_when_it_is_made
         assert evaluated(table_field(8).value_at, 2, 6) == (
             ValueError, "Fraction(1, 3) is not a grid point of the 8-point grid")
-        off = SymbolMap(kind="table", table=(0, 9, 1), n=3)
-        assert evaluated(off.image_at, 2, 6) == (ValueError, "symbol produced "
-                                                 "Fraction(3, 1), outside [0, 1)")
 
 
 class TestNoFractionPerPoint:

@@ -780,9 +780,9 @@ class TestSchemaRegressions:
 
     @pytest.mark.parametrize("overrides,error", [
         ({"weight": {"kind": "tent", "center": "1/2", "half_width": "1/8",
-                     "peak": 1.7e308, "base": -1.7e308}}, "values.lhs = nan is not finite"),
+                     "peak": 1.7e308, "base": -1.7e308}}, "sup|u| = nan is not finite"),
         ({"weight": {"kind": "cosine", "amplitude": 1.7e308, "offset": 1.7e308}},
-         "values.lhs = inf is not finite"),
+         "sup|u| = inf is not finite"),
         ({"weight": {"kind": "constant", "re": 1e308},
           "symbol": {"kind": "constant_on_arc", "value": "0", "center": "1/2",
                      "half_width": "1/8"},
@@ -798,6 +798,47 @@ class TestSchemaRegressions:
         assert code == 0 and err == "" and caught == []
         rec = strict_json(out)["checks"][0]
         assert rec["verdict"] == "error" and rec["error"] == error
+
+    @pytest.mark.parametrize("weight, text", [
+        ({"kind": "cosine", "amplitude": 1.5e308, "offset": 1.5e308}, "inf"),
+        ({"kind": "tent", "center": "1/2", "half_width": "1/8", "peak": 1.7e308,
+          "base": -1.7e308}, "nan")], ids=["cosine", "tent"])
+    def test_a_weight_modulus_past_a_float_reads_the_same_in_every_circle_check(
+            self, tmp_path, weight, text):
+        # the profile refuses sup|u| as it refuses ||T||; convex has no weight
+        checks = CIRCLE_CHECKS + [{"name": "counterexample-modulus"}]
+        obj = scenario(weight=weight, symbol={"kind": "identity"},
+                       symbol2={"kind": "identity"}, t=0.5, checks=checks,
+                       operator=rank_one_at({"re": 1.0}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = verify(write(tmp_path, obj))
+        assert code == 0 and err == "" and caught == []
+        records = {c["name"]: r for c, r in zip(checks, strict_json(out)["checks"])}
+        assert records.pop("convex")["verdict"] == "holds"
+        assert {name: r.get("error") for name, r in records.items()} == dict.fromkeys(
+            records, f"sup|u| = {text} is not finite")
+
+    @pytest.mark.parametrize("overrides, verdict, error", [
+        # u(s) + m_s and sup|u| + |m_s| overflow, and their difference is nan
+        ({"weight": {"kind": "constant", "re": 1e308}, "symbol": {"kind": "identity"},
+          "operator": {"kind": "finite_rank", "terms": [
+              {"g": {"kind": "tent", "center": "0", "half_width": "1/64"},
+               "atoms": [{"pos": "0", "re": 1e308}]}]},
+          "checks": [{"name": "criterion-sweep"}]},
+         "error", "values.levels[0].sup_value = nan is not finite"),
+        # the branch for symbols that differ overflows, where they never do
+        ({"symbol": {"kind": "identity"}, "symbol2": {"kind": "identity"}, "t": 0.5,
+          "operator": rank_one_at({"re": 1e308}), "checks": [{"name": "convex"}]},
+         "holds", None)], ids=["criterion-sweep", "convex"])
+    def test_a_huge_mass_in_a_deficiency_warns_of_nothing(self, tmp_path, overrides,
+                                                           verdict, error):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = verify(write(tmp_path, scenario(**overrides)))
+        assert code == 0 and err == "" and caught == []
+        rec = strict_json(out)["checks"][0]
+        assert (rec["verdict"], rec.get("error")) == (verdict, error)
 
     @pytest.mark.parametrize("flags", [["--tol", "abc"], ["--format", "xml"], ["--bogus"]])
     def test_rejected_flag_exits_one(self, tmp_path, capsys, flags):
