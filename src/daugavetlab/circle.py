@@ -35,17 +35,23 @@ integer codes, one per grid point.  A coordinate x in [0, 1) codes as
 offset ``n x - j`` in the block's ``IndexSpace`` for that n.  Grid points
 have offset 0 and id 0, so their code is their grid index; any other
 rational gets an id of its own, whatever its denominator, so equal codes
-mean equal coordinates.  Float products and moduli go through ``cmul`` and
-``modulus``, which repeat CPython's complex ``*`` and ``abs()`` bit for
-bit.  numpy's own complex multiply and ``np.abs`` do not: on numpy 2.4.6
-(x86-64) they differ from them in the last bit for about 44% and 35% of
-10^6 random complex values.  So every modulus that feeds a reported value
-goes through ``modulus``.  The one exception is the lambda search of
-``operators.rotation_max_norm``, its caps included: it is a search, held to
-the analytic maximum (which takes ``modulus``) only within its Lipschitz
-slack, and on one tile of 4096 x 4 complex values ``np.abs`` takes about
-29 us against 276 us for ``modulus`` (numpy 2.4.6, Python 3.11, 2-core
-x86-64).
+mean equal coordinates.
+
+Portable arithmetic, in both models.  Every complex product behind a
+reported value, here and in disk.py, goes through ``cmul`` and every
+modulus through ``modulus``, which repeat CPython's complex ``*`` and
+``abs()`` bit for bit.  numpy's own complex multiply and ``np.abs`` do
+not: on numpy 2.4.6 (x86-64) they differ from them in the last bit for
+about 44% and 35% of 10^6 random complex values, and which values differ
+depends on the SIMD kernels numpy picks for the CPU.  Two searches keep
+numpy's native arithmetic, because they only find where a maximum lies
+and each is held to the portable value: the lambda search of
+``operators.rotation_max_norm``, its caps included, held to the analytic
+maximum (which takes ``modulus``) within its Lipschitz slack, and the disk
+ladder walk, whose near-best members are re-scored in portable arithmetic
+(``disk._rescore``).  On one tile of 4096 x 4 complex values ``np.abs``
+takes about 29 us against 276 us for ``modulus`` (numpy 2.4.6, Python
+3.11, 2-core x86-64).
 """
 
 from __future__ import annotations

@@ -6,7 +6,18 @@ samples; Blaschke products supply the inner symbols and the test-function
 ladder.  Exact analytic values are used wherever a closed form exists
 (inner parts have modulus 1, an affine a + b z has sup |a| + |b|), sampled
 suprema elsewhere, and every result records which one it got.  A ladder's
-radii are checked when it is made; one function holds each Blaschke guard.
+radii and counts are checked when it is made; one function holds each
+Blaschke guard, and one the rule that omega lies on the circle.
+
+The arithmetic rule of circle.py holds here too: every product behind a
+reported value is taken with circle.cmul and every modulus with
+circle.modulus.  DiskFunction and blaschke_eval evaluate that way, on the
+one m-point boundary grid (_boundary) of the block.  The one exception is
+the ladder walk, a search in numpy's native complex multiply and np.abs:
+it only finds the (member, sample) pairs near its best score, and
+_rescore re-forms those in portable arithmetic, bit for bit as
+blaschke_eval forms them, so no reported bound or witness depends on the
+SIMD kernels numpy picks for the CPU.
 
 Two one-sided tools replace the circle model's exact norms:
 
@@ -29,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .circle import _frozen, cmul, memoized, modulus
 from .errors import REL_TOL, at_most
 
 __all__ = [
@@ -51,6 +63,20 @@ __all__ = [
 
 UNIMODULAR_TOL = 1e-12
 BOUNDARY_SLACK = 1e-12
+
+
+def _on_circle(omega) -> None:
+    """The rule on a boundary point omega (an arc's center, the peak of
+    half_plus, the counterexample's point): |omega| = 1."""
+    if abs(abs(omega) - 1.0) > UNIMODULAR_TOL:
+        raise ValueError(f"omega must be on the circle, |omega| = {abs(omega)!r}")
+
+
+def _boundary(m: int) -> np.ndarray:
+    """The m sample points exp(2 pi i k/m) of the circle (read-only), made
+    once per shared_compilation() block."""
+    return memoized("boundary", m, (),
+                    lambda: _frozen(np.exp(2j * np.pi * np.arange(m) / m)))
 
 
 @dataclass(frozen=True)
@@ -84,31 +110,39 @@ def _in_closed_disk(arr: np.ndarray) -> None:
         raise ValueError("evaluation point outside the closed unit disk")
 
 
-def _denominator(arr: np.ndarray, a: complex) -> np.ndarray:
+def _denominator(arr: np.ndarray, a: complex, mul) -> np.ndarray:
     """1 - conj(a) arr, the denominator of the a factor at each point of
-    arr; the pole guard of every Blaschke evaluation rejects one that
-    vanishes."""
-    den = 1.0 - np.conj(a) * arr
+    arr, multiplied with mul; the pole guard of every Blaschke evaluation
+    rejects one that vanishes."""
+    den = 1.0 - mul(complex(a).conjugate(), arr)
     if arr.size and float(np.min(np.abs(den))) < 1e-300:
         raise ValueError(f"evaluation too close to the pole of the {a!r} factor")
     return den
 
 
-def blaschke_eval(B: BlaschkeProduct, z):
-    """Evaluate on the closed disk (scalar or ndarray); rejects |z| > 1.
+def _factor(arr: np.ndarray, a: complex, den):
+    """The factor (arr - a) / den at each point of arr, with
+    den = _denominator(arr, a, mul)."""
+    return (arr - a) / den
 
-    The product is formed factor by factor in tuple order, each factor
-    (z - a) / (1 - conj(a) z) divided out before it multiplies the product
-    so far, so a ladder walk that forms each factor once and multiplies
-    by it gets the same bits."""
-    arr = np.asarray(z, dtype=complex)
+
+def _blaschke(B: BlaschkeProduct, arr: np.ndarray, mul) -> np.ndarray:
+    """B at each point of the complex ndarray arr, every product taken with
+    mul: factor by factor in tuple order, each factor (z - a) / (1 - conj(a) z)
+    divided out before it multiplies the product so far."""
     _in_closed_disk(arr)
     out = np.full(arr.shape, B.unimodular_constant, dtype=complex)
     for a in B.zeros:
-        out = out * ((arr - a) / _denominator(arr, a))
-    if arr.shape == ():
-        return complex(out)
+        out = mul(out, _factor(arr, a, _denominator(arr, a, mul)))
     return out
+
+
+def blaschke_eval(B: BlaschkeProduct, z):
+    """Evaluate on the closed disk (scalar or ndarray), in portable
+    arithmetic (circle.cmul); rejects |z| > 1."""
+    arr = np.asarray(z, dtype=complex)
+    out = _blaschke(B, arr, cmul)
+    return complex(out) if arr.shape == () else out
 
 
 @dataclass(frozen=True)
@@ -140,8 +174,7 @@ class DiskFunction:
     @classmethod
     def half_plus(cls, omega: complex) -> "DiskFunction":
         """g(z) = (1 + conj(omega) z) / 2: peaks at 1 in z = omega, sup 1."""
-        if abs(abs(omega) - 1.0) > UNIMODULAR_TOL:
-            raise ValueError(f"omega must be on the circle, |omega| = {abs(omega)!r}")
+        _on_circle(omega)
         return cls.polynomial([0.5, 0.5 * complex(omega).conjugate()])
 
     @classmethod
@@ -150,21 +183,25 @@ class DiskFunction:
         return cls(kind="blaschke", blaschke=blaschke, scale=complex(scale))
 
     def __call__(self, z):
+        """Evaluate (scalar or ndarray) in portable arithmetic (circle.cmul)."""
+        arr = np.asarray(z, dtype=complex)
+        out = self._at(arr, cmul)
+        return complex(out) if arr.shape == () else out
+
+    def _at(self, arr: np.ndarray, mul) -> np.ndarray:
+        """The values at each point of the complex ndarray arr, every product
+        taken with mul: the one formula of each kind."""
         if self.kind == "constant":
-            arr = np.asarray(z)
-            if arr.shape == ():
-                return self.value
             return np.full(arr.shape, self.value, dtype=complex)
         if self.kind == "polynomial":
-            # inf or nan where Horner's sums overflow, reported as not finite
+            out = np.full(arr.shape, self.coeffs[-1], dtype=complex)
+            # Horner; inf or nan where its sums overflow, reported as not finite
             with np.errstate(over="ignore", invalid="ignore"):
-                res = np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex),
-                                                       np.asarray(self.coeffs))
-            if np.asarray(z).shape == ():
-                return complex(res)
-            return res
+                for c in self.coeffs[-2::-1]:
+                    out = mul(out, arr) + c
+            return out
         if self.kind == "blaschke":
-            return self.scale * blaschke_eval(self.blaschke, z)
+            return mul(self.scale, _blaschke(self.blaschke, arr, mul))
         raise ValueError(f"unknown disk function kind {self.kind!r}")
 
     def sup_norm(self, samples: int = 4096) -> tuple[float, bool]:
@@ -177,8 +214,7 @@ class DiskFunction:
             return abs(self.scale), True
         if self.kind == "polynomial" and len(self.coeffs) <= 2:
             return math.fsum(abs(c) for c in self.coeffs), True
-        z = np.exp(2j * np.pi * np.arange(samples) / samples)
-        return float(np.max(np.abs(self(z)))), False
+        return float(np.max(modulus(self(_boundary(samples))))), False
 
 
 @dataclass(frozen=True)
@@ -206,19 +242,18 @@ class ArcNeighborhood:
     half_angle: float
 
     def __post_init__(self) -> None:
-        if abs(abs(self.omega) - 1.0) > UNIMODULAR_TOL:
-            raise ValueError(f"omega must be on the circle, |omega| = {abs(self.omega)!r}")
+        _on_circle(self.omega)
         if not (0.0 < self.half_angle < math.pi):
             raise ValueError(f"half_angle must lie in (0, pi), got {self.half_angle}")
 
     def samples(self, m: int) -> np.ndarray:
         thetas = np.linspace(-self.half_angle, self.half_angle, m)
-        return self.omega * np.exp(1j * thetas)
+        return cmul(self.omega, np.exp(1j * thetas))
 
     def complement_samples(self, m: int) -> np.ndarray:
         thetas = np.linspace(self.half_angle, 2.0 * math.pi - self.half_angle,
                              m + 2)[1:-1]
-        return self.omega * np.exp(1j * thetas)
+        return cmul(self.omega, np.exp(1j * thetas))
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +277,15 @@ def check_c_conditions(u: DiskFunction, phi: DiskFunction, samples: int = 4096,
                        tol: float = 1e-9) -> CConditions:
     """Sampled check of the three hypotheses behind boundary additivity:
     constant nonzero |u|, inner phi, non-constant phi."""
-    z = np.exp(2j * np.pi * np.arange(samples) / samples)
-    u_mod = np.abs(u(z))
-    phi_vals = np.asarray(phi(z))
+    z = _boundary(samples)
+    u_mod = modulus(u(z))
+    phi_vals = phi(z)
     # inf or nan where u or phi overflows: the record reports it as not finite
     with np.errstate(over="ignore", invalid="ignore"):
         u_spread = float(u_mod.max() - u_mod.min())
-        symbol_spread = float(np.max(np.abs(phi_vals - phi_vals[0])))
+        symbol_spread = float(np.max(modulus(phi_vals - phi_vals[0])))
     u_min = float(u_mod.min())
-    inner_defect = float(np.max(np.abs(np.abs(phi_vals) - 1.0)))
+    inner_defect = float(np.max(np.fabs(modulus(phi_vals) - 1.0)))
     return CConditions(
         weight_modulus_constant=(u_spread <= tol and u_min > tol),
         symbol_inner=inner_defect <= tol,
@@ -268,12 +303,13 @@ class SearchLadder:
     pure monomials up to degree max_monomial.
 
     test_functions() is the one definition of the family, its order and its
-    size.  disk_norm_lower_bound walks it depth first over shared zero
-    prefixes, one complex multiply by a once-formed factor per evaluated
-    function, skips every subtree whose certified cap stays below the best
-    value so far, and still reports the first maximiser in test_functions()
-    order; blaschke_eval on each member is the reference route the walk is
-    tested against.
+    size.  disk_norm_lower_bound searches it depth first over shared zero
+    prefixes in native arithmetic, one complex multiply by a once-formed
+    factor per evaluated function, skips every subtree whose certified cap
+    stays below the best value so far, and reports the first maximiser in
+    test_functions() order of the portable per-function route (blaschke_eval
+    on each member, products through cmul, moduli through modulus), the
+    reference route the walk is tested against.
 
     Every member has phase 0: the searched operators are linear, so a
     unimodular prefactor never changes the sampled modulus.
@@ -290,6 +326,12 @@ class SearchLadder:
         for r in self.radii:
             if not (0.0 < r < 1.0):
                 raise ValueError(f"radii must lie in (0, 1), got {r!r}")
+        if self.max_depth < 0:
+            raise ValueError(f"max_depth must be at least 0, got {self.max_depth!r}")
+        if self.max_monomial < 0:
+            raise ValueError(f"max_monomial must be at least 0, got {self.max_monomial!r}")
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples!r}")
 
     def zero_pool(self) -> list[float]:
         return sorted({0.0, *self.radii, *(-r for r in self.radii)})
@@ -336,30 +378,46 @@ def _ladder_tree(ladder: SearchLadder) -> tuple[list, int, list[complex]]:
     return root, size, list(zeros)
 
 
-def _factor(arr: np.ndarray, a: complex, den):
-    """The factor (arr - a) / den at each point of arr, with
-    den = _denominator(arr, a), as blaschke_eval forms it."""
-    return (arr - a) / den
+def _slack(x: float, scale: float) -> float:
+    """Twice the slack errors.at_most gives the ladder's rounding at x
+    (scale = _ladder_scale(ladder, 1.0)).  Native and portable arithmetic
+    each round a score within half of it of its exact value, so where
+    y > x + _slack(x), a score computed as x lies below one computed as y
+    in either arithmetic; otherwise x reaches y.  The slack grows with x,
+    so every score that reaches y lies within y's own slack of it."""
+    return 2.0 * REL_TOL * max(1.0, scale * x)
 
 
 def _ladder_walk(root: list, zeros: list[complex], uz: np.ndarray, phiz: np.ndarray,
                  T: RankOneDiskOperator | None, gz: np.ndarray | None, scale: float
-                 ) -> tuple[float, int, int, dict | None, int]:
-    """Score the members of a _ladder_tree depth first over its shared zero
-    prefixes: max_k |u(z_k) f(phi(z_k)) + c f(tau) g(z_k)|, without the
-    second term when T is None.  Returns the best value (NaN when no member
-    scored a number), its ladder index, sample index and (shared, uncopied)
-    description, and how many members were evaluated.
+                 ) -> tuple[list, np.ndarray, int]:
+    """Search the members of a _ladder_tree depth first over its shared
+    zero prefixes, in native numpy arithmetic: each scores
+    max_k |u(z_k) f(phi(z_k)) + c f(tau) g(z_k)|, without the second term
+    when T is None.  The search only finds where the best score lies;
+    _rescore gives the reported value.  Returns
 
-    A child is its parent times one factor, associated as blaschke_eval
-    associates it (out * ((arr - a) / den), factors in tuple order), so
-    every value is bit-identical to the per-function route; f(tau) rides
-    along as a 0-d chain.  Each pool zero's factor at phiz is formed once,
-    when the first scored member needs it, so a scored member costs one
-    complex multiply per sample; its 0-d factor at tau, which each child's
-    cap reads, is formed up front.  blaschke_eval's closed-disk and pole
-    guards run once per point array and pool zero, before any factor is
-    formed.  Ties go to the smallest ladder index.
+    * the members whose score reaches the best score (see _slack), as
+      (ladder index, shared uncopied description, zeros, score) in the
+      walk's order;
+    * a mask of the samples at which a member came within the best
+      score's slack of the best so far when it was scored, cleared
+      whenever the best rises out of reach of every member kept so far: a
+      superset of the samples at which each member returned reaches the
+      final best;
+    * how many members were scored.
+
+    A member and sample whose portable score is the portable maximum has a
+    native score that reaches the best, whatever kernels numpy picks for
+    the search, so both are in what the walk returns.
+
+    A child is its parent times one factor (arr - a) / den, factors in
+    tuple order; f(tau) rides along as a 0-d chain.  Each pool zero's
+    factor at phiz is formed once, when the first scored member needs it,
+    so a scored member costs one complex multiply per sample; its 0-d
+    factor at tau, which each child's cap reads, is formed up front.
+    blaschke_eval's closed-disk and pole guards run once per point array
+    and pool zero, before any factor is formed.
 
     Branch and bound: a factor has modulus at most 1 on the closed disk, so
     below a node |f(phi(z_k))| <= M, the least max_k |f(phi(z_k))| on the
@@ -367,23 +425,22 @@ def _ladder_walk(root: list, zeros: list[complex], uz: np.ndarray, phiz: np.ndar
     member under a child therefore scores at most
     U M_parent + C |f_child(tau)|, with U = max|u(z_k)| and
     C = |c| max|g(z_k)|.  The child's subtree is skipped, its arrays never
-    formed, when that cap plus twice the slack errors.at_most gives the
-    ladder's rounding (scale = _ladder_scale(ladder, 1.0)) is strictly
-    below the best so far.  A skipped member can then neither win nor tie,
-    so the result is that of the full walk; a NaN cap never skips.
+    formed, when that cap plus its _slack is strictly below the best score
+    so far.  A skipped member can then neither win nor tie, so the result
+    is that of the full walk; a NaN cap never skips.
 
-    Memory: the walk allocates nothing per member.  Each pool zero holds
-    one array at phiz, its den until the factor is formed in its place.  A
+    Memory: the walk allocates no array per member, but one O(samples)
+    temporary per member near the best so far.  Each pool zero holds one
+    array at phiz, its den until the factor is formed in its place.  A
     node's f goes into the one buffer of its depth, which the next node of
     that depth overwrites only after the node's whole subtree has been
     walked (the stack pops depth first); the scores, the c f(tau) g term
-    and the moduli reuse one buffer each, through the same operations in
-    the same order, so every value stays bit-identical.
+    and the moduli reuse one buffer each.
     """
     points = [phiz] if T is None else [phiz, np.asarray(complex(T.tau), dtype=complex)]
     for arr in points:
         _in_closed_disk(arr)
-    factors = {a: [_denominator(arr, a) for arr in points] for a in zeros}
+    factors = {a: [_denominator(arr, a, np.multiply) for arr in points] for a in zeros}
     if T is not None:  # 0-d, so forming them up front costs next to nothing
         for a in zeros:
             factors[a][1] = _factor(points[1], a, factors[a][1])
@@ -391,7 +448,9 @@ def _ladder_walk(root: list, zeros: list[complex], uz: np.ndarray, phiz: np.ndar
     u_sup = float(np.max(np.abs(uz)))
     t_sup = 0.0 if T is None else abs(T.c) * float(np.max(np.abs(gz)))
 
-    best, best_index, best_k, best_desc, evaluated = -1.0, -1, 0, None, 0
+    best, near, evaluated = -1.0, [], 0  # the best score so far, the members near it
+    mask = np.zeros(phiz.shape, dtype=bool)
+    path = []  # the zeros of the node in hand
     values = [np.full(arr.shape, 1 + 0j) for arr in points]
     f_at = [values[0]]  # f's buffer at each depth (see Memory above)
     scores, term = np.empty_like(values[0]), np.empty_like(values[0])
@@ -405,7 +464,7 @@ def _ladder_walk(root: list, zeros: list[complex], uz: np.ndarray, phiz: np.ndar
                 f_tau = values[1] * factors[a][1]
                 cap += t_sup * abs(complex(f_tau))
             # at best = inf a skipped member could still tie
-            if cap + 2.0 * REL_TOL * max(1.0, scale * cap) < best < math.inf:
+            if cap + _slack(cap, scale) < best < math.inf:
                 continue
             if depth == len(f_at):
                 f_at.append(np.empty_like(values[0]))
@@ -414,6 +473,8 @@ def _ladder_walk(root: list, zeros: list[complex], uz: np.ndarray, phiz: np.ndar
                 factors[a][0] = _factor(phiz, a, factors[a][0])
             f = np.multiply(values[0], factors[a][0], out=f_at[depth])
             values = [f] if T is None else [f, f_tau]
+            del path[depth - 1:]
+            path.append(a)
         index, desc, children = node
         if index is not None:
             evaluated += 1
@@ -422,18 +483,69 @@ def _ladder_walk(root: list, zeros: list[complex], uz: np.ndarray, phiz: np.ndar
                 np.multiply(uz, values[0], out=scores)
                 if T is not None:
                     scores += np.multiply(T.c * complex(values[1]), gz, out=term)
-                np.abs(scores, out=moduli)
-            k = int(np.argmax(moduli))
-            value = float(moduli[k])
-            if value > best or (value == best and index < best_index):
-                best, best_index, best_k, best_desc = value, index, k, desc
+                value = float(np.max(np.abs(scores, out=moduli)))  # nan if any sample is
+            if value > best:
+                best = value
+                near = [m for m in near if m[3] + _slack(m[3], scale) >= best]
+                if not near:  # no sample of theirs is needed any more
+                    mask[:] = False
+            if value + _slack(value, scale) >= best:
+                near.append((index, desc, tuple(path), value))
+                # every sample that reaches the best, and a few that come
+                # within the best's slack without reaching it
+                mask |= moduli + _slack(best, scale) >= best
         if children:
             f_sup = min(f_sup, float(np.max(np.abs(values[0], out=moduli))))
             stack.extend((child, values, f_sup, b, depth + 1)
                          for b, child in reversed(children.items()))
-    if best_index < 0:  # no member scored a number
-        best = math.nan
-    return best, best_index, best_k, best_desc, evaluated
+    return near, mask, evaluated
+
+
+def _rescore(near: list, ks: np.ndarray, z: np.ndarray, u: DiskFunction, phi: DiskFunction,
+             T: RankOneDiskOperator | None) -> tuple[float, int, int, dict | None]:
+    """The first maximum of |u(z_k) f(phi(z_k)) + c f(tau) g(z_k)| over the
+    members near (as _ladder_walk returns them) in test_functions() order,
+    then over the samples ks in order, in portable arithmetic: its value
+    (NaN when no member scores a number), ladder index, sample index and
+    description.
+
+    u, phi and g are evaluated at z[ks] and phi is projected as the walk
+    projects it, through modulus.  Each member is formed as blaschke_eval
+    forms it, from 1 factor by factor in tuple order through cmul, so its
+    values are bit-identical to blaschke_eval's; consecutive members share
+    the products of their common zero prefix, and one array per factor of
+    the member in hand is held.
+    """
+    zk = z[ks]
+    phik = phi(zk)
+    phik, uk = _onto_disk(phik, modulus(phik)), u(zk)
+    gk = None if T is None else T.g(zk)
+    points = [phik] if T is None else [phik, np.asarray(complex(T.tau), dtype=complex)]
+    factors: dict[complex, list] = {}
+    path, chain = [], [[np.full(arr.shape, 1 + 0j) for arr in points]]
+    top, top_index, top_k, top_desc = -1.0, -1, 0, None
+    for index, desc, zeros, _ in near:
+        common = 0
+        while common < min(len(path), len(zeros)) and path[common] == zeros[common]:
+            common += 1
+        del path[common:], chain[common + 1:]
+        for a in zeros[common:]:
+            if a not in factors:
+                factors[a] = [_factor(arr, a, _denominator(arr, a, cmul)) for arr in points]
+            chain.append([cmul(f, factor) for f, factor in zip(chain[-1], factors[a])])
+            path.append(a)
+        # an inf score, or a nan from an inf weight, is reported as not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = cmul(uk, chain[-1][0])
+            if T is not None:
+                scores = scores + cmul(T.c * complex(chain[-1][1]), gk)
+        moduli = modulus(scores)
+        j = int(np.argmax(moduli))
+        if moduli[j] > top or (moduli[j] == top and index < top_index):
+            top, top_index, top_k, top_desc = float(moduli[j]), index, int(ks[j]), desc
+    if top_index < 0:  # no member scored a number
+        top = math.nan
+    return top, top_index, top_k, top_desc
 
 
 def _ladder_scale(ladder: SearchLadder, bound: float) -> float:
@@ -444,6 +556,12 @@ def _ladder_scale(ladder: SearchLadder, bound: float) -> float:
     r = max(abs(a) for a in ladder.zero_pool())
     growth = max(ladder.max_depth * (1.0 + r) / (1.0 - r), float(ladder.max_monomial))
     return bound * max(1.0, 8.0 * float(np.finfo(float).eps) * growth / REL_TOL)
+
+
+def _onto_disk(values: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """A copy of values with each value whose modulus (in moduli) is above
+    1 divided by it, onto the circle."""
+    return np.divide(values, moduli, out=values.astype(complex), where=moduli > 1.0)
 
 
 @dataclass(frozen=True)
@@ -465,32 +583,34 @@ def disk_norm_lower_bound(u: DiskFunction, phi: DiskFunction,
     lower bound; the result is their maximum, with the first witness in
     ladder order.  Requires phi to map into the closed disk.
 
-    _ladder_walk evaluates the ladder depth first over shared zero
-    prefixes, one complex multiply per sample for each evaluated test
-    function on top of its parent (each factor is formed once per call),
-    and skips every subtree whose certified cap cannot reach the best value
-    so far.  Values are bit-identical to blaschke_eval per function (the
-    reference route), and ties go to the smallest test_functions() index,
-    so bound and witness depend neither on the walk order nor on what was
-    skipped.
+    _ladder_walk searches the ladder in native numpy arithmetic, depth
+    first over shared zero prefixes, one complex multiply per sample for
+    each evaluated test function on top of its parent (each factor is
+    formed once per call), and skips every subtree whose certified cap
+    cannot reach the best value so far.  _rescore then re-forms the
+    members it found near the best, at the samples where they came near,
+    in portable arithmetic (products through cmul, moduli through
+    modulus), and ties go to the smallest test_functions() index, so bound
+    and witness are those of the portable per-function route and depend
+    neither on the walk order, nor on what was skipped, nor on numpy's SIMD
+    kernels.
     family_size counts the whole ladder, evaluated only what was scored.
     """
     m = ladder.samples
-    z = np.exp(2j * np.pi * np.arange(m) / m)
-    uz = np.asarray(u(z))
-    phiz = np.asarray(phi(z))
-    modulus = np.abs(phiz)
-    overflow = float(np.max(modulus)) - 1.0
+    z = _boundary(m)
+    phiz = phi._at(z, np.multiply)
+    moduli = np.abs(phiz)
+    overflow = float(np.max(moduli)) - 1.0
     if overflow > 1e-9:
         raise ValueError(
             f"symbol leaves the closed disk by {overflow:.3e}; "
             "test functions cannot be composed with it")
-    phiz = np.divide(phiz, modulus, out=phiz.astype(complex), where=modulus > 1.0)
-    gz = None if T is None else np.asarray(T.g(z))
-
+    uz = u._at(z, np.multiply)
+    gz = None if T is None else T.g._at(z, np.multiply)
     root, count, zeros = _ladder_tree(ladder)
-    best, index, k, desc, evaluated = _ladder_walk(root, zeros, uz, phiz, T, gz,
-                                                   _ladder_scale(ladder, 1.0))
+    near, mask, evaluated = _ladder_walk(root, zeros, uz, _onto_disk(phiz, moduli), T, gz,
+                                         _ladder_scale(ladder, 1.0))
+    best, index, k, desc = _rescore(near, np.flatnonzero(mask), z, u, phi, T)
     witness = {} if index < 0 else {**copy.deepcopy(desc), "sample_index": k,
                                     "z": complex(z[k])}
     u_sup = u.sup_norm(m)[0]
@@ -515,8 +635,7 @@ def disk_counterexample_operator(u: DiskFunction, phi: DiskFunction,
     ||T|| = |u(omega)| exactly.
     """
     omega = complex(omega)
-    if abs(abs(omega) - 1.0) > UNIMODULAR_TOL:
-        raise ValueError(f"omega must be on the circle, |omega| = {abs(omega)!r}")
+    _on_circle(omega)
     tau = complex(phi(omega))
     if abs(tau) >= 1.0:
         raise ValueError(
@@ -566,14 +685,11 @@ def certified_counterexample_bound(u: DiskFunction, phi: DiskFunction,
     u_sup, u_sup_exact = u.sup_norm(samples)
 
     z_arc = arc.samples(samples)
-    g_arc = np.asarray(T.g(z_arc))
-    phi_arc = np.asarray(phi(z_arc))
-    u_arc = np.asarray(u(z_arc))
     # inf or nan where u or phi overflows: the record reports it as not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        phi_increment = float(np.max(np.abs(phi_arc - T.tau)))
-        u_increment = float(np.max(np.abs(u_arc - T.c)))
-    g_defect = float(np.max(np.abs(1.0 - g_arc)))
+        phi_increment = float(np.max(modulus(phi(z_arc) - T.tau)))
+        u_increment = float(np.max(modulus(u(z_arc) - T.c)))
+    g_defect = float(np.max(modulus(1.0 - T.g(z_arc))))
     arc_ok = (phi_increment <= epsilon and g_defect < 0.5
               and u_increment < epsilon)
 
@@ -584,7 +700,7 @@ def certified_counterexample_bound(u: DiskFunction, phi: DiskFunction,
 
     delta = math.cos(arc.half_angle / 2.0)
     z_off = arc.complement_samples(samples)
-    sampled_delta = float(np.max(np.abs(np.asarray(T.g(z_off)))))
+    sampled_delta = float(np.max(modulus(T.g(z_off))))
     at_most(sampled_delta, delta,
             f"sampled off-arc sup {sampled_delta!r} exceeds the closed form {delta!r}")
     off_arc = u_sup + u_omega * delta

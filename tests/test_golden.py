@@ -17,15 +17,23 @@ sha256 is frozen below.
 
 Within version 2, some values later moved in their last bits: when the
 criterion sweep and rotation-max began to read the one verified sup|u|
-and ||T|| and to take every reported modulus through circle.modulus, and
+and ||T|| and to take every reported modulus through circle.modulus,
 when blaschke_eval began to divide out each factor before multiplying by
-it.  MOVED holds each such value as it was before; putting them back
-gives the earlier version 2 report, whose sha256 is frozen too.
+it, and when the disk model took every reported product through
+circle.cmul and every modulus through circle.modulus.  MOVED holds each
+such value as it was before; putting them back gives the earlier version
+2 report, whose sha256 is frozen too.
+
+The disk reports are rendered once more in a process where numpy may not
+use its SIMD kernels above its baseline, and must keep their bytes.
 """
 
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,6 +77,44 @@ def test_deck_reports_match_the_frozen_digest():
     assert deck_digest.digest() == (GOLDEN / "deck.sha256").read_text(encoding="utf-8").strip()
 
 
+def disk_reports() -> list[str]:
+    """The two disk goldens and the seed-1 disk-ladder deck, as the CLI
+    renders them."""
+    reports = [regenerate.render(GOLDEN / "scenarios" / name)
+               for name in SCENARIOS if name.startswith("disk-")]
+    for scenario, _ in deck_digest.load_workloads().generate("disk-ladder", 1):
+        parsed = parse_scenario(json.loads(json.dumps(scenario)))
+        reports.append(render_report_json(run_scenario(parsed)))
+    return reports
+
+
+def dispatch_targets_above_baseline() -> list[str]:
+    """The SIMD targets numpy dispatches to on this CPU beyond its baseline."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
+def test_disk_reports_do_not_depend_on_the_cpu_kernels():
+    # numpy picks its complex multiply and np.abs kernels by CPU feature, and
+    # they differ in the last bit; the reports must not
+    targets = dispatch_targets_above_baseline()
+    if not targets:
+        pytest.skip("numpy found no dispatch target above its baseline on this CPU")
+    tests = str(Path(__file__).resolve().parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets),
+           "PYTHONPATH": os.pathsep.join([tests, path]) if path else tests}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, test_golden; print(json.dumps(test_golden.disk_reports()))"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == disk_reports()
+
+
 @pytest.mark.parametrize("name", [name for name in SCENARIOS if not name.startswith("disk-")])
 def test_check_order_changes_no_record(name):
     # the checks of a run share its profiles, each with the norms it took
@@ -86,8 +132,11 @@ def test_check_order_changes_no_record(name):
 SWEEP = ("checks", 1, "values", "levels")
 
 #: The values that moved when the readers took one sup|u|, one ||T|| and
-#: circle.modulus, and when blaschke_eval's factors were associated as
-#: out * ((z - a) / den): the earlier value, by golden report and JSON path.
+#: circle.modulus, when blaschke_eval's factors were associated as
+#: out * ((z - a) / den), and when the disk model took circle.cmul and
+#: circle.modulus: the earliest version 2 value, by golden report and JSON
+#: path.  The four disk-automorphism values moved again with the disk's
+#: portable arithmetic; their entries already hold the earliest value.
 MOVED = {
     "circle-closed-256.json": {(*SWEEP, 3, "sup_value"): 0.0},
     "circle-tabulated-256.json": {
@@ -106,6 +155,9 @@ MOVED = {
         ("checks", 1, "values", "lower_bound"): 1.758890472575364,
         ("checks", 2, "values", "deficit"): 0.02373331954956237,
         ("checks", 2, "values", "lower_bound"): 1.758890472575364},
+    "disk-contraction-256.json": {
+        ("checks", 1, "values", "lower_bound"): 1.3462863577787705,
+        ("checks", 2, "values", "detail", "g_defect"): 0.04997916927067832},
 }
 
 #: sha256 of each golden report before the values in MOVED moved.
@@ -143,7 +195,7 @@ def test_only_last_bit_value_keys_moved():
     assert set(MOVED) <= set(V2_SHA256) == set(V1_SHA256)
     keys = {path[-1] for table in MOVED.values() for path in table}
     assert keys <= {"sup_value", "max", "deviation", "worst",
-                    "symbol_spread", "lower_bound", "deficit"}
+                    "symbol_spread", "lower_bound", "deficit", "g_defect"}
 
 
 @pytest.mark.parametrize("name", sorted(V2_SHA256))

@@ -1,8 +1,10 @@
-"""Each side condition on a grid, a table symbol, a search ladder or a
-Blaschke evaluation is raised by one function: grids, sample fields and
-table symbols share one size check, tables and ladders are checked when
-they are made, and blaschke_eval and the ladder walk share one closed-disk
-guard and one pole guard.  Checked on the source, without importing it.
+"""Each side condition on a grid, a table symbol, a search ladder, a
+Blaschke evaluation or a boundary point is raised by one function: grids,
+sample fields and table symbols share one size check, tables and ladders
+(radii and counts) are checked when they are made, blaschke_eval and the
+ladder walk share one closed-disk guard and one pole guard, and half_plus,
+ArcNeighborhood and the counterexample operator share one rule that omega
+lies on the circle.  Checked on the source, without importing it.
 """
 
 import ast
@@ -19,6 +21,10 @@ GUARDS = {
     "outside the closed unit disk": "disk.py:_in_closed_disk",
     "too close to the pole of the": "disk.py:_denominator",
     "radii must lie in (0, 1)": "disk.py:SearchLadder.__post_init__",
+    "max_depth must be at least 0": "disk.py:SearchLadder.__post_init__",
+    "max_monomial must be at least 0": "disk.py:SearchLadder.__post_init__",
+    "samples must be at least 1": "disk.py:SearchLadder.__post_init__",
+    "omega must be on the circle": "disk.py:_on_circle",
 }
 
 

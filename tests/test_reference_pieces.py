@@ -637,9 +637,14 @@ class TestGridIndex:
         (lambda: SymbolMap(kind="table", table=(0, 9, 1), n=3),
          r"symbol table entries must be grid indices in \[0, n\)"),
         (lambda: SearchLadder(radii=(1.5,)), r"radii must lie in \(0, 1\), got 1\.5"),
+        # else numpy raises on an empty sample array, or a negative depth
+        # runs the monomials alone
+        (lambda: SearchLadder(samples=0), "samples must be at least 1, got 0"),
+        (lambda: SearchLadder(max_depth=-1), "max_depth must be at least 0, got -1"),
+        (lambda: SearchLadder(max_monomial=-1), "max_monomial must be at least 0, got -1"),
     ], ids=["samples", "table", "from-samples", "from-table", "from-table-entries",
             "samples-n0", "samples-n1", "table-n1", "table-off-grid", "table-off-grid-n3",
-            "ladder-radii"])
+            "ladder-radii", "ladder-samples", "ladder-max-depth", "ladder-max-monomial"])
     def test_a_table_is_checked_when_it_is_made(self, make, message):
         # else tabulate reads fewer values than the grid has points, and the
         # equation raises IndexError

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from daugavetlab import measures, scenarios
+from daugavetlab import measures, operators, scenarios
 from daugavetlab.cli import main
 from daugavetlab.scenarios import (
     CHECKS,
@@ -533,6 +533,24 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and "cannot be written" in lines[0] and str(out) in lines[0]
+
+    def test_a_failed_cross_check_exits_two(self, tmp_path, capsys, monkeypatch):
+        # a wrong compiled weight at s = 0, planted as TestCrossCheckFires
+        # plants one: the reference pass refuses it and the run stops
+        original = operators._compiled_profile
+
+        def corrupted(wc, T, grid):
+            weight, *rest = original(wc, T, grid)
+            weight = weight.copy()
+            weight[0] += 0.25
+            return (weight, *rest)
+
+        monkeypatch.setattr(operators, "_compiled_profile", corrupted)
+        assert self.run_cli(tmp_path, ["verify"], scenario()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("internal cross-check failed:")
 
     @pytest.mark.parametrize("seed", ["-1", "abc", "1.5"])
     def test_selftest_seed_is_a_nonnegative_integer(self, capsys, seed):
