@@ -17,7 +17,10 @@ the ladder walk, a search in numpy's native complex multiply and np.abs:
 it only finds the (member, sample) pairs near its best score, and
 _rescore re-forms those in portable arithmetic, bit for bit as
 blaschke_eval forms them, so no reported bound or witness depends on the
-SIMD kernels numpy picks for the CPU.
+SIMD kernels numpy picks for the CPU.  The ladder's prefix tree
+(_ladder_tree) is the one record of the family's shared zero prefixes:
+the walk hands the re-score tree nodes, and the re-score descends the
+same tree to them.  A search without an operator runs the zero operator.
 
 Two one-sided tools replace the circle model's exact norms:
 
@@ -303,13 +306,15 @@ class SearchLadder:
     pure monomials up to degree max_monomial.
 
     test_functions() is the one definition of the family, its order and its
-    size.  disk_norm_lower_bound searches it depth first over shared zero
-    prefixes in native arithmetic, one complex multiply by a once-formed
-    factor per evaluated function, skips every subtree whose certified cap
-    stays below the best value so far, and reports the first maximiser in
-    test_functions() order of the portable per-function route (blaschke_eval
-    on each member, products through cmul, moduli through modulus), the
-    reference route the walk is tested against.
+    size; _ladder_tree records its zero tuples once, as a prefix tree.
+    disk_norm_lower_bound searches that tree depth first in native
+    arithmetic, one complex multiply by a once-formed factor per evaluated
+    function, skips every subtree whose certified cap stays below the best
+    value so far, and re-scores the members it found near the best by
+    descending the same tree in portable arithmetic.  It reports the first
+    maximiser in test_functions() order of the portable per-function route
+    (blaschke_eval on each member, products through cmul, moduli through
+    modulus), the reference route the walk is tested against.
 
     Every member has phase 0: the searched operators are linear, so a
     unimodular prefactor never changes the sampled modulus.
@@ -351,18 +356,20 @@ class SearchLadder:
 
 @functools.lru_cache(maxsize=8)
 def _ladder_tree(ladder: SearchLadder) -> tuple[list, int, list[complex]]:
-    """Prefix tree of the zero tuples of ladder.test_functions().
+    """Prefix tree of the zero tuples of ladder.test_functions(): the one
+    record of the family's shared prefixes, which the walk and the
+    re-score both descend.
 
-    A node is [ladder index, description, {zero: child}].  A prefix that is
-    not itself a family member has index None, and a repeated tuple keeps
-    its first index.  Also returns the family size and the distinct zeros
-    in order of first use.
+    A node is [ladder index, description, {zero: child}, parent], the
+    root's parent None.  A prefix that is not itself a family member has
+    index None, and a repeated tuple keeps its first index.  Also returns
+    the family size and the distinct zeros in order of first use.
 
     Memoized per ladder (dataclass equality also compares the class, so a
     subclass with its own test_functions() gets its own tree).  Callers
     must not mutate the tree or hand out its descriptions.
     """
-    root: list = [None, None, {}]
+    root: list = [None, None, {}, None]
     zeros: dict[complex, None] = {}
     size = 0
     for size, (desc, f) in enumerate(ladder.test_functions(), start=1):
@@ -370,7 +377,7 @@ def _ladder_tree(ladder: SearchLadder) -> tuple[list, int, list[complex]]:
         for a in f.zeros:
             children = node[2]
             if a not in children:
-                children[a] = [None, None, {}]
+                children[a] = [None, None, {}, node]
                 zeros.setdefault(a)
             node = children[a]
         if node[0] is None:
@@ -389,22 +396,21 @@ def _slack(x: float, scale: float) -> float:
 
 
 def _ladder_walk(root: list, zeros: list[complex], uz: np.ndarray, phiz: np.ndarray,
-                 T: RankOneDiskOperator | None, gz: np.ndarray | None, scale: float
+                 T: RankOneDiskOperator, gz: np.ndarray, scale: float
                  ) -> tuple[list, np.ndarray, int]:
     """Search the members of a _ladder_tree depth first over its shared
     zero prefixes, in native numpy arithmetic: each scores
-    max_k |u(z_k) f(phi(z_k)) + c f(tau) g(z_k)|, without the second term
-    when T is None.  The search only finds where the best score lies;
-    _rescore gives the reported value.  Returns
+    max_k |u(z_k) f(phi(z_k)) + c f(tau) g(z_k)|.  The search only finds
+    where the best score lies; _rescore gives the reported value.  Returns
 
     * the members whose score reaches the best score (see _slack), as
-      (ladder index, shared uncopied description, zeros, score) in the
-      walk's order;
+      (tree node, score) in the walk's order, kept as they are scored and
+      pruned once, against the final best;
     * a mask of the samples at which a member came within the best
       score's slack of the best so far when it was scored, cleared
-      whenever the best rises out of reach of every member kept so far: a
-      superset of the samples at which each member returned reaches the
-      final best;
+      whenever the best rises out of reach of the previous best, the
+      largest score kept so far: a superset of the samples at which each
+      member returned reaches the final best;
     * how many members were scored.
 
     A member and sample whose portable score is the portable maximum has a
@@ -429,80 +435,74 @@ def _ladder_walk(root: list, zeros: list[complex], uz: np.ndarray, phiz: np.ndar
     so far.  A skipped member can then neither win nor tie, so the result
     is that of the full walk; a NaN cap never skips.
 
-    Memory: the walk allocates no array per member, but one O(samples)
-    temporary per member near the best so far.  Each pool zero holds one
-    array at phiz, its den until the factor is formed in its place.  A
-    node's f goes into the one buffer of its depth, which the next node of
-    that depth overwrites only after the node's whole subtree has been
-    walked (the stack pops depth first); the scores, the c f(tau) g term
-    and the moduli reuse one buffer each.
+    Memory: the walk allocates no array and copies no zeros per member.
+    Each pool zero holds one array at phiz, its den until the factor is
+    formed in its place.  A node walked as its parent's last child writes
+    its f into its parent's buffer, which nothing reads any more: the stack
+    pops depth first, so the parent's other children and their subtrees
+    have been walked.  Only other children take the one buffer of their
+    depth, which the next such node of that depth overwrites after the
+    node's subtree has been walked.  A chain of only children, such as the
+    monomials, thus writes into one buffer, and the walk holds at most one
+    buffer per depth up to max_depth, whatever max_monomial.  The scores,
+    the c f(tau) g term and the moduli reuse one buffer each.
     """
-    points = [phiz] if T is None else [phiz, np.asarray(complex(T.tau), dtype=complex)]
+    points = [phiz, np.asarray(complex(T.tau), dtype=complex)]
     for arr in points:
         _in_closed_disk(arr)
     factors = {a: [_denominator(arr, a, np.multiply) for arr in points] for a in zeros}
-    if T is not None:  # 0-d, so forming them up front costs next to nothing
-        for a in zeros:
-            factors[a][1] = _factor(points[1], a, factors[a][1])
+    for a in zeros:  # 0-d, so forming them up front costs next to nothing
+        factors[a][1] = _factor(points[1], a, factors[a][1])
     formed = set()  # pool zeros whose factor at phiz replaced its den
     u_sup = float(np.max(np.abs(uz)))
-    t_sup = 0.0 if T is None else abs(T.c) * float(np.max(np.abs(gz)))
+    t_sup = abs(T.c) * float(np.max(np.abs(gz)))
 
     best, near, evaluated = -1.0, [], 0  # the best score so far, the members near it
     mask = np.zeros(phiz.shape, dtype=bool)
-    path = []  # the zeros of the node in hand
-    values = [np.full(arr.shape, 1 + 0j) for arr in points]
-    f_at = [values[0]]  # f's buffer at each depth (see Memory above)
-    scores, term = np.empty_like(values[0]), np.empty_like(values[0])
+    f_at = {}  # the buffer of each depth (see Memory above)
+    scores, term = np.empty_like(phiz), np.empty_like(phiz)
     moduli = np.empty(phiz.shape)
-    stack = [(root, values, 1.0, None, 0)]
+    stack = [(root, np.full(phiz.shape, 1 + 0j), np.full((), 1 + 0j), 1.0, None, 0, True)]
     while stack:
-        node, values, f_sup, a, depth = stack.pop()
+        node, f, f_tau, f_sup, a, depth, last = stack.pop()
         if a is not None:
-            cap = u_sup * f_sup
-            if T is not None:
-                f_tau = values[1] * factors[a][1]
-                cap += t_sup * abs(complex(f_tau))
+            f_tau = f_tau * factors[a][1]
+            cap = u_sup * f_sup + t_sup * abs(complex(f_tau))
             # at best = inf a skipped member could still tie
             if cap + _slack(cap, scale) < best < math.inf:
                 continue
-            if depth == len(f_at):
-                f_at.append(np.empty_like(values[0]))
             if a not in formed:
                 formed.add(a)
                 factors[a][0] = _factor(phiz, a, factors[a][0])
-            f = np.multiply(values[0], factors[a][0], out=f_at[depth])
-            values = [f] if T is None else [f, f_tau]
-            del path[depth - 1:]
-            path.append(a)
-        index, desc, children = node
+            if not last and depth not in f_at:
+                f_at[depth] = np.empty_like(f)
+            f = np.multiply(f, factors[a][0], out=f if last else f_at[depth])
+        index, _, children, _ = node
         if index is not None:
             evaluated += 1
             # an inf score, or a nan from an inf weight, is reported as not finite
             with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply(uz, values[0], out=scores)
-                if T is not None:
-                    scores += np.multiply(T.c * complex(values[1]), gz, out=term)
+                np.multiply(uz, f, out=scores)
+                scores += np.multiply(T.c * complex(f_tau), gz, out=term)
                 value = float(np.max(np.abs(scores, out=moduli)))  # nan if any sample is
             if value > best:
-                best = value
-                near = [m for m in near if m[3] + _slack(m[3], scale) >= best]
-                if not near:  # no sample of theirs is needed any more
+                if best + _slack(best, scale) < value:  # no sample kept so far is needed
                     mask[:] = False
+                best = value
             if value + _slack(value, scale) >= best:
-                near.append((index, desc, tuple(path), value))
+                near.append((node, value))
                 # every sample that reaches the best, and a few that come
                 # within the best's slack without reaching it
                 mask |= moduli + _slack(best, scale) >= best
         if children:
-            f_sup = min(f_sup, float(np.max(np.abs(values[0], out=moduli))))
-            stack.extend((child, values, f_sup, b, depth + 1)
-                         for b, child in reversed(children.items()))
-    return near, mask, evaluated
+            f_sup = min(f_sup, float(np.max(np.abs(f, out=moduli))))
+            stack.extend((child, f, f_tau, f_sup, b, depth + 1, i == 0)
+                         for i, (b, child) in enumerate(reversed(children.items())))
+    return [m for m in near if m[1] + _slack(m[1], scale) >= best], mask, evaluated
 
 
-def _rescore(near: list, ks: np.ndarray, z: np.ndarray, u: DiskFunction, phi: DiskFunction,
-             T: RankOneDiskOperator | None) -> tuple[float, int, int, dict | None]:
+def _rescore(root: list, near: list, ks: np.ndarray, z: np.ndarray, u: DiskFunction,
+             phi: DiskFunction, T: RankOneDiskOperator) -> tuple[float, int, int, dict | None]:
     """The first maximum of |u(z_k) f(phi(z_k)) + c f(tau) g(z_k)| over the
     members near (as _ladder_walk returns them) in test_functions() order,
     then over the samples ks in order, in portable arithmetic: its value
@@ -510,39 +510,46 @@ def _rescore(near: list, ks: np.ndarray, z: np.ndarray, u: DiskFunction, phi: Di
     description.
 
     u, phi and g are evaluated at z[ks] and phi is projected as the walk
-    projects it, through modulus.  Each member is formed as blaschke_eval
-    forms it, from 1 factor by factor in tuple order through cmul, so its
-    values are bit-identical to blaschke_eval's; consecutive members share
-    the products of their common zero prefix, and one array per factor of
-    the member in hand is held.
+    projects it, through modulus.  The re-score descends root's tree depth
+    first, through the near members and their ancestors only, and forms
+    each node once, from its parent times one factor through cmul: as
+    blaschke_eval forms a member, from 1 factor by factor in tuple order,
+    so its values are bit-identical to blaschke_eval's.  A node's values
+    are held only while a child of it is still to be walked, so a last
+    child's values take its parent's place, and the re-score holds as many
+    arrays of the re-scored samples as the walk holds buffers.
     """
     zk = z[ks]
     phik = phi(zk)
-    phik, uk = _onto_disk(phik, modulus(phik)), u(zk)
-    gk = None if T is None else T.g(zk)
-    points = [phik] if T is None else [phik, np.asarray(complex(T.tau), dtype=complex)]
+    phik, uk, gk = _onto_disk(phik, modulus(phik)), u(zk), T.g(zk)
+    points = [phik, np.asarray(complex(T.tau), dtype=complex)]
+    kept = {id(node): True for node, _ in near}  # to score; False: an ancestor only
+    for node, _ in near:
+        node = node[3]
+        while node is not None and id(node) not in kept:
+            kept[id(node)] = False
+            node = node[3]
     factors: dict[complex, list] = {}
-    path, chain = [], [[np.full(arr.shape, 1 + 0j) for arr in points]]
     top, top_index, top_k, top_desc = -1.0, -1, 0, None
-    for index, desc, zeros, _ in near:
-        common = 0
-        while common < min(len(path), len(zeros)) and path[common] == zeros[common]:
-            common += 1
-        del path[common:], chain[common + 1:]
-        for a in zeros[common:]:
+    stack = [(root, [np.full(arr.shape, 1 + 0j) for arr in points], None)] if near else []
+    while stack:
+        node, values, a = stack.pop()
+        if a is not None:
             if a not in factors:
                 factors[a] = [_factor(arr, a, _denominator(arr, a, cmul)) for arr in points]
-            chain.append([cmul(f, factor) for f, factor in zip(chain[-1], factors[a])])
-            path.append(a)
-        # an inf score, or a nan from an inf weight, is reported as not finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            scores = cmul(uk, chain[-1][0])
-            if T is not None:
-                scores = scores + cmul(T.c * complex(chain[-1][1]), gk)
-        moduli = modulus(scores)
-        j = int(np.argmax(moduli))
-        if moduli[j] > top or (moduli[j] == top and index < top_index):
-            top, top_index, top_k, top_desc = float(moduli[j]), index, int(ks[j]), desc
+            values = [cmul(f, factor) for f, factor in zip(values, factors[a])]
+        index, desc, children, _ = node
+        if kept[id(node)]:
+            # an inf score, or a nan from an inf weight, is reported as not finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                scores = cmul(uk, values[0])
+                scores += cmul(T.c * complex(values[1]), gk)
+            moduli = modulus(scores)
+            j = int(np.argmax(moduli))
+            if moduli[j] > top or (moduli[j] == top and index < top_index):
+                top, top_index, top_k, top_desc = float(moduli[j]), index, int(ks[j]), desc
+        stack.extend((child, values, b) for b, child in reversed(children.items())
+                     if id(child) in kept)
     if top_index < 0:  # no member scored a number
         top = math.nan
     return top, top_index, top_k, top_desc
@@ -573,29 +580,37 @@ class LowerBoundResult:
     evaluated: int      # members whose sample values were computed
 
 
+#: The operator disk_norm_lower_bound searches with when it is given none:
+#: T = 0, whose term adds a zero to every score and whose norm is 0.
+_ZERO_OPERATOR = RankOneDiskOperator(tau=0j, g=DiskFunction.constant(0j), c=0j)
+
+
 def disk_norm_lower_bound(u: DiskFunction, phi: DiskFunction,
                           T: RankOneDiskOperator | None = None,
                           ladder: SearchLadder = SearchLadder()) -> LowerBoundResult:
-    """Certified lower bound for ||uC_phi + T|| on the disk algebra.
+    """Certified lower bound for ||uC_phi + T|| on the disk algebra (T = None
+    is the zero operator).
 
     Every ladder function has sup norm at most 1 and every sample point sits
     on the boundary, so each evaluated |u(z) f(phi(z)) + (Tf)(z)| is a true
     lower bound; the result is their maximum, with the first witness in
     ladder order.  Requires phi to map into the closed disk.
 
-    _ladder_walk searches the ladder in native numpy arithmetic, depth
-    first over shared zero prefixes, one complex multiply per sample for
-    each evaluated test function on top of its parent (each factor is
-    formed once per call), and skips every subtree whose certified cap
-    cannot reach the best value so far.  _rescore then re-forms the
-    members it found near the best, at the samples where they came near,
-    in portable arithmetic (products through cmul, moduli through
-    modulus), and ties go to the smallest test_functions() index, so bound
-    and witness are those of the portable per-function route and depend
-    neither on the walk order, nor on what was skipped, nor on numpy's SIMD
-    kernels.
+    _ladder_walk searches the ladder's prefix tree in native numpy
+    arithmetic, depth first, one complex multiply per sample for each
+    evaluated test function on top of its parent (each factor is formed
+    once per call), and skips every subtree whose certified cap cannot
+    reach the best value so far.  _rescore then descends the same tree to
+    the members the walk found near the best and re-forms them, at the
+    samples where they came near, in portable arithmetic (products through
+    cmul, moduli through modulus), and ties go to the smallest
+    test_functions() index, so bound and witness are those of the portable
+    per-function route and depend neither on the walk order, nor on what
+    was skipped, nor on numpy's SIMD kernels.
     family_size counts the whole ladder, evaluated only what was scored.
     """
+    if T is None:
+        T = _ZERO_OPERATOR
     m = ladder.samples
     z = _boundary(m)
     phiz = phi._at(z, np.multiply)
@@ -606,18 +621,15 @@ def disk_norm_lower_bound(u: DiskFunction, phi: DiskFunction,
             f"symbol leaves the closed disk by {overflow:.3e}; "
             "test functions cannot be composed with it")
     uz = u._at(z, np.multiply)
-    gz = None if T is None else T.g._at(z, np.multiply)
     root, count, zeros = _ladder_tree(ladder)
-    near, mask, evaluated = _ladder_walk(root, zeros, uz, _onto_disk(phiz, moduli), T, gz,
-                                         _ladder_scale(ladder, 1.0))
-    best, index, k, desc = _rescore(near, np.flatnonzero(mask), z, u, phi, T)
+    near, mask, evaluated = _ladder_walk(root, zeros, uz, _onto_disk(phiz, moduli), T,
+                                         T.g._at(z, np.multiply), _ladder_scale(ladder, 1.0))
+    best, index, k, desc = _rescore(root, near, np.flatnonzero(mask), z, u, phi, T)
     witness = {} if index < 0 else {**copy.deepcopy(desc), "sample_index": k,
                                     "z": complex(z[k])}
-    u_sup = u.sup_norm(m)[0]
-    t_norm = T.norm(m)[0] if T is not None else 0.0
-    at_most(best, u_sup + t_norm,
-            f"lower bound {best!r} exceeds the triangle bound {u_sup + t_norm!r}",
-            scale=_ladder_scale(ladder, u_sup + t_norm))
+    triangle = u.sup_norm(m)[0] + T.norm(m)[0]
+    at_most(best, triangle, f"lower bound {best!r} exceeds the triangle bound {triangle!r}",
+            scale=_ladder_scale(ladder, triangle))
     return LowerBoundResult(bound=best, witness=witness, family_size=count,
                             samples=m, evaluated=evaluated)
 

@@ -85,7 +85,9 @@ MAX_POINTS = 2 ** 20
 #: How deep a check value may nest (it is echoed before a reader bounds
 #: it), and how many components may nest inside one another.
 MAX_NESTING = 32
-#: Ladder cost grows with the square of max_monomial.
+#: The ladder's walk and re-score grow linearly with max_monomial; building
+#: its cached prefix tree grows with the square (test_functions() makes
+#: each monomial's zero tuple), about 60 ms at this bound.
 MAX_MONOMIAL = 1024
 #: Bound on the closed-form size of a ladder family, checked before it is
 #: enumerated.

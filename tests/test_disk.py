@@ -4,6 +4,7 @@ import cmath
 import copy
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -320,23 +321,37 @@ class TestLadderWalk:
                 assert res.witness == witness
                 assert res.family_size == count
 
-    @pytest.mark.parametrize("u, phi, samples", [
-        (1j, DiskFunction.scaled_identity(1.0), 1),
-        (cmath.exp(0.3j), DiskFunction.constant(1.0), 64),
+    @pytest.mark.parametrize("u, phi, T, ladder", [
+        (1j, DiskFunction.scaled_identity(1.0), None,
+         SearchLadder(max_depth=3, max_monomial=6, samples=1)),
+        (cmath.exp(0.3j), DiskFunction.constant(1.0), None,
+         SearchLadder(max_depth=3, max_monomial=6, samples=64)),
+        # a chain of 63 tied monomials below the depth-1 members
+        (1.0, DiskFunction.constant(1.0), None,
+         SearchLadder(max_depth=1, max_monomial=64, samples=16)),
+        # the README's no-skip shape: f = 1 scores |1 + 1| = 2 at every
+        # sample, and every member scores |f(1) + f(1)| = 2 at z = tau = 1
+        (1.0, DiskFunction.scaled_identity(1.0),
+         RankOneDiskOperator(tau=1.0, g=DiskFunction.constant(1.0), c=1.0),
+         SearchLadder(max_depth=5, samples=3)),
     ])
-    def test_full_tie_keeps_the_first_function(self, u, phi, samples):
-        # phi(z) = 1 at every sample, where each factor is (1 - a) / (1 - a):
-        # the maximum is a tie between many ladder functions
-        ladder = SearchLadder(max_depth=3, max_monomial=6, samples=samples)
-        res = disk_norm_lower_bound(DiskFunction.constant(u), phi, None, ladder)
-        phiz = np.asarray(phi(np.exp(2j * np.pi * np.arange(samples) / samples)))
-        maxima = [float(np.max(modulus(cmul(u, blaschke_eval(f, phiz)))))
-                  for _, f in ladder.test_functions()]
+    def test_full_tie_keeps_the_first_function(self, u, phi, T, ladder):
+        # at a sample where phi(z) = 1 each factor is (1 - a) / (1 - a): the
+        # maximum is a tie between many ladder functions
+        u = DiskFunction.constant(u)
+        res = disk_norm_lower_bound(u, phi, T, ladder)
+        z = np.exp(2j * np.pi * np.arange(ladder.samples) / ladder.samples)
+        maxima = []
+        for _, f in ladder.test_functions():
+            values = cmul(u(z), blaschke_eval(f, np.asarray(phi(z))))
+            if T is not None:
+                values = values + cmul(T.c * blaschke_eval(f, complex(T.tau)), T.g(z))
+            maxima.append(float(np.max(modulus(values))))
         assert max(maxima) == res.bound and maxima.count(res.bound) > 1
         assert res.witness == {"kind": "blaschke", "zeros": [], "phase": 0.0,
                                "sample_index": 0, "z": 1 + 0j}
         assert (res.bound, res.witness, res.family_size) == reference_lower_bound(
-            DiskFunction.constant(u), phi, None, ladder)
+            u, phi, T, ladder)
 
     def test_pole_still_raises(self):
         class PoleLadder(SearchLadder):
@@ -401,6 +416,43 @@ class TestLadderWalk:
              ladder=SearchLadder(radii=(0.999,), max_depth=3, max_monomial=5, samples=1))
     def test_generated_cases_match_the_reference(self, u, phi, T, ladder):
         self.check(u, phi, T, ladder)
+
+    def test_no_operator_is_the_zero_operator(self):
+        # polynomial, Blaschke and constant weights from random_case, against
+        # a contraction, an automorphism and the identity
+        zero = RankOneDiskOperator(tau=0j, g=DiskFunction.constant(0j), c=0j)
+        rng = np.random.default_rng(32)
+        for trial in range(60):
+            u, _, _, radii = self.random_case(rng)
+            phi = [DiskFunction.scaled_identity(random_disk_point(rng, 0.9)),
+                   DiskFunction.blaschke_multiple(BlaschkeProduct(
+                       unimodular_constant=unit(rng), zeros=(random_disk_point(rng, 0.9),))),
+                   DiskFunction.scaled_identity(1.0)
+                   ][trial % 3]
+            ladder = SearchLadder(radii=radii, max_depth=trial % 4,
+                                  max_monomial=int(rng.integers(0, 24)),
+                                  samples=int(rng.integers(1, 300)))
+            results = [disk_norm_lower_bound(u, phi, op, ladder) for op in (None, zero)]
+            assert len({(repr(r.bound), repr(r.witness), r.evaluated, r.family_size)
+                        for r in results}) == 1
+
+    def test_peak_memory_does_not_grow_with_monomials_times_samples(self):
+        # every monomial ties at every sample, so each one is scored and
+        # re-scored; one buffer for the monomial chain keeps the growth of
+        # the peak to a few arrays of the samples, not one per degree
+        def peak(samples):
+            args = (DiskFunction.constant(1.0), DiskFunction.scaled_identity(1.0), None,
+                    SearchLadder(max_depth=0, max_monomial=1024, samples=samples))
+            disk_norm_lower_bound(*args)  # builds the memoized tree
+            tracemalloc.start()
+            try:
+                disk_norm_lower_bound(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        buffers = (peak(4096) - peak(1024)) / (16 * (4096 - 1024))
+        assert buffers < 64
 
     def test_witness_shares_nothing_with_the_memoized_tree(self):
         one = DiskFunction.constant(1.0)
@@ -500,8 +552,9 @@ class TestFactorAssociation:
 
         monkeypatch.setattr(disk, "_factor", spy)
         res = disk_norm_lower_bound(u, phi, T, ladder)
-        assert [a for a, ndim in calls if not ndim] == (
-            [] if T is None else [complex(a) for a in ladder.zero_pool()])
+        # T = None is searched as the zero operator, whose tau still gets
+        # its 0-d factors
+        assert [a for a, ndim in calls if not ndim] == [complex(a) for a in ladder.zero_pool()]
         return res, [a for a, ndim in calls if ndim]
 
     @pytest.mark.parametrize("case", [certified_case, contraction_case])
